@@ -12,7 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+import tempfile
+from contextlib import contextmanager
 
 from .boolean_core import make_algebra
 from .contact_relation import (
@@ -49,9 +52,42 @@ from .topo_models import eca_from_topology, topology_from_json
 from .verify import run_suite, scoreboard
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return json.loads(text)
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise PsiforgeError(f"bad input: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+@contextmanager
+def _output(path: str):
+    """The output stream.  A regular or new file is written beside its
+    target and moved into place only when the run completes, so a failed
+    run leaves the old file untouched; a device or pipe is written in place."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    target = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file
+        with os.fdopen(fd, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _emit(obj, out) -> None:
@@ -264,10 +300,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.seed = int(os.environ.get("PSIFORGE_SEED", str(DEFAULT_SEED)), 0)
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    seed = os.environ.get("PSIFORGE_SEED", str(DEFAULT_SEED))
     try:
-        return _HANDLERS[args.verb](args, out)
+        args.seed = int(seed, 0)
+    except ValueError:
+        print(f"psiforge: PSIFORGE_SEED must be an integer, got {seed!r}", file=sys.stderr)
+        return 2
+    try:
+        with _output(args.output) as out:
+            return _HANDLERS[args.verb](args, out)
     except InternalCheckError as exc:
         # a property that was asserted on an output failed: report as a
         # failed check, not a usage error
@@ -276,12 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except PsiforgeError as exc:
         print(f"psiforge: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"psiforge: bad input: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 if __name__ == "__main__":

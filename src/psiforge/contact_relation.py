@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
+from .terms import compile_sweep, parse
 from .ternary_operator import TernaryOperator, is_relational
 
 
@@ -252,6 +253,29 @@ def _require_eca(rel: TernaryRelation, caller: str) -> None:
         )
 
 
+# Laws of the characteristic function chi, each swept by compiling its
+# sentence over chi's table of 0s and 1s, dia standing for chi: law ->
+# (sentence, witness order).  Only and, or, = and <= touch chi's values,
+# so 0 and 1 act as truth values.
+_CHI_LAWS = {
+    "weaker-right": ("c or f = f => dia(a, b, c) and dia(a, b, f) = dia(a, b, c)", "abcf"),
+    "stronger-left": ("f or a = a => dia(a, b, c) and dia(f, b, c) = dia(a, b, c)", "abcf"),
+    "BI-2": ("dia(a, b, c) and dia(x, b, c) <= dia(a or x, b, c)", "axbc"),
+    "BI-3": ("d or a = a => dia(a, b, c) and dia(d, b, c) = dia(a, b, c)", "abcd"),
+    "BI-4": ("c or d = d => dia(a, b, c) and dia(a, b, d) = dia(a, b, c)", "abcd"),
+    "ch-2": ("dia(a or x, b, c) = dia(a, b, c) and dia(x, b, c)", "axbc"),
+    "ch-3": ("dia(a, b or x, c) = dia(a, b, c) and dia(a, x, c)", "abxc"),
+    "ch-4": ("dia(a, b, c and x) <= dia(a, b, c) and dia(a, b, x)", "abcx"),
+}
+
+
+def _chi_law(rel: TernaryRelation, law: str, note: str = "") -> AxiomResult:
+    text, order = _CHI_LAWS[law]
+    chi = tuple(rel.bits >> i & 1 for i in range(rel.alg.size ** 3))
+    witness = compile_sweep(parse(text), tuple(order))(chi, rel.alg.top)
+    return passed(law, note) if witness is None else failed(law, witness, note)
+
+
 def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:
     """Assert the consequences that every EC relation must satisfy.
 
@@ -268,26 +292,6 @@ def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:
     note = "must hold for every EC relation; failure indicates a checker bug"
     els = alg.elements()
 
-    def weaker_right():
-        for a in els:
-            for b in els:
-                for c in els:
-                    if not rel.holds(a, b, c):
-                        continue
-                    for f in els:
-                        if alg.leq(c, f) and not rel.holds(a, b, f):
-                            yield (a, b, c, f)
-
-    def stronger_left():
-        for a in els:
-            for b in els:
-                for c in els:
-                    if not rel.holds(a, b, c):
-                        continue
-                    for f in els:
-                        if alg.leq(f, a) and not rel.holds(f, b, c):
-                            yield (a, b, c, f)
-
     def ec3_iff():
         for a in els:
             for f in els:
@@ -299,42 +303,14 @@ def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:
             if not rel.holds(0, alg.top, a):
                 yield (a,)
 
-    def bi2():
-        for a in els:
-            for x in els:
-                for b in els:
-                    for c in els:
-                        if rel.holds(a, b, c) and rel.holds(x, b, c) and not rel.holds(a | x, b, c):
-                            yield (a, x, b, c)
-
-    def bi3():
-        for a in els:
-            for b in els:
-                for c in els:
-                    if not rel.holds(a, b, c):
-                        continue
-                    for d in els:
-                        if alg.leq(d, a) and not rel.holds(d, b, c):
-                            yield (a, b, c, d)
-
-    def bi4():
-        for a in els:
-            for b in els:
-                for c in els:
-                    if not rel.holds(a, b, c):
-                        continue
-                    for d in els:
-                        if alg.leq(c, d) and not rel.holds(a, b, d):
-                            yield (a, b, c, d)
-
     results = (
-        _first("weaker-right", weaker_right(), note),
-        _first("stronger-left", stronger_left(), note),
+        _chi_law(rel, "weaker-right", note),
+        _chi_law(rel, "stronger-left", note),
         _first("EC3-iff", ec3_iff(), note),
         _first("BI-1", bi1(), note),
-        _first("BI-2", bi2(), note),
-        _first("BI-3", bi3(), note),
-        _first("BI-4", bi4(), note),
+        _chi_law(rel, "BI-2", note),
+        _chi_law(rel, "BI-3", note),
+        _chi_law(rel, "BI-4", note),
     )
     return CheckReport("derived-eca-props", results)
 
@@ -365,35 +341,11 @@ def characteristic_lemma_check(rel: TernaryRelation) -> CheckReport:
                 if rel.chi(a, b, alg.top) != 1:
                     yield (a, b, alg.top)
 
-    def ch2():
-        for a in els:
-            for x in els:
-                for b in els:
-                    for c in els:
-                        if rel.chi(a | x, b, c) != rel.chi(a, b, c) & rel.chi(x, b, c):
-                            yield (a, x, b, c)
-
-    def ch3():
-        for a in els:
-            for b in els:
-                for x in els:
-                    for c in els:
-                        if rel.chi(a, b | x, c) != rel.chi(a, b, c) & rel.chi(a, x, c):
-                            yield (a, b, x, c)
-
-    def ch4():
-        for a in els:
-            for b in els:
-                for c in els:
-                    for x in els:
-                        if rel.chi(a, b, c & x) > rel.chi(a, b, c) & rel.chi(a, b, x):
-                            yield (a, b, c, x)
-
     results = (
         _first("ch-1", ch1()),
-        _first("ch-2", ch2()),
-        _first("ch-3", ch3()),
-        _first("ch-4", ch4()),
+        _chi_law(rel, "ch-2"),
+        _chi_law(rel, "ch-3"),
+        _chi_law(rel, "ch-4"),
     )
     return CheckReport("characteristic-lemma", results)
 

@@ -1,5 +1,5 @@
 """Term language for operator equations and quasi-identities, with a
-recursive-descent parser and an evaluator.
+recursive-descent parser, an evaluator and a sweep compiler.
 
 Grammar (concrete syntax):
 
@@ -23,15 +23,19 @@ with '#' comments.
 
 Quantifier sweeps run top-down: holds() tries assignments in descending
 mask order over the variables in order of first appearance, and reports
-the first falsifying assignment.
+the first falsifying assignment.  The sweep is compile_sweep(), which
+turns a sentence into generated nested-loop code over the flat operator
+table; the operator checkers use it too, with explicit variable orders.
+eval_term() stays the reference evaluator.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, SizeCapError
 from .ternary_operator import (
     TernaryOperator,
     discriminator_t,
@@ -355,35 +359,152 @@ def eval_term(term: Term, op: TernaryOperator, assignment: dict[str, int]) -> in
     return discriminator_t(op, x, y, z)  # disc
 
 
-def _sentence_true_at(s: Sentence, op: TernaryOperator, assignment: dict[str, int]) -> bool:
-    alg = op.alg
-    if isinstance(s, Identity):
-        return eval_term(s.lhs, op, assignment) == eval_term(s.rhs, op, assignment)
-    if isinstance(s, Inequality):
-        return alg.leq(eval_term(s.lhs, op, assignment), eval_term(s.rhs, op, assignment))
-    for p in s.premises:
-        if not _sentence_true_at(p, op, assignment):
-            return True
-    return _sentence_true_at(s.conclusion, op, assignment)
+# ---------------------------------------------------------------------------
+# compiled sweeps
+#
+# A sentence compiles to one Python function of nested loops over the flat
+# operator table.  Each subterm is computed in the outermost loop where all
+# of its variables are bound, so the partial index (a*S+b)*S of dia(a,b,x)
+# and terms such as not d leave the inner loops.  Each clause is tested as
+# soon as its variables are bound: a false premise, or a conclusion that
+# already holds (an inequality whose left side is 0 holds whatever its
+# right side), skips every assignment below that loop.
+
+# the interpreter refuses more than 20 statically nested loops
+SWEEP_MAX_VARIABLES = 20
+
+_VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
+_BINARY_OPS = {"and": "&", "or": "|", "xor": "^"}
+_ONE = Const(True)
+
+
+def _not(x: Term) -> Term:
+    if isinstance(x, Const):
+        return Const(not x.top)
+    if isinstance(x, Unary):  # after expansion every Unary is a negation
+        return x.arg
+    return Unary("not", x)
+
+
+def _mu(z: Term) -> Term:
+    nz = _not(z)
+    return Binary(
+        "and",
+        _not(Ternary("dia", (_ONE, _ONE, nz))),
+        _not(Ternary("dia", (_ONE, nz, _ONE))),
+    )
+
+
+def _expand(t: Term) -> Term:
+    """The term over not/and/or/xor/dia alone: mu, d, disc and -> become
+    the defining terms eval_term evaluates."""
+    if isinstance(t, (Const, Var)):
+        return t
+    if isinstance(t, Unary):
+        x = _expand(t.arg)
+        if t.op == "not":
+            return _not(x)
+        if t.op == "mu":
+            return _mu(x)
+        if t.op == "d":
+            return _not(_mu(_not(x)))
+    elif isinstance(t, Binary):
+        x, y = _expand(t.left), _expand(t.right)
+        if t.op == "->":
+            return Binary("or", _not(x), y)
+        if t.op in _BINARY_OPS:
+            return Binary(t.op, x, y)
+    elif isinstance(t, Ternary):
+        x, y, z = (_expand(a) for a in t.args)
+        if t.op == "dia":
+            return Ternary("dia", (x, y, z))
+        if t.op == "disc":
+            dv = _not(_mu(_not(Binary("xor", x, y))))
+            return Binary("or", Binary("and", x, dv), Binary("and", z, _not(dv)))
+    raise EvalError(f"cannot compile term {t!r}")
+
+
+@lru_cache(maxsize=256)
+def compile_sweep(s: Sentence, order: tuple[str, ...], descending: bool = False):
+    """Compile a sentence to ``sweep(table, top, values=None)``.
+
+    The sweep nests one loop per variable of ``order`` (outermost first),
+    each over ``values`` or else the carrier 0..top (descending when
+    ``descending``), and returns the first falsifying tuple of values, in
+    ``order``, or None.  ``table`` is a flat operator table indexed
+    (a*S+b)*S+c with S = top+1.  Of the sentence, only its variable names
+    enter the generated source, checked against the tokenizer's pattern
+    and prefixed 'v_'.
+    """
+    if sorted(order) != sorted(variables(s)):
+        raise EvalError(f"sweep order {order} must list each variable of the sentence once")
+    if len(order) > SWEEP_MAX_VARIABLES:
+        raise SizeCapError(f"sweeps are capped at {SWEEP_MAX_VARIABLES} variables")
+    for name in order:
+        if not _VAR_RE.fullmatch(name):
+            raise EvalError(f"bad variable name {name!r}")
+    n = len(order)
+    depth = {name: i + 1 for i, name in enumerate(order)}
+    body: list[list[str]] = [[] for _ in range(n + 1)]  # statements per loop
+    code: dict = {}  # node -> (local name or literal, loop level)
+
+    def expr(node) -> tuple[str, int]:
+        # a compound node is bound once, in the outermost loop that binds
+        # all of its variables
+        if node not in code:
+            if isinstance(node, Const):
+                code[node] = ("top" if node.top else "0", 0)
+            elif isinstance(node, Var):
+                code[node] = (f"v_{node.name}", depth[node.name])
+            else:
+                if isinstance(node, Unary):
+                    template, args = "top ^ {}", (node.arg,)
+                elif isinstance(node, Binary):
+                    template, args = "{} %s {}" % _BINARY_OPS[node.op], (node.left, node.right)
+                elif isinstance(node, Ternary):  # dia; its partial index is a node too
+                    template, args = "t[{} + {}]", (("index",) + node.args[:2], node.args[2])
+                else:
+                    template, args = "({} * S + {}) * S", node[1:]
+                parts = [expr(arg) for arg in args]
+                level = max(lvl for _, lvl in parts)
+                local = f"_{len(code)}"
+                body[level].append(f"{local} = " + template.format(*(x for x, _ in parts)))
+                code[node] = (local, level)
+        return code[node]
+
+    def skip(level: int) -> str:
+        return "continue" if level else "return None"
+
+    premises, conclusion = (s.premises, s.conclusion) if isinstance(s, QuasiIdentity) else ((), s)
+    for p in premises:
+        (x, i), (y, j) = expr(_expand(p.lhs)), expr(_expand(p.rhs))
+        body[max(i, j)].append(f"if {x} != {y}: {skip(max(i, j))}")
+    x, i = expr(_expand(conclusion.lhs))
+    inequality = isinstance(conclusion, Inequality)
+    if inequality and i < n:
+        body[i].append(f"if not {x}: {skip(i)}")
+    y, j = expr(_expand(conclusion.rhs))
+    true_here = f"not ({x} & ~{y})" if inequality else f"{x} == {y}"
+    body[max(i, j)].append(f"if {true_here}: {skip(max(i, j))}")
+    body[n].append("return (" + "".join(f"v_{name}, " for name in order) + ")")
+
+    domain = "range(top, -1, -1)" if descending else "range(S)"
+    lines = ["def sweep(t, top, values=None):", "    S = top + 1", f"    R = {domain} if values is None else values"]
+    for i, statements in enumerate(body):
+        lines += ["    " * (i + 1) + st for st in statements]
+        if i < n:
+            lines.append("    " * (i + 1) + f"for v_{order[i]} in R:")
+    lines.append("    return None")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<sweep>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def holds(s: Sentence, op: TernaryOperator) -> tuple[bool, dict[str, int] | None]:
-    """Sweep every assignment (top-down); returns (True, None) or the first
-    falsifying assignment."""
-    names = variables(s)
-    alg = op.alg
-
-    def rec(i: int, assignment: dict[str, int]):
-        if i == len(names):
-            return _sentence_true_at(s, op, assignment)
-        for v in range(alg.top, -1, -1):
-            assignment[names[i]] = v
-            if not rec(i + 1, assignment):
-                return False
-        del assignment[names[i]]
-        return True
-
-    assignment: dict[str, int] = {}
-    if rec(0, assignment):
+    """Sweep every assignment top-down over the variables in order of first
+    appearance; returns (True, None) or the first falsifying assignment."""
+    names = tuple(variables(s))
+    witness = compile_sweep(s, names, True)(op.table, op.alg.top)
+    if witness is None:
         return True, None
-    return False, dict(assignment)
+    return False, dict(zip(names, witness))

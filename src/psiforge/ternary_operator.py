@@ -6,6 +6,10 @@ behaviour), PI1-PI4 (pseudo-inference), R1/R2/S (strictness), the
 relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
+MO2-MO4, PI1-PI4, R1, R2 and S are checked by compiling their sentences
+in enumeration.AXIOM_TEXTS (terms.compile_sweep); MO1, whose three
+sub-sweeps report the zero argument in the witness, keeps its own loops.
+
 Witness order.  Bounded sweeps run in ascending mask order and report the
 first violating tuple.  The five-variable cut axiom PI1 instead sweeps
 top-down (descending mask order): its canonical counterexamples live near
@@ -16,13 +20,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, make_algebra
 from .report import AxiomResult, CheckReport, failed, passed
 
 # PI1 quantifies five variables; beyond this atom count the exhaustive
 # |A|^5 sweep leaves desk scale and a documented seeded sample is used.
-PI1_EXHAUSTIVE_MAX_ATOMS = 3
+PI1_EXHAUSTIVE_MAX_ATOMS = 4
 PI1_SAMPLE_COUNT = 20000
 DEFAULT_SEED = 0xEC0
 
@@ -141,20 +146,56 @@ def discriminator_t(op: TernaryOperator, a: int, b: int, c: int) -> int:
     return (a & dv) | (c & alg.neg(dv))
 
 
+# Operator laws checked by a compiled sweep of their sentence: axiom ->
+# (sentence, witness order, top-down).  The sentence is an (axiom set,
+# index) into enumeration.AXIOM_TEXTS, or the text of a PI2 equivalent.
+# Witness orders are explicit; R2's differs from the order in which its
+# sentence introduces the variables (x, a, y, b).
+_SWEEP_ROWS = {
+    "MO2": (("3bamo", 3), "axbc", False),
+    "MO3": (("3bamo", 4), "abxc", False),
+    "MO4": (("3bamo", 5), "abcx", False),
+    "PI1": (("pi", 0), "abfde", True),
+    "PI2": (("pi", 1), "ab", False),
+    "PI3": (("pi", 2), "af", False),
+    "PI4": (("pi", 3), "abf", False),
+    "R1": (("strictness", 0), "xyab", False),
+    "R2": (("strictness", 1), "xaby", False),
+    "S": (("strictness", 2), "abc", False),
+    "PI2-top-form": ("dia(a, 1, not a) = 0", "a", False),
+    "PI2-quasi": ("a and f = 0 => dia(a, b, f) = 0", "afb", False),
+    "PI2-quasi-top": ("a and f = 0 => dia(a, 1, f) = 0", "af", False),
+}
+
+
+@lru_cache(maxsize=None)
+def _row_sweep(axiom: str):
+    # imported at first use: terms and enumeration both import this module
+    from .enumeration import AXIOM_TEXTS
+    from .terms import compile_sweep, parse, parse_axiom_file
+
+    source, order, top_down = _SWEEP_ROWS[axiom]
+    if isinstance(source, str):
+        sentence = parse(source)
+    else:
+        sentence = parse_axiom_file(AXIOM_TEXTS[source[0]])[source[1]]
+    return compile_sweep(sentence, tuple(order), top_down)
+
+
+def _sweep(op: TernaryOperator, axiom: str, values=None, note: str = "") -> AxiomResult:
+    witness = _row_sweep(axiom)(op.table, op.alg.top, values)
+    return passed(axiom, note) if witness is None else failed(axiom, witness, note)
+
+
 def check_3bamo(op: TernaryOperator) -> CheckReport:
     """Exhaustive check of MO1-MO4.
 
     MO1: the operator is 0 whenever some argument is 0.
-    MO2/MO3: it distributes over join in the first and second coordinate.
-    MO4: dia(a,b,c) or dia(a,b,x) <= dia(a,b,c or x).
+    MO2/MO3: it distributes over join in the first and second coordinate
+    (witnesses (a, x, b, c) and (a, b, x, c)).
+    MO4: dia(a,b,c) or dia(a,b,x) <= dia(a,b,c or x)   (witness a,b,c,x).
     """
-    alg = op.alg
-    results = [
-        _check_mo1(op, alg),
-        _check_mo2(op, alg),
-        _check_mo3(op, alg),
-        _check_mo4(op, alg),
-    ]
+    results = [_check_mo1(op, op.alg)] + [_sweep(op, ax) for ax in ("MO2", "MO3", "MO4")]
     return CheckReport("3bamo", tuple(results))
 
 
@@ -174,55 +215,18 @@ def _check_mo1(op, alg) -> AxiomResult:
     return passed("MO1")
 
 
-def _check_mo2(op, alg) -> AxiomResult:
-    # witness order (a, x, b, c)
-    for a in alg.elements():
-        for x in alg.elements():
-            for b in alg.elements():
-                for c in alg.elements():
-                    if op(a | x, b, c) != op(a, b, c) | op(x, b, c):
-                        return failed("MO2", (a, x, b, c))
-    return passed("MO2")
-
-
-def _check_mo3(op, alg) -> AxiomResult:
-    # witness order (a, b, x, c)
-    for a in alg.elements():
-        for b in alg.elements():
-            for x in alg.elements():
-                for c in alg.elements():
-                    if op(a, b | x, c) != op(a, b, c) | op(a, x, c):
-                        return failed("MO3", (a, b, x, c))
-    return passed("MO3")
-
-
-def _check_mo4(op, alg) -> AxiomResult:
-    # witness order (a, b, c, x)
-    for a in alg.elements():
-        for b in alg.elements():
-            for c in alg.elements():
-                for x in alg.elements():
-                    if not alg.leq(op(a, b, c) | op(a, b, x), op(a, b, c | x)):
-                        return failed("MO4", (a, b, c, x))
-    return passed("MO4")
-
-
 def check_psi(op: TernaryOperator, seed: int = DEFAULT_SEED) -> CheckReport:
     """Check PI1-PI4.
 
     Meant for tables already passing check_3bamo (documented precondition,
-    not enforced: the sweep runs on any table).  PI1 sweeps |A|^5 tuples top-down, exhaustively for algebras with at
-    most PI1_EXHAUSTIVE_MAX_ATOMS atoms; above that it combines an
-    exhaustive sweep restricted to {0, top, atoms, coatoms} with a seeded
-    random sample, and says so in the result note.
+    not enforced: the sweep runs on any table).  PI1 sweeps |A|^5 tuples
+    (a, b, f, d, e) top-down, exhaustively for algebras with at most
+    PI1_EXHAUSTIVE_MAX_ATOMS atoms; above that it sweeps every tuple over
+    {0, top, atoms, coatoms} and then a seeded random sample, and says so
+    in the result note.  PI2, PI3 and PI4 report witnesses (a, b), (a, f)
+    and (a, b, f).
     """
-    alg = op.alg
-    results = [
-        _check_pi1(op, alg, seed),
-        _check_pi2(op, alg),
-        _check_pi3(op, alg),
-        _check_pi4(op, alg),
-    ]
+    results = [_check_pi1(op, op.alg, seed)] + [_sweep(op, ax) for ax in ("PI2", "PI3", "PI4")]
     return CheckReport("psi", tuple(results))
 
 
@@ -235,20 +239,8 @@ def _pi1_violated(op, alg, a, b, f, d, e) -> bool:
 
 
 def _check_pi1(op, alg, seed) -> AxiomResult:
-    # witness order (a, b, f, d, e), swept top-down
     if alg.atom_count <= PI1_EXHAUSTIVE_MAX_ATOMS:
-        desc = range(alg.top, -1, -1)
-        for a in desc:
-            for b in desc:
-                for f in desc:
-                    if op(a, b, f) == 0:
-                        continue
-                    for d in desc:
-                        for e in desc:
-                            if _pi1_violated(op, alg, a, b, f, d, e):
-                                return failed("PI1", (a, b, f, d, e))
-        return passed("PI1")
-    # Restricted exhaustive part: 0, top, atoms and their complements.
+        return _sweep(op, "PI1")
     note = f"restricted sweep plus {PI1_SAMPLE_COUNT} seeded samples (seed={seed}); not exhaustive"
     special = sorted(
         {0, alg.top}
@@ -256,45 +248,16 @@ def _check_pi1(op, alg, seed) -> AxiomResult:
         | {alg.neg(at) for at in alg.atoms()},
         reverse=True,
     )
-    for a in special:
-        for b in special:
-            for f in special:
-                for d in special:
-                    for e in special:
-                        if _pi1_violated(op, alg, a, b, f, d, e):
-                            return failed("PI1", (a, b, f, d, e), note)
+    r = _sweep(op, "PI1", special, note)
+    if not r.passed:
+        return r
     rng = random.Random(seed)
     size = alg.size
     for _ in range(PI1_SAMPLE_COUNT):
         a, b, f, d, e = (rng.randrange(size) for _ in range(5))
         if _pi1_violated(op, alg, a, b, f, d, e):
             return failed("PI1", (a, b, f, d, e), note)
-    return passed("PI1", note)
-
-
-def _check_pi2(op, alg) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            if op(a, b, alg.neg(a)) != 0:
-                return failed("PI2", (a, b))
-    return passed("PI2")
-
-
-def _check_pi3(op, alg) -> AxiomResult:
-    for a in alg.elements():
-        for f in alg.elements():
-            if not alg.leq(a & f, op(a, a, f)):
-                return failed("PI3", (a, f))
-    return passed("PI3")
-
-
-def _check_pi4(op, alg) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            for f in alg.elements():
-                if not alg.leq(op(a, b, f), op(b, a, f)):
-                    return failed("PI4", (a, b, f))
-    return passed("PI4")
+    return r
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
@@ -304,41 +267,15 @@ def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
     (again a documented precondition, not enforced); the final
     "PI2-agreement" result records whether the verdicts in fact agreed.
     """
-    alg = op.alg
-    r_pi2 = _check_pi2(op, alg)
+    r_pi2 = _sweep(op, "PI2")
 
-    r_top = passed("PI2-top-form")
-    for a in alg.elements():
-        if op(a, alg.top, alg.neg(a)) != 0:
-            r_top = failed("PI2-top-form", (a,))
-            break
-
-    r_quasi = passed("PI2-quasi")
-    done = False
-    for a in alg.elements():
-        for f in alg.elements():
-            if a & f:
-                continue
-            for b in alg.elements():
-                if op(a, b, f) != 0:
-                    r_quasi = failed("PI2-quasi", (a, b, f))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    r_quasi_top = passed("PI2-quasi-top")
-    done = False
-    for a in alg.elements():
-        for f in alg.elements():
-            if a & f == 0 and op(a, alg.top, f) != 0:
-                r_quasi_top = failed("PI2-quasi-top", (a, f))
-                done = True
-                break
-        if done:
-            break
+    r_top = _sweep(op, "PI2-top-form")
+    # swept in the order (a, f, b), reported as (a, b, f)
+    r_quasi = _sweep(op, "PI2-quasi")
+    if not r_quasi.passed:
+        a, f, b = r_quasi.witness
+        r_quasi = failed("PI2-quasi", (a, b, f))
+    r_quasi_top = _sweep(op, "PI2-quasi-top")
 
     verdicts = (r_pi2.passed, r_top.passed, r_quasi.passed, r_quasi_top.passed)
     agree = all(verdicts) or not any(verdicts)
@@ -354,65 +291,7 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     R2: dia(x,a,y) and not dia(x,b,y) <= dia(1,a and not b,1)   (witness x,a,b,y)
     S:  dia(a,b,c) <= mu(dia(a,b,c))                            (witness a,b,c)
     """
-    alg = op.alg
-    t = alg.top
-    results = []
-
-    r = passed("R1")
-    done = False
-    for x in alg.elements():
-        for y in alg.elements():
-            for a in alg.elements():
-                for b in alg.elements():
-                    lhs = op(x, y, a) & alg.neg(op(x, y, b))
-                    if not alg.leq(lhs, op(t, t, a & alg.neg(b))):
-                        r = failed("R1", (x, y, a, b))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-    results.append(r)
-
-    r = passed("R2")
-    done = False
-    for x in alg.elements():
-        for a in alg.elements():
-            for b in alg.elements():
-                for y in alg.elements():
-                    lhs = op(x, a, y) & alg.neg(op(x, b, y))
-                    if not alg.leq(lhs, op(t, a & alg.neg(b), t)):
-                        r = failed("R2", (x, a, b, y))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-    results.append(r)
-
-    r = passed("S")
-    done = False
-    for a in alg.elements():
-        for b in alg.elements():
-            for c in alg.elements():
-                v = op(a, b, c)
-                if not alg.leq(v, mu(op, v)):
-                    r = failed("S", (a, b, c))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    results.append(r)
-
-    return CheckReport("strict", tuple(results))
+    return CheckReport("strict", tuple(_sweep(op, ax) for ax in ("R1", "R2", "S")))
 
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:

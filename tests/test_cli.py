@@ -184,3 +184,27 @@ def test_output_file(tmp_path, largest_rel_file):
     r = run_cli("check", "--kind", "eca", largest_rel_file, "-o", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+def assert_usage_error(r):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("psiforge: ")
+    assert len(r.stderr.splitlines()) == 1  # one message, no traceback
+
+
+def test_bad_seed_env_exits_2(example_op_file):
+    assert_usage_error(run_cli("check", "--kind", "psi", example_op_file, env={"PSIFORGE_SEED": "xyz"}))
+
+
+def test_json_array_input_exits_2():
+    assert_usage_error(run_cli("check", "--kind", "psi", "-", stdin="[1, 2]"))
+
+
+def test_output_file_kept_on_input_error(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("previous\n")
+    r = run_cli("check", "--kind", "psi", str(tmp_path / "missing.json"), "-o", str(out))
+    assert_usage_error(r)
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

@@ -1,8 +1,13 @@
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from psiforge import (
     EvalError,
     ParseError,
+    SizeCapError,
+    TernaryOperator,
     eval_term,
     example_3bamo,
     holds,
@@ -14,11 +19,14 @@ from psiforge import (
 )
 from psiforge.terms import (
     Binary,
+    Const,
     Identity,
     Inequality,
     QuasiIdentity,
+    Ternary,
     Unary,
     Var,
+    compile_sweep,
     parse_axiom_file,
     variables,
 )
@@ -163,3 +171,76 @@ def test_axiom_file_parsing():
     """
     sentences = parse_axiom_file(text)
     assert len(sentences) == 2
+
+
+# compiled sweeps against a brute-force sweep through eval_term
+
+_VARS = ["x", "y", "d", "e"]  # d and e double as function words
+_terms = st.recursive(
+    st.sampled_from([Const(False), Const(True)] + [Var(v) for v in _VARS]),
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["not", "mu", "d"]), sub),
+        st.builds(Binary, st.sampled_from(["and", "or", "xor", "->"]), sub, sub),
+        st.builds(
+            lambda op, a, b, c: Ternary(op, (a, b, c)), st.sampled_from(["dia", "disc"]), sub, sub, sub
+        ),
+    ),
+    max_leaves=8,
+)
+_identities = st.builds(Identity, _terms, _terms)
+_sentences = st.one_of(
+    _identities,
+    st.builds(Inequality, _terms, _terms),
+    st.builds(QuasiIdentity, st.lists(_identities, min_size=1, max_size=2).map(tuple), _identities),
+)
+_operators = st.sampled_from([1, 2]).flatmap(
+    lambda k: st.lists(st.integers(0, 2**k - 1), min_size=8**k, max_size=8**k).map(
+        lambda table: TernaryOperator(make_algebra(k), tuple(table))
+    )
+)
+
+
+def _true_at(s, op, env) -> bool:
+    if isinstance(s, QuasiIdentity):
+        return not all(_true_at(p, op, env) for p in s.premises) or _true_at(s.conclusion, op, env)
+    x, y = eval_term(s.lhs, op, env), eval_term(s.rhs, op, env)
+    return x == y if isinstance(s, Identity) else op.alg.leq(x, y)
+
+
+def _brute_force(s, op, order, descending):
+    values = range(op.alg.top, -1, -1) if descending else op.alg.elements()
+    for w in product(values, repeat=len(order)):
+        if not _true_at(s, op, dict(zip(order, w))):
+            return w
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_sentences, op=_operators, data=st.data())
+@example(s=parse("dia(1, 1, 0) = mu(0) xor 1"), op=example_3bamo(), data=None)
+@example(s=parse("d(d) and e <= dia(d, e, not d)"), op=example_3bamo(), data=None)
+def test_compiled_sweep_matches_brute_force(s, op, data):
+    names = variables(s)
+    ok, assignment = holds(s, op)
+    want = _brute_force(s, op, names, True)
+    assert (ok, assignment) == (want is None, None if want is None else dict(zip(names, want)))
+    if data is not None:
+        order = tuple(data.draw(st.permutations(names)))
+        descending = data.draw(st.booleans())
+        got = compile_sweep(s, order, descending)(op.table, op.alg.top)
+        assert got == _brute_force(s, op, order, descending)
+
+
+def test_compile_sweep_rejects_bad_orders_and_names():
+    s = parse("dia(a, b, c) = dia(b, a, c)")
+    with pytest.raises(EvalError):
+        compile_sweep(s, ("a", "b"), False)
+    with pytest.raises(EvalError):
+        compile_sweep(s, ("a", "b", "c", "c"), False)
+    # only validated names reach the generated source
+    with pytest.raises(EvalError):
+        compile_sweep(Identity(Var("x)\nimport os"), Const(False)), ("x)\nimport os",), False)
+    names = [f"v{i}" for i in range(21)]
+    wide = parse(" and ".join(names) + " <= 1")
+    with pytest.raises(SizeCapError):
+        compile_sweep(wide, tuple(names), False)

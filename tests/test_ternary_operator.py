@@ -1,6 +1,7 @@
 import pytest
 
 from psiforge import (
+    AxiomResult,
     TernaryOperator,
     box_op,
     check_3bamo,
@@ -82,16 +83,28 @@ def test_smallest_diamond_is_psi(k):
     assert check_psi(op).passed
 
 
-def test_pi1_sampled_above_three_atoms():
-    # at four atoms the five-variable sweep switches to the documented
+def test_pi1_exhaustive_at_four_atoms():
+    alg = make_algebra(4)
+    assert check_psi(smallest_diamond(alg)).result("PI1") == AxiomResult("PI1", True)
+    bad = operator_from_function(
+        alg, lambda a, b, c: a & b & c if (a, b, c) != (15, 1, 15) else 15
+    )
+    r = check_psi(bad).result("PI1")
+    assert not r.passed and r.note == ""
+    a, b, f, d, e = r.witness
+    assert not alg.leq(bad(a, b, f), bad(a, b, alg.neg(d)) | bad(a, b, alg.neg(e)) | bad(d, e, f))
+
+
+def test_pi1_sampled_above_four_atoms():
+    # at five atoms the five-variable sweep switches to the documented
     # restricted-plus-sampled search and says so in the note
-    op = smallest_diamond(make_algebra(4))
+    op = smallest_diamond(make_algebra(5))
     rep = check_psi(op)
     assert rep.passed
     assert "not exhaustive" in rep.result("PI1").note
     # a table with a violation at special values is still caught
     bad = operator_from_function(
-        make_algebra(4), lambda a, b, c: a & b & c if (a, b, c) != (15, 1, 15) else 15
+        make_algebra(5), lambda a, b, c: a & b & c if (a, b, c) != (31, 1, 31) else 31
     )
     r = check_psi(bad).result("PI1")
     assert not r.passed
