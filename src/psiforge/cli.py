@@ -273,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_input=False)
 
     p = sub.add_parser("verify-suite", help="run the full lemma scoreboard")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument(
+        "--k", type=int, default=2,
+        help="1 and 2 run the same items; 3 adds the three-atom pools",
+    )
     add_common(p, needs_input=False)
 
     p = sub.add_parser("topo", help="build the topological entailment model")

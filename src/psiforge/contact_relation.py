@@ -7,17 +7,21 @@ the two are equivalent and both are checked literally.  The translations
 rel_to_op / op_to_rel implement dia(a,b,c) = not chi(a,b,not c) and its
 inverse, a bijection between these relations and relational operators.
 
-The five-variable cut axiom (EC1 and its ExtCA twin) sweeps top-down like
-PI1; all other sweeps run in ascending mask order.
+Every law but one is a sentence about the relation's characteristic
+table (_LAWS), swept by terms.compile_sweep in ascending mask order.  The
+five-variable cut axiom (EC1 and its ExtCA twin) is the one bitmask sweep
+left: it runs top-down like PI1, over each premise pair's conclusion mask.
 """
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
+from .report import AxiomResult, CheckReport, failed, passed
 from .terms import compile_sweep, parse
 from .ternary_operator import TernaryOperator, is_relational
 
@@ -112,15 +116,63 @@ def _conclusion_masks(rel: TernaryRelation) -> list[list[int]]:
     ]
 
 
-def _upsets(alg: FiniteBooleanAlgebra) -> list[int]:
-    """upsets[a] = bitmask over c of the elements above a."""
-    return [
-        sum(1 << c for c in alg.elements() if a & c == a) for a in alg.elements()
-    ]
+@lru_cache(maxsize=None)
+def _byte_values(top: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte, its eight bits low first as 0 or top."""
+    return tuple(tuple(top * (byte >> i & 1) for i in range(8)) for byte in range(256))
 
 
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
+    """chi as a flat table valued 0 and top, read off the bitset in one
+    pass (size^3 is a multiple of 8)."""
+    raw = rel.bits.to_bytes(rel.alg.size ** 3 // 8, "little")
+    return tuple(chain.from_iterable(map(_byte_values(rel.alg.top).__getitem__, raw)))
+
+
+# Relation laws, one row each: (law, sentence, witness order).  Each is
+# swept by compiling its sentence over chi's table, dia standing for chi.
+# chi is valued 0 and top, so 0, 1 and not keep their truth-value
+# meaning.  A law with several rows sweeps them in turn and reports the
+# first failure, except EC3-iff, whose two rows sweep the same (a, f) and
+# report the least witness.
+_LAWS = (
+    ("EC0", "dia(a, b, f) <= dia(a or d, b, f or d)", "abfd"),
+    ("EC2", "dia(a, b, a or f) = 1", "abf"),
+    ("EC3", "dia(a, a, f) and a <= f", "af"),
+    ("EC4", "dia(a, b, f) <= dia(b, a, f)", "abf"),
+    ("ExtCA2", "a or f = f => dia(a, b, f) = 1", "abf"),
+    ("ExtCA3", "dia(a, b, f) and a and b <= f", "abf"),
+    ("EC3-iff", "dia(a, a, f) and a <= f", "af"),
+    ("EC3-iff", "a or f = f => dia(a, a, f) = 1", "af"),
+    ("weaker-right", "c or f = f => dia(a, b, c) and dia(a, b, f) = dia(a, b, c)", "abcf"),
+    ("stronger-left", "f or a = a => dia(a, b, c) and dia(f, b, c) = dia(a, b, c)", "abcf"),
+    ("BI-1", "dia(0, 1, a) = 1", "a"),
+    ("BI-2", "dia(a, b, c) and dia(x, b, c) <= dia(a or x, b, c)", "axbc"),
+    ("BI-3", "d or a = a => dia(a, b, c) and dia(d, b, c) = dia(a, b, c)", "abcd"),
+    ("BI-4", "c or d = d => dia(a, b, c) and dia(a, b, d) = dia(a, b, c)", "abcd"),
+    ("ch-1", "dia(0, b, c) = 1", "0bc"),
+    ("ch-1", "dia(a, 0, c) = 1", "a0c"),
+    ("ch-1", "dia(a, b, 1) = 1", "ab1"),
+    ("ch-2", "dia(a or x, b, c) = dia(a, b, c) and dia(x, b, c)", "axbc"),
+    ("ch-3", "dia(a, b or x, c) = dia(a, b, c) and dia(a, x, c)", "abxc"),
+    ("ch-4", "dia(a, b, c and x) <= dia(a, b, c) and dia(a, b, x)", "abcx"),
+)
+
+
+@lru_cache(maxsize=None)
+def _law_sweeps(law: str) -> tuple:
+    return tuple(
+        compile_sweep(parse(text), tuple(order)) for name, text, order in _LAWS if name == law
+    )
+
+
+def _law(chi: tuple[int, ...], top: int, law: str, note: str = "", name: str = "") -> AxiomResult:
+    """Sweep a law of _LAWS over chi's table; reported as ``name`` if given."""
+    name = name or law
+    witnesses = [w for sweep in _law_sweeps(law) if (w := sweep(chi, top)) is not None]
+    if not witnesses:
+        return passed(name, note)
+    return failed(name, min(witnesses) if law == "EC3-iff" else witnesses[0], note)
 
 
 def check_eca(rel: TernaryRelation) -> CheckReport:
@@ -132,55 +184,38 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
     EC3: (a,a) |- f  implies  a <= f                      (witness a,f)
     EC4: (a,b) |- f  implies  (b,a) |- f                  (witness a,b,f)
     """
-    alg = rel.alg
-    con = _conclusion_masks(rel)
-    ups = _upsets(alg)
-    results = [
-        _check_weakening(rel, alg, con, "EC0"),
-        _check_cut(alg, con, "EC1"),
-        _check_ec2(alg, con, ups),
-        _check_ec3(alg, con, ups),
-        _check_symmetry(alg, con, "EC4"),
-    ]
-    return CheckReport("eca", tuple(results))
+    chi, top = _chi_table(rel), rel.alg.top
+    results = (
+        _law(chi, top, "EC0"),
+        _check_cut(rel, "EC1"),
+        _law(chi, top, "EC2"),
+        _law(chi, top, "EC3"),
+        _law(chi, top, "EC4"),
+    )
+    return CheckReport("eca", results)
 
 
 def check_extca(rel: TernaryRelation) -> CheckReport:
     """Check the original system ExtCA0-ExtCA4.
 
     ExtCA0/1/4 coincide with EC0/1/4; ExtCA2 is "a <= f implies (a,b) |- f"
-    and ExtCA3 is "(a,b) |- f implies a and b <= f".
+    and ExtCA3 is "(a,b) |- f implies a and b <= f" (witnesses a,b,f).
     """
-    alg = rel.alg
+    chi, top = _chi_table(rel), rel.alg.top
+    results = (
+        _law(chi, top, "EC0", name="ExtCA0"),
+        _check_cut(rel, "ExtCA1"),
+        _law(chi, top, "ExtCA2"),
+        _law(chi, top, "ExtCA3"),
+        _law(chi, top, "EC4", name="ExtCA4"),
+    )
+    return CheckReport("extca", results)
+
+
+def _check_cut(rel: TernaryRelation, axiom: str) -> AxiomResult:
+    # one bit operation per (a, b, d, e) finds every missing conclusion f
     con = _conclusion_masks(rel)
-    ups = _upsets(alg)
-    results = [
-        _check_weakening(rel, alg, con, "ExtCA0"),
-        _check_cut(alg, con, "ExtCA1"),
-        _check_extca2(alg, con, ups),
-        _check_extca3(alg, con, ups),
-        _check_symmetry(alg, con, "ExtCA4"),
-    ]
-    return CheckReport("extca", tuple(results))
-
-
-def _check_weakening(rel, alg, con, axiom) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            cab = con[a][b]
-            if not cab:
-                continue
-            for f in alg.elements():
-                if not cab >> f & 1:
-                    continue
-                for d in alg.elements():
-                    if not con[a | d][b] >> (f | d) & 1:
-                        return failed(axiom, (a, b, f, d))
-    return passed(axiom)
-
-
-def _check_cut(alg, con, axiom) -> AxiomResult:
-    desc = range(alg.top, -1, -1)
+    desc = range(rel.alg.top, -1, -1)
     for a in desc:
         for b in desc:
             cab = con[a][b]
@@ -199,51 +234,6 @@ def _check_cut(alg, con, axiom) -> AxiomResult:
     return passed(axiom)
 
 
-def _check_ec2(alg, con, ups) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            if ups[a] & ~con[a][b]:
-                for f in alg.elements():
-                    if not con[a][b] >> (a | f) & 1:
-                        return failed("EC2", (a, b, f))
-    return passed("EC2")
-
-
-def _check_ec3(alg, con, ups) -> AxiomResult:
-    for a in alg.elements():
-        bad = con[a][a] & ~ups[a]
-        if bad:
-            return failed("EC3", (a, _low_bit(bad)))
-    return passed("EC3")
-
-
-def _check_symmetry(alg, con, axiom) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            bad = con[a][b] & ~con[b][a]
-            if bad:
-                return failed(axiom, (a, b, _low_bit(bad)))
-    return passed(axiom)
-
-
-def _check_extca2(alg, con, ups) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            bad = ups[a] & ~con[a][b]
-            if bad:
-                return failed("ExtCA2", (a, b, _low_bit(bad)))
-    return passed("ExtCA2")
-
-
-def _check_extca3(alg, con, ups) -> AxiomResult:
-    for a in alg.elements():
-        for b in alg.elements():
-            bad = con[a][b] & ~ups[a & b]
-            if bad:
-                return failed("ExtCA3", (a, b, _low_bit(bad)))
-    return passed("ExtCA3")
-
-
 def _require_eca(rel: TernaryRelation, caller: str) -> None:
     report = check_eca(rel)
     if not report.passed:
@@ -251,29 +241,6 @@ def _require_eca(rel: TernaryRelation, caller: str) -> None:
         raise PreconditionError(
             f"{caller} requires an EC relation; {bad.axiom} fails at {bad.witness}"
         )
-
-
-# Laws of the characteristic function chi, each swept by compiling its
-# sentence over chi's table of 0s and 1s, dia standing for chi: law ->
-# (sentence, witness order).  Only and, or, = and <= touch chi's values,
-# so 0 and 1 act as truth values.
-_CHI_LAWS = {
-    "weaker-right": ("c or f = f => dia(a, b, c) and dia(a, b, f) = dia(a, b, c)", "abcf"),
-    "stronger-left": ("f or a = a => dia(a, b, c) and dia(f, b, c) = dia(a, b, c)", "abcf"),
-    "BI-2": ("dia(a, b, c) and dia(x, b, c) <= dia(a or x, b, c)", "axbc"),
-    "BI-3": ("d or a = a => dia(a, b, c) and dia(d, b, c) = dia(a, b, c)", "abcd"),
-    "BI-4": ("c or d = d => dia(a, b, c) and dia(a, b, d) = dia(a, b, c)", "abcd"),
-    "ch-2": ("dia(a or x, b, c) = dia(a, b, c) and dia(x, b, c)", "axbc"),
-    "ch-3": ("dia(a, b or x, c) = dia(a, b, c) and dia(a, x, c)", "abxc"),
-    "ch-4": ("dia(a, b, c and x) <= dia(a, b, c) and dia(a, b, x)", "abcx"),
-}
-
-
-def _chi_law(rel: TernaryRelation, law: str, note: str = "") -> AxiomResult:
-    text, order = _CHI_LAWS[law]
-    chi = tuple(rel.bits >> i & 1 for i in range(rel.alg.size ** 3))
-    witness = compile_sweep(parse(text), tuple(order))(chi, rel.alg.top)
-    return passed(law, note) if witness is None else failed(law, witness, note)
 
 
 def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:
@@ -288,66 +255,25 @@ def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:
     A failure here indicates a checker bug, not a property of the input.
     """
     _require_eca(rel, "check_derived_eca_props")
-    alg = rel.alg
     note = "must hold for every EC relation; failure indicates a checker bug"
-    els = alg.elements()
-
-    def ec3_iff():
-        for a in els:
-            for f in els:
-                if rel.holds(a, a, f) != alg.leq(a, f):
-                    yield (a, f)
-
-    def bi1():
-        for a in els:
-            if not rel.holds(0, alg.top, a):
-                yield (a,)
-
-    results = (
-        _chi_law(rel, "weaker-right", note),
-        _chi_law(rel, "stronger-left", note),
-        _first("EC3-iff", ec3_iff(), note),
-        _first("BI-1", bi1(), note),
-        _chi_law(rel, "BI-2", note),
-        _chi_law(rel, "BI-3", note),
-        _chi_law(rel, "BI-4", note),
-    )
-    return CheckReport("derived-eca-props", results)
+    chi, top = _chi_table(rel), rel.alg.top
+    laws = ("weaker-right", "stronger-left", "EC3-iff", "BI-1", "BI-2", "BI-3", "BI-4")
+    return CheckReport("derived-eca-props", tuple(_law(chi, top, law, note) for law in laws))
 
 
 def characteristic_lemma_check(rel: TernaryRelation) -> CheckReport:
     """Verify the characteristic-function laws of an EC relation.
 
     chi is valued in the two-element truth algebra {0,1}; the laws say chi
-    is constantly 1 when a premise is 0 or the conclusion is 1, turns joins
-    in either premise into meets, and is antitone-ish in the conclusion:
+    is constantly 1 when a premise is 0 or the conclusion is 1 (witness
+    (0, b, c), else (a, 0, c), else (a, b, top)), turns joins in either
+    premise into meets, and is antitone-ish in the conclusion:
     chi(a,b,c and x) <= chi(a,b,c) and chi(a,b,x).
     """
     _require_eca(rel, "characteristic_lemma_check")
-    alg = rel.alg
-    els = alg.elements()
-
-    def ch1():
-        for b in els:
-            for c in els:
-                if rel.chi(0, b, c) != 1:
-                    yield (0, b, c)
-        for a in els:
-            for c in els:
-                if rel.chi(a, 0, c) != 1:
-                    yield (a, 0, c)
-        for a in els:
-            for b in els:
-                if rel.chi(a, b, alg.top) != 1:
-                    yield (a, b, alg.top)
-
-    results = (
-        _first("ch-1", ch1()),
-        _chi_law(rel, "ch-2"),
-        _chi_law(rel, "ch-3"),
-        _chi_law(rel, "ch-4"),
-    )
-    return CheckReport("characteristic-lemma", results)
+    chi, top = _chi_table(rel), rel.alg.top
+    laws = ("ch-1", "ch-2", "ch-3", "ch-4")
+    return CheckReport("characteristic-lemma", tuple(_law(chi, top, law) for law in laws))
 
 
 def rel_to_op(rel: TernaryRelation) -> TernaryOperator:

@@ -211,15 +211,15 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     closure is the identity here, so cl(Z^c) is the plain complement
     (empty complement makes the last term vacuously empty).
     """
+    if frame.point_count > PIF1_MAX_POINTS:
+        raise SizeCapError(
+            f"PIF1 sweep capped at {PIF1_MAX_POINTS} points, frame has {frame.point_count}"
+        )
     frame_report = check_psi_frame(frame)
     if not frame_report.passed:
         bad = frame_report.failures()[0]
         raise PreconditionError(
             f"check_psi_space requires a descriptive frame; {bad.axiom} fails at {bad.witness}"
-        )
-    if frame.point_count > PIF1_MAX_POINTS:
-        raise SizeCapError(
-            f"PIF1 sweep capped at {PIF1_MAX_POINTS} points, frame has {frame.point_count}"
         )
 
     rinv = frame.rinv()

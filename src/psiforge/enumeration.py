@@ -317,8 +317,9 @@ def enumerate_ecas(
     """All relations satisfying the entailment axioms, one canonical
     representative per automorphism orbit, sorted by canonical bitset.
 
-    Exact up to two atoms; three atoms runs best-effort under a timeout
-    (default 60 s) and larger algebras are refused.
+    Exact through three atoms.  At three atoms the search (0.15-0.2 s)
+    runs under a timeout (default 60 s) that raises SizeCapError rather
+    than return a partial list; larger algebras are refused.
     """
     if alg.atom_count > ENUM_MAX_ATOMS_BEST_EFFORT:
         raise SizeCapError("relation enumeration capped at 3 atoms")
@@ -601,19 +602,7 @@ def sample_3bamos(
                             lower |= vals[c2]
                     vals[c] = lower | rng.randrange(alg.size)
                 m[(u, v)] = vals
-        size = alg.size
-        table = []
-        for a in range(size):
-            for b in range(size):
-                sel = [
-                    m[(u, v)] for u in atoms if a & u for v in atoms if b & v
-                ]
-                for c in range(size):
-                    out = 0
-                    for vals in sel:
-                        out |= vals[c]
-                    table.append(out)
-        op = TernaryOperator(alg, tuple(table))
+        op = _assemble_from_atom_maps(alg, m)
         if check_3bamo(op).passed:
             found.setdefault(op.table, op)
     return list(found.values())

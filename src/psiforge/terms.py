@@ -374,6 +374,7 @@ def eval_term(term: Term, op: TernaryOperator, assignment: dict[str, int]) -> in
 SWEEP_MAX_VARIABLES = 20
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
+_CONSTANTS = {"0": "0", "1": "top"}  # witness-order constant -> its value in the source
 _BINARY_OPS = {"and": "&", "or": "|", "xor": "^"}
 _ONE = Const(True)
 
@@ -431,20 +432,23 @@ def compile_sweep(s: Sentence, order: tuple[str, ...], descending: bool = False)
     The sweep nests one loop per variable of ``order`` (outermost first),
     each over ``values`` or else the carrier 0..top (descending when
     ``descending``), and returns the first falsifying tuple of values, in
-    ``order``, or None.  ``table`` is a flat operator table indexed
-    (a*S+b)*S+c with S = top+1.  Of the sentence, only its variable names
-    enter the generated source, checked against the tokenizer's pattern
-    and prefixed 'v_'.
+    ``order``, or None.  ``order`` may also name the constants "0" and
+    "1", which loop over nothing and stand in the tuple as 0 and top.
+    ``table`` is a flat operator table indexed (a*S+b)*S+c with
+    S = top+1.  Of the sentence, only its variable names enter the
+    generated source, checked against the tokenizer's pattern and
+    prefixed 'v_'.
     """
-    if sorted(order) != sorted(variables(s)):
+    names = tuple(x for x in order if x not in _CONSTANTS)
+    if sorted(names) != sorted(variables(s)):
         raise EvalError(f"sweep order {order} must list each variable of the sentence once")
-    if len(order) > SWEEP_MAX_VARIABLES:
+    if len(names) > SWEEP_MAX_VARIABLES:
         raise SizeCapError(f"sweeps are capped at {SWEEP_MAX_VARIABLES} variables")
-    for name in order:
+    for name in names:
         if not _VAR_RE.fullmatch(name):
             raise EvalError(f"bad variable name {name!r}")
-    n = len(order)
-    depth = {name: i + 1 for i, name in enumerate(order)}
+    n = len(names)
+    depth = {name: i + 1 for i, name in enumerate(names)}
     body: list[list[str]] = [[] for _ in range(n + 1)]  # statements per loop
     code: dict = {}  # node -> (local name or literal, loop level)
 
@@ -486,14 +490,14 @@ def compile_sweep(s: Sentence, order: tuple[str, ...], descending: bool = False)
     y, j = expr(_expand(conclusion.rhs))
     true_here = f"not ({x} & ~{y})" if inequality else f"{x} == {y}"
     body[max(i, j)].append(f"if {true_here}: {skip(max(i, j))}")
-    body[n].append("return (" + "".join(f"v_{name}, " for name in order) + ")")
+    body[n].append("return (" + "".join(_CONSTANTS.get(x, f"v_{x}") + ", " for x in order) + ")")
 
     domain = "range(top, -1, -1)" if descending else "range(S)"
     lines = ["def sweep(t, top, values=None):", "    S = top + 1", f"    R = {domain} if values is None else values"]
     for i, statements in enumerate(body):
         lines += ["    " * (i + 1) + st for st in statements]
         if i < n:
-            lines.append("    " * (i + 1) + f"for v_{order[i]} in R:")
+            lines.append("    " * (i + 1) + f"for v_{names[i]} in R:")
     lines.append("    return None")
     namespace: dict = {}
     exec(compile("\n".join(lines) + "\n", "<sweep>", "exec"), namespace)

@@ -6,9 +6,9 @@ behaviour), PI1-PI4 (pseudo-inference), R1/R2/S (strictness), the
 relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
-MO2-MO4, PI1-PI4, R1, R2 and S are checked by compiling their sentences
-in enumeration.AXIOM_TEXTS (terms.compile_sweep); MO1, whose three
-sub-sweeps report the zero argument in the witness, keeps its own loops.
+MO1-MO4, PI1-PI4, R1, R2 and S are checked by compiling their sentences
+in enumeration.AXIOM_TEXTS (terms.compile_sweep); MO1 is its three
+sentences swept in turn.
 
 Witness order.  Bounded sweeps run in ascending mask order and report the
 first violating tuple.  The five-variable cut axiom PI1 instead sweeps
@@ -146,73 +146,68 @@ def discriminator_t(op: TernaryOperator, a: int, b: int, c: int) -> int:
     return (a & dv) | (c & alg.neg(dv))
 
 
-# Operator laws checked by a compiled sweep of their sentence: axiom ->
-# (sentence, witness order, top-down).  The sentence is an (axiom set,
-# index) into enumeration.AXIOM_TEXTS, or the text of a PI2 equivalent.
-# Witness orders are explicit; R2's differs from the order in which its
-# sentence introduces the variables (x, a, y, b).
-_SWEEP_ROWS = {
-    "MO2": (("3bamo", 3), "axbc", False),
-    "MO3": (("3bamo", 4), "abxc", False),
-    "MO4": (("3bamo", 5), "abcx", False),
-    "PI1": (("pi", 0), "abfde", True),
-    "PI2": (("pi", 1), "ab", False),
-    "PI3": (("pi", 2), "af", False),
-    "PI4": (("pi", 3), "abf", False),
-    "R1": (("strictness", 0), "xyab", False),
-    "R2": (("strictness", 1), "xaby", False),
-    "S": (("strictness", 2), "abc", False),
-    "PI2-top-form": ("dia(a, 1, not a) = 0", "a", False),
-    "PI2-quasi": ("a and f = 0 => dia(a, b, f) = 0", "afb", False),
-    "PI2-quasi-top": ("a and f = 0 => dia(a, 1, f) = 0", "af", False),
-}
+# Operator laws checked by a compiled sweep of their sentence, one row
+# each: (axiom, sentence, witness order, top-down).  The sentence is an
+# (axiom set, index) into enumeration.AXIOM_TEXTS, or the text of a PI2
+# equivalent.  Witness orders are explicit and may name the constants 0
+# and 1; R2's differs from the order in which its sentence introduces the
+# variables (x, a, y, b).  An axiom with several rows sweeps them in turn
+# and reports the first failure.
+_SWEEP_ROWS = (
+    ("MO1", ("3bamo", 0), "0bc", False),
+    ("MO1", ("3bamo", 1), "a0c", False),
+    ("MO1", ("3bamo", 2), "ab0", False),
+    ("MO2", ("3bamo", 3), "axbc", False),
+    ("MO3", ("3bamo", 4), "abxc", False),
+    ("MO4", ("3bamo", 5), "abcx", False),
+    ("PI1", ("pi", 0), "abfde", True),
+    ("PI2", ("pi", 1), "ab", False),
+    ("PI3", ("pi", 2), "af", False),
+    ("PI4", ("pi", 3), "abf", False),
+    ("R1", ("strictness", 0), "xyab", False),
+    ("R2", ("strictness", 1), "xaby", False),
+    ("S", ("strictness", 2), "abc", False),
+    ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False),
+    ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False),
+    ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False),
+)
 
 
 @lru_cache(maxsize=None)
-def _row_sweep(axiom: str):
+def _row_sweeps(axiom: str) -> tuple:
     # imported at first use: terms and enumeration both import this module
     from .enumeration import AXIOM_TEXTS
     from .terms import compile_sweep, parse, parse_axiom_file
 
-    source, order, top_down = _SWEEP_ROWS[axiom]
-    if isinstance(source, str):
-        sentence = parse(source)
-    else:
-        sentence = parse_axiom_file(AXIOM_TEXTS[source[0]])[source[1]]
-    return compile_sweep(sentence, tuple(order), top_down)
+    sweeps = []
+    for name, source, order, top_down in _SWEEP_ROWS:
+        if name == axiom:
+            if isinstance(source, str):
+                sentence = parse(source)
+            else:
+                sentence = parse_axiom_file(AXIOM_TEXTS[source[0]])[source[1]]
+            sweeps.append(compile_sweep(sentence, tuple(order), top_down))
+    return tuple(sweeps)
 
 
 def _sweep(op: TernaryOperator, axiom: str, values=None, note: str = "") -> AxiomResult:
-    witness = _row_sweep(axiom)(op.table, op.alg.top, values)
-    return passed(axiom, note) if witness is None else failed(axiom, witness, note)
+    for sweep in _row_sweeps(axiom):
+        witness = sweep(op.table, op.alg.top, values)
+        if witness is not None:
+            return failed(axiom, witness, note)
+    return passed(axiom, note)
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
     """Exhaustive check of MO1-MO4.
 
-    MO1: the operator is 0 whenever some argument is 0.
+    MO1: the operator is 0 whenever some argument is 0 (witness (0, b, c),
+    else (a, 0, c), else (a, b, 0)).
     MO2/MO3: it distributes over join in the first and second coordinate
     (witnesses (a, x, b, c) and (a, b, x, c)).
     MO4: dia(a,b,c) or dia(a,b,x) <= dia(a,b,c or x)   (witness a,b,c,x).
     """
-    results = [_check_mo1(op, op.alg)] + [_sweep(op, ax) for ax in ("MO2", "MO3", "MO4")]
-    return CheckReport("3bamo", tuple(results))
-
-
-def _check_mo1(op, alg) -> AxiomResult:
-    for b in alg.elements():
-        for c in alg.elements():
-            if op(0, b, c) != 0:
-                return failed("MO1", (0, b, c))
-    for a in alg.elements():
-        for c in alg.elements():
-            if op(a, 0, c) != 0:
-                return failed("MO1", (a, 0, c))
-    for a in alg.elements():
-        for b in alg.elements():
-            if op(a, b, 0) != 0:
-                return failed("MO1", (a, b, 0))
-    return passed("MO1")
+    return CheckReport("3bamo", tuple(_sweep(op, ax) for ax in ("MO1", "MO2", "MO3", "MO4")))
 
 
 def check_psi(op: TernaryOperator, seed: int = DEFAULT_SEED) -> CheckReport:

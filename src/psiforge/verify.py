@@ -76,8 +76,6 @@ from .ternary_operator import (
     example_3bamo,
     example_3bamo_nonzero_entries,
     is_relational,
-    mu,
-    mu_iter,
     smallest_diamond,
 )
 
@@ -251,53 +249,32 @@ class _Suite:
             "k2-relational-iff-simple-strict", ok, f"{len(self.k2_psi)} ops", t0
         )
 
-    def psi_pool(self) -> list[TernaryOperator]:
-        return psi_operator_pool(self.k, self.seed)
-
-    def mu_properties(self, pool):
+    def mu_properties(self) -> list[TernaryOperator]:
         t0 = time.perf_counter()
-        ok = True
-        for op in pool:
-            alg = op.alg
-            if mu(op, 0) != 0:
-                ok = False
-            for x in alg.elements():
-                mx = mu(op, x)
-                if not alg.leq(mx, x):
-                    ok = False
-                if (mx == alg.top) != (x == alg.top):
-                    ok = False
-                for y in alg.elements():
-                    if alg.leq(x, y) and not alg.leq(mx, mu(op, y)):
-                        ok = False
-                for n in range(5):
-                    if not alg.leq(mu_iter(op, x, n + 1), mu_iter(op, x, n)):
-                        ok = False
+        pool = psi_operator_pool(self.k, self.seed)
+        laws = [
+            "mu(0) = 0",
+            "mu(1) = 1",
+            "mu(x) = 1 => x = 1",
+            "x or y = y => mu(x) or mu(y) = mu(y)",
+        ] + [f"{_mu_power(n + 1, 'x')} <= {_mu_power(n, 'x')}" for n in range(5)]
+        ok = _all_hold(laws, pool)
         self.record("mu-properties", ok, f"{len(pool)} operators", t0)
 
         t0 = time.perf_counter()
-        ok = True
-        for op in pool:
-            if not check_strict(op).result("S").passed:
-                continue
-            alg = op.alg
-            for a in alg.elements():
-                nma = alg.neg(mu(op, a))
-                if mu(op, nma) != nma:
-                    ok = False
-                for l in range(5):
-                    if mu_iter(op, nma, l) != nma:
-                        ok = False
+        laws = [f"{_mu_power(n, 'not mu(a)')} = not mu(a)" for n in range(1, 5)]
+        ok = _all_hold(laws, [op for op in pool if check_strict(op).result("S").passed])
         self.record("mu-complement-fixed-under-s", ok, "", t0)
 
         t0 = time.perf_counter()
         laws = [
-            parse("a or a2 = a2 => dia(a, b, c) or dia(a2, b, c) = dia(a2, b, c)"),
-            parse("a or a2 = a2 => dia(b, a, c) or dia(b, a2, c) = dia(b, a2, c)"),
-            parse("a or a2 = a2 => dia(b, c, a) or dia(b, c, a2) = dia(b, c, a2)"),
+            "a or a2 = a2 => dia(a, b, c) or dia(a2, b, c) = dia(a2, b, c)",
+            "a or a2 = a2 => dia(b, a, c) or dia(b, a2, c) = dia(b, a2, c)",
+            "a or a2 = a2 => dia(b, c, a) or dia(b, c, a2) = dia(b, c, a2)",
         ]
-        ok = all(holds(law, op)[0] for op in pool for law in laws)
+        ok = _all_hold(laws, pool)
         self.record("monotone-in-each-coordinate", ok, "", t0)
+        return pool
 
     def filters(self, pool):
         # a classification read by several items is charged to the first
@@ -364,13 +341,9 @@ class _Suite:
             t0,
         )
 
-    def bamo_pool(self) -> list[TernaryOperator]:
-        return bamo_operator_pool(self.k, self.seed)
-
-    def duality(self, pool):
-        frames = [(op, dual_frame(op, monotone=True)) for op in pool]
-
+    def duality(self):
         t0 = time.perf_counter()
+        frames = [(op, dual_frame(op, monotone=True)) for op in bamo_operator_pool(self.k, self.seed)]
         ok = all(check_psi_frame(fr).passed for _, fr in frames)
         self.record("dual-frame-descriptive", ok, f"{len(frames)} frames", t0)
 
@@ -495,17 +468,19 @@ class _Suite:
         # composition closure and contravariance over k=2 endo-homs
         homs = enumerate_homs(self.alg2, self.alg2)
         ops = self.k2_psi[:4]
-        for g in homs:
-            for h in homs:
+        # each classification once: (hom, o_i, o_j) up front, (h o g, o1, o3) per (g, h)
+        kinds = [[[classify_psi_morphism(m, oi, oj) for oj in ops] for oi in ops] for m in homs]
+        idx = range(len(ops))
+        for g, g_kinds in zip(homs, kinds):
+            for h, h_kinds in zip(homs, kinds):
                 comp = h.compose(g)
                 if comp.atom_map != tuple(g.atom_map[i] for i in h.atom_map):
                     ok = False
-                for o1 in ops:
-                    for o2 in ops:
-                        for o3 in ops:
-                            m1 = classify_psi_morphism(g, o1, o2)
-                            m2 = classify_psi_morphism(h, o2, o3)
-                            mc = classify_psi_morphism(comp, o1, o3)
+                for i1 in idx:
+                    for i3 in idx:
+                        mc = classify_psi_morphism(comp, ops[i1], ops[i3])
+                        for i2 in idx:
+                            m1, m2 = g_kinds[i1][i2], h_kinds[i2][i3]
                             if m1.semi and m2.semi and not mc.semi:
                                 ok = False
                             if m1.hemi and m2.hemi and not mc.hemi:
@@ -551,16 +526,25 @@ class _Suite:
         self.axiom_equivalence()
         self.translations()
         self.strictness_simplicity()
-        pool = self.psi_pool()
-        self.mu_properties(pool)
+        pool = self.mu_properties()
         self.filters(pool)
         self.variety()
-        self.duality(self.bamo_pool())
+        self.duality()
         self.example_regression()
         self.topological()
         self.morphisms()
         self.enumeration_oracle()
         return self.items
+
+
+def _mu_power(n: int, x: str) -> str:
+    """The term mu(mu(...mu(x)...)) with n applications."""
+    return "mu(" * n + x + ")" * n
+
+
+def _all_hold(laws: list[str], pool: list[TernaryOperator]) -> bool:
+    sentences = [parse(law) for law in laws]
+    return all(holds(s, op)[0] for op in pool for s in sentences)
 
 
 def _push_operator(h, op: TernaryOperator) -> TernaryOperator:
@@ -578,7 +562,9 @@ def _push_operator(h, op: TernaryOperator) -> TernaryOperator:
 
 
 def run_suite(k: int = 2, seed: int = DEFAULT_SEED) -> list[SuiteItem]:
-    """Run every scoreboard item; k bounds the largest algebras used (3)."""
+    """Run every scoreboard item.  k=1 and k=2 run the same items on the
+    same one- and two-atom pools; k=3 adds the three-atom pools (k is
+    clamped to 1..3)."""
     return _Suite(k, seed).run()
 
 

@@ -219,7 +219,14 @@ def test_check_psi_space_refuses_bad_frame():
         check_psi_space(fr)
 
 
-def test_pif1_size_cap():
+def test_pif1_size_cap(monkeypatch):
+    import psiforge.duality_frames as df
+
+    def frame_sweep(frame):
+        raise AssertionError("DF2 swept a frame above the PIF1 cap")
+
+    # the cap is enforced before the descriptive conditions are swept
+    monkeypatch.setattr(df, "check_psi_frame", frame_sweep)
     with pytest.raises(SizeCapError):
         check_psi_space(empty_frame(5))
 

@@ -237,6 +237,8 @@ def test_compile_sweep_rejects_bad_orders_and_names():
         compile_sweep(s, ("a", "b"), False)
     with pytest.raises(EvalError):
         compile_sweep(s, ("a", "b", "c", "c"), False)
+    with pytest.raises(EvalError):  # only 0 and 1 may stand in an order as constants
+        compile_sweep(s, ("a", "b", "c", "2"), False)
     # only validated names reach the generated source
     with pytest.raises(EvalError):
         compile_sweep(Identity(Var("x)\nimport os"), Const(False)), ("x)\nimport os",), False)
@@ -244,3 +246,20 @@ def test_compile_sweep_rejects_bad_orders_and_names():
     wide = parse(" and ".join(names) + " <= 1")
     with pytest.raises(SizeCapError):
         compile_sweep(wide, tuple(names), False)
+
+
+def test_compile_sweep_constants_in_order():
+    """A constant in the order loops over nothing and stands in the
+    witness as 0 or top."""
+    alg = make_algebra(2)
+    table = [0] * 64
+    table[(0 * 4 + 2) * 4 + 1] = 1
+    got = compile_sweep(parse("dia(0, b, c) = 0"), ("0", "b", "c"))(tuple(table), alg.top)
+    assert got == (0, 2, 1)
+    top_row = compile_sweep(parse("dia(a, b, 1) = 0"), ("a", "b", "1"))
+    assert top_row(tuple(table), alg.top) is None
+    table[(3 * 4 + 1) * 4 + 3] = 2
+    assert top_row(tuple(table), alg.top) == (3, 1, 3)
+    both = compile_sweep(parse("dia(0, 1, a) = 0"), ("0", "1", "a"), True)
+    table[(0 * 4 + 3) * 4 + 2] = 3
+    assert both(tuple(table), alg.top) == (0, 3, 2)

@@ -3,6 +3,7 @@ re-evaluators here are written independently of the checkers (plain
 definitional reads), so an optimized sweep with a wrong witness index
 cannot slip through."""
 import random
+from itertools import chain, product
 
 import pytest
 
@@ -13,9 +14,13 @@ from psiforge import (
     check_extca,
     check_psi,
     check_strict,
+    enumerate_ecas,
+    largest_eca,
     make_algebra,
     mu,
+    smallest_diamond,
 )
+from psiforge.enumeration import sample_3bamos
 from psiforge.ternary_operator import TernaryOperator
 
 
@@ -134,8 +139,6 @@ def test_operator_witnesses_reevaluate(k, count):
 def test_operator_witnesses_on_structured_near_misses():
     """Monotone tables perturbed by one entry: failures land in the PI/R/S
     laws rather than the MO ones, exercising those witnesses too."""
-    from psiforge.enumeration import sample_3bamos
-
     alg = make_algebra(2)
     rng = random.Random(31)
     failures_seen = 0
@@ -150,3 +153,74 @@ def test_operator_witnesses_on_structured_near_misses():
                     failures_seen += 1
                     assert reevaluate_operator(op, result.axiom, result.witness)
     assert failures_seen > 0
+
+
+def documented_sweep(axiom, top):
+    """Every tuple in the order the checker documents for the axiom: MO1
+    sweeps (0,b,c), then (a,0,c), then (a,b,0); the cut EC1/ExtCA1 runs
+    top-down; all other laws ascend in their witness order."""
+    up = range(top + 1)
+    if axiom == "MO1":
+        return chain(
+            ((0, b, c) for b in up for c in up),
+            ((a, 0, c) for a in up for c in up),
+            ((a, b, 0) for a in up for b in up),
+        )
+    if axiom in ("EC1", "ExtCA1"):
+        return product(range(top, -1, -1), repeat=5)
+    arity = {"EC3": 2, "EC2": 3, "EC4": 3, "ExtCA2": 3, "ExtCA3": 3, "ExtCA4": 3}.get(axiom, 4)
+    return product(up, repeat=arity)
+
+
+def first_violation(reevaluate, structure, axiom):
+    top = structure.alg.top
+    return next((w for w in documented_sweep(axiom, top) if reevaluate(structure, axiom, w)), None)
+
+
+def _relations(alg, rng, count):
+    n = alg.size ** 3
+    bases = [largest_eca(alg).bits] + [r.bits for r in enumerate_ecas(alg)]
+    for _ in range(count):
+        density = rng.random()
+        yield TernaryRelation(alg, sum(1 << i for i in range(n) if rng.random() < density))
+        bits = rng.choice(bases)
+        for _ in range(rng.choice((1, 1, 2))):
+            bits ^= 1 << rng.randrange(n)
+        yield TernaryRelation(alg, bits)
+
+
+def _operators(alg, rng, count):
+    n = alg.size ** 3
+    bases = [smallest_diamond(alg).table] + [op.table for op in sample_3bamos(alg, count=4, seed=3)]
+    zero_arg = [i for i, (a, b, c) in enumerate(product(range(alg.size), repeat=3)) if 0 in (a, b, c)]
+    for _ in range(count):
+        yield TernaryOperator(alg, tuple(rng.randrange(alg.size) if rng.random() < 0.3 else 0 for _ in range(n)))
+        table = list(rng.choice(bases))
+        spots = range(n) if rng.random() < 0.3 else zero_arg  # mostly MO1 near-misses
+        table[rng.choice(spots)] = rng.randrange(1, alg.size)
+        yield TernaryOperator(alg, tuple(table))
+
+
+@pytest.mark.parametrize("k,count", [(1, 150), (2, 100)])
+def test_relation_witnesses_are_first_in_sweep(k, count):
+    rng = random.Random(k * 31 + 5)
+    failures_seen = set()
+    for rel in _relations(make_algebra(k), rng, count):
+        for report in (check_eca(rel), check_extca(rel)):
+            for result in report.results:
+                assert result.witness == first_violation(reevaluate_relation, rel, result.axiom), result.axiom
+                if not result.passed:
+                    failures_seen.add(result.axiom)
+    assert len(failures_seen) == 10
+
+
+@pytest.mark.parametrize("k,count", [(1, 150), (2, 100)])
+def test_mo_witnesses_are_first_in_sweep(k, count):
+    rng = random.Random(k * 17 + 2)
+    failures_seen = set()
+    for op in _operators(make_algebra(k), rng, count):
+        for result in check_3bamo(op).results:
+            assert result.witness == first_violation(reevaluate_operator, op, result.axiom), result.axiom
+            if not result.passed:
+                failures_seen.add(result.axiom)
+    assert "MO1" in failures_seen
