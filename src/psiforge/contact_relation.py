@@ -21,7 +21,7 @@ from itertools import chain
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, passed
+from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
 from .ternary_operator import TernaryOperator, is_relational
 
@@ -346,21 +346,15 @@ def posets_dual_iso_check(
 
         relations = enumerate_ecas(alg)
     ops = [rel_to_op(r) for r in relations]
-    results = []
-
-    r = passed("order-reversal")
-    done = False
-    for i, r1 in enumerate(relations):
-        for j, r2 in enumerate(relations):
-            forward = r1.is_subset_of(r2)
-            backward = ops[j].pointwise_leq(ops[i])
-            if forward != backward:
-                r = failed("order-reversal", (i, j))
-                done = True
-                break
-        if done:
-            break
-    results.append(r)
+    results = [first_violation(
+        "order-reversal",
+        (
+            (i, j)
+            for i, r1 in enumerate(relations)
+            for j, r2 in enumerate(relations)
+            if r1.is_subset_of(r2) != ops[j].pointwise_leq(ops[i])
+        ),
+    )]
 
     tables = {op.table for op in ops}
     results.append(
@@ -369,13 +363,9 @@ def posets_dual_iso_check(
         else failed("bijection-injective", ())
     )
 
-    r = passed("image-relational")
-    for i, op in enumerate(ops):
-        ok, _ = is_relational(op)
-        if not ok:
-            r = failed("image-relational", (i,))
-            break
-    results.append(r)
+    results.append(first_violation(
+        "image-relational", ((i,) for i, op in enumerate(ops) if not is_relational(op)[0])
+    ))
 
     if alg.atom_count == 1:
         from .enumeration import brute_force_operators, psi_axioms

@@ -23,8 +23,9 @@ kept as a fallback for non-monotone tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import nsmallest
 
-from .boolean_core import FiniteBooleanAlgebra, make_algebra
+from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, make_algebra
 from .errors import PreconditionError, InternalCheckError, SizeCapError
 from .report import CheckReport, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_3bamo, check_psi
@@ -95,6 +96,8 @@ class PsiFrame:
 
 def frame_from_json(data: dict) -> PsiFrame:
     n = int(data["points"])
+    if n > MAX_ATOMS:
+        raise SizeCapError(f"frame has {n} points, above the cap of {MAX_ATOMS}")
     if "bits" in data:
         import base64
 
@@ -156,45 +159,40 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
     as such.  DF2 demands each R(x) be exactly the intersection of the
     L_U it is contained in; DF3 demands a singleton witness in the first
     two coordinates of every related triple.
+
+    That intersection holds Y exactly when some member of R(x) lies below
+    Y componentwise (for the converse take U = the complement of Y), so
+    DF2 says each R(x) is upward closed: every upper cover of a member
+    (one more point in one coordinate) is a member.  Its witness (x, Y)
+    is the least missing cover, which is also the first violation of a
+    sweep of points ascending, then triples ascending.
     """
-    results = [passed("DF1", "trivially satisfied (finite discrete space)")]
-
-    size = 1 << frame.point_count
-    co_triples = [
-        (u1, u2, u3) for u1 in range(size) for u2 in range(size) for u3 in range(size)
-    ]
-    all_closed = frame.closed_triples()
-
-    def df2():
-        for x in range(frame.point_count):
-            rx = frame.r_of(x)
-            family = [
-                u for u in co_triples if all(in_l_set(u, y) for y in rx)
-            ]
-            for y in all_closed:
-                if y in rx:
-                    continue
-                if all(in_l_set(u, y) for u in family):
-                    yield (x, *y)
-
-    def df3():
-        for x, y1, y2, y3 in sorted(frame.entries):
-            hit = False
-            for i in range(frame.point_count):
-                if not (y1 >> i & 1):
-                    continue
-                for j in range(frame.point_count):
-                    if (y2 >> j & 1) and (x, 1 << i, 1 << j, y3) in frame.entries:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if not hit:
-                yield (x, y1, y2, y3)
-
-    results.append(_first("DF2", df2()))
-    results.append(_first("DF3", df3()))
-    return CheckReport("psi-frame", tuple(results))
+    entries, n = frame.entries, frame.point_count
+    points = [1 << i for i in range(n)]
+    missing_covers = (
+        cover
+        for x, y1, y2, y3 in entries
+        for p in points
+        for cover in ((x, y1 | p, y2, y3), (x, y1, y2 | p, y3), (x, y1, y2, y3 | p))
+        if cover not in entries
+    )
+    df3 = (
+        (x, y1, y2, y3)
+        for x, y1, y2, y3 in sorted(entries)
+        if not any(
+            (x, 1 << i, 1 << j, y3) in entries
+            for i in range(n)
+            if y1 >> i & 1
+            for j in range(n)
+            if y2 >> j & 1
+        )
+    )
+    results = (
+        passed("DF1", "trivially satisfied (finite discrete space)"),
+        _first("DF2", nsmallest(1, missing_covers)),
+        _first("DF3", df3),
+    )
+    return CheckReport("psi-frame", results)
 
 
 def _rinv3(rinv: dict, y1: int, y2: int, y3: int) -> int:

@@ -4,26 +4,23 @@ simplicity, subdirect-irreducibility and variety-level spot checks.
 A filter F is closed when dia(x1,x2,x3) -> dia(y1,y2,y3) lands in F
 whenever every xi -> yi does; closed filters correspond one-to-one to
 congruences compatible with the operator.  F is modal when it is closed
-under mu.  Both are decided definitionally here; the (Su)/(Mid) reduction
-and the generator-only modality shortcut are computed alongside so their
-equivalence (valid for pseudo-inference operators) can be asserted, not
-assumed.
+under mu.  Both are decided by their definitions, stated as sentences in
+the rows of _FILTER_LAWS and swept by terms.compile_sweep; the (Su)/(Mid)
+reduction and the generator-only modality shortcut are rows there too,
+computed alongside so their equivalence (valid for pseudo-inference
+operators) can be asserted, not assumed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .boolean_core import FiniteBooleanAlgebra, Filter
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, passed
-from .ternary_operator import (
-    TernaryOperator,
-    check_psi,
-    check_strict,
-    is_relational,
-    mu,
-)
+from .report import AxiomResult, CheckReport, failed, first_violation, passed
+from .terms import compile_sweep, parse
+from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
 @dataclass(frozen=True)
@@ -35,60 +32,60 @@ class ClassifiedFilter:
     modal_via_generator: bool
 
 
-def _implies_in(alg: FiniteBooleanAlgebra, g: int, x: int, y: int) -> bool:
-    # x -> y in [g)  iff  g <= not x or y  iff  g & x & not y == 0
-    return g & x & alg.neg(y) == 0
+# Filter laws, one row each: (law, sentence, sweep order), swept by
+# terms.compile_sweep in ascending mask order with the filter's generator
+# bound to the param g.  x -> y lies in the filter [g) iff
+# g and x and not y = 0, and a lies in it iff g and not a = 0.  A law
+# with several rows holds when each of them does.
+_FILTER_LAWS = (
+    (
+        "closed",
+        "g and x and not y = 0 & g and p and not q = 0 & g and u and not w = 0"
+        " => g and dia(x, p, u) and not dia(y, q, w) = 0",
+        "xypquw",
+    ),
+    ("su-mid", "g and a and not b = 0 => g and dia(x, y, a) and not dia(x, y, b) = 0", "abxy"),
+    ("su-mid", "g and a and not b = 0 => g and dia(x, a, y) and not dia(x, b, y) = 0", "abxy"),
+    ("modal", "g and not a = 0 => g and not mu(a) = 0", "a"),
+    ("modal-generator", "g and not mu(g) = 0", ""),
+)
+
+
+@lru_cache(maxsize=None)
+def _filter_sweeps(law: str) -> tuple:
+    return tuple(
+        compile_sweep(parse(text), tuple(order), params=("g",))
+        for name, text, order in _FILTER_LAWS
+        if name == law
+    )
+
+
+def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
+    g = flt.generator
+    return all(sweep(op.table, op.alg.top, None, g) is None for sweep in _filter_sweeps(law))
 
 
 def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
     """Full definition: sweep all coordinate-wise implication triples."""
-    alg = op.alg
-    g = flt.generator
-    if g == 0:
-        return True
-    pairs = [
-        (x, y)
-        for x in alg.elements()
-        for y in alg.elements()
-        if _implies_in(alg, g, x, y)
-    ]
-    for (x1, y1) in pairs:
-        for (x2, y2) in pairs:
-            for (x3, y3) in pairs:
-                if not _implies_in(alg, g, op(x1, x2, x3), op(y1, y2, y3)):
-                    return False
-    return True
+    # the improper filter is closed; a sweep of it would visit every tuple
+    return flt.generator == 0 or _filter_law(op, flt, "closed")
 
 
 def filter_is_closed_su_mid(op: TernaryOperator, flt: Filter) -> bool:
     """The two-condition reduction: (Su) pushes an implication through the
     third coordinate, (Mid) through the second."""
-    alg = op.alg
-    g = flt.generator
-    if g == 0:
-        return True
-    for a in alg.elements():
-        for b in alg.elements():
-            if not _implies_in(alg, g, a, b):
-                continue
-            for x in alg.elements():
-                for y in alg.elements():
-                    if not _implies_in(alg, g, op(x, y, a), op(x, y, b)):
-                        return False
-                    if not _implies_in(alg, g, op(x, a, y), op(x, b, y)):
-                        return False
-    return True
+    return flt.generator == 0 or _filter_law(op, flt, "su-mid")
 
 
 def filter_is_modal(op: TernaryOperator, flt: Filter) -> bool:
     """Definitional: mu maps every member back into the filter."""
-    return all(mu(op, a) in flt for a in flt.members())
+    return _filter_law(op, flt, "modal")
 
 
 def filter_is_modal_via_generator(op: TernaryOperator, flt: Filter) -> bool:
     """Generator shortcut, equivalent to the definition whenever mu is
     monotone (it is on every pseudo-inference operator)."""
-    return mu(op, flt.generator) in flt
+    return _filter_law(op, flt, "modal-generator")
 
 
 def classify_filter(op: TernaryOperator, flt: Filter) -> ClassifiedFilter:
@@ -394,64 +391,48 @@ def variety_spot_checks(ops: list[TernaryOperator]) -> CheckReport:
             for g in closed_filter_generators(op)
         ]
 
-        r = passed(f"permutability[{idx}]")
-        done = False
-        for i, x in enumerate(congs):
-            for y in congs[i:]:
-                if _compose(x, y) != _compose(y, x):
-                    r = failed(f"permutability[{idx}]", (i,))
-                    done = True
-                    break
-            if done:
-                break
-        results.append(r)
+        results.append(first_violation(
+            f"permutability[{idx}]",
+            ((i,) for i, x in enumerate(congs) for y in congs[i:] if _compose(x, y) != _compose(y, x)),
+        ))
 
         known = {c.reps for c in congs}
-        r = passed(f"distributivity[{idx}]")
-        done = False
-        for x in congs:
-            for y in congs:
-                for z in congs:
-                    join_yz = _congruence_join(y, z)
-                    meet_xy = _congruence_meet(x, y)
-                    meet_xz = _congruence_meet(x, z)
-                    if (
-                        join_yz.reps not in known
-                        or meet_xy.reps not in known
-                        or meet_xz.reps not in known
-                    ):
-                        raise InternalCheckError(
-                            "congruence lattice not closed over the enumerated set"
-                        )
-                    lhs = _congruence_meet(x, join_yz)
-                    rhs = _congruence_join(meet_xy, meet_xz)
-                    if lhs.reps != rhs.reps:
-                        r = failed(f"distributivity[{idx}]", ())
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        results.append(r)
+
+        def distributivity_violations():
+            for x in congs:
+                for y in congs:
+                    for z in congs:
+                        join_yz = _congruence_join(y, z)
+                        meet_xy = _congruence_meet(x, y)
+                        meet_xz = _congruence_meet(x, z)
+                        if (
+                            join_yz.reps not in known
+                            or meet_xy.reps not in known
+                            or meet_xz.reps not in known
+                        ):
+                            raise InternalCheckError(
+                                "congruence lattice not closed over the enumerated set"
+                            )
+                        lhs = _congruence_meet(x, join_yz)
+                        rhs = _congruence_join(meet_xy, meet_xz)
+                        if lhs.reps != rhs.reps:
+                            yield ()
+
+        results.append(first_violation(f"distributivity[{idx}]", distributivity_violations()))
 
         if alg.atom_count <= 2:
-            r = passed(f"cep[{idx}]")
-            done = False
             full_congs = [c.pairs() for c in congs]
-            for carrier in enumerate_subalgebras(op):
-                carrier_set = set(carrier)
-                restricted = [
-                    frozenset((a, b) for a, b in pairs if a in carrier_set and b in carrier_set)
-                    for pairs in full_congs
-                ]
-                for delta in _subalgebra_congruences(op, carrier):
-                    if delta not in restricted:
-                        r = failed(f"cep[{idx}]", tuple(carrier))
-                        done = True
-                        break
-                if done:
-                    break
-            results.append(r)
+
+            def cep_violations():
+                for carrier in enumerate_subalgebras(op):
+                    carrier_set = set(carrier)
+                    restricted = [
+                        frozenset((a, b) for a, b in pairs if a in carrier_set and b in carrier_set)
+                        for pairs in full_congs
+                    ]
+                    if any(delta not in restricted for delta in _subalgebra_congruences(op, carrier)):
+                        yield carrier
+
+            results.append(first_violation(f"cep[{idx}]", cep_violations()))
 
     return CheckReport("variety-spot-checks", tuple(results))

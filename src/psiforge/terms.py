@@ -25,8 +25,11 @@ Quantifier sweeps run top-down: holds() tries assignments in descending
 mask order over the variables in order of first appearance, and reports
 the first falsifying assignment.  The sweep is compile_sweep(), which
 turns a sentence into generated nested-loop code over the flat operator
-table; the operator checkers use it too, with explicit variable orders.
-eval_term() stays the reference evaluator.
+table; the operator, relation and filter checkers use it too, with
+explicit variable orders.  A sentence variable may instead be a param:
+bound once per call by the caller (the filter laws bind the filter's
+generator g this way) and not swept.  eval_term() stays the reference
+evaluator.
 """
 from __future__ import annotations
 
@@ -426,8 +429,10 @@ def _expand(t: Term) -> Term:
 
 
 @lru_cache(maxsize=256)
-def compile_sweep(s: Sentence, order: tuple[str, ...], descending: bool = False):
-    """Compile a sentence to ``sweep(table, top, values=None)``.
+def compile_sweep(
+    s: Sentence, order: tuple[str, ...], descending: bool = False, params: tuple[str, ...] = ()
+):
+    """Compile a sentence to ``sweep(table, top, values=None, *params)``.
 
     The sweep nests one loop per variable of ``order`` (outermost first),
     each over ``values`` or else the carrier 0..top (descending when
@@ -435,20 +440,25 @@ def compile_sweep(s: Sentence, order: tuple[str, ...], descending: bool = False)
     ``order``, or None.  ``order`` may also name the constants "0" and
     "1", which loop over nothing and stand in the tuple as 0 and top.
     ``table`` is a flat operator table indexed (a*S+b)*S+c with
-    S = top+1.  Of the sentence, only its variable names enter the
-    generated source, checked against the tokenizer's pattern and
-    prefixed 'v_'.
+    S = top+1.  The variables named in ``params`` are not swept: their
+    values follow ``values`` (then required, None for the carrier) in
+    the call, in the order of ``params``, and stay out of the returned
+    tuple and of the loop cap.  Of the sentence, only its variable names
+    enter the generated source, checked against the tokenizer's pattern
+    and prefixed 'v_'.
     """
     names = tuple(x for x in order if x not in _CONSTANTS)
-    if sorted(names) != sorted(variables(s)):
-        raise EvalError(f"sweep order {order} must list each variable of the sentence once")
+    if sorted(names + params) != sorted(variables(s)):
+        raise EvalError(
+            f"sweep order {order} and params {params} must list each variable of the sentence once"
+        )
     if len(names) > SWEEP_MAX_VARIABLES:
         raise SizeCapError(f"sweeps are capped at {SWEEP_MAX_VARIABLES} variables")
-    for name in names:
+    for name in names + params:
         if not _VAR_RE.fullmatch(name):
             raise EvalError(f"bad variable name {name!r}")
     n = len(names)
-    depth = {name: i + 1 for i, name in enumerate(names)}
+    depth = {name: i + 1 for i, name in enumerate(names)} | dict.fromkeys(params, 0)
     body: list[list[str]] = [[] for _ in range(n + 1)]  # statements per loop
     code: dict = {}  # node -> (local name or literal, loop level)
 
@@ -493,7 +503,8 @@ def compile_sweep(s: Sentence, order: tuple[str, ...], descending: bool = False)
     body[n].append("return (" + "".join(_CONSTANTS.get(x, f"v_{x}") + ", " for x in order) + ")")
 
     domain = "range(top, -1, -1)" if descending else "range(S)"
-    lines = ["def sweep(t, top, values=None):", "    S = top + 1", f"    R = {domain} if values is None else values"]
+    args = ", ".join(["t", "top", "values" if params else "values=None"] + [f"v_{x}" for x in params])
+    lines = [f"def sweep({args}):", "    S = top + 1", f"    R = {domain} if values is None else values"]
     for i, statements in enumerate(body):
         lines += ["    " * (i + 1) + st for st in statements]
         if i < n:

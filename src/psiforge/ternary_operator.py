@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, make_algebra
-from .report import AxiomResult, CheckReport, failed, passed
+from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
 # PI1 quantifies five variables; beyond this atom count the exhaustive
 # |A|^5 sweep leaves desk scale and a documented seeded sample is used.
@@ -309,28 +309,19 @@ def discriminator_check(op: TernaryOperator) -> CheckReport:
     a != b and = c when a = b.
     """
     alg = op.alg
-    r_d = passed("d-contract")
-    if discriminator_d(op, 0) != 0:
-        r_d = failed("d-contract", (0,))
-    else:
-        for x in range(1, alg.size):
-            if discriminator_d(op, x) != alg.top:
-                r_d = failed("d-contract", (x,))
-                break
-
-    r_t = passed("t-contract")
-    done = False
-    for a in alg.elements():
-        for b in alg.elements():
-            for c in alg.elements():
-                want = a if a != b else c
-                if discriminator_t(op, a, b, c) != want:
-                    r_t = failed("t-contract", (a, b, c))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
+    elements = alg.elements()
+    r_d = first_violation(
+        "d-contract",
+        ((x,) for x in elements if discriminator_d(op, x) != (alg.top if x else 0)),
+    )
+    r_t = first_violation(
+        "t-contract",
+        (
+            (a, b, c)
+            for a in elements
+            for b in elements
+            for c in elements
+            if discriminator_t(op, a, b, c) != (a if a != b else c)
+        ),
+    )
     return CheckReport("discriminator", (r_d, r_t))

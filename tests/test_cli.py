@@ -208,3 +208,17 @@ def test_output_file_kept_on_input_error(tmp_path):
     assert_usage_error(r)
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_oversized_frames_refused_at_parse():
+    """Frames above the 6-point cap are refused before R or bits is read."""
+    huge = json.dumps({"points": 10**19, "R": []})
+    assert_usage_error(run_cli("check", "--kind", "total", "-", stdin=huge))
+    nine = json.dumps({"points": 9, "R": []})
+    assert_usage_error(run_cli("check", "--kind", "frame", "-", stdin=nine))
+    packed = json.dumps({"points": 40, "bits": ""})
+    assert_usage_error(run_cli("check", "--kind", "frame", "-", stdin=packed))
+    seven = json.dumps({"points": 7, "R": [[0, [0], [0], [0]]]})
+    r = run_cli("complex", "-", stdin=seven)
+    assert_usage_error(r)
+    assert "cap" in r.stderr

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from psiforge import (
@@ -140,6 +142,44 @@ def test_single_entry_frame_fails_df():
     assert not rep.result("DF2").passed
     assert not rep.result("DF3").passed
     assert rep.result("DF3").witness == (0, 3, 1, 1)
+
+
+def _literal_df2(frame):
+    """DF2's first violation, by its definition: Y outside R(x) lies in
+    every L_U that contains R(x); points ascending, then triples ascending."""
+    size = 1 << frame.point_count
+    l_sets = [
+        l_set(frame, (u1, u2, u3)) for u1 in range(size) for u2 in range(size) for u3 in range(size)
+    ]
+    for x in range(frame.point_count):
+        rx = frame.r_of(x)
+        family = [lu for lu in l_sets if rx <= lu]
+        for y in frame.closed_triples():
+            if y not in rx and all(y in lu for lu in family):
+                return (x, *y)
+    return None
+
+
+def test_df2_matches_l_set_definition():
+    rng = random.Random(3)
+    seen = set()
+    for n in (1, 1, 2, 2, 2, 2, 3, 3) * 3:
+        ne = range(1, 1 << n)
+        triples = [(y1, y2, y3) for y1 in ne for y2 in ne for y3 in ne]
+        entries = set()
+        for x in range(n):  # R(x) the up-closure of a few random triples
+            gens = rng.choices(triples, k=rng.randrange(3))
+            entries |= {
+                (x, *y) for y in triples for z in gens if all(zi & yi == zi for zi, yi in zip(z, y))
+            }
+        if rng.random() < 0.7:  # then toggle one entry
+            entries ^= {(rng.randrange(n), *rng.choice(triples))}
+        frame = PsiFrame(n, frozenset(entries))
+        want = _literal_df2(frame)
+        got = check_psi_frame(frame).result("DF2")
+        assert (got.passed, got.witness) == (want is None, want), sorted(entries)
+        seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_dual_frame_of_smallest_k2(alg2):

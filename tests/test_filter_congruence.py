@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from psiforge import (
@@ -27,7 +29,11 @@ from psiforge.filter_congruence import (
     congruence_respects_op,
     enumerate_subalgebras,
     filter_is_closed,
+    filter_is_closed_su_mid,
+    filter_is_modal,
+    filter_is_modal_via_generator,
 )
+from psiforge.ternary_operator import TernaryOperator, mu
 
 
 def all_partitions(items):
@@ -94,6 +100,55 @@ def test_modal_generator_shortcut(psi_ops_k2):
     for op in psi_ops_k2:
         for cf in all_filters_classified(op):
             assert cf.is_modal == cf.modal_via_generator
+
+
+def _literal_filter_laws(op, flt):
+    """The four filter predicates, read off their definitions."""
+    alg = op.alg
+    elems = alg.elements()
+    pairs = [(x, y) for x in elems for y in elems if alg.implies(x, y) in flt]
+    closed = all(
+        alg.implies(op(x1, x2, x3), op(y1, y2, y3)) in flt
+        for x1, y1 in pairs
+        for x2, y2 in pairs
+        for x3, y3 in pairs
+    )
+    su_mid = all(
+        alg.implies(op(x, y, a), op(x, y, b)) in flt and alg.implies(op(x, a, y), op(x, b, y)) in flt
+        for a, b in pairs
+        for x in elems
+        for y in elems
+    )
+    modal = all(mu(op, a) in flt for a in flt.members())
+    return closed, su_mid, modal, mu(op, flt.generator) in flt
+
+
+def test_filter_predicates_match_definitions(alg3):
+    rng = random.Random(5)
+    ops = [smallest_diamond(alg3)]
+    for k in (1, 2):
+        alg = make_algebra(k)
+        for _ in range(12):  # uniform, 0/top-valued and sparse tables, mostly non-monotone
+            ops.append(TernaryOperator(alg, tuple(rng.randrange(alg.size) for _ in range(8**k))))
+            ops.append(TernaryOperator(alg, tuple(rng.choice((0, alg.top)) for _ in range(8**k))))
+            ops.append(
+                TernaryOperator(alg, tuple(rng.randrange(alg.size) * (rng.random() < 0.1) for _ in range(8**k)))
+            )
+    seen = set()
+    for op in ops:
+        for g in op.alg.elements():
+            flt = Filter(op.alg, g)
+            want = _literal_filter_laws(op, flt)
+            got = (
+                filter_is_closed(op, flt),
+                filter_is_closed_su_mid(op, flt),
+                filter_is_modal(op, flt),
+                filter_is_modal_via_generator(op, flt),
+            )
+            assert got == want, (op.table, g)
+            seen.add(want)
+    # each predicate is seen both to hold and to fail
+    assert all({v[i] for v in seen} == {True, False} for i in range(4))
 
 
 def test_congruence_trivial_cases(alg2):

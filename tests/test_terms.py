@@ -207,10 +207,10 @@ def _true_at(s, op, env) -> bool:
     return x == y if isinstance(s, Identity) else op.alg.leq(x, y)
 
 
-def _brute_force(s, op, order, descending):
+def _brute_force(s, op, order, descending, bound=None):
     values = range(op.alg.top, -1, -1) if descending else op.alg.elements()
     for w in product(values, repeat=len(order)):
-        if not _true_at(s, op, dict(zip(order, w))):
+        if not _true_at(s, op, dict(zip(order, w)) | (bound or {})):
             return w
     return None
 
@@ -229,6 +229,12 @@ def test_compiled_sweep_matches_brute_force(s, op, data):
         descending = data.draw(st.booleans())
         got = compile_sweep(s, order, descending)(op.table, op.alg.top)
         assert got == _brute_force(s, op, order, descending)
+        # the leading variables become params, bound to drawn values
+        cut = data.draw(st.integers(1, len(order))) if order else 0
+        params, order = order[:cut], order[cut:]
+        bound = {x: data.draw(st.integers(0, op.alg.top)) for x in params}
+        got = compile_sweep(s, order, descending, params)(op.table, op.alg.top, None, *bound.values())
+        assert got == _brute_force(s, op, order, descending, bound)
 
 
 def test_compile_sweep_rejects_bad_orders_and_names():
@@ -239,9 +245,15 @@ def test_compile_sweep_rejects_bad_orders_and_names():
         compile_sweep(s, ("a", "b", "c", "c"), False)
     with pytest.raises(EvalError):  # only 0 and 1 may stand in an order as constants
         compile_sweep(s, ("a", "b", "c", "2"), False)
+    with pytest.raises(EvalError):  # a name both swept and bound
+        compile_sweep(s, ("a", "b", "c"), False, ("c",))
+    with pytest.raises(EvalError):  # a param the sentence lacks
+        compile_sweep(s, ("a", "b", "c"), False, ("z",))
     # only validated names reach the generated source
     with pytest.raises(EvalError):
         compile_sweep(Identity(Var("x)\nimport os"), Const(False)), ("x)\nimport os",), False)
+    with pytest.raises(EvalError):
+        compile_sweep(Identity(Var("x)\nimport os"), Const(False)), (), False, ("x)\nimport os",))
     names = [f"v{i}" for i in range(21)]
     wide = parse(" and ".join(names) + " <= 1")
     with pytest.raises(SizeCapError):
