@@ -169,7 +169,7 @@ def _cmd_complex(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     alg = make_algebra(args.k)
     if args.what == "ecas":
-        for rel in enumerate_ecas(alg, workers=args.workers):
+        for rel in enumerate_ecas(alg):
             _emit(rel.to_json(compact=args.compact), out)
         return 0
     axioms = _load_axioms(args.axioms)
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--axioms", default="psi", help="named set (3bamo|psi|strict) or @file")
     p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "relational", "sampled"])
-    p.add_argument("--workers", type=int, default=1)
     add_common(p, needs_input=False)
 
     p = sub.add_parser("find", help="search for a counterexample to a sentence")

@@ -82,10 +82,10 @@ class PsiFrame:
             import base64
 
             n = 1 << self.point_count
-            bits = 0
+            raw = bytearray((self.point_count * n ** 3 + 7) // 8)
             for x, y1, y2, y3 in self.entries:
-                bits |= 1 << (((x * n + y1) * n + y2) * n + y3)
-            raw = bits.to_bytes((self.point_count * n ** 3 + 7) // 8, "little")
+                idx = ((x * n + y1) * n + y2) * n + y3
+                raw[idx >> 3] |= 1 << (idx & 7)
             return {"points": self.point_count, "bits": base64.b64encode(raw).decode("ascii")}
         entries = sorted(self.entries)
         return {
@@ -101,17 +101,17 @@ def frame_from_json(data: dict) -> PsiFrame:
     if "bits" in data:
         import base64
 
-        bits = int.from_bytes(base64.b64decode(data["bits"]), "little")
-        size = 1 << n
+        # one bit per (x, Y1, Y2, Y3), x major; a bit past the last index
+        # decodes to a point x >= n, which PsiFrame refuses
+        raw = base64.b64decode(data["bits"])
+        full = (1 << n) - 1
         entries = set()
-        idx = 0
-        for x in range(n):
-            for y1 in range(size):
-                for y2 in range(size):
-                    for y3 in range(size):
-                        idx = ((x * size + y1) * size + y2) * size + y3
-                        if bits >> idx & 1:
-                            entries.add((x, y1, y2, y3))
+        for i, byte in enumerate(raw):
+            while byte:
+                low = byte & -byte
+                byte ^= low
+                idx = i << 3 | low.bit_length() - 1
+                entries.add((idx >> 3 * n, idx >> 2 * n & full, idx >> n & full, idx & full))
         return PsiFrame(n, frozenset(entries))
 
     def mask(pts) -> int:

@@ -1,37 +1,33 @@
 """Enumeration of entailment relations and operator tables up to algebra
 automorphism, plus counterexample search for user sentences.
 
-The relation enumerator is a propagate-and-branch search: the positive
-axiom seeds every triple it forces, the Horn rules (weakening, symmetry,
-cut) are closed forward to a fixpoint, the conclusion-bounding axiom
-contributes negative units, and the remaining undecided triples are
-branched on (true branch first, lexicographic order).  Every complete
-assignment reached this way satisfies all five axioms, which the test
-suite cross-checks against naive brute force on the single-atom algebra.
+One engine enumerates: the distribution laws fix a table by its values on
+atom pairs, so _atom_pair_operators walks the product of per-pair maps.
+Pseudo-inference tables draw those values from the whole algebra;
+entailment relations are the relations of the {0, top}-valued tables
+(rel_to_op is a bijection onto the relational operators).
 
 Canonical form: the lexicographically least bitset (or operator table) in
-the automorphism orbit; outputs are deduplicated and sorted by it, so
-parallel subtree execution yields the same sequence as a sequential run.
+the automorphism orbit; outputs are deduplicated and sorted by it.
 """
 from __future__ import annotations
 
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 from .boolean_core import (
     FiniteBooleanAlgebra,
     apply_automorphism,
     automorphisms,
 )
-from .contact_relation import TernaryRelation, check_eca, rel_to_op
+from .contact_relation import TernaryRelation, check_eca, op_to_rel, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, holds, parse_axiom_file
 from .ternary_operator import DEFAULT_SEED, TernaryOperator, smallest_diamond
 
 ENUM_MAX_ATOMS_EXACT = 2
-ENUM_MAX_ATOMS_BEST_EFFORT = 3
+ENUM_MAX_ATOMS_ECAS = 3
 
 AXIOM_TEXTS = {
     "3bamo": """
@@ -82,17 +78,19 @@ def sentence_holds_everywhere(axioms: list[Sentence], op: TernaryOperator) -> bo
 # canonical forms
 
 
+def _images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> list[int]:
+    return [apply_automorphism(alg, perm, a) for a in range(alg.size)]
+
+
 def permute_relation_bits(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], bits: int) -> int:
     size = alg.size
+    img = _images(alg, perm)
     out = 0
     idx = 0
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
+    for pa in img:
+        for pb in img:
+            for pc in img:
                 if bits >> idx & 1:
-                    pa = apply_automorphism(alg, perm, a)
-                    pb = apply_automorphism(alg, perm, b)
-                    pc = apply_automorphism(alg, perm, c)
                     out |= 1 << ((pa * size + pb) * size + pc)
                 idx += 1
     return out
@@ -106,19 +104,13 @@ def permute_operator_table(
     alg: FiniteBooleanAlgebra, perm: tuple[int, ...], table: tuple[int, ...]
 ) -> tuple[int, ...]:
     size = alg.size
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    inv = tuple(inv)
-    out = []
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                pa = apply_automorphism(alg, inv, a)
-                pb = apply_automorphism(alg, inv, b)
-                pc = apply_automorphism(alg, inv, c)
-                out.append(apply_automorphism(alg, perm, table[(pa * size + pb) * size + pc]))
-    return tuple(out)
+    img = _images(alg, perm)
+    pre = [0] * size
+    for a, pa in enumerate(img):
+        pre[pa] = a
+    return tuple(
+        img[table[(a * size + b) * size + c]] for a in pre for b in pre for c in pre
+    )
 
 
 def canonical_operator_table(alg: FiniteBooleanAlgebra, table: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,211 +133,26 @@ def brute_force_relations(alg: FiniteBooleanAlgebra) -> list[TernaryRelation]:
     return out
 
 
-class _RelationSearch:
-    """Propagate-and-branch search over relation assignments.
-
-    State is two lists of conclusion bitmasks indexed by premise pair
-    (a, b): pos[a*S+b] holds the conclusions forced true, neg the ones
-    forced false.  Propagation is delta-driven: when a pair gains
-    conclusions, only the consequences of the new bits are pushed
-    (symmetry into the swapped pair, weakening into the joined pairs, and
-    the cut rule both with the pair as main premise and as side premise).
-    """
-
-    def __init__(self, alg: FiniteBooleanAlgebra, deadline: float | None):
-        self.alg = alg
-        self.size = alg.size
-        self.n_pairs = self.size ** 2
-        self.deadline = deadline
-        els = range(self.size)
-        self.row = (1 << self.size) - 1
-        # or_map[d][M] = {f | d : f in M} as a conclusion mask
-        self.or_map = []
-        for d in els:
-            table = []
-            for mask in range(1 << self.size):
-                out = 0
-                for f in els:
-                    if mask >> f & 1:
-                        out |= 1 << (f | d)
-                table.append(out)
-            self.or_map.append(table)
-        self.ups = [
-            sum(1 << c for c in els if a & c == a) for a in els
-        ]
-
-    def initial_state(self) -> tuple[list[int], list[int]] | None:
-        size = self.size
-        # conclusion weakening forces everything above a; symmetry of the
-        # seeds forces everything above b as well
-        pos = [
-            self.ups[a] | self.ups[b] for a in range(size) for b in range(size)
-        ]
-        # the conclusion bound forbids (a, a, f) unless a <= f
-        neg = [0] * self.n_pairs
-        for a in range(size):
-            neg[a * size + a] = self.row ^ self.ups[a]
-        state = (pos, neg)
-        if self.propagate(state, list(range(self.n_pairs))):
-            return state
-        return None
-
-    def propagate(self, state, dirty: list[int]) -> bool:
-        """Close pos under the three Horn rules; False on conflict."""
-        pos, neg = state
-        size = self.size
-        or_map = self.or_map
-        pending = dirty
-        while pending:
-            p = pending.pop()
-            cur = pos[p]
-            if cur & neg[p]:
-                return False
-            a, b = divmod(p, size)
-            # symmetry
-            q = b * size + a
-            if cur & ~pos[q]:
-                pos[q] |= cur
-                pending.append(q)
-            # weakening by every d
-            for d in range(size):
-                q = (a | d) * size + b
-                grown = or_map[d][cur]
-                if grown & ~pos[q]:
-                    pos[q] |= grown
-                    pending.append(q)
-            # cut with (a, b) as main premise pair
-            acc = cur
-            m = cur
-            while m:
-                d = (m & -m).bit_length() - 1
-                m &= m - 1
-                e_bits = cur
-                while e_bits:
-                    e = (e_bits & -e_bits).bit_length() - 1
-                    e_bits &= e_bits - 1
-                    acc |= pos[d * size + e]
-                if acc & ~cur:
-                    break
-            if acc & ~cur:
-                pos[p] = acc
-                pending.append(p)
-                continue
-            # cut with (a, b) as side premise pair: mains holding both
-            # a and b as conclusions absorb this pair's conclusions
-            need = (1 << a) | (1 << b)
-            for q in range(self.n_pairs):
-                if pos[q] & need == need and cur & ~pos[q]:
-                    pos[q] |= cur
-                    pending.append(q)
-        for p in range(self.n_pairs):
-            if pos[p] & neg[p]:
-                return False
-        return True
-
-    def first_undecided(self, state) -> tuple[int, int] | None:
-        pos, neg = state
-        for p in range(self.n_pairs):
-            free = self.row & ~(pos[p] | neg[p])
-            if free:
-                return p, (free & -free).bit_length() - 1
-        return None
-
-    def search(self, state, emit) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SizeCapError("relation enumeration timed out")
-        spot = self.first_undecided(state)
-        if spot is None:
-            emit(state)
-            return
-        p, c = spot
-        for positive in (True, False):
-            pos, neg = state
-            child = (list(pos), list(neg))
-            if positive:
-                child[0][p] |= 1 << c
-                ok = self.propagate(child, [p])
-            else:
-                child[1][p] |= 1 << c
-                ok = child[0][p] & child[1][p] == 0
-            if ok:
-                self.search(child, emit)
-
-    def frontier(self, state, width: int) -> list:
-        """Expand the search tree breadth-first into at least ``width``
-        independent subproblems (for parallel execution)."""
-        frontier = [state]
-        while len(frontier) < width:
-            grown = []
-            advanced = False
-            for st in frontier:
-                spot = self.first_undecided(st)
-                if spot is None:
-                    grown.append(st)
-                    continue
-                advanced = True
-                p, c = spot
-                for positive in (True, False):
-                    child = (list(st[0]), list(st[1]))
-                    if positive:
-                        child[0][p] |= 1 << c
-                        ok = self.propagate(child, [p])
-                    else:
-                        child[1][p] |= 1 << c
-                        ok = child[0][p] & child[1][p] == 0
-                    if ok:
-                        grown.append(child)
-            frontier = grown
-            if not advanced:
-                break
-        return frontier
-
-
-def _state_bits(state, size: int) -> int:
-    # triple (a, b, c) sits at bit p*size + c for pair index p = a*size + b
-    bits = 0
-    for p, mask in enumerate(state[0]):
-        bits |= mask << (p * size)
-    return bits
-
-
-def enumerate_ecas(
-    alg: FiniteBooleanAlgebra,
-    workers: int = 1,
-    timeout_s: float | None = None,
-) -> list[TernaryRelation]:
+def enumerate_ecas(alg: FiniteBooleanAlgebra, workers: int = 1) -> list[TernaryRelation]:
     """All relations satisfying the entailment axioms, one canonical
     representative per automorphism orbit, sorted by canonical bitset.
 
-    Exact through three atoms.  At three atoms the search (0.15-0.2 s)
-    runs under a timeout (default 60 s) that raises SizeCapError rather
-    than return a partial list; larger algebras are refused.
+    An entailment relation is op_to_rel of a relational pseudo-inference
+    operator, and that operator is fixed by its {0, top} values on atom
+    pairs, so the candidates are the {0, top}-valued atom-pair tables
+    (1, 2 and 27 of them at one, two and three atoms), each kept when its
+    relation passes check_eca.  Exact through three atoms; larger algebras
+    are refused.
+
+    ``workers`` selects nothing.  It is kept only because
+    ``bench/workloads.py`` calls ``enumerate_ecas(alg, workers=w)``; drop
+    it together with that file's ``enumerate_ecas:k3:w2`` operation.
     """
-    if alg.atom_count > ENUM_MAX_ATOMS_BEST_EFFORT:
+    if alg.atom_count > ENUM_MAX_ATOMS_ECAS:
         raise SizeCapError("relation enumeration capped at 3 atoms")
-    if alg.atom_count == ENUM_MAX_ATOMS_BEST_EFFORT and timeout_s is None:
-        timeout_s = 60.0
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    searcher = _RelationSearch(alg, deadline)
-    root = searcher.initial_state()
-    found: set[int] = set()
-    size = alg.size
-    if root is not None:
-        if workers <= 1:
-            searcher.search(root, lambda st: found.add(_state_bits(st, size)))
-        else:
-            tasks = searcher.frontier(root, width=workers)
-
-            def run(st) -> set[int]:
-                local: set[int] = set()
-                searcher.search(st, lambda s: local.add(_state_bits(s, size)))
-                return local
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(run, tasks):
-                    found |= part
-    canon = sorted({canonical_relation_bits(alg, bits) for bits in found})
-    return [TernaryRelation(alg, bits) for bits in canon]
+    rels = (op_to_rel(op) for op in _atom_pair_operators(alg, (0, alg.top)))
+    found = {canonical_relation_bits(alg, r.bits) for r in rels if check_eca(r).passed}
+    return [TernaryRelation(alg, bits) for bits in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +309,27 @@ def _monotone_ok(support: list[int], m: dict[int, int]) -> bool:
     )
 
 
+def _atom_pair_operators(alg: FiniteBooleanAlgebra, values):
+    """Every table assembled from one map per atom pair whose entries lie
+    in ``values``, monotone in c, and at least u on the diagonal (u, u)."""
+    supports = _atom_pair_supports(alg)
+    pairs = list(supports)
+    per_pair: list[list[dict[int, int]]] = []
+    for (u, v) in pairs:
+        sup = supports[(u, v)]
+        options = []
+        for assign in product(values, repeat=len(sup)):
+            m = dict(zip(sup, assign))
+            if not _monotone_ok(sup, m):
+                continue
+            if u == v and not all((u & c) & m[c] == (u & c) for c in sup):
+                continue
+            options.append(m)
+        per_pair.append(options)
+    for combo in product(*per_pair):
+        yield _assemble_from_atom_maps(alg, dict(zip(pairs, combo)))
+
+
 def enumerate_psi_operators(alg: FiniteBooleanAlgebra) -> list[TernaryOperator]:
     """Every pseudo-inference table on the algebra, canonically ordered.
 
@@ -510,27 +338,11 @@ def enumerate_psi_operators(alg: FiniteBooleanAlgebra) -> list[TernaryOperator]:
     """
     if alg.atom_count > ENUM_MAX_ATOMS_EXACT:
         raise SizeCapError("exhaustive pseudo-inference enumeration capped at 2 atoms")
-    from itertools import product as iproduct
-
-    supports = _atom_pair_supports(alg)
-    per_pair: list[list[dict[int, int]]] = []
-    pairs = list(supports)
-    for (u, v) in pairs:
-        sup = supports[(u, v)]
-        options = []
-        for assign in iproduct(range(alg.size), repeat=len(sup)):
-            m = dict(zip(sup, assign))
-            if not _monotone_ok(sup, m):
-                continue
-            if u == v and not all((u & c) & m[c] == (u & c) for c in sup):
-                continue
-            options.append(m)
-        per_pair.append(options)
-    found = set()
-    for combo in iproduct(*per_pair):
-        op = _assemble_from_atom_maps(alg, dict(zip(pairs, combo)))
-        if check_psi_quiet(op):
-            found.add(canonical_operator_table(alg, op.table))
+    found = {
+        canonical_operator_table(alg, op.table)
+        for op in _atom_pair_operators(alg, range(alg.size))
+        if check_psi_quiet(op)
+    }
     return [TernaryOperator(alg, t) for t in sorted(found)]
 
 

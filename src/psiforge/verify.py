@@ -513,10 +513,11 @@ class _Suite:
         self.record("enumeration-oracle-k1", ok, f"{len(brute)} relations brute forced", t0)
 
         t0 = time.perf_counter()
-        seq = [r.bits for r in enumerate_ecas(self.alg2, workers=1)]
-        par = [r.bits for r in enumerate_ecas(self.alg2, workers=4)]
-        ok = seq == par
-        self.record("enumeration-parallel-deterministic", ok, "4-way vs sequential", t0)
+        rels = [op_to_rel(op) for op in self.k2_psi if is_relational(op)[0]]
+        canon = sorted({canonical_relation_bits(self.alg2, r.bits) for r in rels})
+        ok = canon == [r.bits for r in self.ecas2]
+        detail = f"{len(rels)} of {len(self.k2_psi)} tables relational"
+        self.record("relational-psi-iff-eca-k2", ok, detail, t0)
 
         t0 = time.perf_counter()
         ok = all(check_eca(r).passed for r in self.ecas1 + self.ecas2)

@@ -1,8 +1,17 @@
+import os
+
 import pytest
 
+import psiforge
 from psiforge import make_algebra
 from psiforge.contact_relation import rel_to_op
 from psiforge.enumeration import enumerate_ecas, enumerate_psi_operators
+
+# the CLI tests run `python -m psiforge.cli` in a child process, which must
+# import the package under test also when only pytest's pythonpath setting
+# put it on sys.path
+_SRC = os.path.dirname(os.path.dirname(psiforge.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -321,9 +321,8 @@ def test_criterion_10_enumeration_oracle(algs, enumerations):
         assert sorted(
             {canonical_operator_table(alg1, op.table) for op in psi_brute}
         ) == [op.table for op in psi_enum]
-        seq = [r.bits for r in enumerate_ecas(alg2, workers=1)]
-        par = [r.bits for r in enumerate_ecas(alg2, workers=4)]
-        assert seq == par == [r.bits for r in ecas[2]]
+        again = [r.bits for r in enumerate_ecas(alg2)]
+        assert again == [r.bits for r in ecas[2]]
 
 
 def test_criterion_11_cli_contract(tmp_path):

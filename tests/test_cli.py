@@ -222,3 +222,11 @@ def test_oversized_frames_refused_at_parse():
     r = run_cli("complex", "-", stdin=seven)
     assert_usage_error(r)
     assert "cap" in r.stderr
+
+
+def test_compact_frame_trailing_bit_exits_2():
+    # a one-point frame has 1 x 8 bits; "AAE=" sets bit 8, one past the end
+    trailing = json.dumps({"points": 1, "bits": "AAE="})
+    r = run_cli("check", "--kind", "frame", "-", stdin=trailing)
+    assert_usage_error(r)
+    assert "out of range" in r.stderr

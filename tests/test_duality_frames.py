@@ -1,3 +1,4 @@
+import base64
 import random
 
 import pytest
@@ -322,6 +323,41 @@ def test_frame_json_round_trips(alg2):
     fr = dual_frame(smallest_diamond(alg2))
     assert frame_from_json(fr.to_json()).entries == fr.entries
     assert frame_from_json(fr.to_json(compact=True)).entries == fr.entries
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compact_frame_round_trip(k):
+    """The compact form is one little-endian bit per (x, Y1, Y2, Y3), on
+    dual frames and on a frame without their Y1/Y2 symmetry."""
+    alg = make_algebra(k)
+    n = alg.size
+    rng = random.Random(k)
+    masks = range(1, n)
+    scattered = frozenset(
+        (rng.randrange(k), rng.choice(masks), rng.choice(masks), rng.choice(masks))
+        for _ in range(12)
+    )
+    for fr in (
+        dual_frame(smallest_diamond(alg)),
+        dual_frame(rel_to_op(largest_eca(alg))),
+        PsiFrame(k, scattered),
+    ):
+        data = fr.to_json(compact=True)
+        want = sum(1 << ((x * n + y1) * n + y2) * n + y3 for x, y1, y2, y3 in fr.entries)
+        raw = base64.b64decode(data["bits"])
+        assert len(raw) == (k * n ** 3 + 7) // 8
+        assert int.from_bytes(raw, "little") == want
+        assert frame_from_json(data).entries == fr.entries
+
+
+def test_compact_frame_refuses_trailing_bits():
+    for k in (1, 2, 3):
+        n_bits = k * 8 ** k
+        raw = bytearray((n_bits + 7) // 8 + 1)
+        raw[n_bits >> 3] |= 1 << (n_bits & 7)
+        data = {"points": k, "bits": base64.b64encode(raw).decode("ascii")}
+        with pytest.raises(ValueError, match="out of range"):
+            frame_from_json(data)
 
 
 def test_frame_validation():
