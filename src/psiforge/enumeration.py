@@ -201,9 +201,9 @@ def enumerate_operators(
 
     Modes: "exhaustive" (single atom only; anything larger is refused
     outright rather than silently sampled), "relational" (tables valued in
-    {0, top}, via the relation enumerator), "sampled" (seeded, labelled,
-    never claimed exhaustive).  "auto" picks exhaustive for one atom and
-    relational for two.
+    {0, top}, via the relation enumerator and under its 3-atom cap),
+    "sampled" (seeded, labelled, never claimed exhaustive).  "auto" picks
+    exhaustive for one atom and relational above.
     """
     if mode == "auto":
         mode = "exhaustive" if alg.atom_count == 1 else "relational"
@@ -219,8 +219,6 @@ def enumerate_operators(
             tuple(TernaryOperator(alg, t) for t in tables), "exhaustive"
         )
     if mode == "relational":
-        if alg.atom_count > ENUM_MAX_ATOMS_EXACT:
-            raise SizeCapError("relational enumeration capped at 2 atoms")
         ops = [rel_to_op(rel) for rel in enumerate_ecas(alg)]
         ops = [op for op in ops if sentence_holds_everywhere(axioms, op)]
         tables = sorted({canonical_operator_table(alg, op.table) for op in ops})
@@ -270,24 +268,22 @@ def enumerate_operators(
 
 
 def _assemble_from_atom_maps(alg, m) -> TernaryOperator:
-    atoms = alg.atoms()
+    """The table whose (a, b, c) entry joins m[(u, v)][c] over atoms u <= a
+    and v <= b (0 where a map has no entry for c).  A pair keyed in one
+    order only serves both orders."""
     size = alg.size
+    rows = {(u, v): [vals.get(c, 0) for c in range(size)] for (u, v), vals in m.items()}
+    for (u, v) in m:
+        rows.setdefault((v, u), rows[(u, v)])
+    below = [[u for u in alg.atoms() if a & u] for a in range(size)]
     table = []
     for a in range(size):
         for b in range(size):
-            row_pairs = [
-                (u, v)
-                for u in atoms
-                if a & u
-                for v in atoms
-                if b & v
-            ]
-            for c in range(size):
-                out = 0
-                for u, v in row_pairs:
-                    key = (u, v) if (u, v) in m else (v, u)
-                    out |= m[key].get(c, 0)
-                table.append(out)
+            out = [0] * size
+            for u in below[a]:
+                for v in below[b]:
+                    out = [x | y for x, y in zip(out, rows[(u, v)])]
+            table.extend(out)
     return TernaryOperator(alg, tuple(table))
 
 

@@ -62,7 +62,7 @@ def _filter_sweeps(law: str) -> tuple:
 
 def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
     g = flt.generator
-    return all(sweep(op.table, op.alg.top, None, g) is None for sweep in _filter_sweeps(law))
+    return all(sweep(op.table, op.alg.top, g) is None for sweep in _filter_sweeps(law))
 
 
 def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:

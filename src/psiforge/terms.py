@@ -432,20 +432,19 @@ def _expand(t: Term) -> Term:
 def compile_sweep(
     s: Sentence, order: tuple[str, ...], descending: bool = False, params: tuple[str, ...] = ()
 ):
-    """Compile a sentence to ``sweep(table, top, values=None, *params)``.
+    """Compile a sentence to ``sweep(table, top, *params)``.
 
     The sweep nests one loop per variable of ``order`` (outermost first),
-    each over ``values`` or else the carrier 0..top (descending when
-    ``descending``), and returns the first falsifying tuple of values, in
-    ``order``, or None.  ``order`` may also name the constants "0" and
-    "1", which loop over nothing and stand in the tuple as 0 and top.
-    ``table`` is a flat operator table indexed (a*S+b)*S+c with
-    S = top+1.  The variables named in ``params`` are not swept: their
-    values follow ``values`` (then required, None for the carrier) in
-    the call, in the order of ``params``, and stay out of the returned
-    tuple and of the loop cap.  Of the sentence, only its variable names
-    enter the generated source, checked against the tokenizer's pattern
-    and prefixed 'v_'.
+    each over the carrier 0..top (descending when ``descending``), and
+    returns the first falsifying tuple of values, in ``order``, or None.
+    ``order`` may also name the constants "0" and "1", which loop over
+    nothing and stand in the tuple as 0 and top.  ``table`` is a flat
+    operator table indexed (a*S+b)*S+c with S = top+1.  The variables
+    named in ``params`` are not swept: their values follow ``top`` in the
+    call, in the order of ``params``, and stay out of the returned tuple
+    and of the loop cap.  Of the sentence, only its variable names enter
+    the generated source, checked against the tokenizer's pattern and
+    prefixed 'v_'.
     """
     names = tuple(x for x in order if x not in _CONSTANTS)
     if sorted(names + params) != sorted(variables(s)):
@@ -503,8 +502,8 @@ def compile_sweep(
     body[n].append("return (" + "".join(_CONSTANTS.get(x, f"v_{x}") + ", " for x in order) + ")")
 
     domain = "range(top, -1, -1)" if descending else "range(S)"
-    args = ", ".join(["t", "top", "values" if params else "values=None"] + [f"v_{x}" for x in params])
-    lines = [f"def sweep({args}):", "    S = top + 1", f"    R = {domain} if values is None else values"]
+    args = ", ".join(["t", "top"] + [f"v_{x}" for x in params])
+    lines = [f"def sweep({args}):", "    S = top + 1", f"    R = {domain}"]
     for i, statements in enumerate(body):
         lines += ["    " * (i + 1) + st for st in statements]
         if i < n:

@@ -11,24 +11,25 @@ in enumeration.AXIOM_TEXTS (terms.compile_sweep); MO1 is its three
 sentences swept in turn.
 
 Witness order.  Bounded sweeps run in ascending mask order and report the
-first violating tuple.  The five-variable cut axiom PI1 instead sweeps
-top-down (descending mask order): its canonical counterexamples live near
-the top of the algebra, and the top-down order makes the reported witness
-match the standard four-element counterexample exactly.
+first violating tuple.  The five-variable cut axiom PI1, decided on atom
+pairs, reports the first violation of the top-down (descending mask
+order) sweep up to PI1_TOP_DOWN_MAX_ATOMS atoms: its canonical
+counterexamples live near the top, and this order matches the standard
+four-element counterexample exactly.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, make_algebra
+from .errors import SizeCapError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
-# PI1 quantifies five variables; beyond this atom count the exhaustive
-# |A|^5 sweep leaves desk scale and a documented seeded sample is used.
-PI1_EXHAUSTIVE_MAX_ATOMS = 4
-PI1_SAMPLE_COUNT = 20000
+# PI1 quantifies five variables.  Its verdict is exact at every size; the
+# top-down witness sweep over all |A|^5 tuples stops at this atom count.
+PI1_TOP_DOWN_MAX_ATOMS = 4
 DEFAULT_SEED = 0xEC0
 
 
@@ -147,29 +148,31 @@ def discriminator_t(op: TernaryOperator, a: int, b: int, c: int) -> int:
 
 
 # Operator laws checked by a compiled sweep of their sentence, one row
-# each: (axiom, sentence, witness order, top-down).  The sentence is an
-# (axiom set, index) into enumeration.AXIOM_TEXTS, or the text of a PI2
-# equivalent.  Witness orders are explicit and may name the constants 0
-# and 1; R2's differs from the order in which its sentence introduces the
-# variables (x, a, y, b).  An axiom with several rows sweeps them in turn
-# and reports the first failure.
+# each: (axiom, sentence, witness order, top-down, params bound by the
+# caller).  The sentence is an (axiom set, index) into
+# enumeration.AXIOM_TEXTS, or the text of a PI2 or MO2/MO3 equivalent.
+# Witness orders are explicit and may name the constants 0 and 1; R2's
+# differs from the order in which its sentence introduces the variables
+# (x, a, y, b).  An axiom's rows are swept in turn; the first failure wins.
 _SWEEP_ROWS = (
-    ("MO1", ("3bamo", 0), "0bc", False),
-    ("MO1", ("3bamo", 1), "a0c", False),
-    ("MO1", ("3bamo", 2), "ab0", False),
-    ("MO2", ("3bamo", 3), "axbc", False),
-    ("MO3", ("3bamo", 4), "abxc", False),
-    ("MO4", ("3bamo", 5), "abcx", False),
-    ("PI1", ("pi", 0), "abfde", True),
-    ("PI2", ("pi", 1), "ab", False),
-    ("PI3", ("pi", 2), "af", False),
-    ("PI4", ("pi", 3), "abf", False),
-    ("R1", ("strictness", 0), "xyab", False),
-    ("R2", ("strictness", 1), "xaby", False),
-    ("S", ("strictness", 2), "abc", False),
-    ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False),
-    ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False),
-    ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False),
+    ("MO1", ("3bamo", 0), "0bc", False, ""),
+    ("MO1", ("3bamo", 1), "a0c", False, ""),
+    ("MO1", ("3bamo", 2), "ab0", False, ""),
+    ("MO2", ("3bamo", 3), "axbc", False, ""),
+    ("MO3", ("3bamo", 4), "abxc", False, ""),
+    ("MO4", ("3bamo", 5), "abcx", False, ""),
+    ("PI1", ("pi", 0), "fde", True, "ab"),
+    ("PI2", ("pi", 1), "ab", False, ""),
+    ("PI3", ("pi", 2), "af", False, ""),
+    ("PI4", ("pi", 3), "abf", False, ""),
+    ("R1", ("strictness", 0), "xyab", False, ""),
+    ("R2", ("strictness", 1), "xaby", False, ""),
+    ("S", ("strictness", 2), "abc", False, ""),
+    ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False, ""),
+    ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False, ""),
+    ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False, ""),
+    ("MO2/MO3-atom", "dia(a or u, b, c) = dia(a, b, c) or dia(u, b, c)", "abc", False, "u"),
+    ("MO2/MO3-atom", "dia(a, b or u, c) = dia(a, b, c) or dia(a, u, c)", "abc", False, "u"),
 )
 
 
@@ -180,22 +183,22 @@ def _row_sweeps(axiom: str) -> tuple:
     from .terms import compile_sweep, parse, parse_axiom_file
 
     sweeps = []
-    for name, source, order, top_down in _SWEEP_ROWS:
+    for name, source, order, top_down, params in _SWEEP_ROWS:
         if name == axiom:
             if isinstance(source, str):
                 sentence = parse(source)
             else:
                 sentence = parse_axiom_file(AXIOM_TEXTS[source[0]])[source[1]]
-            sweeps.append(compile_sweep(sentence, tuple(order), top_down))
+            sweeps.append(compile_sweep(sentence, tuple(order), top_down, tuple(params)))
     return tuple(sweeps)
 
 
-def _sweep(op: TernaryOperator, axiom: str, values=None, note: str = "") -> AxiomResult:
+def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
     for sweep in _row_sweeps(axiom):
-        witness = sweep(op.table, op.alg.top, values)
+        witness = sweep(op.table, op.alg.top)
         if witness is not None:
-            return failed(axiom, witness, note)
-    return passed(axiom, note)
+            return failed(axiom, witness)
+    return passed(axiom)
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -210,56 +213,52 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
     return CheckReport("3bamo", tuple(_sweep(op, ax) for ax in ("MO1", "MO2", "MO3", "MO4")))
 
 
-def check_psi(op: TernaryOperator, seed: int = DEFAULT_SEED) -> CheckReport:
-    """Check PI1-PI4.
+def check_psi(op: TernaryOperator) -> CheckReport:
+    """Check PI1-PI4, exactly at every size.
 
-    Meant for tables already passing check_3bamo (documented precondition,
-    not enforced: the sweep runs on any table).  PI1 sweeps |A|^5 tuples
-    (a, b, f, d, e) top-down, exhaustively for algebras with at most
-    PI1_EXHAUSTIVE_MAX_ATOMS atoms; above that it sweeps every tuple over
-    {0, top, atoms, coatoms} and then a seeded random sample, and says so
-    in the result note.  PI2, PI3 and PI4 report witnesses (a, b), (a, f)
-    and (a, b, f).
+    PI1 is decided on atom pairs: under MO1-MO3 (checked first, as MO1 and
+    the atom forms of MO2/MO3), dia(a, b, f) joins dia(u, v, f) over atoms
+    u <= a, v <= b, and each right-hand side of PI1 at (u, v) lies below
+    the one at (a, b).  Its witness (a, b, f, d, e) is the first violation
+    of the top-down sweep up to PI1_TOP_DOWN_MAX_ATOMS atoms.  Above that,
+    a table satisfying MO1-MO3 reports its first atom-pair violation, with
+    a note, and any other table is refused with SizeCapError.  PI2, PI3
+    and PI4 report witnesses (a, b), (a, f) and (a, b, f).
     """
-    results = [_check_pi1(op, op.alg, seed)] + [_sweep(op, ax) for ax in ("PI2", "PI3", "PI4")]
+    results = [_check_pi1(op)] + [_sweep(op, ax) for ax in ("PI2", "PI3", "PI4")]
     return CheckReport("psi", tuple(results))
 
 
-def _pi1_violated(op, alg, a, b, f, d, e) -> bool:
-    lhs = op(a, b, f)
-    if lhs == 0:
-        return False
-    rhs = op(a, b, alg.neg(d)) | op(a, b, alg.neg(e)) | op(d, e, f)
-    return not alg.leq(lhs, rhs)
+def _check_pi1(op: TernaryOperator) -> AxiomResult:
+    alg, table, top = op.alg, op.table, op.alg.top
+    (pi1,) = _row_sweeps("PI1")
 
+    def first(pairs):
+        return next(((a, b) + w for a, b in pairs if (w := pi1(table, top, a, b)) is not None), None)
 
-def _check_pi1(op, alg, seed) -> AxiomResult:
-    if alg.atom_count <= PI1_EXHAUSTIVE_MAX_ATOMS:
-        return _sweep(op, "PI1")
-    note = f"restricted sweep plus {PI1_SAMPLE_COUNT} seeded samples (seed={seed}); not exhaustive"
-    special = sorted(
-        {0, alg.top}
-        | {at for at in alg.atoms()}
-        | {alg.neg(at) for at in alg.atoms()},
-        reverse=True,
+    distributes = _sweep(op, "MO1").passed and all(
+        sweep(table, top, u) is None for sweep in _row_sweeps("MO2/MO3-atom") for u in alg.atoms()
     )
-    r = _sweep(op, "PI1", special, note)
-    if not r.passed:
-        return r
-    rng = random.Random(seed)
-    size = alg.size
-    for _ in range(PI1_SAMPLE_COUNT):
-        a, b, f, d, e = (rng.randrange(size) for _ in range(5))
-        if _pi1_violated(op, alg, a, b, f, d, e):
-            return failed("PI1", (a, b, f, d, e), note)
-    return r
+    witness = first(product(alg.atoms()[::-1], repeat=2)) if distributes else None
+    if distributes and witness is None:
+        return passed("PI1")
+    if alg.atom_count <= PI1_TOP_DOWN_MAX_ATOMS:
+        witness = first(product(range(top, -1, -1), repeat=2))
+        return passed("PI1") if witness is None else failed("PI1", witness)
+    if not distributes:
+        raise SizeCapError(
+            f"PI1 above {PI1_TOP_DOWN_MAX_ATOMS} atoms is decided only for tables "
+            "satisfying MO1-MO3, and this one does not (run check --kind 3bamo)"
+        )
+    note = f"atom-pair witness; the top-down witness sweep stops at {PI1_TOP_DOWN_MAX_ATOMS} atoms"
+    return failed("PI1", witness, note)
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
     """Evaluate PI2 and its three equivalent forms independently.
 
     The four are provably equivalent on any operator passing check_3bamo
-    (again a documented precondition, not enforced); the final
+    (a documented precondition, not enforced); the final
     "PI2-agreement" result records whether the verdicts in fact agreed.
     """
     r_pi2 = _sweep(op, "PI2")

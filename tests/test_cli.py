@@ -197,6 +197,25 @@ def test_bad_seed_env_exits_2(example_op_file):
     assert_usage_error(run_cli("check", "--kind", "psi", example_op_file, env={"PSIFORGE_SEED": "xyz"}))
 
 
+def test_check_psi_above_four_atoms(tmp_path):
+    """At five atoms PI1 is decided exactly, with no seed: the smallest
+    diamond passes with the same bytes under any PSIFORGE_SEED, and a
+    table failing MO1-MO3 is refused as a size-cap error."""
+    alg = make_algebra(5)
+    good = tmp_path / "smallest5.json"
+    good.write_text(json.dumps(smallest_diamond(alg).to_json()))
+    runs = [run_cli("check", "--kind", "psi", str(good), env={"PSIFORGE_SEED": s}) for s in ("1", "2")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    table = [a & b & c for a in range(32) for b in range(32) for c in range(32)]
+    table[(31 * 32 + 1) * 32 + 31] = 31
+    bad = tmp_path / "not_mo5.json"
+    bad.write_text(json.dumps({"alg": alg.to_json(), "table": table}))
+    r = run_cli("check", "--kind", "psi", str(bad))
+    assert_usage_error(r)
+    assert "check --kind 3bamo" in r.stderr
+
+
 def test_json_array_input_exits_2():
     assert_usage_error(run_cli("check", "--kind", "psi", "-", stdin="[1, 2]"))
 

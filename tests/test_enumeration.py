@@ -137,6 +137,23 @@ def test_enumerate_operators_k2_relational_bijective_with_ecas(alg2, ecas_k2):
     assert [op.table for op in enum.operators] == expected
 
 
+def test_enumerate_operators_k3_relational():
+    """auto picks relational mode at three atoms, under the relation
+    enumerator's cap: the canonical tables of the pinned census."""
+    from psiforge import TernaryRelation
+
+    alg3 = make_algebra(3)
+    enum = enumerate_operators(alg3, named_axioms("psi"))
+    assert enum.label == "relational-exhaustive"
+    expected = sorted(
+        {canonical_operator_table(alg3, rel_to_op(TernaryRelation(alg3, b)).table) for b in ECAS_K3}
+    )
+    assert [op.table for op in enum.operators] == expected
+    assert len(expected) == 7
+    with pytest.raises(SizeCapError, match="capped at 3 atoms"):
+        enumerate_operators(make_algebra(4), named_axioms("psi"))
+
+
 def test_enumerate_operators_refuses_infeasible(alg2):
     with pytest.raises(SizeCapError):
         enumerate_operators(alg2, named_axioms("psi"), mode="exhaustive")

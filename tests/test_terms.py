@@ -233,7 +233,7 @@ def test_compiled_sweep_matches_brute_force(s, op, data):
         cut = data.draw(st.integers(1, len(order))) if order else 0
         params, order = order[:cut], order[cut:]
         bound = {x: data.draw(st.integers(0, op.alg.top)) for x in params}
-        got = compile_sweep(s, order, descending, params)(op.table, op.alg.top, None, *bound.values())
+        got = compile_sweep(s, order, descending, params)(op.table, op.alg.top, *bound.values())
         assert got == _brute_force(s, op, order, descending, bound)
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from psiforge import (
     AxiomResult,
+    SizeCapError,
     TernaryOperator,
     box_op,
     check_3bamo,
@@ -18,6 +19,7 @@ from psiforge import (
     rel_to_op,
     smallest_diamond,
 )
+from psiforge.enumeration import sample_3bamos
 from psiforge.ternary_operator import (
     constant_operator,
     discriminator_d,
@@ -95,19 +97,27 @@ def test_pi1_exhaustive_at_four_atoms():
     assert not alg.leq(bad(a, b, f), bad(a, b, alg.neg(d)) | bad(a, b, alg.neg(e)) | bad(d, e, f))
 
 
-def test_pi1_sampled_above_four_atoms():
-    # at five atoms the five-variable sweep switches to the documented
-    # restricted-plus-sampled search and says so in the note
-    op = smallest_diamond(make_algebra(5))
-    rep = check_psi(op)
+def test_pi1_exact_above_four_atoms():
+    # at five atoms PI1 is decided on atom pairs: a pass is exact, a failure
+    # of an MO table reports its first atom-pair violation, and a table
+    # failing MO1-MO3 is refused rather than swept over |A|^5 tuples
+    alg = make_algebra(5)
+    rep = check_psi(smallest_diamond(alg))
     assert rep.passed
-    assert "not exhaustive" in rep.result("PI1").note
-    # a table with a violation at special values is still caught
-    bad = operator_from_function(
-        make_algebra(5), lambda a, b, c: a & b & c if (a, b, c) != (31, 1, 31) else 31
-    )
-    r = check_psi(bad).result("PI1")
+    assert rep.result("PI1") == AxiomResult("PI1", True)
+    mo = sample_3bamos(alg, count=1, seed=1)[0]
+    assert check_3bamo(mo).passed
+    r = check_psi(mo).result("PI1")
     assert not r.passed
+    assert r.note == "atom-pair witness; the top-down witness sweep stops at 4 atoms"
+    a, b, f, d, e = r.witness
+    assert a in alg.atoms() and b in alg.atoms()
+    assert not alg.leq(mo(a, b, f), mo(a, b, alg.neg(d)) | mo(a, b, alg.neg(e)) | mo(d, e, f))
+    bad = operator_from_function(
+        alg, lambda a, b, c: a & b & c if (a, b, c) != (31, 1, 31) else 31
+    )
+    with pytest.raises(SizeCapError, match="check --kind 3bamo"):
+        check_psi(bad)
 
 
 def test_smallest_diamond_entries(alg2):

@@ -15,6 +15,7 @@ from psiforge import (
     check_psi,
     check_strict,
     enumerate_ecas,
+    example_3bamo,
     largest_eca,
     make_algebra,
     mu,
@@ -29,7 +30,7 @@ def reevaluate_relation(rel, axiom, w):
     if axiom in ("EC0", "ExtCA0"):
         a, b, f, d = w
         return rel.holds(a, b, f) and not rel.holds(a | d, b, f | d)
-    if axiom in ("EC1", "ExtCA1"):
+    if axiom in ("EC1", "ExtCA1", "PI1"):
         a, b, d, e, f = w
         return (
             rel.holds(a, b, d)
@@ -157,8 +158,8 @@ def test_operator_witnesses_on_structured_near_misses():
 
 def documented_sweep(axiom, top):
     """Every tuple in the order the checker documents for the axiom: MO1
-    sweeps (0,b,c), then (a,0,c), then (a,b,0); the cut EC1/ExtCA1 runs
-    top-down; all other laws ascend in their witness order."""
+    sweeps (0,b,c), then (a,0,c), then (a,b,0); the cuts PI1 and
+    EC1/ExtCA1 run top-down; all other laws ascend in their witness order."""
     up = range(top + 1)
     if axiom == "MO1":
         return chain(
@@ -166,7 +167,7 @@ def documented_sweep(axiom, top):
             ((a, 0, c) for a in up for c in up),
             ((a, b, 0) for a in up for b in up),
         )
-    if axiom in ("EC1", "ExtCA1"):
+    if axiom in ("EC1", "ExtCA1", "PI1"):
         return product(range(top, -1, -1), repeat=5)
     arity = {"EC3": 2, "EC2": 3, "EC4": 3, "ExtCA2": 3, "ExtCA3": 3, "ExtCA4": 3}.get(axiom, 4)
     return product(up, repeat=arity)
@@ -214,13 +215,34 @@ def test_relation_witnesses_are_first_in_sweep(k, count):
     assert len(failures_seen) == 10
 
 
-@pytest.mark.parametrize("k,count", [(1, 150), (2, 100)])
+@pytest.mark.parametrize("k,count", [(1, 150), (2, 100), (3, 15)])
 def test_mo_witnesses_are_first_in_sweep(k, count):
+    """MO1-MO4 and PI1 report the first violation of their documented
+    sweep, on perturbed tables and on the unperturbed monotone samples they
+    come from.  PI1 is decided on atom pairs only under MO1-MO3: at three
+    atoms some near-misses pass PI1 on every atom pair yet fail it."""
+    alg = make_algebra(k)
     rng = random.Random(k * 17 + 2)
+    unperturbed = sample_3bamos(alg, count=4, seed=3) + ([example_3bamo()] if k == 2 else [])
     failures_seen = set()
-    for op in _operators(make_algebra(k), rng, count):
-        for result in check_3bamo(op).results:
+    for op in chain(_operators(alg, rng, count), unperturbed):
+        for result in check_3bamo(op).results + (check_psi(op).result("PI1"),):
             assert result.witness == first_violation(reevaluate_operator, op, result.axiom), result.axiom
             if not result.passed:
                 failures_seen.add(result.axiom)
-    assert "MO1" in failures_seen
+    assert {"MO1", "PI1"} <= failures_seen
+
+
+@pytest.mark.parametrize("entry", [(3, 1, 2), (1, 3, 2)])
+def test_pi1_needs_distribution_in_each_coordinate(entry):
+    """The smallest diamond on two atoms with one entry raised from 0 to 2:
+    MO1, PI1 at every atom pair and the distribution law of one coordinate
+    still hold, the other coordinate's law fails, and so does PI1."""
+    alg = make_algebra(2)
+    table = tuple(
+        2 if (a, b, c) == entry else a & b & c for a, b, c in product(range(alg.size), repeat=3)
+    )
+    op = TernaryOperator(alg, table)
+    r = check_psi(op).result("PI1")
+    assert not r.passed
+    assert r.witness == first_violation(reevaluate_operator, op, "PI1")
