@@ -21,6 +21,8 @@ from .contact_relation import (
     contact_from_eca,
     empty_relation,
     full_relation,
+    is_eca,
+    is_extca,
     largest_eca,
     op_to_rel,
     posets_dual_iso_check,

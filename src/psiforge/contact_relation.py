@@ -11,6 +11,13 @@ Every law but one is a sentence about the relation's characteristic
 table (_LAWS), swept by terms.compile_sweep in ascending mask order.  The
 five-variable cut axiom (EC1 and its ExtCA twin) is the one bitmask sweep
 left: it runs top-down like PI1, over each premise pair's conclusion mask.
+
+EC0 (= ExtCA0) is decided on atom covers: it holds iff (a, b) |- f
+implies (a or u, b) |- f or u for every atom u, since adding d to a and f
+is a chain of single-atom covers.  That costs k*|A|^3 tuples where EC0's
+sentence spans |A|^4, and EC0's own sentence is swept only to name a
+witness.  is_eca and is_extca walk the same law list as check_eca and
+check_extca, stop at the first failing law and name no witness.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from itertools import chain
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
-from .terms import compile_sweep, parse
+from .terms import compile_sweep, parse, variables
 from .ternary_operator import TernaryOperator, is_relational
 
 
@@ -134,9 +141,11 @@ def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
 # chi is valued 0 and top, so 0, 1 and not keep their truth-value
 # meaning.  A law with several rows sweeps them in turn and reports the
 # first failure, except EC3-iff, whose two rows sweep the same (a, f) and
-# report the least witness.
+# report the least witness.  A variable missing from the witness order is
+# a parameter, bound by the caller.
 _LAWS = (
     ("EC0", "dia(a, b, f) <= dia(a or d, b, f or d)", "abfd"),
+    ("EC0-cover", "dia(a, b, f) <= dia(a or u, b, f or u)", "abf"),
     ("EC2", "dia(a, b, a or f) = 1", "abf"),
     ("EC3", "dia(a, a, f) and a <= f", "af"),
     ("EC4", "dia(a, b, f) <= dia(b, a, f)", "abf"),
@@ -161,18 +170,69 @@ _LAWS = (
 
 @lru_cache(maxsize=None)
 def _law_sweeps(law: str) -> tuple:
-    return tuple(
-        compile_sweep(parse(text), tuple(order)) for name, text, order in _LAWS if name == law
-    )
+    sweeps = []
+    for name, text, order in _LAWS:
+        if name == law:
+            sentence = parse(text)
+            params = tuple(x for x in variables(sentence) if x not in order)
+            sweeps.append(compile_sweep(sentence, tuple(order), params=params))
+    return tuple(sweeps)
 
 
-def _law(chi: tuple[int, ...], top: int, law: str, note: str = "", name: str = "") -> AxiomResult:
-    """Sweep a law of _LAWS over chi's table; reported as ``name`` if given."""
-    name = name or law
+def _law(chi: tuple[int, ...], top: int, law: str, note: str = "") -> AxiomResult:
+    """Sweep a law of _LAWS over chi's table."""
     witnesses = [w for sweep in _law_sweeps(law) if (w := sweep(chi, top)) is not None]
     if not witnesses:
-        return passed(name, note)
-    return failed(name, min(witnesses) if law == "EC3-iff" else witnesses[0], note)
+        return passed(law, note)
+    return failed(law, min(witnesses) if law == "EC3-iff" else witnesses[0], note)
+
+
+# Each axiom system's laws in report order, as (reported name, law): a
+# law of _LAWS, or "cut".  The checkers and the verdict-only is_eca and
+# is_extca all walk these lists.
+_SYSTEMS = {
+    "eca": (("EC0", "EC0"), ("EC1", "cut"), ("EC2", "EC2"), ("EC3", "EC3"), ("EC4", "EC4")),
+    "extca": (
+        ("ExtCA0", "EC0"),
+        ("ExtCA1", "cut"),
+        ("ExtCA2", "ExtCA2"),
+        ("ExtCA3", "ExtCA3"),
+        ("ExtCA4", "EC4"),
+    ),
+}
+# Laws decided on a row with an atom parameter u; the law's own row then
+# runs only to name the witness.
+_COVERS = {"EC0": "EC0-cover"}
+
+
+def _witness(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> tuple[int, ...] | None:
+    """First violation of a system law in its documented order, or None."""
+    if law == "cut":
+        return _cut_witness(rel)
+    (sweep,) = _law_sweeps(law)
+    return sweep(chi, rel.alg.top)
+
+
+def _holds(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> bool:
+    """Verdict of a system law, on its cover row where it has one."""
+    if law not in _COVERS:
+        return _witness(rel, chi, law) is None
+    (sweep,) = _law_sweeps(_COVERS[law])
+    return all(sweep(chi, rel.alg.top, u) is None for u in rel.alg.atoms())
+
+
+def _check(rel: TernaryRelation, system: str) -> CheckReport:
+    chi = _chi_table(rel)
+    results = []
+    for name, law in _SYSTEMS[system]:
+        witness = None if law in _COVERS and _holds(rel, chi, law) else _witness(rel, chi, law)
+        results.append(passed(name) if witness is None else failed(name, witness))
+    return CheckReport(system, tuple(results))
+
+
+def _decide(rel: TernaryRelation, system: str) -> bool:
+    chi = _chi_table(rel)
+    return all(_holds(rel, chi, law) for _, law in _SYSTEMS[system])
 
 
 def check_eca(rel: TernaryRelation) -> CheckReport:
@@ -183,16 +243,11 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
     EC2: (a,b) |- a or f                                  (witness a,b,f)
     EC3: (a,a) |- f  implies  a <= f                      (witness a,f)
     EC4: (a,b) |- f  implies  (b,a) |- f                  (witness a,b,f)
+
+    EC0 is decided on atom covers (d an atom); its full sweep runs only
+    when that fails, to name the first witness.
     """
-    chi, top = _chi_table(rel), rel.alg.top
-    results = (
-        _law(chi, top, "EC0"),
-        _check_cut(rel, "EC1"),
-        _law(chi, top, "EC2"),
-        _law(chi, top, "EC3"),
-        _law(chi, top, "EC4"),
-    )
-    return CheckReport("eca", results)
+    return _check(rel, "eca")
 
 
 def check_extca(rel: TernaryRelation) -> CheckReport:
@@ -200,19 +255,24 @@ def check_extca(rel: TernaryRelation) -> CheckReport:
 
     ExtCA0/1/4 coincide with EC0/1/4; ExtCA2 is "a <= f implies (a,b) |- f"
     and ExtCA3 is "(a,b) |- f implies a and b <= f" (witnesses a,b,f).
+    ExtCA0 is decided on atom covers, as EC0 is.
     """
-    chi, top = _chi_table(rel), rel.alg.top
-    results = (
-        _law(chi, top, "EC0", name="ExtCA0"),
-        _check_cut(rel, "ExtCA1"),
-        _law(chi, top, "ExtCA2"),
-        _law(chi, top, "ExtCA3"),
-        _law(chi, top, "EC4", name="ExtCA4"),
-    )
-    return CheckReport("extca", results)
+    return _check(rel, "extca")
 
 
-def _check_cut(rel: TernaryRelation, axiom: str) -> AxiomResult:
+def is_eca(rel: TernaryRelation) -> bool:
+    """check_eca(rel).passed, stopping at the first failing law; no witness
+    sweep runs."""
+    return _decide(rel, "eca")
+
+
+def is_extca(rel: TernaryRelation) -> bool:
+    """check_extca(rel).passed, stopping at the first failing law; no
+    witness sweep runs."""
+    return _decide(rel, "extca")
+
+
+def _cut_witness(rel: TernaryRelation) -> tuple[int, ...] | None:
     # one bit operation per (a, b, d, e) finds every missing conclusion f
     con = _conclusion_masks(rel)
     desc = range(rel.alg.top, -1, -1)
@@ -230,8 +290,8 @@ def _check_cut(rel: TernaryRelation, axiom: str) -> AxiomResult:
                     missing = con[d][e] & ~cab
                     if missing:
                         # first f top-down = highest missing conclusion
-                        return failed(axiom, (a, b, d, e, missing.bit_length() - 1))
-    return passed(axiom)
+                        return (a, b, d, e, missing.bit_length() - 1)
+    return None
 
 
 def _require_eca(rel: TernaryRelation, caller: str) -> None:

@@ -21,7 +21,7 @@ from .boolean_core import (
     apply_automorphism,
     automorphisms,
 )
-from .contact_relation import TernaryRelation, check_eca, op_to_rel, rel_to_op
+from .contact_relation import TernaryRelation, is_eca, op_to_rel, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, holds, parse_axiom_file
 from .ternary_operator import DEFAULT_SEED, TernaryOperator, smallest_diamond
@@ -128,7 +128,7 @@ def brute_force_relations(alg: FiniteBooleanAlgebra) -> list[TernaryRelation]:
     out = []
     for bits in range(1 << alg.size ** 3):
         rel = TernaryRelation(alg, bits)
-        if check_eca(rel).passed:
+        if is_eca(rel):
             out.append(rel)
     return out
 
@@ -151,7 +151,7 @@ def enumerate_ecas(alg: FiniteBooleanAlgebra, workers: int = 1) -> list[TernaryR
     if alg.atom_count > ENUM_MAX_ATOMS_ECAS:
         raise SizeCapError("relation enumeration capped at 3 atoms")
     rels = (op_to_rel(op) for op in _atom_pair_operators(alg, (0, alg.top)))
-    found = {canonical_relation_bits(alg, r.bits) for r in rels if check_eca(r).passed}
+    found = {canonical_relation_bits(alg, r.bits) for r in rels if is_eca(r)}
     return [TernaryRelation(alg, bits) for bits in sorted(found)]
 
 

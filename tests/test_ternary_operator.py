@@ -85,6 +85,11 @@ def test_smallest_diamond_is_psi(k):
     assert check_psi(op).passed
 
 
+def test_check_3bamo_at_the_ceiling():
+    # MO2-MO4 are decided on atom covers: k*|A|^3 tuples, not |A|^4
+    assert check_3bamo(smallest_diamond(make_algebra(6))).passed
+
+
 def test_pi1_exhaustive_at_four_atoms():
     alg = make_algebra(4)
     assert check_psi(smallest_diamond(alg)).result("PI1") == AxiomResult("PI1", True)

@@ -1,6 +1,8 @@
+from psiforge import check_eca, check_extca
 from psiforge.verify import (
     SuiteItem,
     bamo_operator_pool,
+    eca_one_bit_flips,
     psi_operator_pool,
     run_suite,
     scoreboard,
@@ -12,6 +14,19 @@ def test_suite_all_pass_at_default_scale():
     assert items
     failures = [i.lemma for i in items if not i.passed]
     assert failures == []
+    details = {i.lemma: i.detail for i in items}
+    assert details["eca-extca-agree-k2-random"] == "10000 seeded relations, 128 one-bit flips of the 2 ECAs"
+
+
+def test_eca_agreement_flips_reach_laws_past_ec0(ecas_k2):
+    """Random 2-atom relations all fail at EC0 = ExtCA0 first, so the
+    agreement item also checks the one-bit flips of the two ECAs, which
+    fail first at later laws."""
+    flips = eca_one_bit_flips(ecas_k2)
+    assert len(flips) == 128
+    for check, first_law in ((check_eca, "EC0"), (check_extca, "ExtCA0")):
+        first = {next((r.axiom for r in check(rel).results if not r.passed), None) for rel in flips}
+        assert first - {first_law, None}
 
 
 def test_scoreboard_format():

@@ -233,6 +233,41 @@ def test_mo_witnesses_are_first_in_sweep(k, count):
     assert {"MO1", "PI1"} <= failures_seen
 
 
+def test_mo_witnesses_are_first_in_sweep_at_four_atoms():
+    """MO2-MO4 fall back to their full sweep when an atom form fails; at
+    four atoms that sweep names the first violation too.  The near-misses
+    change one entry with no zero argument, so MO1 still holds."""
+    alg = make_algebra(4)
+    rng = random.Random(4)
+    spots = [i for i, t in enumerate(product(range(alg.size), repeat=3)) if 0 not in t]
+    failures_seen = set()
+    for base in (smallest_diamond(alg), *sample_3bamos(alg, count=1, seed=4)):
+        for _ in range(3):
+            table = list(base.table)
+            table[rng.choice(spots)] = rng.randrange(alg.size)
+            op = TernaryOperator(alg, tuple(table))
+            for result in check_3bamo(op).results:
+                assert result.witness == first_violation(reevaluate_operator, op, result.axiom), result.axiom
+                if not result.passed:
+                    failures_seen.add(result.axiom)
+    assert failures_seen == {"MO2", "MO3", "MO4"}
+
+
+def test_relation_witnesses_are_first_in_sweep_at_four_atoms():
+    """EC0 (and ExtCA0) falls back to its full sweep when the cover row
+    fails; at four atoms that sweep names the first violation too."""
+    alg = make_algebra(4)
+    rng = random.Random(4)
+    n = alg.size ** 3
+    failures_seen = 0
+    for _ in range(6):
+        rel = TernaryRelation(alg, largest_eca(alg).bits ^ 1 << rng.randrange(n))
+        for result in (check_eca(rel).result("EC0"), check_extca(rel).result("ExtCA0")):
+            assert result.witness == first_violation(reevaluate_relation, rel, result.axiom), result.axiom
+            failures_seen += not result.passed
+    assert failures_seen > 0
+
+
 @pytest.mark.parametrize("entry", [(3, 1, 2), (1, 3, 2)])
 def test_pi1_needs_distribution_in_each_coordinate(entry):
     """The smallest diamond on two atoms with one entry raised from 0 to 2:
