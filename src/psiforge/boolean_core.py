@@ -85,8 +85,16 @@ def make_algebra(k: int, names: list[str] | None = None) -> FiniteBooleanAlgebra
     return FiniteBooleanAlgebra(k, tuple(names))
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON input.  Floats, strings and booleans are
+    refused rather than coerced, so 1.5 and true are not read as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def algebra_from_json(data: dict) -> FiniteBooleanAlgebra:
-    return make_algebra(int(data["atoms"]), data.get("names"))
+    return make_algebra(json_int(data["atoms"], "atoms"), data.get("names"))
 
 
 _BOOL_OPS = {"join": 2, "meet": 2, "neg": 1, "leq": 2, "implies": 2}

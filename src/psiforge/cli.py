@@ -6,6 +6,8 @@ enumerate); '-' means stdin/stdout.  Exit status: 0 all checked properties
 hold, 1 a checked property failed (the witness is in the printed report),
 2 usage or input error.  The environment variable PSIFORGE_SEED overrides
 the seed of `enumerate --mode sampled` and `verify-suite` (default 0xEC0).
+
+Each verb's handler imports the modules it runs, so a call loads only those.
 """
 from __future__ import annotations
 
@@ -14,47 +16,17 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from contextlib import contextmanager
 
-from .boolean_core import make_algebra
-from .contact_relation import (
-    check_eca,
-    check_extca,
-    op_to_rel,
-    rel_to_op,
-    relation_from_json,
-)
-from .duality_frames import (
-    check_psi_frame,
-    check_psi_space,
-    complex_algebra,
-    dual_frame,
-    frame_from_json,
-    is_total,
-)
-from .enumeration import (
-    enumerate_ecas,
-    enumerate_operators,
-    find_counterexample,
-    named_axioms,
-)
 from .errors import InternalCheckError, PsiforgeError
-from .terms import parse, parse_axiom_file
-from .ternary_operator import (
-    DEFAULT_SEED,
-    check_3bamo,
-    check_psi,
-    check_strict,
-    operator_from_json,
-)
-from .topo_models import eca_from_topology, topology_from_json
-from .verify import run_suite, scoreboard
 
 
 def _read_json(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise PsiforgeError("bad input: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise PsiforgeError(f"bad input: expected a JSON object, got {type(data).__name__}")
     return data
@@ -77,6 +49,8 @@ def _output(path: str):
             yield out
         return
     target = os.path.realpath(path)
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
     try:
         umask = os.umask(0)
@@ -95,6 +69,9 @@ def _emit(obj, out) -> None:
 
 
 def _load_axioms(name_or_file: str):
+    from .enumeration import named_axioms
+    from .terms import parse_axiom_file
+
     if name_or_file.startswith("@"):
         with open(name_or_file[1:], "r", encoding="utf-8") as fh:
             return parse_axiom_file(fh.read())
@@ -105,6 +82,8 @@ def _cmd_check(args, out) -> int:
     kind = args.kind
     data = _read_json(args.input)
     if kind in ("3bamo", "psi", "strict"):
+        from .ternary_operator import check_3bamo, check_psi, check_strict, operator_from_json
+
         op = operator_from_json(data)
         if kind == "3bamo":
             report = check_3bamo(op)
@@ -113,12 +92,18 @@ def _cmd_check(args, out) -> int:
         else:
             report = check_strict(op)
     elif kind in ("eca", "extca"):
+        from .contact_relation import check_eca, check_extca, relation_from_json
+
         rel = relation_from_json(data)
         report = check_eca(rel) if kind == "eca" else check_extca(rel)
     elif kind in ("frame", "space"):
+        from .duality_frames import check_psi_frame, check_psi_space, frame_from_json
+
         frame = frame_from_json(data)
         report = check_psi_frame(frame) if kind == "frame" else check_psi_space(frame)
     elif kind == "total":
+        from .duality_frames import frame_from_json, is_total
+
         frame = frame_from_json(data)
         ok, witness = is_total(frame)
         payload = {"kind": "total", "passed": ok}
@@ -133,14 +118,15 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_convert(args, out) -> int:
+    from .contact_relation import op_to_rel, rel_to_op, relation_from_json
+    from .ternary_operator import is_relational, operator_from_json
+
     data = _read_json(args.input)
     if args.to == "op":
         rel = relation_from_json(data)
         _emit(rel_to_op(rel).to_json(), out)
         return 0
     op = operator_from_json(data)
-    from .ternary_operator import is_relational
-
     rel = op_to_rel(op)
     payload = rel.to_json(compact=args.compact)
     ok, witness = is_relational(op)
@@ -154,12 +140,17 @@ def _cmd_convert(args, out) -> int:
 
 
 def _cmd_dualize(args, out) -> int:
+    from .duality_frames import dual_frame
+    from .ternary_operator import operator_from_json
+
     op = operator_from_json(_read_json(args.input))
     _emit(dual_frame(op).to_json(compact=args.compact), out)
     return 0
 
 
 def _cmd_complex(args, out) -> int:
+    from .duality_frames import complex_algebra, frame_from_json
+
     frame = frame_from_json(_read_json(args.input))
     alg, op = complex_algebra(frame)
     _emit(op.to_json(), out)
@@ -167,6 +158,9 @@ def _cmd_complex(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    from .boolean_core import make_algebra
+    from .enumeration import enumerate_ecas, enumerate_operators
+
     alg = make_algebra(args.k)
     if args.what == "ecas":
         for rel in enumerate_ecas(alg):
@@ -182,6 +176,10 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_find(args, out) -> int:
+    from .boolean_core import make_algebra
+    from .enumeration import find_counterexample
+    from .terms import parse
+
     sentence = parse(args.sentence)
     alg = make_algebra(args.k)
     axioms = _load_axioms(args.axioms)
@@ -209,12 +207,16 @@ def _cmd_find(args, out) -> int:
 
 
 def _cmd_verify_suite(args, out) -> int:
+    from .verify import run_suite, scoreboard
+
     items = run_suite(k=args.k, seed=args.seed)
     out.write(scoreboard(items) + "\n")
     return 0 if all(i.passed for i in items) else 1
 
 
 def _cmd_topo(args, out) -> int:
+    from .topo_models import eca_from_topology, topology_from_json
+
     top = topology_from_json(_read_json(args.input))
     rca, rel = eca_from_topology(top)
     payload = {
@@ -302,6 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    from .ternary_operator import DEFAULT_SEED
+
     seed = os.environ.get("PSIFORGE_SEED", str(DEFAULT_SEED))
     try:
         args.seed = int(seed, 0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .boolean_core import FiniteBooleanAlgebra, algebra_from_json
+from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse, variables
@@ -89,7 +89,8 @@ def relation_from_json(data: dict) -> TernaryRelation:
     if "bits" in data:
         raw = base64.b64decode(data["bits"])
         return TernaryRelation(alg, int.from_bytes(raw, "little"))
-    return relation_from_triples(alg, [tuple(t) for t in data["triples"]])
+    triples = [tuple(json_int(v, "triple entry") for v in t) for t in data["triples"]]
+    return relation_from_triples(alg, triples)
 
 
 def empty_relation(alg: FiniteBooleanAlgebra) -> TernaryRelation:
@@ -129,11 +130,31 @@ def _byte_values(top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(top * (byte >> i & 1) for i in range(8)) for byte in range(256))
 
 
+@lru_cache(maxsize=None)
+def _byte_of(top: int) -> dict[tuple[int, ...], int]:
+    """The inverse of _byte_values(top): eight 0-or-top values to their byte."""
+    return {values: byte for byte, values in enumerate(_byte_values(top))}
+
+
 def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
     """chi as a flat table valued 0 and top, read off the bitset in one
     pass (size^3 is a multiple of 8)."""
     raw = rel.bits.to_bytes(rel.alg.size ** 3 // 8, "little")
     return tuple(chain.from_iterable(map(_byte_values(rel.alg.top).__getitem__, raw)))
+
+
+def _relation_of_chi(alg: FiniteBooleanAlgebra, chi) -> TernaryRelation:
+    """The relation whose chi table is the given 0-or-top values, written
+    into the bitset a byte at a time: the inverse of _chi_table."""
+    eights = zip(*[iter(chi)] * 8)
+    raw = bytes(map(_byte_of(alg.top).__getitem__, eights))
+    return TernaryRelation(alg, int.from_bytes(raw, "little"))
+
+
+def _negated_conclusions(table, size: int):
+    """The table's entries at (a, b, not c) in (a, b, c) order: not c is
+    top - c, so each row of size entries is read backwards."""
+    return chain.from_iterable(table[row:row + size][::-1] for row in range(0, len(table), size))
 
 
 # Relation laws, one row each: (law, sentence, witness order).  Each is
@@ -339,13 +360,8 @@ def characteristic_lemma_check(rel: TernaryRelation) -> CheckReport:
 def rel_to_op(rel: TernaryRelation) -> TernaryOperator:
     """dia(a,b,c) = 0 if (a,b) |- not c, else top.  Image lies in {0, top}."""
     alg = rel.alg
-    size = alg.size
-    table = []
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                table.append(0 if rel.holds(a, b, alg.neg(c)) else alg.top)
-    return TernaryOperator(alg, tuple(table))
+    table = tuple(alg.top ^ v for v in _negated_conclusions(_chi_table(rel), alg.size))
+    return TernaryOperator(alg, table)
 
 
 def op_to_rel(op: TernaryOperator) -> TernaryRelation:
@@ -356,14 +372,8 @@ def op_to_rel(op: TernaryOperator) -> TernaryRelation:
     flag the breach).
     """
     alg = op.alg
-    size = alg.size
-    bits = 0
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                if op(a, b, alg.neg(c)) == 0:
-                    bits |= 1 << ((a * size + b) * size + c)
-    return TernaryRelation(alg, bits)
+    chi = (0 if v else alg.top for v in _negated_conclusions(op.table, alg.size))
+    return _relation_of_chi(alg, chi)
 
 
 def contact_from_eca(rel: TernaryRelation) -> frozenset[tuple[int, int]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import nsmallest
 
-from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, make_algebra
+from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, json_int, make_algebra
 from .errors import PreconditionError, InternalCheckError, SizeCapError
 from .report import CheckReport, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_3bamo, check_psi
@@ -95,7 +95,9 @@ class PsiFrame:
 
 
 def frame_from_json(data: dict) -> PsiFrame:
-    n = int(data["points"])
+    n = json_int(data["points"], "points")
+    if n < 0:
+        raise ValueError(f"frame has {n} points")
     if n > MAX_ATOMS:
         raise SizeCapError(f"frame has {n} points, above the cap of {MAX_ATOMS}")
     if "bits" in data:
@@ -114,13 +116,18 @@ def frame_from_json(data: dict) -> PsiFrame:
                 entries.add((idx >> 3 * n, idx >> 2 * n & full, idx >> n & full, idx & full))
         return PsiFrame(n, frozenset(entries))
 
+    def point(p) -> int:
+        if not 0 <= json_int(p, "point") < n:
+            raise ValueError(f"point {p} out of range")
+        return p
+
     def mask(pts) -> int:
         m = 0
         for p in pts:
-            m |= 1 << int(p)
+            m |= 1 << point(p)
         return m
 
-    entries = {(int(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]}
+    entries = {(point(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]}
     return PsiFrame(n, frozenset(entries))
 
 

@@ -9,6 +9,9 @@ entailment relations are the relations of the {0, top}-valued tables
 
 Canonical form: the lexicographically least bitset (or operator table) in
 the automorphism orbit; outputs are deduplicated and sorted by it.
+
+The built-in axiom sets of named_axioms are the texts of
+ternary_operator.AXIOM_TEXTS, which the operator checkers sweep.
 """
 from __future__ import annotations
 
@@ -24,36 +27,10 @@ from .boolean_core import (
 from .contact_relation import TernaryRelation, is_eca, op_to_rel, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, holds, parse_axiom_file
-from .ternary_operator import DEFAULT_SEED, TernaryOperator, smallest_diamond
+from .ternary_operator import AXIOM_TEXTS, DEFAULT_SEED, TernaryOperator, smallest_diamond
 
 ENUM_MAX_ATOMS_EXACT = 2
 ENUM_MAX_ATOMS_ECAS = 3
-
-AXIOM_TEXTS = {
-    "3bamo": """
-        # weak normality and monotone distribution laws
-        dia(0, b, c) = 0
-        dia(a, 0, c) = 0
-        dia(a, b, 0) = 0
-        dia(a or x, b, c) = dia(a, b, c) or dia(x, b, c)
-        dia(a, b or x, c) = dia(a, b, c) or dia(a, x, c)
-        dia(a, b, c) or dia(a, b, x) <= dia(a, b, c or x)
-    """,
-    "pi": """
-        # pseudo-inference laws
-        dia(a, b, f) <= dia(a, b, not d) or dia(a, b, not e) or dia(d, e, f)
-        dia(a, b, not a) = 0
-        a and f <= dia(a, a, f)
-        dia(a, b, f) <= dia(b, a, f)
-    """,
-    "strictness": """
-        # strictness laws
-        dia(x, y, a) and not dia(x, y, b) <= dia(1, 1, a and not b)
-        dia(x, a, y) and not dia(x, b, y) <= dia(1, a and not b, 1)
-        dia(a, b, c) <= mu(dia(a, b, c))
-    """,
-}
-
 
 def named_axioms(name: str) -> list[Sentence]:
     """Built-in axiom sets: 3bamo, psi (= 3bamo + pi), strict (= psi + strictness)."""

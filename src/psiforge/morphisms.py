@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .boolean_core import FiniteBooleanAlgebra, algebra_from_json
+from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
 from .contact_relation import TernaryRelation, check_eca, rel_to_op
 from .duality_frames import PsiFrame, dual_frame
 from .errors import InternalCheckError, PreconditionError
@@ -108,7 +108,7 @@ def hom_from_json(data: dict) -> BooleanHom:
     return make_hom(
         algebra_from_json(data["source"]),
         algebra_from_json(data["target"]),
-        tuple(int(i) for i in data["atom_map"]),
+        tuple(json_int(i, "atom_map entry") for i in data["atom_map"]),
     )
 
 

@@ -7,8 +7,9 @@ relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
 MO1-MO4, PI1-PI4, R1, R2 and S are checked by compiling their sentences
-in enumeration.AXIOM_TEXTS (terms.compile_sweep); MO1 is its three
-sentences swept in turn.  MO2-MO4 are decided on their atom forms, also
+in AXIOM_TEXTS (terms.compile_sweep); MO1 is its three sentences swept in
+turn.  AXIOM_TEXTS lives here, beside the sweep rows that read it;
+enumeration.named_axioms parses the same texts.  MO2-MO4 are decided on their atom forms, also
 compiled rows, and their own sentences are swept only to name a witness.
 
 Witness order.  Bounded sweeps run in ascending mask order and report the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, make_algebra
+from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int, make_algebra
 from .errors import SizeCapError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
@@ -70,7 +71,7 @@ def operator_from_function(alg: FiniteBooleanAlgebra, fn) -> TernaryOperator:
 
 def operator_from_json(data: dict) -> TernaryOperator:
     alg = algebra_from_json(data["alg"])
-    return TernaryOperator(alg, tuple(int(v) for v in data["table"]))
+    return TernaryOperator(alg, tuple(json_int(v, "table entry") for v in data["table"]))
 
 
 def smallest_diamond(alg: FiniteBooleanAlgebra) -> TernaryOperator:
@@ -148,10 +149,38 @@ def discriminator_t(op: TernaryOperator, a: int, b: int, c: int) -> int:
     return (a & dv) | (c & alg.neg(dv))
 
 
+# The built-in axiom sets, one sentence per line in the terms grammar:
+# swept by _SWEEP_ROWS below, and parsed by enumeration.named_axioms.
+AXIOM_TEXTS = {
+    "3bamo": """
+        # weak normality and monotone distribution laws
+        dia(0, b, c) = 0
+        dia(a, 0, c) = 0
+        dia(a, b, 0) = 0
+        dia(a or x, b, c) = dia(a, b, c) or dia(x, b, c)
+        dia(a, b or x, c) = dia(a, b, c) or dia(a, x, c)
+        dia(a, b, c) or dia(a, b, x) <= dia(a, b, c or x)
+    """,
+    "pi": """
+        # pseudo-inference laws
+        dia(a, b, f) <= dia(a, b, not d) or dia(a, b, not e) or dia(d, e, f)
+        dia(a, b, not a) = 0
+        a and f <= dia(a, a, f)
+        dia(a, b, f) <= dia(b, a, f)
+    """,
+    "strictness": """
+        # strictness laws
+        dia(x, y, a) and not dia(x, y, b) <= dia(1, 1, a and not b)
+        dia(x, a, y) and not dia(x, b, y) <= dia(1, a and not b, 1)
+        dia(a, b, c) <= mu(dia(a, b, c))
+    """,
+}
+
+
 # Operator laws checked by a compiled sweep of their sentence, one row
 # each: (axiom, sentence, witness order, top-down, params bound by the
-# caller).  The sentence is an (axiom set, index) into
-# enumeration.AXIOM_TEXTS, or the text of a PI2 or MO2-MO4 equivalent.
+# caller).  The sentence is an (axiom set, index) into AXIOM_TEXTS, or
+# the text of a PI2 or MO2-MO4 equivalent.
 # Witness orders are explicit and may name the constants 0 and 1; R2's
 # differs from the order in which its sentence introduces the variables
 # (x, a, y, b).  An axiom's rows are swept in turn; the first failure wins.
@@ -180,8 +209,7 @@ _SWEEP_ROWS = (
 
 @lru_cache(maxsize=None)
 def _row_sweeps(axiom: str) -> tuple:
-    # imported at first use: terms and enumeration both import this module
-    from .enumeration import AXIOM_TEXTS
+    # imported at first use: terms imports this module
     from .terms import compile_sweep, parse, parse_axiom_file
 
     sweeps = []

@@ -13,10 +13,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .boolean_core import FiniteBooleanAlgebra, make_algebra
+from .boolean_core import FiniteBooleanAlgebra, json_int, make_algebra
 from .contact_relation import TernaryRelation, check_eca
-from .errors import InternalCheckError
+from .errors import InternalCheckError, SizeCapError
 from .ternary_operator import DEFAULT_SEED
+
+# The regular-closed sets are found by a sweep over all 2^n point sets,
+# each tested against every open set, so a space above this many points is
+# refused before that work.
+TOPO_MAX_POINTS = 8
+
+
+def _check_point_count(n: int) -> None:
+    if n > TOPO_MAX_POINTS:
+        raise SizeCapError(f"topology has {n} points, above the cap of {TOPO_MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,7 @@ def make_topology(points, basis) -> FiniteTopology:
     pts = tuple(sorted(set(points)))
     if not pts:
         raise ValueError("a topology needs at least one point")
+    _check_point_count(len(pts))
     full = (1 << len(pts)) - 1
     idx = {p: i for i, p in enumerate(pts)}
     masks = {0, full}
@@ -95,7 +106,8 @@ def make_topology(points, basis) -> FiniteTopology:
 def topology_from_json(data: dict) -> FiniteTopology:
     points = data["points"]
     if isinstance(points, int):
-        points = list(range(points))
+        _check_point_count(json_int(points, "points"))
+        points = range(points)
     return make_topology(points, data.get("basis", data.get("opens", [])))
 
 
@@ -137,6 +149,11 @@ def regular_closed_algebra(top: FiniteTopology) -> RegularClosedAlgebra:
         m for m in range(top.full + 1) if top.closure(top.interior(m)) == m
     )
     rc_set = set(rc)
+    nonzero = [m for m in rc if m]
+    atoms = [m for m in nonzero if not any(x & m == x for x in nonzero if x != m)]
+    k = len(atoms)
+    # refused above the atom cap before the |rc|^2 closure check below
+    alg = make_algebra(k)
 
     def rc_meet(x: int, y: int) -> int:
         return top.closure(top.interior(x & y))
@@ -148,13 +165,8 @@ def regular_closed_algebra(top: FiniteTopology) -> RegularClosedAlgebra:
         for y in rc:
             if x | y not in rc_set or rc_meet(x, y) not in rc_set:
                 raise InternalCheckError("regular closed family not closed under operations")
-
-    nonzero = [m for m in rc if m]
-    atoms = [m for m in nonzero if not any(x & m == x for x in nonzero if x != m)]
-    k = len(atoms)
     if len(rc) != 1 << k:
         raise InternalCheckError("regular closed lattice is not a powerset of its atoms")
-    alg = make_algebra(k)
 
     # carrier element i -> union of the atoms in its mask
     element_masks = []

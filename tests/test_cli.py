@@ -1,9 +1,14 @@
+import base64
+import contextlib
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from psiforge import (
     check_eca,
@@ -14,6 +19,7 @@ from psiforge import (
     rel_to_op,
     smallest_diamond,
 )
+from psiforge import cli
 from psiforge.contact_relation import relation_from_json
 from psiforge.ternary_operator import operator_from_json
 
@@ -218,6 +224,8 @@ def test_check_psi_above_four_atoms(tmp_path):
 
 def test_json_array_input_exits_2():
     assert_usage_error(run_cli("check", "--kind", "psi", "-", stdin="[1, 2]"))
+    # nesting past the decoder's recursion limit is an input error too
+    assert_usage_error(run_cli("check", "--kind", "psi", "-", stdin="[" * 100000))
 
 
 def test_output_file_kept_on_input_error(tmp_path):
@@ -249,3 +257,160 @@ def test_compact_frame_trailing_bit_exits_2():
     r = run_cli("check", "--kind", "frame", "-", stdin=trailing)
     assert_usage_error(r)
     assert "out of range" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"alg": {"atoms": 1.5}, "table": [0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"alg": {"atoms": true}, "table": [0, 0, 0, 0, 0, 0, 0, 0]}',
+        # the smallest diamond on two atoms with its (1, 1, 1) entry as 1.5
+        json.dumps({"alg": {"atoms": 2}, "table": [
+            1.5 if (a, b, c) == (1, 1, 1) else a & b & c
+            for a in range(4) for b in range(4) for c in range(4)
+        ]}),
+        '{"alg": {"atoms": 1e400}, "table": [0]}',
+    ],
+    ids=["atoms-float", "atoms-bool", "table-float", "atoms-overflow"],
+)
+def test_json_integers_not_coerced(payload):
+    r = run_cli("check", "--kind", "psi", "-", stdin=payload)
+    assert_usage_error(r)
+    assert "must be an integer" in r.stderr
+
+
+# Runs cli.main in a fresh interpreter and prints the psiforge modules it
+# loaded, one per line.
+_FOOTPRINT = """\
+import sys
+from psiforge import cli
+cli.main(sys.argv[1:])
+print("\\n".join(sorted(m for m in sys.modules if m.startswith("psiforge."))), file=sys.stderr)
+"""
+
+
+def _loaded_modules(*argv):
+    r = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True)
+    return {line.removeprefix("psiforge.") for line in r.stderr.splitlines() if line.startswith("psiforge.")}
+
+
+def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file):
+    operator_checker = {"cli", "errors", "boolean_core", "report", "terms", "ternary_operator"}
+    assert _loaded_modules("check", "--kind", "psi", example_op_file) == operator_checker
+    assert _loaded_modules("check", "--kind", "eca", largest_rel_file) == operator_checker | {"contact_relation"}
+    assert _loaded_modules("--help") == {"cli", "errors"}
+
+
+def test_package_names_are_the_submodule_objects(monkeypatch):
+    import psiforge
+    import psiforge.contact_relation
+
+    star: dict = {}
+    exec("from psiforge import *", star)
+    exported = {name: getattr(psiforge, name) for name in psiforge.__all__}
+    modules = {name: obj for name, obj in exported.items() if inspect.ismodule(obj)}
+    assert all(obj is sys.modules[f"psiforge.{name}"] for name, obj in modules.items())
+    for name, obj in exported.items():
+        assert star[name] is obj
+        assert name in modules or any(getattr(m, name, None) is obj for m in modules.values()), name
+    with pytest.raises(AttributeError):
+        psiforge.no_such_name
+    # read through, not cached: a patched submodule shows at once
+    monkeypatch.setattr(psiforge.contact_relation, "check_eca", len)
+    assert psiforge.check_eca is len
+
+
+# ---------------------------------------------------------------------------
+# exit contract: 0, 1 or 2 for any input, never an exception, and nothing
+# on stdout with a 2.  Each verb gets inputs of its own shape, every field
+# mostly valid, and at times any JSON value in its place.
+
+_scalars = st.none() | st.booleans() | st.integers(-2, 9) | st.integers() | st.floats() | st.text(max_size=3)
+_json = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def _field(valid):
+    """A field's value: mostly valid, else any JSON value."""
+    return st.one_of(valid, valid, valid, _json)
+
+
+def _spoiled(values):
+    """A list of values, at times with one of its first entries replaced by
+    a scalar (or the scalar appended, which changes its length)."""
+    def spoil(args):
+        vals, i, bad = args
+        return vals[:i] + [bad] + vals[i + 1:]
+
+    return values | st.tuples(values, st.integers(0, 7), _scalars).map(spoil)
+
+
+def _packed(n_bytes):
+    return st.binary(min_size=n_bytes, max_size=n_bytes).map(lambda raw: base64.b64encode(raw).decode())
+
+
+def _alg(k):
+    return _field(st.just({"atoms": k})) | st.fixed_dictionaries({"atoms": _scalars}, optional={"names": _json})
+
+
+_operators = st.integers(1, 2).flatmap(lambda k: st.fixed_dictionaries({
+    "alg": _alg(k),
+    "table": _field(_spoiled(st.lists(st.integers(0, (1 << k) - 1), min_size=8 ** k, max_size=8 ** k))),
+}))
+# a compact "bits" field, when drawn, is read in place of the long form
+_relations = st.integers(1, 2).flatmap(lambda k: st.fixed_dictionaries({
+    "alg": _alg(k),
+    "triples": _field(st.lists(_spoiled(st.lists(st.integers(0, (1 << k) - 1), min_size=3, max_size=3)), max_size=12)),
+}, optional={"bits": _field(_packed(8 ** k // 8))}))
+
+
+def _point_lists(n):
+    return _spoiled(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+
+
+_frames = st.integers(0, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "points": _field(st.just(n)),
+    "R": _field(st.lists(_spoiled(st.tuples(st.integers(0, max(n - 1, 0)), *[_point_lists(max(n, 1))] * 3).map(list)), max_size=8)),
+}, optional={"bits": _field(_packed((n * 8 ** n + 7) // 8))}))
+_topologies = st.integers(1, 5).flatmap(lambda n: st.fixed_dictionaries(
+    {"points": _field(st.just(n) | st.lists(st.integers(0, 9), min_size=n, max_size=n))},
+    optional={"basis": _field(st.lists(_point_lists(n), max_size=4)), "opens": _json},
+))
+
+_VERBS = [
+    *((["check", "--kind", kind], _operators) for kind in ("3bamo", "psi", "strict")),
+    *((["check", "--kind", kind], _relations) for kind in ("eca", "extca")),
+    *((["check", "--kind", kind], _frames) for kind in ("frame", "space", "total")),
+    (["convert", "--to", "op"], _relations),
+    (["convert", "--to", "rel"], _operators),
+    (["dualize"], _operators),
+    (["complex"], _frames),
+    (["topo"], _topologies),
+]
+_calls = st.sampled_from(_VERBS).flatmap(
+    lambda verb: st.tuples(st.just(verb[0]), st.one_of(verb[1], verb[1], verb[1], _json))
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(call=_calls, compact=st.booleans())
+@example(call=(["check", "--kind", "psi"], {"alg": {"atoms": float("inf")}, "table": [0]}), compact=False)
+@example(call=(["check", "--kind", "frame"], {"points": 2, "R": [[0, [10 ** 12], [0], [0]]]}), compact=False)
+@example(call=(["topo"], {"points": 10 ** 12}), compact=False)
+def test_exit_contract_on_any_json(call, compact):
+    argv, payload = call
+    argv = argv + ["--compact"] * compact + ["-"]
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), (argv, payload, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", (argv, payload)
+        assert err.getvalue().startswith("psiforge: ")

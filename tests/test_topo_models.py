@@ -144,3 +144,18 @@ def test_topology_json():
     assert back.opens == top.opens
     counted = topology_from_json({"points": 2, "basis": [[0]]})
     assert counted.n == 2
+
+
+def test_oversized_spaces_refused_before_the_sweep():
+    from psiforge import SizeCapError
+
+    with pytest.raises(SizeCapError, match="9 points"):
+        make_topology(range(9), [])
+    with pytest.raises(SizeCapError, match="above the cap of 8"):
+        topology_from_json({"points": 10 ** 12})
+    with pytest.raises(ValueError, match="must be an integer"):
+        topology_from_json({"points": True})
+    # eight points are allowed; a discrete space on them has 8
+    # regular-closed atoms, refused by the algebra cap
+    with pytest.raises(SizeCapError, match="atom count 8"):
+        regular_closed_algebra(make_topology(range(8), [[p] for p in range(8)]))
