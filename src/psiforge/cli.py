@@ -326,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"psiforge: bad input: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and the sweep compiler recurse once per nesting level
+        print("psiforge: bad input: sentence nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

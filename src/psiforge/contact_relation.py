@@ -11,6 +11,9 @@ Every law but one is a sentence about the relation's characteristic
 table (_LAWS), swept by terms.compile_sweep in ascending mask order.  The
 five-variable cut axiom (EC1 and its ExtCA twin) is the one bitmask sweep
 left: it runs top-down like PI1, over each premise pair's conclusion mask.
+Where the conclusion masks are antitone in each premise, the cut is
+decided on minimal premises instead, and the sweep runs only to name a
+witness.
 
 EC0 (= ExtCA0) is decided on atom covers: it holds iff (a, b) |- f
 implies (a or u, b) |- f or u for every atom u, since adding d to a and f
@@ -24,7 +27,7 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, product
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
 from .errors import InternalCheckError, PreconditionError
@@ -55,13 +58,7 @@ class TernaryRelation:
 
     def triples(self) -> list[tuple[int, int, int]]:
         size = self.alg.size
-        out = []
-        for a in range(size):
-            for b in range(size):
-                for c in range(size):
-                    if self.holds(a, b, c):
-                        out.append((a, b, c))
-        return out
+        return list(compress(product(range(size), repeat=3), _chi_table(self)))
 
     def is_subset_of(self, other: "TernaryRelation") -> bool:
         return self.bits & other.bits == self.bits
@@ -76,12 +73,13 @@ class TernaryRelation:
 
 def relation_from_triples(alg: FiniteBooleanAlgebra, triples) -> TernaryRelation:
     size = alg.size
-    bits = 0
+    raw = bytearray(size ** 3 // 8)  # the bitset, little-endian
     for a, b, c in triples:
-        if not (alg.contains(a) and alg.contains(b) and alg.contains(c)):
+        if not (0 <= a < size and 0 <= b < size and 0 <= c < size):  # alg.contains
             raise ValueError(f"triple ({a},{b},{c}) outside carrier")
-        bits |= 1 << ((a * size + b) * size + c)
-    return TernaryRelation(alg, bits)
+        i = (a * size + b) * size + c
+        raw[i >> 3] |= 1 << (i & 7)
+    return TernaryRelation(alg, int.from_bytes(raw, "little"))
 
 
 def relation_from_json(data: dict) -> TernaryRelation:
@@ -104,24 +102,29 @@ def full_relation(alg: FiniteBooleanAlgebra) -> TernaryRelation:
 def largest_eca(alg: FiniteBooleanAlgebra) -> TernaryRelation:
     """The largest extended contact relation: (a,b) |- c iff a & b & not c = 0."""
     size = alg.size
-    bits = 0
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                if a & b & alg.neg(c) == 0:
-                    bits |= 1 << ((a * size + b) * size + c)
-    return TernaryRelation(alg, bits)
+    # the conclusions of (a, b) are the up-set of a & b
+    up = [sum(1 << c for c in range(size) if c & m == m) for m in range(size)]
+    return TernaryRelation(alg, _bits_of_rows([up[a & b] for a in range(size) for b in range(size)], size))
 
 
-def _conclusion_masks(rel: TernaryRelation) -> list[list[int]]:
-    """conclusions[a][b] = bitmask over c of the triples (a, b, c) present;
-    contiguous in the relation bitset, so extraction is one shift."""
+def _conclusion_masks(rel: TernaryRelation) -> list[int]:
+    """con[a*size + b] = bitmask over c of the triples (a, b, c) present:
+    the bitset's size-bit rows, in order."""
     size = rel.alg.size
-    row = (1 << size) - 1
-    return [
-        [rel.bits >> ((a * size + b) * size) & row for b in range(size)]
-        for a in range(size)
-    ]
+    if size < 8:  # rows share bytes; the bitset has at most 64 bits
+        row = (1 << size) - 1
+        return [rel.bits >> (i * size) & row for i in range(size * size)]
+    raw, step = rel.bits.to_bytes(size ** 3 // 8, "little"), size // 8
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+
+
+def _bits_of_rows(rows: list[int], size: int) -> int:
+    """The bitset whose size-bit rows are the given masks: the inverse of
+    _conclusion_masks."""
+    if size < 8:
+        return sum(r << (i * size) for i, r in enumerate(rows))
+    step = size // 8
+    return int.from_bytes(b"".join(r.to_bytes(step, "little") for r in rows), "little")
 
 
 @lru_cache(maxsize=None)
@@ -229,24 +232,34 @@ _COVERS = {"EC0": "EC0-cover"}
 def _witness(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> tuple[int, ...] | None:
     """First violation of a system law in its documented order, or None."""
     if law == "cut":
-        return _cut_witness(rel)
+        return _cut_witness(_conclusion_masks(rel), rel.alg.top)
     (sweep,) = _law_sweeps(law)
     return sweep(chi, rel.alg.top)
 
 
-def _holds(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> bool:
-    """Verdict of a system law, on its cover row where it has one."""
+def _reduced(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> bool | None:
+    """Verdict of a system law from its reduced form: EC0 on its cover
+    row, the cut on minimal premises.  None when the law has no reduced
+    form or the cut's hypothesis fails."""
+    if law == "cut":
+        return _cut_on_minimal_premises(_conclusion_masks(rel), rel.alg)
     if law not in _COVERS:
-        return _witness(rel, chi, law) is None
+        return None
     (sweep,) = _law_sweeps(_COVERS[law])
     return all(sweep(chi, rel.alg.top, u) is None for u in rel.alg.atoms())
+
+
+def _holds(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> bool:
+    """Verdict of a system law, from its reduced form where that decides it."""
+    verdict = _reduced(rel, chi, law)
+    return _witness(rel, chi, law) is None if verdict is None else verdict
 
 
 def _check(rel: TernaryRelation, system: str) -> CheckReport:
     chi = _chi_table(rel)
     results = []
     for name, law in _SYSTEMS[system]:
-        witness = None if law in _COVERS and _holds(rel, chi, law) else _witness(rel, chi, law)
+        witness = None if _reduced(rel, chi, law) else _witness(rel, chi, law)
         results.append(passed(name) if witness is None else failed(name, witness))
     return CheckReport(system, tuple(results))
 
@@ -265,8 +278,10 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
     EC3: (a,a) |- f  implies  a <= f                      (witness a,f)
     EC4: (a,b) |- f  implies  (b,a) |- f                  (witness a,b,f)
 
-    EC0 is decided on atom covers (d an atom); its full sweep runs only
-    when that fails, to name the first witness.
+    EC0 is decided on atom covers (d an atom), and EC1 on minimal
+    premises where the conclusion masks are antitone in each premise (see
+    _cut_on_minimal_premises); a full sweep runs only when its reduced
+    verdict fails or the hypothesis does, to name the first witness.
     """
     return _check(rel, "eca")
 
@@ -276,7 +291,8 @@ def check_extca(rel: TernaryRelation) -> CheckReport:
 
     ExtCA0/1/4 coincide with EC0/1/4; ExtCA2 is "a <= f implies (a,b) |- f"
     and ExtCA3 is "(a,b) |- f implies a and b <= f" (witnesses a,b,f).
-    ExtCA0 is decided on atom covers, as EC0 is.
+    ExtCA0 is decided on atom covers, as EC0 is, and ExtCA1 on minimal
+    premises, as EC1 is.
     """
     return _check(rel, "extca")
 
@@ -293,13 +309,49 @@ def is_extca(rel: TernaryRelation) -> bool:
     return _decide(rel, "extca")
 
 
-def _cut_witness(rel: TernaryRelation) -> tuple[int, ...] | None:
+def _cut_on_minimal_premises(con: list[int], alg: FiniteBooleanAlgebra) -> bool | None:
+    """The cut's verdict from minimal premises, or None when the conclusion
+    masks are not antitone in each premise.
+
+    Write C(d, e) for the conclusion mask of (d, e).  The cut says
+    C(d, e) <= C(a, b) whenever d and e lie in C(a, b), so it depends on
+    M = C(a, b) alone.  Hypothesis: C(d or u, e) <= C(d, e) and
+    C(d, e or u) <= C(d, e) for every atom u (size^2*k mask tests); by
+    chains of covers, C is then antitone in each premise.  Stepping down
+    covers inside M takes each d in M to a d0 <= d in M with no lower
+    cover in M, and C(d, e) <= C(d0, e0).  So the cut holds iff
+    C(d0, e0) <= M for those d0, e0: the bits M & ~((M & without u) << u)
+    over every atom u, one element (a and b) per mask on the largest
+    relation, where the full sweep visits every d and e in M.
+    """
+    size, atoms = alg.size, alg.atoms()
+    rows = [con[d * size:(d + 1) * size] for d in range(size)]  # rows[d][e] = C(d, e)
+    cols = [con[e::size] for e in range(size)]  # cols[e][d] = C(d, e)
+    for lines in (rows, cols):
+        for d in range(size):
+            for u in atoms:
+                if not d & u and any(x & ~y for x, y in zip(lines[d | u], lines[d])):
+                    return None
+    without = [sum(1 << c for c in range(size) if not c & u) for u in atoms]
+    for m in set(con):
+        lowered = 0
+        for u, w in zip(atoms, without):
+            lowered |= (m & w) << u
+        low = m & ~lowered
+        mins = [c for c in range(size) if low >> c & 1]
+        if any(con[d * size + e] & ~m for d in mins for e in mins):
+            return False
+    return True
+
+
+def _cut_witness(con: list[int], top: int) -> tuple[int, ...] | None:
+    """The cut's first violation (a, b, d, e, f), every variable top-down."""
     # one bit operation per (a, b, d, e) finds every missing conclusion f
-    con = _conclusion_masks(rel)
-    desc = range(rel.alg.top, -1, -1)
+    size = top + 1
+    desc = range(top, -1, -1)
     for a in desc:
         for b in desc:
-            cab = con[a][b]
+            cab = con[a * size + b]
             if not cab:
                 continue
             for d in desc:
@@ -308,7 +360,7 @@ def _cut_witness(rel: TernaryRelation) -> tuple[int, ...] | None:
                 for e in desc:
                     if not cab >> e & 1:
                         continue
-                    missing = con[d][e] & ~cab
+                    missing = con[d * size + e] & ~cab
                     if missing:
                         # first f top-down = highest missing conclusion
                         return (a, b, d, e, missing.bit_length() - 1)

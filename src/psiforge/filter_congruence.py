@@ -4,11 +4,13 @@ simplicity, subdirect-irreducibility and variety-level spot checks.
 A filter F is closed when dia(x1,x2,x3) -> dia(y1,y2,y3) lands in F
 whenever every xi -> yi does; closed filters correspond one-to-one to
 congruences compatible with the operator.  F is modal when it is closed
-under mu.  Both are decided by their definitions, stated as sentences in
-the rows of _FILTER_LAWS and swept by terms.compile_sweep; the (Su)/(Mid)
-reduction and the generator-only modality shortcut are rows there too,
-computed alongside so their equivalence (valid for pseudo-inference
-operators) can be asserted, not assumed.
+under mu.  Both are stated as sentences in the rows of _FILTER_LAWS and
+swept by terms.compile_sweep.  Closedness is decided on meets with the
+generator where dia is monotone in each coordinate (filter_is_closed),
+and by its definition otherwise; modality by its definition.  The
+(Su)/(Mid) reduction and the generator-only modality shortcut are rows
+there too, computed alongside so their equivalence (valid for
+pseudo-inference operators) can be asserted, not assumed.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .boolean_core import FiniteBooleanAlgebra, Filter
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
-from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
+from .ternary_operator import TernaryOperator, _atom_form_holds, check_psi, check_strict, is_relational
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,7 @@ _FILTER_LAWS = (
         " => g and dia(x, p, u) and not dia(y, q, w) = 0",
         "xypquw",
     ),
+    ("closed-meet", "g and dia(x, p, u) <= dia(g and x, g and p, g and u)", "xpu"),
     ("su-mid", "g and a and not b = 0 => g and dia(x, y, a) and not dia(x, y, b) = 0", "abxy"),
     ("su-mid", "g and a and not b = 0 => g and dia(x, a, y) and not dia(x, b, y) = 0", "abxy"),
     ("modal", "g and not a = 0 => g and not mu(a) = 0", "a"),
@@ -65,10 +68,30 @@ def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
     return all(sweep(op.table, op.alg.top, g) is None for sweep in _filter_sweeps(law))
 
 
-def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
-    """Full definition: sweep all coordinate-wise implication triples."""
+def _monotone(op: TernaryOperator) -> bool:
+    """Whether dia is monotone in each coordinate: the atom forms of
+    MO2-MO4, each a chain of single-atom covers."""
+    return all(_atom_form_holds(op, row) for row in ("MO2-atom", "MO3-atom", "MO4-atom"))
+
+
+def filter_is_closed(op: TernaryOperator, flt: Filter, *, monotone: bool | None = None) -> bool:
+    """Whether [g) is closed, exactly on every operator.
+
+    The definition sweeps every coordinate-wise implication triple, |A|^6
+    tuples.  Where dia is monotone in each coordinate, [g) is closed iff
+    g and dia(x, p, u) <= dia(g and x, g and p, g and u), over |A|^3: the
+    definition's instance y = g and x, q = g and p, w = g and u gives it,
+    and conversely g and x <= y, g and p <= q, g and u <= w give
+    dia(g and x, g and p, g and u) <= dia(y, q, w) by monotonicity.  Any
+    other operator is swept by the definition.  ``monotone`` is that
+    hypothesis's verdict (_monotone), computed here when not given.
+    """
     # the improper filter is closed; a sweep of it would visit every tuple
-    return flt.generator == 0 or _filter_law(op, flt, "closed")
+    if flt.generator == 0:
+        return True
+    if monotone is None:
+        monotone = _monotone(op)
+    return _filter_law(op, flt, "closed-meet" if monotone else "closed")
 
 
 def filter_is_closed_su_mid(op: TernaryOperator, flt: Filter) -> bool:
@@ -88,10 +111,10 @@ def filter_is_modal_via_generator(op: TernaryOperator, flt: Filter) -> bool:
     return _filter_law(op, flt, "modal-generator")
 
 
-def classify_filter(op: TernaryOperator, flt: Filter) -> ClassifiedFilter:
+def classify_filter(op: TernaryOperator, flt: Filter, *, monotone: bool | None = None) -> ClassifiedFilter:
     return ClassifiedFilter(
         filter=flt,
-        is_closed=filter_is_closed(op, flt),
+        is_closed=filter_is_closed(op, flt, monotone=monotone),
         is_modal=filter_is_modal(op, flt),
         closed_via_su_mid=filter_is_closed_su_mid(op, flt),
         modal_via_generator=filter_is_modal_via_generator(op, flt),
@@ -99,8 +122,8 @@ def classify_filter(op: TernaryOperator, flt: Filter) -> ClassifiedFilter:
 
 
 def all_filters_classified(op: TernaryOperator) -> list[ClassifiedFilter]:
-    alg = op.alg
-    return [classify_filter(op, Filter(alg, g)) for g in alg.elements()]
+    alg, monotone = op.alg, _monotone(op)
+    return [classify_filter(op, Filter(alg, g), monotone=monotone) for g in alg.elements()]
 
 
 @dataclass(frozen=True)
@@ -201,7 +224,8 @@ def congruence_filter_maps(alg: FiniteBooleanAlgebra, value):
 
 
 def closed_filter_generators(op: TernaryOperator) -> list[int]:
-    return [g for g in op.alg.elements() if filter_is_closed(op, Filter(op.alg, g))]
+    alg, monotone = op.alg, _monotone(op)
+    return [g for g in alg.elements() if filter_is_closed(op, Filter(alg, g), monotone=monotone)]
 
 
 def _require_psi(op: TernaryOperator, caller: str) -> None:

@@ -9,8 +9,10 @@ reporting a concrete witness on failure.
 MO1-MO4, PI1-PI4, R1, R2 and S are checked by compiling their sentences
 in AXIOM_TEXTS (terms.compile_sweep); MO1 is its three sentences swept in
 turn.  AXIOM_TEXTS lives here, beside the sweep rows that read it;
-enumeration.named_axioms parses the same texts.  MO2-MO4 are decided on their atom forms, also
-compiled rows, and their own sentences are swept only to name a witness.
+enumeration.named_axioms parses the same texts.  MO2-MO4 are decided on
+their atom forms, also compiled rows, and so are R1 and R2 on tables
+satisfying MO1-MO3; a law's own sentence is then swept only to name a
+witness.
 
 Witness order.  Bounded sweeps run in ascending mask order and report the
 first violating tuple.  The five-variable cut axiom PI1, decided on atom
@@ -46,9 +48,15 @@ class TernaryOperator:
         size = self.alg.size
         if len(self.table) != size ** 3:
             raise ValueError(f"table must have {size ** 3} entries, got {len(self.table)}")
-        for v in self.table:
-            if not self.alg.contains(v):
-                raise ValueError(f"table value {v} outside carrier")
+        # one min/max pass; the scan names the first bad entry only on failure
+        try:
+            in_range = min(self.table) >= 0 and max(self.table) < size
+        except TypeError:  # an entry that does not compare with ints
+            in_range = False
+        if not in_range:
+            for v in self.table:
+                if not self.alg.contains(v):
+                    raise ValueError(f"table value {v} outside carrier")
 
     def __call__(self, a: int, b: int, c: int) -> int:
         size = self.alg.size
@@ -204,21 +212,28 @@ _SWEEP_ROWS = (
     ("MO2-atom", "dia(a or u, b, c) = dia(a, b, c) or dia(u, b, c)", "abc", False, "u"),
     ("MO3-atom", "dia(a, b or u, c) = dia(a, b, c) or dia(a, u, c)", "abc", False, "u"),
     ("MO4-atom", "dia(a, b, c) <= dia(a, b, c or u)", "abc", False, "u"),
+    ("R1-atom", ("strictness", 0), "ab", False, "xy"),
+    ("R2-atom", ("strictness", 1), "aby", False, "x"),
 )
+
+
+@lru_cache(maxsize=None)
+def _axiom_set(name: str) -> tuple:
+    """The parsed sentences of AXIOM_TEXTS[name], parsed once per process."""
+    from .terms import parse_axiom_file
+
+    return tuple(parse_axiom_file(AXIOM_TEXTS[name]))
 
 
 @lru_cache(maxsize=None)
 def _row_sweeps(axiom: str) -> tuple:
     # imported at first use: terms imports this module
-    from .terms import compile_sweep, parse, parse_axiom_file
+    from .terms import compile_sweep, parse
 
     sweeps = []
     for name, source, order, top_down, params in _SWEEP_ROWS:
         if name == axiom:
-            if isinstance(source, str):
-                sentence = parse(source)
-            else:
-                sentence = parse_axiom_file(AXIOM_TEXTS[source[0]])[source[1]]
+            sentence = parse(source) if isinstance(source, str) else _axiom_set(source[0])[source[1]]
             sweeps.append(compile_sweep(sentence, tuple(order), top_down, tuple(params)))
     return tuple(sweeps)
 
@@ -232,14 +247,28 @@ def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
 
 
 def _atom_form_holds(op: TernaryOperator, row: str) -> bool:
-    """Whether the row holds with its parameter u bound to every atom."""
+    """Whether the row holds with each of its parameters bound to every atom."""
     (sweep,) = _row_sweeps(row)
-    return all(sweep(op.table, op.alg.top, u) is None for u in op.alg.atoms())
+    (params,) = {r[4] for r in _SWEEP_ROWS if r[0] == row}
+    atoms = op.alg.atoms()
+    return all(sweep(op.table, op.alg.top, *us) is None for us in product(atoms, repeat=len(params)))
 
 
-def _sweep_on_atoms(op: TernaryOperator, axiom: str) -> AxiomResult:
-    """Decide the axiom by its atom form; sweep it in full only to name the witness."""
-    return passed(axiom) if _atom_form_holds(op, f"{axiom}-atom") else _sweep(op, axiom)
+def _sweep_on_atoms(op: TernaryOperator, axiom: str, hypothesis: bool = True) -> AxiomResult:
+    """Decide the axiom by its atom form where the hypothesis that makes
+    that exact holds; sweep it in full otherwise, or to name the witness."""
+    if hypothesis and _atom_form_holds(op, f"{axiom}-atom"):
+        return passed(axiom)
+    return _sweep(op, axiom)
+
+
+def _distributes(op: TernaryOperator) -> bool:
+    """MO1-MO3, checked as MO1 and the atom forms of MO2/MO3: then
+    dia(a, b, c) is the join of dia(u, v, c) over the atoms u <= a, v <= b
+    (the empty join 0 when a or b is 0)."""
+    return _sweep(op, "MO1").passed and all(
+        _atom_form_holds(op, row) for row in ("MO2-atom", "MO3-atom")
+    )
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -287,9 +316,7 @@ def _check_pi1(op: TernaryOperator) -> AxiomResult:
     def first(pairs):
         return next(((a, b) + w for a, b in pairs if (w := pi1(table, top, a, b)) is not None), None)
 
-    distributes = _sweep(op, "MO1").passed and all(
-        _atom_form_holds(op, row) for row in ("MO2-atom", "MO3-atom")
-    )
+    distributes = _distributes(op)
     witness = first(product(alg.atoms()[::-1], repeat=2)) if distributes else None
     if distributes and witness is None:
         return passed("PI1")
@@ -335,8 +362,21 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     R1: dia(x,y,a) and not dia(x,y,b) <= dia(1,1,a and not b)   (witness x,y,a,b)
     R2: dia(x,a,y) and not dia(x,b,y) <= dia(1,a and not b,1)   (witness x,a,b,y)
     S:  dia(a,b,c) <= mu(dia(a,b,c))                            (witness a,b,c)
+
+    R1 and R2 are decided exactly at every size on atoms when MO1-MO3 hold
+    (checked as in check_psi): R1 on the k^2 atom pairs (x, y), over
+    k^2*|A|^2 tuples, and R2 on the k atoms x, over k*|A|^3, where each
+    spans |A|^4.  Proof: dia(x, y, a) is the join of dia(u, v, a) over
+    atoms u <= x, v <= y, and dia(u, v, b) <= dia(x, y, b), so
+    dia(x, y, a) and not dia(x, y, b) lies below the join of
+    dia(u, v, a) and not dia(u, v, b), and R1's right side does not depend
+    on (x, y).  R2 likewise joins over the atoms of x alone (its second
+    coordinate is a and b).  A table failing MO1-MO3 is swept in full, and
+    a failing atom form runs the full sweep to name the first witness.
     """
-    return CheckReport("strict", tuple(_sweep(op, ax) for ax in ("R1", "R2", "S")))
+    distributes = _distributes(op)
+    results = [_sweep_on_atoms(op, ax, distributes) for ax in ("R1", "R2")]
+    return CheckReport("strict", (*results, _sweep(op, "S")))
 
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:

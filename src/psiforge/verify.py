@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import topo_models
-from .boolean_core import Filter, make_algebra
+from .boolean_core import make_algebra
 from .contact_relation import (
     TernaryRelation,
     characteristic_lemma_check,
@@ -47,13 +47,10 @@ from .enumeration import (
     sample_psi_operators,
 )
 from .filter_congruence import (
+    all_filters_classified,
     congruence_from_filter,
     congruence_respects_op,
     congruence_to_filter,
-    filter_is_closed,
-    filter_is_closed_su_mid,
-    filter_is_modal,
-    filter_is_modal_via_generator,
     is_simple,
     is_subdirectly_irreducible,
     relational_iff_simple_strict_check,
@@ -281,17 +278,15 @@ class _Suite:
         return pool
 
     def filters(self, pool):
-        # a classification read by several items is charged to the first
+        # the classification, read by several items, is charged to the first
         detail = f"{len(pool)} operators"
         t0 = time.perf_counter()
-        rows = [(op, Filter(op.alg, g)) for op in pool for g in op.alg.elements()]
-        closed = [filter_is_closed(op, flt) for op, flt in rows]
-        modal = [filter_is_modal(op, flt) for op, flt in rows]
-        ok = not any(c and not m for c, m in zip(closed, modal))
+        rows = [(op, cf) for op in pool for cf in all_filters_classified(op)]
+        ok = not any(cf.is_closed and not cf.is_modal for _, cf in rows)
         self.record("closed-implies-modal", ok, detail, t0)
 
         t0 = time.perf_counter()
-        ok = all(filter_is_closed_su_mid(op, flt) == c for (op, flt), c in zip(rows, closed))
+        ok = all(cf.closed_via_su_mid == cf.is_closed for _, cf in rows)
         self.record("su-mid-iff-closed", ok, detail, t0)
 
         t0 = time.perf_counter()
@@ -299,27 +294,25 @@ class _Suite:
         for op in pool:
             strict = check_strict(op)
             r1r2[op] = strict.result("R1").passed and strict.result("R2").passed
-        ok = not any(r1r2[op] and m and not c for (op, _), c, m in zip(rows, closed, modal))
+        ok = not any(r1r2[op] and cf.is_modal and not cf.is_closed for op, cf in rows)
         self.record("modal-implies-closed-under-r1r2", ok, detail, t0)
 
         t0 = time.perf_counter()
-        ok = all(filter_is_modal_via_generator(op, flt) == m for (op, flt), m in zip(rows, modal))
+        ok = all(cf.modal_via_generator == cf.is_modal for _, cf in rows)
         self.record("modal-generator-shortcut-agrees", ok, detail, t0)
 
         t0 = time.perf_counter()
         ok = True
-        for op in pool:
-            alg = op.alg
-            for g in alg.elements():
-                flt = Filter(alg, g)
-                theta = congruence_from_filter(alg, flt)
-                if congruence_to_filter(theta).generator != g:
-                    ok = False
-                back = congruence_from_filter(alg, congruence_to_filter(theta))
-                if back.reps != theta.reps:
-                    ok = False
-                if congruence_respects_op(op, theta) != filter_is_closed(op, flt):
-                    ok = False
+        for op, cf in rows:
+            alg, flt = op.alg, cf.filter
+            theta = congruence_from_filter(alg, flt)
+            if congruence_to_filter(theta).generator != flt.generator:
+                ok = False
+            back = congruence_from_filter(alg, congruence_to_filter(theta))
+            if back.reps != theta.reps:
+                ok = False
+            if congruence_respects_op(op, theta) != cf.is_closed:
+                ok = False
         self.record("filter-congruence-round-trip", ok, "", t0)
 
         t0 = time.perf_counter()

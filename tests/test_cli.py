@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -414,3 +415,89 @@ def test_exit_contract_on_any_json(call, compact):
     if code == 2:
         assert out.getvalue() == "", (argv, payload)
         assert err.getvalue().startswith("psiforge: ")
+
+
+# Random argv for the verbs that take options rather than a JSON input.
+# Values are drawn mostly invalid: a valid call runs real work, and the
+# test should stay within a few seconds.
+_SENTENCES = st.one_of(
+    st.sampled_from(["x = x", "dia(a, b, c) <= dia(b, a, c)", "mu(x) = 0", "a and b = b and a"]),
+    st.text(max_size=12),
+    st.integers(1, 3000).map(lambda n: "(" * n + "x" + ")" * n + " = x"),
+    st.integers(1, 3000).map(lambda n: "not " * n + "x = x"),
+    st.integers(1, 3000).map(lambda n: "dia(" * n + "x" + ", x, x)" * n + " = x"),
+)
+_VALUES = {
+    "--k": st.sampled_from(["1", "1", "2", "3", "0", "7", "-1", "9" * 40, "1.5", "x", "", " 2", "0x2", "1e3"]),
+    "--what": st.sampled_from(["ecas", "operators", "op", "", "ECAS"]),
+    "--axioms": st.sampled_from(["psi", "3bamo", "strict", "nope", "", "@", "@MISSING", "@BAD_AXIOMS", "@DIR"]),
+    "--mode": st.sampled_from(["auto", "exhaustive", "relational", "sampled", "fast", ""]),
+    "--sentence": _SENTENCES,
+    "-o": st.sampled_from(["-", "OUT", "MISSING/out.json", "DIR"]),
+}
+_ARGV_OPTIONS = {
+    "enumerate": ["--what", "--k", "--axioms", "--mode", "-o", "--compact"],
+    "find": ["--sentence", "--k", "--axioms", "--mode", "-o", "--compact"],
+    "verify-suite": ["--k", "-o", "--compact"],
+}
+_STRAY = st.sampled_from(["--kk", "--help", "-x", "--", "extra", "--what", "--sentence", "--compact=1"])
+
+
+def _option(verb):
+    """One option token with its value, or without one, or a stray token."""
+    def tokens(name):
+        if name == "--compact":
+            return st.just([name])
+        value = _VALUES[name]
+        return st.one_of(
+            value.map(lambda v: [name, v]),
+            value.map(lambda v: [f"{name}={v}"]) if name.startswith("--") else value.map(lambda v: [name + v]),
+            st.just([name]),
+        )
+
+    return st.sampled_from(_ARGV_OPTIONS[verb]).flatmap(tokens) | _STRAY.map(lambda t: [t])
+
+
+_argvs = st.sampled_from(sorted(_ARGV_OPTIONS)).flatmap(
+    lambda verb: st.lists(_option(verb), max_size=5).map(lambda opts: [verb] + [t for o in opts for t in o])
+)
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "bad.ax").write_text("dia(a, b = c\n")
+    (root / "dir").mkdir()
+    return {
+        "OUT": str(root / "out.json"),
+        "MISSING": str(root / "missing" / "x.ax"),
+        "BAD_AXIOMS": str(root / "bad.ax"),
+        "DIR": str(root / "dir"),
+    }
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs)
+@example(argv=["find", "--sentence", "(" * 3000 + "x" + ")" * 3000 + " = x"])
+@example(argv=["find", "--sentence", "not " * 3000 + "x = x"])
+@example(argv=["enumerate", "--what", "operators", "--k", "9" * 40])
+@example(argv=["verify-suite", "--k", "-7"])
+def test_exit_contract_on_any_argv(argv, argv_paths):
+    """enumerate, find and verify-suite exit 0, 1 or 2 on any argv, with
+    no traceback and an empty stdout on exit 2.  run_suite is replaced by
+    a stub: its work is tested elsewhere, and any integer --k runs it."""
+    from psiforge import verify
+
+    def path(token):
+        for key, value in argv_paths.items():
+            token = token.replace(key, value)
+        return token
+
+    argv = [path(t) for t in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(verify, "run_suite", lambda k, seed: []):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -1,19 +1,27 @@
-"""The atom-cover deciders agree with the full sweeps of their laws, and
+"""The reduced deciders agree with the full sweeps of their laws, and
 the verdict-only is_eca/is_extca agree with the reports.
 
-MO2-MO4 and EC0 are decided on rows with an atom parameter u, and their
-own sentences are swept only to name a witness.  check_3bamo and
-check_eca would hide a wrong decider (a false failure falls back to the
-full sweep), so the deciders are compared here directly."""
+MO2-MO4 and EC0 are decided on rows with an atom parameter u, R1 and R2
+on atoms under MO1-MO3, the cut EC1 on minimal premises when its
+conclusion masks are antitone, and closed filters on meets with the
+generator when dia is monotone; the full sweeps run only to name a
+witness or when a hypothesis fails.  The checkers would hide a wrong
+decider (a false failure falls back to the full sweep), so the deciders
+are compared here directly, on inputs that take each path."""
 import random
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import pytest
 
 from psiforge import (
+    Filter,
     TernaryRelation,
+    automorphisms,
     check_eca,
     check_extca,
+    check_strict,
     enumerate_ecas,
     example_3bamo,
     is_eca,
@@ -22,9 +30,19 @@ from psiforge import (
     make_algebra,
     smallest_diamond,
 )
-from psiforge.contact_relation import _chi_table, _holds, _witness
-from psiforge.enumeration import sample_3bamos
-from psiforge.ternary_operator import TernaryOperator, _atom_form_holds, _sweep
+from psiforge.contact_relation import (
+    _bits_of_rows,
+    _chi_table,
+    _conclusion_masks,
+    _cut_on_minimal_premises,
+    _cut_witness,
+    _holds,
+    _witness,
+)
+from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
+from psiforge.filter_congruence import _filter_law, _monotone, filter_is_closed
+from psiforge.ternary_operator import TernaryOperator, _atom_form_holds, _distributes, _sweep
+from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
 def _operators(k, rng, count):
@@ -100,3 +118,132 @@ def test_verdict_only_path_agrees_with_reports(k, count):
         first_failures.add(next((r.axiom for r in eca.results if not r.passed), None))
     # the walk passes, and stops at EC0, EC1 and at least one later law
     assert {"EC0", "EC1", None} < first_failures
+
+
+def _antitone_relation(alg, rng):
+    """A relation whose conclusion masks are antitone in each premise:
+    C(d, e) is the meet of dense random masks over every (d', e') below
+    (d, e)."""
+    size = alg.size
+    raw = [reduce(int.__or__, (rng.getrandbits(size) for _ in range(4))) for _ in range(size * size)]
+    rows = [
+        reduce(and_, (raw[d2 * size + e2] for d2 in range(size) if d2 & d == d2 for e2 in range(size) if e2 & e == e2))
+        for d in range(size)
+        for e in range(size)
+    ]
+    return TernaryRelation(alg, _bits_of_rows(rows, size))
+
+
+def _cut_cases():
+    """Every one-atom relation; seeded two-atom relations, random and
+    built antitone; and the three-atom ECAs with every one-bit flip."""
+    alg1, alg2, alg3 = make_algebra(1), make_algebra(2), make_algebra(3)
+    rng = random.Random(17)
+    yield from (TernaryRelation(alg1, bits) for bits in range(256))
+    yield from (TernaryRelation(alg2, rng.getrandbits(64) | rng.getrandbits(64)) for _ in range(300))
+    yield from (_antitone_relation(alg, rng) for alg in (alg2, alg3) for _ in range(300))
+    for rel in enumerate_ecas(alg3):
+        yield rel
+        yield from (TernaryRelation(alg3, rel.bits ^ 1 << i) for i in range(512))
+
+
+def test_cut_on_minimal_premises_decides_the_cut():
+    paths = set()
+    for rel in _cut_cases():
+        con = _conclusion_masks(rel)
+        verdict = _cut_witness(con, rel.alg.top) is None
+        reduced = _cut_on_minimal_premises(con, rel.alg)
+        assert reduced in (None, verdict), rel.bits
+        assert _holds(rel, _chi_table(rel), "cut") == verdict, rel.bits
+        paths.add((reduced is not None, verdict))
+    # the reduction decides passes and failures, and the fallback runs on
+    # relations that are not antitone, passing and failing
+    assert paths == set(product((False, True), (False, True)))
+
+
+def _joined_table(alg, rng):
+    """dia(a, b, c) = the join of f_uv(c) over atoms u <= a, v <= b, for
+    random maps f_uv with f_uv(0) = 0 and a random share of their values
+    0: MO1-MO3 hold, MO4 mostly not."""
+    size, atoms = alg.size, alg.atoms()
+    density = rng.random()
+
+    def value():
+        return rng.randrange(size) if rng.random() < density else 0
+
+    maps = {(u, v): [0] + [value() for _ in range(size - 1)] for u in atoms for v in atoms}
+    return tuple(
+        reduce(int.__or__, (maps[u, v][c] for u in atoms if u & a for v in atoms if v & b), 0)
+        for a in range(size)
+        for b in range(size)
+        for c in range(size)
+    )
+
+
+def _strict_tables():
+    """Every two-atom pseudo-inference table, the monotone samples, tables
+    joined from atom-pair maps, and one- and two-entry perturbations of
+    them all (many fail MO1-MO3); and joined three-atom tables, where a
+    third coordinate can lie strictly between an atom and the top."""
+    alg = make_algebra(2)
+    rng = random.Random(2)
+    psi = {permute_operator_table(alg, p, op.table) for op in enumerate_psi_operators(alg) for p in automorphisms(alg)}
+    bases = sorted(psi) + [op.table for op in sample_3bamos(alg, count=6, seed=2)]
+    bases += [_joined_table(alg, rng) for _ in range(20)]
+    tables = list(bases)
+    for base in bases:
+        for _ in range(20):
+            table = list(base)
+            for _ in range(rng.choice((1, 2))):
+                table[rng.randrange(64)] = rng.randrange(4)
+            tables.append(tuple(table))
+    alg3 = make_algebra(3)
+    return [TernaryOperator(alg, t) for t in tables] + [
+        TernaryOperator(alg3, _joined_table(alg3, rng)) for _ in range(100)
+    ]
+
+
+def test_r1_r2_atom_forms_decide_r1_r2():
+    paths = set()
+    for op in _strict_tables():
+        full = tuple(_sweep(op, ax) for ax in ("R1", "R2", "S"))
+        assert check_strict(op).results == full, op.table
+        distributes = _distributes(op)
+        for axiom, result in zip(("R1", "R2"), full):
+            if distributes:
+                assert _atom_form_holds(op, f"{axiom}-atom") == result.passed, (axiom, op.table)
+            paths.add((axiom, distributes, result.passed))
+    # each law passes and fails, both under MO1-MO3 and without it
+    assert paths == set(product(("R1", "R2"), (False, True), (False, True)))
+
+
+def _filter_operators():
+    """The k <= 2 operator pools, and one- and two-entry perturbations of
+    their two-atom members, most of which are not monotone."""
+    pool = psi_operator_pool(2) + bamo_operator_pool(2)
+    rng = random.Random(3)
+    ops = list(pool)
+    for op in pool:
+        if op.alg.atom_count == 2:
+            for _ in range(6):
+                table = list(op.table)
+                for _ in range(rng.choice((1, 2))):
+                    table[rng.randrange(64)] = rng.randrange(4)
+                ops.append(TernaryOperator(op.alg, tuple(table)))
+    return ops
+
+
+def test_closed_on_meets_decides_closed_filters():
+    paths = set()
+    for op in _filter_operators():
+        monotone = _monotone(op)
+        for g in op.alg.elements():
+            flt = Filter(op.alg, g)
+            definition = _filter_law(op, flt, "closed")
+            assert filter_is_closed(op, flt) == definition, (op.table, g)
+            assert filter_is_closed(op, flt, monotone=monotone) == definition, (op.table, g)
+            if monotone:
+                assert _filter_law(op, flt, "closed-meet") == definition, (op.table, g)
+            paths.add((monotone, definition))
+    # closed and non-closed filters, on monotone operators and on others
+    assert paths == set(product((False, True), (False, True)))
