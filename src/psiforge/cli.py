@@ -68,6 +68,16 @@ def _emit(obj, out) -> None:
     out.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _sentences():
+    """Parsing and compiling sentences, where the parser and the sweep
+    compiler recurse once per nesting level."""
+    try:
+        yield
+    except RecursionError:
+        raise PsiforgeError("bad input: sentence nested too deeply") from None
+
+
 def _load_axioms(name_or_file: str):
     from .enumeration import named_axioms
     from .terms import parse_axiom_file
@@ -166,8 +176,9 @@ def _cmd_enumerate(args, out) -> int:
         for rel in enumerate_ecas(alg):
             _emit(rel.to_json(compact=args.compact), out)
         return 0
-    axioms = _load_axioms(args.axioms)
-    enum = enumerate_operators(alg, axioms, mode=args.mode, seed=args.seed)
+    with _sentences():
+        axioms = _load_axioms(args.axioms)
+        enum = enumerate_operators(alg, axioms, mode=args.mode, seed=args.seed)
     for op in enum.operators:
         payload = op.to_json()
         payload["label"] = enum.label
@@ -180,10 +191,11 @@ def _cmd_find(args, out) -> int:
     from .enumeration import find_counterexample
     from .terms import parse
 
-    sentence = parse(args.sentence)
-    alg = make_algebra(args.k)
-    axioms = _load_axioms(args.axioms)
-    result = find_counterexample(sentence, alg, axioms, mode=args.mode)
+    with _sentences():
+        sentence = parse(args.sentence)
+        alg = make_algebra(args.k)
+        axioms = _load_axioms(args.axioms)
+        result = find_counterexample(sentence, alg, axioms, mode=args.mode)
     if result.found:
         payload = {
             "found": True,
@@ -325,10 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"psiforge: bad input: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser and the sweep compiler recurse once per nesting level
-        print("psiforge: bad input: sentence nested too deeply", file=sys.stderr)
         return 2
 
 

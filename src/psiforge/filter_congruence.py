@@ -6,8 +6,8 @@ whenever every xi -> yi does; closed filters correspond one-to-one to
 congruences compatible with the operator.  F is modal when it is closed
 under mu.  Both are stated as sentences in the rows of _FILTER_LAWS and
 swept by terms.compile_sweep.  Closedness is decided on meets with the
-generator where dia is monotone in each coordinate (filter_is_closed),
-and by its definition otherwise; modality by its definition.  The
+generator where MO2-MO4 hold on atoms, so dia is monotone in each
+coordinate (filter_is_closed), and by its definition otherwise; modality by its definition.  The
 (Su)/(Mid) reduction and the generator-only modality shortcut are rows
 there too, computed alongside so their equivalence (valid for
 pseudo-inference operators) can be asserted, not assumed.
@@ -69,29 +69,33 @@ def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
 
 
 def _monotone(op: TernaryOperator) -> bool:
-    """Whether dia is monotone in each coordinate: the atom forms of
-    MO2-MO4, each a chain of single-atom covers."""
+    """MO2-MO4 on atoms: dia is additive in its first two coordinates and
+    monotone in its third (each a chain of single-atom covers), so it is
+    monotone in each coordinate."""
     return all(_atom_form_holds(op, row) for row in ("MO2-atom", "MO3-atom", "MO4-atom"))
 
 
-def filter_is_closed(op: TernaryOperator, flt: Filter, *, monotone: bool | None = None) -> bool:
-    """Whether [g) is closed, exactly on every operator.
-
-    The definition sweeps every coordinate-wise implication triple, |A|^6
-    tuples.  Where dia is monotone in each coordinate, [g) is closed iff
-    g and dia(x, p, u) <= dia(g and x, g and p, g and u), over |A|^3: the
-    definition's instance y = g and x, q = g and p, w = g and u gives it,
-    and conversely g and x <= y, g and p <= q, g and u <= w give
-    dia(g and x, g and p, g and u) <= dia(y, q, w) by monotonicity.  Any
-    other operator is swept by the definition.  ``monotone`` is that
-    hypothesis's verdict (_monotone), computed here when not given.
-    """
+def _closed(op: TernaryOperator, flt: Filter, monotone: bool) -> bool:
+    """Whether [g) is closed, given ``monotone``, the verdict of _monotone(op)."""
     # the improper filter is closed; a sweep of it would visit every tuple
     if flt.generator == 0:
         return True
-    if monotone is None:
-        monotone = _monotone(op)
     return _filter_law(op, flt, "closed-meet" if monotone else "closed")
+
+
+def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
+    """Whether [g) is closed, exactly on every operator.
+
+    The definition sweeps every coordinate-wise implication triple, |A|^6
+    tuples.  Where MO2-MO4 hold on atoms (dia additive in its first two
+    coordinates and monotone in its third, hence monotone in each), [g) is
+    closed iff g and dia(x, p, u) <= dia(g and x, g and p, g and u), over
+    |A|^3: the definition's instance y = g and x, q = g and p, w = g and u
+    gives it, and conversely g and x <= y, g and p <= q, g and u <= w give
+    dia(g and x, g and p, g and u) <= dia(y, q, w) by monotonicity.  Any
+    other operator is swept by the definition.
+    """
+    return _closed(op, flt, _monotone(op))
 
 
 def filter_is_closed_su_mid(op: TernaryOperator, flt: Filter) -> bool:
@@ -111,10 +115,14 @@ def filter_is_modal_via_generator(op: TernaryOperator, flt: Filter) -> bool:
     return _filter_law(op, flt, "modal-generator")
 
 
-def classify_filter(op: TernaryOperator, flt: Filter, *, monotone: bool | None = None) -> ClassifiedFilter:
+def classify_filter(op: TernaryOperator, flt: Filter) -> ClassifiedFilter:
+    return _classify(op, flt, _monotone(op))
+
+
+def _classify(op: TernaryOperator, flt: Filter, monotone: bool) -> ClassifiedFilter:
     return ClassifiedFilter(
         filter=flt,
-        is_closed=filter_is_closed(op, flt, monotone=monotone),
+        is_closed=_closed(op, flt, monotone),
         is_modal=filter_is_modal(op, flt),
         closed_via_su_mid=filter_is_closed_su_mid(op, flt),
         modal_via_generator=filter_is_modal_via_generator(op, flt),
@@ -123,7 +131,7 @@ def classify_filter(op: TernaryOperator, flt: Filter, *, monotone: bool | None =
 
 def all_filters_classified(op: TernaryOperator) -> list[ClassifiedFilter]:
     alg, monotone = op.alg, _monotone(op)
-    return [classify_filter(op, Filter(alg, g), monotone=monotone) for g in alg.elements()]
+    return [_classify(op, Filter(alg, g), monotone) for g in alg.elements()]
 
 
 @dataclass(frozen=True)
@@ -225,7 +233,7 @@ def congruence_filter_maps(alg: FiniteBooleanAlgebra, value):
 
 def closed_filter_generators(op: TernaryOperator) -> list[int]:
     alg, monotone = op.alg, _monotone(op)
-    return [g for g in alg.elements() if filter_is_closed(op, Filter(alg, g), monotone=monotone)]
+    return [g for g in alg.elements() if _closed(op, Filter(alg, g), monotone)]
 
 
 def _require_psi(op: TernaryOperator, caller: str) -> None:

@@ -49,11 +49,7 @@ class TernaryOperator:
         if len(self.table) != size ** 3:
             raise ValueError(f"table must have {size ** 3} entries, got {len(self.table)}")
         # one min/max pass; the scan names the first bad entry only on failure
-        try:
-            in_range = min(self.table) >= 0 and max(self.table) < size
-        except TypeError:  # an entry that does not compare with ints
-            in_range = False
-        if not in_range:
+        if min(self.table) < 0 or max(self.table) >= size:
             for v in self.table:
                 if not self.alg.contains(v):
                     raise ValueError(f"table value {v} outside carrier")

@@ -4,7 +4,7 @@ the verdict-only is_eca/is_extca agree with the reports.
 MO2-MO4 and EC0 are decided on rows with an atom parameter u, R1 and R2
 on atoms under MO1-MO3, the cut EC1 on minimal premises when its
 conclusion masks are antitone, and closed filters on meets with the
-generator when dia is monotone; the full sweeps run only to name a
+generator when MO2-MO4 hold on atoms; the full sweeps run only to name a
 witness or when a hypothesis fails.  The checkers would hide a wrong
 decider (a false failure falls back to the full sweep), so the deciders
 are compared here directly, on inputs that take each path."""
@@ -40,7 +40,7 @@ from psiforge.contact_relation import (
     _witness,
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
-from psiforge.filter_congruence import _filter_law, _monotone, filter_is_closed
+from psiforge.filter_congruence import _closed, _filter_law, _monotone, filter_is_closed
 from psiforge.ternary_operator import TernaryOperator, _atom_form_holds, _distributes, _sweep
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
@@ -241,7 +241,7 @@ def test_closed_on_meets_decides_closed_filters():
             flt = Filter(op.alg, g)
             definition = _filter_law(op, flt, "closed")
             assert filter_is_closed(op, flt) == definition, (op.table, g)
-            assert filter_is_closed(op, flt, monotone=monotone) == definition, (op.table, g)
+            assert _closed(op, flt, monotone) == definition, (op.table, g)
             if monotone:
                 assert _filter_law(op, flt, "closed-meet") == definition, (op.table, g)
             paths.add((monotone, definition))
