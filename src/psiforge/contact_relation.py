@@ -490,9 +490,9 @@ def posets_dual_iso_check(
     ))
 
     if alg.atom_count == 1:
-        from .enumeration import brute_force_operators, psi_axioms
+        from .enumeration import brute_force_operators, named_axioms
 
-        axioms = psi_axioms()
+        axioms = named_axioms("psi")
         expected = {
             op.table
             for op in brute_force_operators(alg, axioms)

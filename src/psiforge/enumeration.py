@@ -1,11 +1,11 @@
 """Enumeration of entailment relations and operator tables up to algebra
 automorphism, plus counterexample search for user sentences.
 
-One engine enumerates: the distribution laws fix a table by its values on
-atom pairs, so _atom_pair_operators walks the product of per-pair maps.
-Pseudo-inference tables draw those values from the whole algebra;
-entailment relations are the relations of the {0, top}-valued tables
-(rel_to_op is a bijection onto the relational operators).
+One engine enumerates: a pseudo-inference table is one slice per atom and
+a slice one up-set per atom pair (see "pseudo-inference tables as slices"),
+so the tables are products of valid slices and the entailment relations
+come from the tables with one slice, every diagonal whole, at each atom.
+No checker filters generated candidates; the checkers are the oracle.
 
 Canonical form: the lexicographically least bitset (or operator table) in
 the automorphism orbit; outputs are deduplicated and sorted by it.
@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .boolean_core import (
     FiniteBooleanAlgebra,
     apply_automorphism,
     automorphisms,
+    make_algebra,
 )
 from .contact_relation import TernaryRelation, is_eca, op_to_rel, rel_to_op
 from .errors import SizeCapError
@@ -41,10 +44,6 @@ def named_axioms(name: str) -> list[Sentence]:
     if name == "strict":
         return named_axioms("psi") + parse_axiom_file(AXIOM_TEXTS["strictness"])
     raise ValueError(f"unknown axiom set {name!r}")
-
-
-def psi_axioms() -> list[Sentence]:
-    return named_axioms("psi")
 
 
 def sentence_holds_everywhere(axioms: list[Sentence], op: TernaryOperator) -> bool:
@@ -94,6 +93,12 @@ def canonical_operator_table(alg: FiniteBooleanAlgebra, table: tuple[int, ...]) 
     return min(permute_operator_table(alg, p, table) for p in automorphisms(alg))
 
 
+def _representatives(alg: FiniteBooleanAlgebra, tables) -> tuple[TernaryOperator, ...]:
+    """One operator per orbit among ``tables``, sorted by canonical table."""
+    found = {canonical_operator_table(alg, t) for t in tables}
+    return tuple(TernaryOperator(alg, t) for t in sorted(found))
+
+
 # ---------------------------------------------------------------------------
 # relation enumeration
 
@@ -115,11 +120,11 @@ def enumerate_ecas(alg: FiniteBooleanAlgebra, workers: int = 1) -> list[TernaryR
     representative per automorphism orbit, sorted by canonical bitset.
 
     An entailment relation is op_to_rel of a relational pseudo-inference
-    operator, and that operator is fixed by its {0, top} values on atom
-    pairs, so the candidates are the {0, top}-valued atom-pair tables
-    (1, 2 and 27 of them at one, two and three atoms), each kept when its
-    relation passes check_eca.  Exact through three atoms; larger algebras
-    are refused.
+    operator, whose slices are one and the same slice at every atom, with
+    every diagonal whole.  So the relations come from the valid slices
+    with all diagonals whole (27 families at three atoms, of which the
+    PI1 mask test keeps 15 labelled relations in 7 orbits), without a
+    checker.  Exact through three atoms; larger algebras are refused.
 
     ``workers`` selects nothing.  It is kept only because
     ``bench/workloads.py`` calls ``enumerate_ecas(alg, workers=w)``; drop
@@ -127,8 +132,11 @@ def enumerate_ecas(alg: FiniteBooleanAlgebra, workers: int = 1) -> list[TernaryR
     """
     if alg.atom_count > ENUM_MAX_ATOMS_ECAS:
         raise SizeCapError("relation enumeration capped at 3 atoms")
-    rels = (op_to_rel(op) for op in _atom_pair_operators(alg, (0, alg.top)))
-    found = {canonical_relation_bits(alg, r.bits) for r in rels if is_eca(r)}
+    atoms = tuple(alg.atoms())
+    found = {
+        canonical_relation_bits(alg, op_to_rel(_table(alg, (f,) * len(atoms))).bits)
+        for f in _slices(alg.atom_count, atoms)
+    }
     return [TernaryRelation(alg, bits) for bits in sorted(found)]
 
 
@@ -152,15 +160,9 @@ def brute_force_operators(
     """Naive oracle over every table; single-atom algebras only."""
     if alg.atom_count != 1:
         raise SizeCapError("brute force over all operator tables needs a single atom")
-    n = alg.size ** 3
     out = []
-    for packed in range(alg.size ** n):
-        table = []
-        x = packed
-        for _ in range(n):
-            table.append(x % alg.size)
-            x //= alg.size
-        op = TernaryOperator(alg, tuple(table))
+    for digits in product(range(alg.size), repeat=alg.size ** 3):
+        op = TernaryOperator(alg, digits[::-1])  # entry 0 varies fastest
         if sentence_holds_everywhere(axioms, op):
             out.append(op)
     return out
@@ -190,18 +192,12 @@ def enumerate_operators(
                 "exhaustive operator enumeration is infeasible beyond one atom; "
                 "request relational or sampled mode explicitly"
             )
-        ops = brute_force_operators(alg, axioms)
-        tables = sorted({canonical_operator_table(alg, op.table) for op in ops})
-        return OperatorEnumeration(
-            tuple(TernaryOperator(alg, t) for t in tables), "exhaustive"
-        )
+        tables = (op.table for op in brute_force_operators(alg, axioms))
+        return OperatorEnumeration(_representatives(alg, tables), "exhaustive")
     if mode == "relational":
-        ops = [rel_to_op(rel) for rel in enumerate_ecas(alg)]
-        ops = [op for op in ops if sentence_holds_everywhere(axioms, op)]
-        tables = sorted({canonical_operator_table(alg, op.table) for op in ops})
-        return OperatorEnumeration(
-            tuple(TernaryOperator(alg, t) for t in tables), "relational-exhaustive"
-        )
+        ops = (rel_to_op(rel) for rel in enumerate_ecas(alg))
+        tables = (op.table for op in ops if sentence_holds_everywhere(axioms, op))
+        return OperatorEnumeration(_representatives(alg, tables), "relational-exhaustive")
     if mode == "sampled":
         rng = random.Random(seed)
         base = smallest_diamond(alg)
@@ -221,37 +217,32 @@ def enumerate_operators(
                 candidates.append(
                     tuple(x | y for x, y in zip(base.table, other.table))
                 )
-        kept = set()
-        for table in candidates:
-            op = TernaryOperator(alg, table)
-            if sentence_holds_everywhere(axioms, op):
-                kept.add(canonical_operator_table(alg, table))
-        return OperatorEnumeration(
-            tuple(TernaryOperator(alg, t) for t in sorted(kept)),
-            f"sampled(seed={seed})",
-        )
+        tables = (t for t in candidates if sentence_holds_everywhere(axioms, TernaryOperator(alg, t)))
+        return OperatorEnumeration(_representatives(alg, tables), f"sampled(seed={seed})")
     raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
-# structured pseudo-inference tables
+# pseudo-inference tables as slices
 #
-# The distribution laws make any candidate determined by its values on atom
-# pairs: dia(a, b, c) is the join of m(u, v, c) over atoms u <= a, v <= b.
-# Conversely the axioms force m symmetric, monotone in c, zero off the
-# common support of u and v, and at least u on the diagonal, so sweeping
-# exactly those maps and filtering with the full checker enumerates every
-# pseudo-inference table (exhaustively for at most two atoms).
+# The distribution laws fix a table by its values on atom pairs: dia(a, b, c)
+# joins m(u, v, c) over atoms u <= a, v <= b.  The MO and PI laws compare dia
+# values bitwise and never nest dia, so a table is one independent slice per
+# atom x, the 0/1 table "x <= dia(a, b, c)".  A slice is a family of one
+# up-set U(u, v) of {c : c meets u and v} per unordered atom pair, held as a
+# mask with bit c for element c.  MO1-MO4, PI2 and PI4 then hold by
+# construction, and PI3 makes U(x, x) the whole support at the slice's own
+# atom x.  PI1 holds iff it holds on atom pairs, where it is a mask test:
+# with C(d, e) the union of U(u', v') over atoms u' <= d, v' <= e (monotone
+# in d and e), it holds iff U(u, v) lies inside C(d0, e0) for the minimal
+# d0, e0 of the up-set {d : not d outside U(u, v)}.
 
 
 def _assemble_from_atom_maps(alg, m) -> TernaryOperator:
     """The table whose (a, b, c) entry joins m[(u, v)][c] over atoms u <= a
-    and v <= b (0 where a map has no entry for c).  A pair keyed in one
-    order only serves both orders."""
+    and v <= b.  A pair keyed in one order only serves both orders."""
     size = alg.size
-    rows = {(u, v): [vals.get(c, 0) for c in range(size)] for (u, v), vals in m.items()}
-    for (u, v) in m:
-        rows.setdefault((v, u), rows[(u, v)])
+    rows = {(v, u): row for (u, v), row in m.items()} | m
     below = [[u for u in alg.atoms() if a & u] for a in range(size)]
     table = []
     for a in range(size):
@@ -264,109 +255,105 @@ def _assemble_from_atom_maps(alg, m) -> TernaryOperator:
     return TernaryOperator(alg, tuple(table))
 
 
-def _atom_pair_supports(alg) -> dict[tuple[int, int], list[int]]:
+def _pairs(alg) -> list[tuple[int, int]]:
     atoms = alg.atoms()
-    return {
-        (u, v): [c for c in alg.elements() if c & u and c & v]
-        for i, u in enumerate(atoms)
-        for v in atoms[i:]
-    }
+    return [(u, v) for i, u in enumerate(atoms) for v in atoms[i:]]
 
 
-def _monotone_ok(support: list[int], m: dict[int, int]) -> bool:
-    return all(
-        m[c] & m[c2] == m[c]
-        for c in support
-        for c2 in support
-        if c & c2 == c
-    )
+def _upsets(alg, u: int, v: int) -> list[int]:
+    """Every up-set of {c : c meets u and v}, as masks, the whole set last.
+    Elements are decided from the top down; c may join a set that already
+    holds c or y for every atom y outside c."""
+    sets = [0]
+    for c in range(alg.top, 0, -1):
+        if c & u and c & v:
+            above = sum(1 << (c | y) for y in alg.atoms() if not c & y)
+            sets += [s | 1 << c for s in sets if s & above == above]
+    return sets
 
 
-def _atom_pair_operators(alg: FiniteBooleanAlgebra, values):
-    """Every table assembled from one map per atom pair whose entries lie
-    in ``values``, monotone in c, and at least u on the diagonal (u, u)."""
-    supports = _atom_pair_supports(alg)
-    pairs = list(supports)
-    per_pair: list[list[dict[int, int]]] = []
-    for (u, v) in pairs:
-        sup = supports[(u, v)]
-        options = []
-        for assign in product(values, repeat=len(sup)):
-            m = dict(zip(sup, assign))
-            if not _monotone_ok(sup, m):
-                continue
-            if u == v and not all((u & c) & m[c] == (u & c) for c in sup):
-                continue
-            options.append(m)
-        per_pair.append(options)
-    for combo in product(*per_pair):
-        yield _assemble_from_atom_maps(alg, dict(zip(pairs, combo)))
+def _candidate_slices(alg, whole: tuple[int, ...]):
+    """Every family of up-sets (in _pairs order) with U(x, x) whole at the
+    atoms x of ``whole``."""
+    options = []
+    for u, v in _pairs(alg):
+        ups = _upsets(alg, u, v)
+        options.append(ups[-1:] if u == v and u in whole else ups)
+    return product(*options)
+
+
+@lru_cache(maxsize=None)
+def _slices(k: int, whole: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The candidate slices on k atoms that pass the PI1 mask test."""
+    alg = make_algebra(k)
+    pairs, top = _pairs(alg), alg.top
+    below = [[u for u in alg.atoms() if d & u] for d in alg.elements()]
+    least: dict[int, list[int]] = {}
+    for s in {s for pair in pairs for s in _upsets(alg, *pair)}:
+        inside = [d for d in alg.elements() if not s >> (top ^ d) & 1]
+        least[s] = [d for d in inside if not any(d ^ u in inside for u in below[d])]
+
+    def pi1_holds(family) -> bool:
+        ups = {(v, u): s for (u, v), s in zip(pairs, family)} | dict(zip(pairs, family))
+        for s in family:
+            for d in least[s]:
+                for e in least[s]:
+                    c = 0
+                    for u in below[d]:
+                        for v in below[e]:
+                            c |= ups[(u, v)]
+                    if s & ~c:
+                        return False
+        return True
+
+    return tuple(f for f in _candidate_slices(alg, whole) if pi1_holds(f))
+
+
+def _table(alg, slices) -> TernaryOperator:
+    """The table whose slice at the i-th atom is ``slices[i]``."""
+    atoms = alg.atoms()
+    return _assemble_from_atom_maps(alg, {
+        pair: [sum(x for x, f in zip(atoms, slices) if f[p] >> c & 1) for c in alg.elements()]
+        for p, pair in enumerate(_pairs(alg))
+    })
 
 
 def enumerate_psi_operators(alg: FiniteBooleanAlgebra) -> list[TernaryOperator]:
-    """Every pseudo-inference table on the algebra, canonically ordered.
-
-    Exhaustive by the atom-pair decomposition; capped at two atoms, where
-    the candidate space is still desk-scale.
-    """
+    """Every pseudo-inference table on the algebra, canonically ordered:
+    the products of one valid slice per atom (1 table at one atom, 16 at
+    two).  Capped at two atoms, where canonicalising stays desk-scale."""
     if alg.atom_count > ENUM_MAX_ATOMS_EXACT:
         raise SizeCapError("exhaustive pseudo-inference enumeration capped at 2 atoms")
-    found = {
-        canonical_operator_table(alg, op.table)
-        for op in _atom_pair_operators(alg, range(alg.size))
-        if check_psi_quiet(op)
-    }
-    return [TernaryOperator(alg, t) for t in sorted(found)]
-
-
-def check_psi_quiet(op: TernaryOperator) -> bool:
-    from .ternary_operator import check_3bamo, check_psi
-
-    return check_3bamo(op).passed and check_psi(op).passed
+    per_atom = [_slices(alg.atom_count, (x,)) for x in alg.atoms()]
+    return list(_representatives(alg, (_table(alg, c).table for c in product(*per_atom))))
 
 
 def sample_psi_operators(
-    alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED, attempts: int = 400
+    alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED
 ) -> list[TernaryOperator]:
-    """Seeded pseudo-inference samples via random structured atom maps,
-    filtered by the full checker.  Deterministic for a fixed seed."""
-    rng = random.Random(seed)
-    supports = _atom_pair_supports(alg)
-    pairs = list(supports)
-    found: dict[tuple[int, ...], TernaryOperator] = {}
-    by_popcount = sorted(alg.elements(), key=lambda c: (bin(c).count("1"), c))
-    for _ in range(attempts):
-        if len(found) >= count:
-            break
-        m: dict[tuple[int, int], dict[int, int]] = {}
-        for (u, v) in pairs:
-            sup = supports[(u, v)]
-            vals: dict[int, int] = {}
-            for c in by_popcount:
-                if c not in sup:
-                    continue
-                lower = 0
-                for c2 in sup:
-                    if c2 != c and c2 & c == c2 and c2 in vals:
-                        lower |= vals[c2]
-                if u == v:
-                    lower |= u & c
-                vals[c] = lower | rng.randrange(alg.size)
-            m[(u, v)] = vals
-        op = _assemble_from_atom_maps(alg, m)
-        if check_psi_quiet(op):
-            found.setdefault(op.table, op)
-    return list(found.values())
+    """``count`` distinct pseudo-inference tables (all, if fewer), drawn as
+    seeded indices into the product of one slice per atom; deterministic
+    for a fixed seed.  Capped at three atoms, where the slices are listed."""
+    if alg.atom_count > ENUM_MAX_ATOMS_ECAS:
+        raise SizeCapError("pseudo-inference sampling capped at 3 atoms")
+    per_atom = [_slices(alg.atom_count, (x,)) for x in alg.atoms()]
+    total = prod(len(options) for options in per_atom)
+    out = []
+    for index in random.Random(seed).sample(range(total), min(count, total)):
+        combo = []
+        for options in per_atom:
+            index, i = divmod(index, len(options))
+            combo.append(options[i])
+        out.append(_table(alg, combo))
+    return out
 
 
 def sample_3bamos(
     alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED, attempts: int = 400
 ) -> list[TernaryOperator]:
     """Seeded monotone-operator samples: independent random monotone maps
-    per ordered atom pair, assembled by joins (the distribution laws then
-    hold by construction; the checker confirms)."""
-    from .ternary_operator import check_3bamo
-
+    per ordered atom pair, assembled by joins, so MO1-MO4 hold by
+    construction.  At most ``count`` distinct tables from ``attempts`` draws."""
     rng = random.Random(seed)
     atoms = alg.atoms()
     by_popcount = sorted(alg.elements(), key=lambda c: (bin(c).count("1"), c))
@@ -374,22 +361,18 @@ def sample_3bamos(
     for _ in range(attempts):
         if len(found) >= count:
             break
-        m: dict[tuple[int, int], dict[int, int]] = {}
+        m = {}
         for u in atoms:
             for v in atoms:
-                vals = {0: 0}
-                for c in by_popcount:
-                    if c == 0:
-                        continue
-                    lower = 0
-                    for c2 in alg.elements():
-                        if c2 != c and c2 & c == c2 and c2 in vals:
-                            lower |= vals[c2]
-                    vals[c] = lower | rng.randrange(alg.size)
+                vals = [0] * alg.size
+                for c in by_popcount[1:]:
+                    for y in atoms:
+                        if c & y:
+                            vals[c] |= vals[c ^ y]
+                    vals[c] |= rng.randrange(alg.size)
                 m[(u, v)] = vals
         op = _assemble_from_atom_maps(alg, m)
-        if check_3bamo(op).passed:
-            found.setdefault(op.table, op)
+        found.setdefault(op.table, op)
     return list(found.values())
 
 

@@ -48,6 +48,14 @@ from .ternary_operator import (
 Term = Union["Const", "Var", "Unary", "Binary", "Ternary"]
 
 
+def _node_hash(node) -> int:
+    # expanded terms share subterms: hash each node once, not once per path
+    cache = node.__dict__
+    if "_hash" not in cache:
+        cache["_hash"] = hash(tuple(cache[f] for f in node.__dataclass_fields__))
+    return cache["_hash"]
+
+
 @dataclass(frozen=True)
 class Const:
     top: bool  # False is 0, True is 1
@@ -62,6 +70,7 @@ class Var:
 class Unary:
     op: str  # "not" | "mu" | "d"
     arg: Term
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -69,12 +78,14 @@ class Binary:
     op: str  # "and" | "or" | "xor" | "->"
     left: Term
     right: Term
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
 class Ternary:
     op: str  # "dia" | "disc"
     args: tuple[Term, Term, Term]
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -382,50 +393,57 @@ _BINARY_OPS = {"and": "&", "or": "|", "xor": "^"}
 _ONE = Const(True)
 
 
-def _not(x: Term) -> Term:
-    if isinstance(x, Const):
-        return Const(not x.top)
-    if isinstance(x, Unary):  # after expansion every Unary is a negation
-        return x.arg
-    return Unary("not", x)
-
-
-def _mu(z: Term) -> Term:
-    nz = _not(z)
-    return Binary(
-        "and",
-        _not(Ternary("dia", (_ONE, _ONE, nz))),
-        _not(Ternary("dia", (_ONE, nz, _ONE))),
-    )
-
-
-def _expand(t: Term) -> Term:
+def _expand(t: Term, nodes: dict) -> Term:
     """The term over not/and/or/xor/dia alone: mu, d, disc and -> become
-    the defining terms eval_term evaluates."""
-    if isinstance(t, (Const, Var)):
-        return t
-    if isinstance(t, Unary):
-        x = _expand(t.arg)
-        if t.op == "not":
-            return _not(x)
-        if t.op == "mu":
-            return _mu(x)
-        if t.op == "d":
-            return _not(_mu(_not(x)))
-    elif isinstance(t, Binary):
-        x, y = _expand(t.left), _expand(t.right)
-        if t.op == "->":
-            return Binary("or", _not(x), y)
-        if t.op in _BINARY_OPS:
-            return Binary(t.op, x, y)
-    elif isinstance(t, Ternary):
-        x, y, z = (_expand(a) for a in t.args)
-        if t.op == "dia":
-            return Ternary("dia", (x, y, z))
-        if t.op == "disc":
-            dv = _not(_mu(_not(Binary("xor", x, y))))
-            return Binary("or", Binary("and", x, dv), Binary("and", z, _not(dv)))
-    raise EvalError(f"cannot compile term {t!r}")
+    the defining terms eval_term evaluates.  Its nodes are hash-consed in
+    ``nodes``: equal subterms are one object and compare at once, so with
+    each node's hash cached, expanding is linear in the sentence text."""
+
+    def node(n: Term) -> Term:
+        return nodes.setdefault(n, n)
+
+    def neg(x: Term) -> Term:
+        if isinstance(x, Const):
+            return Const(not x.top)
+        if isinstance(x, Unary):  # after expansion every Unary is a negation
+            return x.arg
+        return node(Unary("not", x))
+
+    def mu(z: Term) -> Term:
+        nz = neg(z)
+        return node(Binary(
+            "and",
+            neg(node(Ternary("dia", (_ONE, _ONE, nz)))),
+            neg(node(Ternary("dia", (_ONE, nz, _ONE)))),
+        ))
+
+    def walk(t: Term) -> Term:
+        if isinstance(t, (Const, Var)):
+            return t
+        if isinstance(t, Unary):
+            x = walk(t.arg)
+            if t.op == "not":
+                return neg(x)
+            if t.op == "mu":
+                return mu(x)
+            if t.op == "d":
+                return neg(mu(neg(x)))
+        elif isinstance(t, Binary):
+            x, y = walk(t.left), walk(t.right)
+            if t.op == "->":
+                return node(Binary("or", neg(x), y))
+            if t.op in _BINARY_OPS:
+                return node(Binary(t.op, x, y))
+        elif isinstance(t, Ternary):
+            x, y, z = (walk(a) for a in t.args)
+            if t.op == "dia":
+                return node(Ternary("dia", (x, y, z)))
+            if t.op == "disc":
+                dv = neg(mu(neg(node(Binary("xor", x, y)))))
+                return node(Binary("or", node(Binary("and", x, dv)), node(Binary("and", z, neg(dv)))))
+        raise EvalError(f"cannot compile term {t!r}")
+
+    return walk(t)
 
 
 @lru_cache(maxsize=256)
@@ -460,6 +478,7 @@ def compile_sweep(
     depth = {name: i + 1 for i, name in enumerate(names)} | dict.fromkeys(params, 0)
     body: list[list[str]] = [[] for _ in range(n + 1)]  # statements per loop
     code: dict = {}  # node -> (local name or literal, loop level)
+    nodes: dict = {}  # shared by every side, so equal sides are one node
 
     def expr(node) -> tuple[str, int]:
         # a compound node is bound once, in the outermost loop that binds
@@ -490,13 +509,13 @@ def compile_sweep(
 
     premises, conclusion = (s.premises, s.conclusion) if isinstance(s, QuasiIdentity) else ((), s)
     for p in premises:
-        (x, i), (y, j) = expr(_expand(p.lhs)), expr(_expand(p.rhs))
+        (x, i), (y, j) = expr(_expand(p.lhs, nodes)), expr(_expand(p.rhs, nodes))
         body[max(i, j)].append(f"if {x} != {y}: {skip(max(i, j))}")
-    x, i = expr(_expand(conclusion.lhs))
+    x, i = expr(_expand(conclusion.lhs, nodes))
     inequality = isinstance(conclusion, Inequality)
     if inequality and i < n:
         body[i].append(f"if not {x}: {skip(i)}")
-    y, j = expr(_expand(conclusion.rhs))
+    y, j = expr(_expand(conclusion.rhs, nodes))
     true_here = f"not ({x} & ~{y})" if inequality else f"{x} == {y}"
     body[max(i, j)].append(f"if {true_here}: {skip(max(i, j))}")
     body[n].append("return (" + "".join(_CONSTANTS.get(x, f"v_{x}") + ", " for x in order) + ")")

@@ -40,7 +40,6 @@ from .enumeration import (
     brute_force_relations,
     canonical_relation_bits,
     enumerate_ecas,
-    enumerate_operators,
     enumerate_psi_operators,
     named_axioms,
     sample_3bamos,
@@ -106,16 +105,12 @@ def psi_operator_pool(k: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator]
     """Pseudo-inference operators on up to k atoms: every table on one and
     two atoms, plus seeded three-atom samples (structured, topological,
     and the least and largest-relation-induced tables)."""
-    alg1 = make_algebra(1)
-    alg2 = make_algebra(2)
-    pool: list[TernaryOperator] = []
-    pool.extend(enumerate_operators(alg1, named_axioms("psi")).operators)
-    pool.extend(enumerate_psi_operators(alg2))
+    pool = enumerate_psi_operators(make_algebra(1)) + enumerate_psi_operators(make_algebra(2))
     if k >= 3:
         alg3 = make_algebra(3)
         pool.append(smallest_diamond(alg3))
         pool.extend(rel_to_op(r) for r in enumerate_ecas(alg3))
-        pool.extend(sample_psi_operators(alg3, count=8, seed=seed, attempts=600))
+        pool.extend(sample_psi_operators(alg3, count=8, seed=seed))
         for top in topo_models.random_topologies(30, seed=seed, max_points=4):
             rca, rel = topo_models.eca_from_topology(top)
             if rca.alg.atom_count == 3:
@@ -161,7 +156,7 @@ class _Suite:
             1: [rel_to_op(r) for r in self.ecas1],
             2: [rel_to_op(r) for r in self.ecas2],
         }
-        self.k1_psi = list(enumerate_operators(self.alg1, named_axioms("psi")).operators)
+        self.k1_psi = enumerate_psi_operators(self.alg1)
         self.k1_3bamos = brute_force_operators(self.alg1, named_axioms("3bamo"))
         self.k2_psi = enumerate_psi_operators(self.alg2)
 

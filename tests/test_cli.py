@@ -25,7 +25,7 @@ from psiforge.contact_relation import relation_from_json
 from psiforge.ternary_operator import operator_from_json
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -35,6 +35,7 @@ def run_cli(*args, stdin=None, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -154,6 +155,44 @@ def test_find_exhausted_and_found():
     assert r.returncode == 1
     payload = json.loads(r.stdout)
     assert payload["found"] is True and payload["assignment"] == {"a": 1, "b": 1, "c": 1}
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    [
+        "mu(" * 40 + "x" + ")" * 40 + " = x",
+        "mu(" * 40 + "x" + ")" * 40 + " = " + "mu(" * 40 + "x" + ")" * 40,
+        "d(" * 40 + "x" + ")" * 40 + " = " + "not mu(not " * 40 + "x" + ")" * 40,
+    ],
+    ids=["nested", "equal-sides", "d-against-its-definition"],
+)
+def test_nested_mu_compiles_in_linear_time(sentence):
+    """mu writes its argument's negation twice, so nested mu expands to a
+    term whose shared subterms have exponentially many paths, and here
+    both sides can expand to equal terms; compiling stays linear in the
+    sentence text."""
+    r = run_cli("find", "--sentence", sentence, "--k", "1", timeout=3)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["found"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--what", "ecas", "--k", "3"],
+        ["enumerate", "--what", "operators", "--k", "2"],
+        ["find", "--sentence", "dia(a, b, c) <= dia(b, a, c)", "--k", "2"],
+        ["find", "--sentence", "mu(x) = 0", "--k", "2"],
+        ["check", "--kind", "psi", "EXAMPLE"],
+    ],
+)
+def test_unsampled_verbs_are_byte_deterministic(argv, example_op_file):
+    """The same argv gives the same stdout in fresh processes (each with
+    its own string-hash seed) and under any PSIFORGE_SEED."""
+    argv = [example_op_file if t == "EXAMPLE" else t for t in argv]
+    runs = [run_cli(*argv), run_cli(*argv)] + [run_cli(*argv, env={"PSIFORGE_SEED": s}) for s in ("1", "2")]
+    assert runs[0].returncode in (0, 1) and runs[0].stdout
+    assert {(r.returncode, r.stdout) for r in runs} == {(runs[0].returncode, runs[0].stdout)}
 
 
 def test_topo_three_point():

@@ -2,6 +2,7 @@ import pytest
 
 from psiforge import (
     SizeCapError,
+    check_3bamo,
     check_eca,
     check_psi,
     check_strict,
@@ -12,11 +13,17 @@ from psiforge import (
     largest_eca,
     make_algebra,
     named_axioms,
+    op_to_rel,
     parse,
     rel_to_op,
     smallest_diamond,
 )
+from psiforge.boolean_core import apply_automorphism, automorphisms
 from psiforge.enumeration import (
+    _candidate_slices,
+    _pairs,
+    _slices,
+    _table,
     brute_force_operators,
     brute_force_relations,
     canonical_operator_table,
@@ -106,14 +113,104 @@ def test_enumerate_ecas_k3_exact():
     assert seen > 0
 
 
-def test_eca_candidates_are_relational_atom_pair_tables():
-    from psiforge.enumeration import _atom_pair_operators
+# ---------------------------------------------------------------------------
+# the slice engine against the checkers
 
-    for k, count in ((1, 1), (2, 2), (3, 27)):
-        alg = make_algebra(k)
-        ops = list(_atom_pair_operators(alg, (0, alg.top)))
-        assert len(ops) == count
-        assert all(is_relational(op)[0] for op in ops)
+
+def _whole(alg, u, v):
+    return sum(1 << c for c in alg.elements() if c & u and c & v)
+
+
+def _move(alg, perm, family):
+    """The family of up-sets moved by an atom permutation."""
+    img = [apply_automorphism(alg, perm, c) for c in alg.elements()]
+    pairs = _pairs(alg)
+    out = {}
+    for (u, v), s in zip(pairs, family):
+        out[(img[u], img[v])] = out[(img[v], img[u])] = sum(1 << img[c] for c in alg.elements() if s >> c & 1)
+    return tuple(out[pair] for pair in pairs)
+
+
+@pytest.mark.parametrize("k, per_atom, families, labelled", [(1, 1, 1, 1), (2, 4, 2, 2), (3, 60, 27, 15)])
+def test_slice_counts(k, per_atom, families, labelled):
+    """Valid slices per atom; candidate families with every diagonal whole
+    and the labelled entailment relations among them."""
+    alg = make_algebra(k)
+    assert [len(_slices(k, (x,))) for x in alg.atoms()] == [per_atom] * k
+    assert len(list(_candidate_slices(alg, tuple(alg.atoms())))) == families
+    relational = _slices(k, tuple(alg.atoms()))
+    assert len(relational) == labelled
+    for family in relational:
+        op = _table(alg, (family,) * k)
+        assert is_relational(op)[0]
+        assert check_eca(op_to_rel(op)).passed
+
+
+@pytest.mark.parametrize("k, orbits", [(1, 1), (2, 10), (3, 36440)])
+def test_slice_tuples_burnside(k, orbits):
+    """Orbits of slice tuples under atom permutations, by Burnside's lemma:
+    a tuple fixed by a permutation is one slice per cycle of atoms, fixed
+    by the permutation's power of that cycle's length."""
+    alg = make_algebra(k)
+    per_atom = {x: _slices(k, (x,)) for x in alg.atoms()}
+    fixed = 0
+    for perm in automorphisms(alg):
+        for x, options in per_atom.items():
+            # the valid slices at an atom move onto those at its image
+            moved = {_move(alg, perm, f) for f in options}
+            assert moved == set(per_atom[apply_automorphism(alg, perm, x)])
+        count, seen = 1, set()
+        for x in per_atom:
+            if x in seen:
+                continue
+            cycle = [x]
+            while (y := apply_automorphism(alg, perm, cycle[-1])) != x:
+                cycle.append(y)
+            seen.update(cycle)
+
+            def power(f):
+                for _ in cycle:
+                    f = _move(alg, perm, f)
+                return f
+
+            count *= sum(power(f) == f for f in per_atom[x])
+        fixed += count
+    assert fixed % len(automorphisms(alg)) == 0
+    assert fixed // len(automorphisms(alg)) == orbits
+
+
+def test_pi1_mask_test_agrees_with_checkers():
+    """Each candidate slice at the first of three atoms, joined with the
+    smallest diamond's slices at the others, is a pseudo-inference table
+    exactly when the mask test keeps it."""
+    alg = make_algebra(3)
+    x, *rest = alg.atoms()
+    kept = set(_slices(3, (x,)))
+    least = [tuple(_whole(alg, u, v) if u == v == y else 0 for u, v in _pairs(alg)) for y in rest]
+    candidates = list(_candidate_slices(alg, (x,)))
+    assert len(candidates) == 972
+    for family in candidates:
+        op = _table(alg, [family] + least)
+        assert (check_3bamo(op).passed and check_psi(op).passed) == (family in kept)
+
+
+def test_psi_samples_pass_the_checkers():
+    alg3 = make_algebra(3)
+    for seed in range(6):
+        ops = sample_psi_operators(alg3, count=8, seed=seed)
+        assert len({op.table for op in ops}) == 8
+        for op in ops:
+            assert check_3bamo(op).passed and check_psi(op).passed
+    assert len(sample_psi_operators(make_algebra(1), count=8)) == 1
+    with pytest.raises(SizeCapError):
+        sample_psi_operators(make_algebra(4), count=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_3bamo_samples_pass_the_checker(k):
+    for seed in (0, 1, 0xEC0):
+        for op in sample_3bamos(make_algebra(k), count=6, seed=seed):
+            assert check_3bamo(op).passed
 
 
 def test_enumerate_operators_k1_exhaustive(alg1):
