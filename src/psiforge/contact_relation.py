@@ -7,20 +7,17 @@ the two are equivalent and both are checked literally.  The translations
 rel_to_op / op_to_rel implement dia(a,b,c) = not chi(a,b,not c) and its
 inverse, a bijection between these relations and relational operators.
 
-Every law but one is a sentence about the relation's characteristic
-table (_LAWS), swept by terms.compile_sweep in ascending mask order.  The
-five-variable cut axiom (EC1 and its ExtCA twin) is the one bitmask sweep
-left: it runs top-down like PI1, over each premise pair's conclusion mask.
-Where the conclusion masks are antitone in each premise, the cut is
-decided on minimal premises instead, and the sweep runs only to name a
-witness.
-
-EC0 (= ExtCA0) is decided on atom covers: it holds iff (a, b) |- f
-implies (a or u, b) |- f or u for every atom u, since adding d to a and f
-is a chain of single-atom covers.  That costs k*|A|^3 tuples where EC0's
-sentence spans |A|^4, and EC0's own sentence is swept only to name a
-witness.  is_eca and is_extca walk the same law list as check_eca and
-check_extca, stop at the first failing law and name no witness.
+Every law of both systems is decided on the relation's bitset: EC0,
+EC2, EC3 and their ExtCA twins by a few and/or/shift tests against masks
+built once per atom count (_law_masks), EC4 and the five-variable cut
+(EC1 and its ExtCA twin) on the bitset's conclusion masks, the cut on
+minimal premises where those masks are antitone in each premise.  Each
+law is also one written sentence about the relation's characteristic
+table (_LAWS), or for the cut a bitmask sweep that runs top-down like
+PI1; these run only when a law fails, to name its first witness in the
+documented order, or when the cut's hypothesis fails.  is_eca and
+is_extca walk the same law list as check_eca and check_extca, stop at
+the first failing law and name no witness.
 """
 from __future__ import annotations
 
@@ -32,7 +29,7 @@ from itertools import chain, compress, product
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
-from .terms import compile_sweep, parse, variables
+from .terms import compile_sweep, parse
 from .ternary_operator import TernaryOperator, is_relational
 
 
@@ -165,11 +162,9 @@ def _negated_conclusions(table, size: int):
 # chi is valued 0 and top, so 0, 1 and not keep their truth-value
 # meaning.  A law with several rows sweeps them in turn and reports the
 # first failure, except EC3-iff, whose two rows sweep the same (a, f) and
-# report the least witness.  A variable missing from the witness order is
-# a parameter, bound by the caller.
+# report the least witness.
 _LAWS = (
     ("EC0", "dia(a, b, f) <= dia(a or d, b, f or d)", "abfd"),
-    ("EC0-cover", "dia(a, b, f) <= dia(a or u, b, f or u)", "abf"),
     ("EC2", "dia(a, b, a or f) = 1", "abf"),
     ("EC3", "dia(a, a, f) and a <= f", "af"),
     ("EC4", "dia(a, b, f) <= dia(b, a, f)", "abf"),
@@ -194,13 +189,7 @@ _LAWS = (
 
 @lru_cache(maxsize=None)
 def _law_sweeps(law: str) -> tuple:
-    sweeps = []
-    for name, text, order in _LAWS:
-        if name == law:
-            sentence = parse(text)
-            params = tuple(x for x in variables(sentence) if x not in order)
-            sweeps.append(compile_sweep(sentence, tuple(order), params=params))
-    return tuple(sweeps)
+    return tuple(compile_sweep(parse(text), tuple(order)) for name, text, order in _LAWS if name == law)
 
 
 def _law(chi: tuple[int, ...], top: int, law: str, note: str = "") -> AxiomResult:
@@ -224,49 +213,91 @@ _SYSTEMS = {
         ("ExtCA4", "EC4"),
     ),
 }
-# Laws decided on a row with an atom parameter u; the law's own row then
-# runs only to name the witness.
-_COVERS = {"EC0": "EC0-cover"}
 
 
-def _witness(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> tuple[int, ...] | None:
-    """First violation of a system law in its documented order, or None."""
+@lru_cache(maxsize=None)
+def _law_masks(k: int) -> dict:
+    """Bitsets over A^3 deciding the relation laws at k atoms, built from
+    size^2 rows.  EC0: per atom u three (shift, mask) pairs, the mask
+    holding the triples (a, b, f) whose image (a or u, b, f or u) lies
+    shift bits higher: u added to a and f, to a alone, and to f alone.
+    Each other law: (mask, want), holding iff the relation meets mask in
+    want."""
+    size = 1 << k
+    up = [sum(1 << c for c in range(size) if c & m == m) for m in range(size)]
+    full = up[0]
+
+    def bits(row) -> int:
+        return _bits_of_rows([row(a, b) for a in range(size) for b in range(size)], size)
+
+    moves = []
+    for u in (1 << i for i in range(k)):
+        has, lacks = up[u], full ^ up[u]
+        moves += [
+            (u * size * size + u, bits(lambda a, b: 0 if a & u else lacks)),
+            (u * size * size, bits(lambda a, b: 0 if a & u else has)),
+            (u, bits(lambda a, b: lacks if a & u else 0)),
+        ]
+    below = bits(lambda a, b: up[a])  # a <= f: all present
+    return {
+        "EC0": tuple(moves),
+        "EC2": (below, below),
+        "ExtCA2": (below, below),
+        "EC3": (bits(lambda a, b: full ^ up[a] if a == b else 0), 0),  # a = b, a not <= f: all absent
+        "ExtCA3": (bits(lambda a, b: full ^ up[a & b]), 0),  # a and b not <= f: all absent
+    }
+
+
+def _verdict(rel: TernaryRelation, law: str, con: list[int] | None) -> bool | None:
+    """Whether a system law holds: EC0, EC2, EC3, ExtCA2 and ExtCA3 by
+    mask tests on the bitset, EC4 and the cut on its conclusion masks
+    con.  None when the cut's hypothesis fails (see
+    _cut_on_minimal_premises)."""
+    bits = rel.bits
+    if law == "EC0":
+        # (a, b) |- f implies (a or u, b) |- f or u for every atom u
+        moved = 0
+        for shift, mask in _law_masks(rel.alg.atom_count)["EC0"]:
+            moved |= (bits & mask) << shift
+        return not moved & ~bits
     if law == "cut":
-        return _cut_witness(_conclusion_masks(rel), rel.alg.top)
-    (sweep,) = _law_sweeps(law)
-    return sweep(chi, rel.alg.top)
-
-
-def _reduced(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> bool | None:
-    """Verdict of a system law from its reduced form: EC0 on its cover
-    row, the cut on minimal premises.  None when the law has no reduced
-    form or the cut's hypothesis fails."""
-    if law == "cut":
-        return _cut_on_minimal_premises(_conclusion_masks(rel), rel.alg)
-    if law not in _COVERS:
-        return None
-    (sweep,) = _law_sweeps(_COVERS[law])
-    return all(sweep(chi, rel.alg.top, u) is None for u in rel.alg.atoms())
-
-
-def _holds(rel: TernaryRelation, chi: tuple[int, ...], law: str) -> bool:
-    """Verdict of a system law, from its reduced form where that decides it."""
-    verdict = _reduced(rel, chi, law)
-    return _witness(rel, chi, law) is None if verdict is None else verdict
+        return _cut_on_minimal_premises(con, rel.alg)
+    if law == "EC4":
+        size = rel.alg.size
+        swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
+        return not any(x & ~y for x, y in zip(con, swapped))
+    mask, want = _law_masks(rel.alg.atom_count)[law]
+    return bits & mask == want
 
 
 def _check(rel: TernaryRelation, system: str) -> CheckReport:
-    chi = _chi_table(rel)
+    """Every law's verdict, and the first witness in its documented order
+    of each failing law: the cut's sweep or the law's sentence over chi."""
+    con, chi, top = _conclusion_masks(rel), (), rel.alg.top
     results = []
     for name, law in _SYSTEMS[system]:
-        witness = None if _reduced(rel, chi, law) else _witness(rel, chi, law)
+        witness = None
+        if not _verdict(rel, law, con):
+            if law == "cut":
+                witness = _cut_witness(con, top)
+            else:
+                chi = chi or _chi_table(rel)
+                witness = _law_sweeps(law)[0](chi, top)
         results.append(passed(name) if witness is None else failed(name, witness))
     return CheckReport(system, tuple(results))
 
 
 def _decide(rel: TernaryRelation, system: str) -> bool:
-    chi = _chi_table(rel)
-    return all(_holds(rel, chi, law) for _, law in _SYSTEMS[system])
+    con = None
+    for _, law in _SYSTEMS[system]:
+        if law in ("cut", "EC4"):
+            con = con or _conclusion_masks(rel)
+        verdict = _verdict(rel, law, con)
+        if verdict is None:
+            verdict = _cut_witness(con, rel.alg.top) is None
+        if not verdict:
+            return False
+    return True
 
 
 def check_eca(rel: TernaryRelation) -> CheckReport:
@@ -278,10 +309,11 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
     EC3: (a,a) |- f  implies  a <= f                      (witness a,f)
     EC4: (a,b) |- f  implies  (b,a) |- f                  (witness a,b,f)
 
-    EC0 is decided on atom covers (d an atom), and EC1 on minimal
-    premises where the conclusion masks are antitone in each premise (see
-    _cut_on_minimal_premises); a full sweep runs only when its reduced
-    verdict fails or the hypothesis does, to name the first witness.
+    Every verdict comes from mask tests on the bitset and, for EC1 and
+    EC4, its conclusion masks (EC1 on minimal premises where they are
+    antitone in each premise, see _cut_on_minimal_premises).  A law's
+    sweep runs only when it fails, or when the cut's hypothesis does, to
+    name the first witness.
     """
     return _check(rel, "eca")
 
@@ -291,8 +323,8 @@ def check_extca(rel: TernaryRelation) -> CheckReport:
 
     ExtCA0/1/4 coincide with EC0/1/4; ExtCA2 is "a <= f implies (a,b) |- f"
     and ExtCA3 is "(a,b) |- f implies a and b <= f" (witnesses a,b,f).
-    ExtCA0 is decided on atom covers, as EC0 is, and ExtCA1 on minimal
-    premises, as EC1 is.
+    Verdicts come from mask tests and witnesses from sweeps, as in
+    check_eca.
     """
     return _check(rel, "extca")
 

@@ -27,7 +27,7 @@ from .boolean_core import (
     automorphisms,
     make_algebra,
 )
-from .contact_relation import TernaryRelation, is_eca, op_to_rel, rel_to_op
+from .contact_relation import TernaryRelation, _bits_of_rows, _conclusion_masks, is_eca, op_to_rel, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, holds, parse_axiom_file
 from .ternary_operator import AXIOM_TEXTS, DEFAULT_SEED, TernaryOperator, smallest_diamond
@@ -58,18 +58,29 @@ def _images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> list[int]:
     return [apply_automorphism(alg, perm, a) for a in range(alg.size)]
 
 
-def permute_relation_bits(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], bits: int) -> int:
-    size = alg.size
+@lru_cache(maxsize=64)
+def _row_images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each byte of a size-bit conclusion row (the whole row below
+    eight bits), the automorphism's image of every value it takes: bit c
+    of the row moves to bit img[c]."""
     img = _images(alg, perm)
-    out = 0
-    idx = 0
-    for pa in img:
-        for pb in img:
-            for pc in img:
-                if bits >> idx & 1:
-                    out |= 1 << ((pa * size + pb) * size + pc)
-                idx += 1
-    return out
+    width = min(alg.size, 8)
+    return tuple(
+        tuple(sum(1 << img[low + c] for c in range(width) if v >> c & 1) for v in range(1 << width))
+        for low in range(0, alg.size, width)
+    )
+
+
+def permute_relation_bits(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], bits: int) -> int:
+    """The relation moved by the automorphism, (a, b, c) to (img[a],
+    img[b], img[c]): each conclusion row through its cached row images."""
+    size = alg.size
+    rows = _conclusion_masks(TernaryRelation(alg, bits))
+    moved = [0] * len(rows)
+    for j, table in enumerate(_row_images(alg, perm)):
+        moved = [m | table[r >> 8 * j & 255] for m, r in zip(moved, rows)]
+    pre = sorted(range(size), key=_images(alg, perm).__getitem__)  # pre[img[a]] = a
+    return _bits_of_rows([moved[a * size + b] for a in pre for b in pre], size)
 
 
 def canonical_relation_bits(alg: FiniteBooleanAlgebra, bits: int) -> int:

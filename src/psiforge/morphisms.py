@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
-from .contact_relation import TernaryRelation, check_eca, rel_to_op
+from .contact_relation import TernaryRelation, _chi_table, check_eca, rel_to_op
 from .duality_frames import PsiFrame, dual_frame
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
@@ -141,19 +141,19 @@ def classify_psi_morphism(
     hemi: the reverse inequality; full is the conjunction."""
     if op_source.alg != h.source or op_target.alg != h.target:
         raise ValueError("operators do not live on the homomorphism's algebras")
-    semi_w = hemi_w = None
-    for a in h.source.elements():
-        for b in h.source.elements():
-            for c in h.source.elements():
-                lhs = h(op_source(a, b, c))
-                rhs = op_target(h(a), h(b), h(c))
-                if semi_w is None and not h.target.leq(lhs, rhs):
-                    semi_w = (a, b, c)
-                if hemi_w is None and not h.target.leq(rhs, lhs):
-                    hemi_w = (a, b, c)
-                if semi_w is not None and hemi_w is not None:
-                    return MorphismClassification(False, False, semi_w, hemi_w)
+    img = [h(a) for a in h.source.elements()]
+    st, target = h.target.size, op_target.table
+    lhs = [img[v] for v in op_source.table]  # h(dia(a, b, c))
+    rhs = [target[(x * st + y) * st + z] for x, y, z in product(img, repeat=3)]  # dia(h a, h b, h c)
+    semi_w = _first_triple((x & ~y for x, y in zip(lhs, rhs)), h.source.size)
+    hemi_w = _first_triple((y & ~x for x, y in zip(lhs, rhs)), h.source.size)
     return MorphismClassification(semi_w is None, hemi_w is None, semi_w, hemi_w)
+
+
+def _first_triple(flags, size: int) -> tuple[int, int, int] | None:
+    """The (a, b, c) of the first true flag in (a, b, c) mask order."""
+    i = next((i for i, flag in enumerate(flags) if flag), None)
+    return None if i is None else (i // (size * size), i // size % size, i % size)
 
 
 def _image_mask(f: tuple[int, ...], y: int) -> int:
@@ -296,16 +296,12 @@ def classify_eca_morphism(
     if rel_source.alg != h.source or rel_target.alg != h.target:
         raise ValueError("relations do not live on the homomorphism's algebras")
 
-    refl_w = pres_w = None
-    for a in h.source.elements():
-        for b in h.source.elements():
-            for c in h.source.elements():
-                src = rel_source.holds(a, b, c)
-                tgt = rel_target.holds(h(a), h(b), h(c))
-                if refl_w is None and tgt and not src:
-                    refl_w = (a, b, c)
-                if pres_w is None and src and not tgt:
-                    pres_w = (a, b, c)
+    img = [h(a) for a in h.source.elements()]
+    st, target = h.target.size, _chi_table(rel_target)
+    src = _chi_table(rel_source)
+    tgt = [target[(x * st + y) * st + z] for x, y, z in product(img, repeat=3)]  # (h a, h b) |- h c
+    refl_w = _first_triple((t and not s for s, t in zip(src, tgt)), h.source.size)
+    pres_w = _first_triple((s and not t for s, t in zip(src, tgt)), h.source.size)
     cls = EcaMorphismClassification(refl_w is None, pres_w is None, refl_w, pres_w)
 
     mc = classify_psi_morphism(h, rel_to_op(rel_source), rel_to_op(rel_target))

@@ -1,13 +1,15 @@
 """The reduced deciders agree with the full sweeps of their laws, and
 the verdict-only is_eca/is_extca agree with the reports.
 
-MO2-MO4 and EC0 are decided on rows with an atom parameter u, R1 and R2
-on atoms under MO1-MO3, the cut EC1 on minimal premises when its
-conclusion masks are antitone, and closed filters on meets with the
-generator when MO2-MO4 hold on atoms; the full sweeps run only to name a
+MO2-MO4 are decided on rows with an atom parameter u, R1 and R2 on atoms
+under MO1-MO3, and closed filters on meets with the generator when MO2-MO4
+hold on atoms.  The relation laws are decided on bitmasks: EC0, EC2, EC3,
+ExtCA2 and ExtCA3 by mask tests on the bitset, EC4 on its conclusion
+masks, and the cut EC1 on minimal premises when those masks are
+antitone; each law's sentence (or the cut's sweep) runs only to name a
 witness or when a hypothesis fails.  The checkers would hide a wrong
-decider (a false failure falls back to the full sweep), so the deciders
-are compared here directly, on inputs that take each path."""
+decider (a false failure falls back to the sweep, which passes), so the
+deciders are compared here directly, on inputs that take each path."""
 import random
 from functools import reduce
 from itertools import product
@@ -36,8 +38,8 @@ from psiforge.contact_relation import (
     _conclusion_masks,
     _cut_on_minimal_premises,
     _cut_witness,
-    _holds,
-    _witness,
+    _law_sweeps,
+    _verdict,
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
 from psiforge.filter_congruence import _closed, _filter_law, _monotone, filter_is_closed
@@ -98,15 +100,41 @@ def test_mo_atom_forms_decide_mo2_to_mo4(k, count):
     assert verdicts == (expected - set(product(laws, (True,), (False,))) if k == 1 else expected)
 
 
-@pytest.mark.parametrize("k,count", [(1, 200), (2, 200), (3, 60)])
-def test_ec0_cover_decides_ec0(k, count):
+_MASK_LAWS = ("EC0", "EC2", "EC3", "EC4", "ExtCA2", "ExtCA3")
+
+
+def _mask_law_cases():
+    """Every one-atom relation; seeded two-atom relations of every density,
+    the ECAs and their flips; the three-atom ECAs with every one-bit
+    flip; and the largest four-atom ECA with seeded one-bit flips."""
+    alg1, alg3, alg4 = make_algebra(1), make_algebra(3), make_algebra(4)
+    rng = random.Random(23)
+    largest = largest_eca(alg4).bits
+    return {
+        "k1-all": [TernaryRelation(alg1, bits) for bits in range(256)],
+        "k2-seeded": _relations(2, rng, 200),
+        "k3-eca-flips": [
+            TernaryRelation(alg3, rel.bits ^ flip)
+            for rel in enumerate_ecas(alg3)
+            for flip in [0] + [1 << i for i in range(512)]
+        ],
+        "k4-largest-flips": [TernaryRelation(alg4, largest ^ 1 << rng.randrange(4096)) for _ in range(150)]
+        + [largest_eca(alg4)],
+    }
+
+
+@pytest.mark.parametrize("cases", ["k1-all", "k2-seeded", "k3-eca-flips", "k4-largest-flips"])
+def test_mask_verdicts_decide_the_law_sentences(cases):
     verdicts = set()
-    for rel in _relations(k, random.Random(k), count):
-        chi = _chi_table(rel)
-        verdict = _witness(rel, chi, "EC0") is None
-        assert _holds(rel, chi, "EC0") == verdict, rel.bits
-        verdicts.add(verdict)
-    assert verdicts == {False, True}
+    for rel in _mask_law_cases()[cases]:
+        chi, con = _chi_table(rel), _conclusion_masks(rel)
+        for law in _MASK_LAWS:
+            (sweep,) = _law_sweeps(law)
+            verdict = sweep(chi, rel.alg.top) is None
+            assert _verdict(rel, law, con) is verdict, (law, rel.bits)
+            verdicts.add((law, verdict))
+    # every law passes and fails on every input set
+    assert verdicts == set(product(_MASK_LAWS, (False, True)))
 
 
 @pytest.mark.parametrize("k,count", [(1, 200), (2, 200), (3, 60)])
@@ -154,7 +182,11 @@ def test_cut_on_minimal_premises_decides_the_cut():
         verdict = _cut_witness(con, rel.alg.top) is None
         reduced = _cut_on_minimal_premises(con, rel.alg)
         assert reduced in (None, verdict), rel.bits
-        assert _holds(rel, _chi_table(rel), "cut") == verdict, rel.bits
+        assert _verdict(rel, "cut", con) == reduced, rel.bits
+        report = check_eca(rel)
+        ec1 = report.results[1]
+        assert (ec1.axiom, ec1.passed, ec1.witness) == ("EC1", verdict, _cut_witness(con, rel.alg.top)), rel.bits
+        assert is_eca(rel) == report.passed, rel.bits
         paths.add((reduced is not None, verdict))
     # the reduction decides passes and failures, and the fallback runs on
     # relations that are not antitone, passing and failing

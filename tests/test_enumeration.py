@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from psiforge import (
@@ -294,6 +296,31 @@ def test_canonical_forms_are_orbit_invariant(alg2, ecas_k2, psi_ops_k2):
             assert canonical_operator_table(alg2, moved) == canonical_operator_table(
                 alg2, op.table
             )
+
+
+def test_canonical_relation_bits_matches_a_per_bit_reference():
+    """The row-lookup canonical form equals the least image over the
+    automorphisms, each built one triple (a, b, c) at a time."""
+    import random
+
+    def reference(alg, bits):
+        size, images = alg.size, []
+        for perm in automorphisms(alg):
+            img = [apply_automorphism(alg, perm, a) for a in range(size)]
+            moved = 0
+            for i, (a, b, c) in enumerate(product(range(size), repeat=3)):
+                if bits >> i & 1:
+                    moved |= 1 << (img[a] * size + img[b]) * size + img[c]
+            images.append(moved)
+        return min(images)
+
+    rng = random.Random(5)
+    for k in (1, 2, 3):
+        alg = make_algebra(k)
+        n = alg.size ** 3
+        cases = [largest_eca(alg).bits] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(100)]
+        for bits in cases:
+            assert canonical_relation_bits(alg, bits) == reference(alg, bits), (k, bits)
 
 
 def test_permutations_commute_with_rel_to_op():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from psiforge import (
@@ -7,6 +9,7 @@ from psiforge import (
     classify_frame_map,
     classify_psi_morphism,
     dual_frame,
+    enumerate_ecas,
     enumerate_homs,
     example_3bamo,
     largest_eca,
@@ -18,6 +21,7 @@ from psiforge import (
 )
 from psiforge.duality_frames import PsiFrame
 from psiforge.morphisms import dual_map
+from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
 def test_make_hom_identity(alg2):
@@ -200,6 +204,39 @@ def test_composition_closure(alg2, psi_ops_k2):
                             assert mc.hemi
                         if m1.full and m2.full:
                             assert mc.full
+
+
+def _reference_classes(h, src, tgt, leq):
+    """The first (a, b, c) in mask order where leq(source side, target
+    side) fails, and the first where leq(target side, source side) fails."""
+    first = [None, None]
+    for a, b, c in product(h.source.elements(), repeat=3):
+        x, y = src(a, b, c), tgt(h(a), h(b), h(c))
+        for i, ok in enumerate((leq(x, y), leq(y, x))):
+            if first[i] is None and not ok:
+                first[i] = (a, b, c)
+    return tuple(first)
+
+
+def test_classifiers_match_a_definitional_loop(alg1, alg2):
+    """Both classifiers, witnesses included, over every hom between the
+    one- and two-atom algebras and the k <= 2 operator pools and ECAs."""
+    ops = psi_operator_pool(2) + bamo_operator_pool(2)
+    for source, target in product((alg1, alg2), repeat=2):
+        for h in enumerate_homs(source, target):
+            for o1 in (op for op in ops if op.alg == source):
+                for o2 in (op for op in ops if op.alg == target):
+                    semi_w, hemi_w = _reference_classes(h, lambda *t: h(o1(*t)), o2, target.leq)
+                    mc = classify_psi_morphism(h, o1, o2)
+                    assert (mc.semi_witness, mc.hemi_witness) == (semi_w, hemi_w), (h, o1.table, o2.table)
+                    assert (mc.semi, mc.hemi) == (semi_w is None, hemi_w is None)
+            for r1 in enumerate_ecas(source):
+                for r2 in enumerate_ecas(target):
+                    # reflecting fails where the target holds and the source not
+                    pres_w, refl_w = _reference_classes(h, r1.holds, r2.holds, lambda x, y: not x or y)
+                    cls, _ = classify_eca_morphism(h, r1, r2)
+                    assert (cls.reflecting_witness, cls.preserving_witness) == (refl_w, pres_w), (h, r1.bits, r2.bits)
+                    assert (cls.reflecting, cls.preserving) == (refl_w is None, pres_w is None)
 
 
 def test_contravariance(alg1, alg2):
