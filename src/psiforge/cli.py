@@ -222,6 +222,9 @@ def _cmd_verify_suite(args, out) -> int:
     from .verify import run_suite, scoreboard
 
     items = run_suite(k=args.k, seed=args.seed)
+    if args.timings:
+        for item in items:
+            print(f"{item.seconds:.4f} s  {item.lemma}", file=sys.stderr)
     out.write(scoreboard(items) + "\n")
     return 0 if all(i.passed for i in items) else 1
 
@@ -290,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=2,
         help="1 and 2 run the same items; 3 adds the three-atom pools",
     )
+    p.add_argument("--timings", action="store_true", help="print each item's seconds to stderr")
     add_common(p, needs_input=False)
 
     p = sub.add_parser("topo", help="build the topological entailment model")

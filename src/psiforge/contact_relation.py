@@ -221,7 +221,10 @@ def _law_masks(k: int) -> dict:
     size^2 rows.  EC0: per atom u three (shift, mask) pairs, the mask
     holding the triples (a, b, f) whose image (a or u, b, f or u) lies
     shift bits higher: u added to a and f, to a alone, and to f alone.
-    Each other law: (mask, want), holding iff the relation meets mask in
+    The cut's hypothesis: per atom u two (shift, mask) pairs, the mask
+    holding the triples whose first (second) premise lacks u, and the
+    shift moving (a or u, b, f) (or (a, b or u, f)) onto (a, b, f).  Each
+    other law: (mask, want), holding iff the relation meets mask in
     want."""
     size = 1 << k
     up = [sum(1 << c for c in range(size) if c & m == m) for m in range(size)]
@@ -230,7 +233,7 @@ def _law_masks(k: int) -> dict:
     def bits(row) -> int:
         return _bits_of_rows([row(a, b) for a in range(size) for b in range(size)], size)
 
-    moves = []
+    moves, antitone = [], []
     for u in (1 << i for i in range(k)):
         has, lacks = up[u], full ^ up[u]
         moves += [
@@ -238,9 +241,14 @@ def _law_masks(k: int) -> dict:
             (u * size * size, bits(lambda a, b: 0 if a & u else has)),
             (u, bits(lambda a, b: lacks if a & u else 0)),
         ]
+        antitone += [
+            (u * size * size, bits(lambda a, b: 0 if a & u else full)),
+            (u * size, bits(lambda a, b: 0 if b & u else full)),
+        ]
     below = bits(lambda a, b: up[a])  # a <= f: all present
     return {
         "EC0": tuple(moves),
+        "antitone": tuple(antitone),
         "EC2": (below, below),
         "ExtCA2": (below, below),
         "EC3": (bits(lambda a, b: full ^ up[a] if a == b else 0), 0),  # a = b, a not <= f: all absent
@@ -261,7 +269,7 @@ def _verdict(rel: TernaryRelation, law: str, con: list[int] | None) -> bool | No
             moved |= (bits & mask) << shift
         return not moved & ~bits
     if law == "cut":
-        return _cut_on_minimal_premises(con, rel.alg)
+        return _cut_on_minimal_premises(rel, con)
     if law == "EC4":
         size = rel.alg.size
         swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
@@ -341,29 +349,27 @@ def is_extca(rel: TernaryRelation) -> bool:
     return _decide(rel, "extca")
 
 
-def _cut_on_minimal_premises(con: list[int], alg: FiniteBooleanAlgebra) -> bool | None:
+def _cut_on_minimal_premises(rel: TernaryRelation, con: list[int]) -> bool | None:
     """The cut's verdict from minimal premises, or None when the conclusion
-    masks are not antitone in each premise.
+    masks con are not antitone in each premise.
 
     Write C(d, e) for the conclusion mask of (d, e).  The cut says
     C(d, e) <= C(a, b) whenever d and e lie in C(a, b), so it depends on
     M = C(a, b) alone.  Hypothesis: C(d or u, e) <= C(d, e) and
-    C(d, e or u) <= C(d, e) for every atom u (size^2*k mask tests); by
-    chains of covers, C is then antitone in each premise.  Stepping down
+    C(d, e or u) <= C(d, e) for every atom u, 2k shift-and-mask tests on
+    the relation's bitset; by chains of covers, C is then antitone in
+    each premise.  Stepping down
     covers inside M takes each d in M to a d0 <= d in M with no lower
     cover in M, and C(d, e) <= C(d0, e0).  So the cut holds iff
     C(d0, e0) <= M for those d0, e0: the bits M & ~((M & without u) << u)
     over every atom u, one element (a and b) per mask on the largest
     relation, where the full sweep visits every d and e in M.
     """
+    bits, alg = rel.bits, rel.alg
+    for shift, lacks in _law_masks(alg.atom_count)["antitone"]:
+        if bits >> shift & lacks & ~bits:
+            return None
     size, atoms = alg.size, alg.atoms()
-    rows = [con[d * size:(d + 1) * size] for d in range(size)]  # rows[d][e] = C(d, e)
-    cols = [con[e::size] for e in range(size)]  # cols[e][d] = C(d, e)
-    for lines in (rows, cols):
-        for d in range(size):
-            for u in atoms:
-                if not d & u and any(x & ~y for x, y in zip(lines[d | u], lines[d])):
-                    return None
     without = [sum(1 << c for c in range(size) if not c & u) for u in atoms]
     for m in set(con):
         lowered = 0

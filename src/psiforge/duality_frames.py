@@ -14,20 +14,26 @@ U and a family R(x):
   dia_R(U)     points x with some Y in R(x) below U componentwise
   box_R(U)     points x with R(x) contained in L_U
 
-The dual frame of an operator places (u, Y) in R exactly when the filter
-product generated by Y lies inside the operator preimage of u; for a
-monotone operator this reduces to: the atom u sits below the operator
-applied to the componentwise joins of Y.  The unreduced product sweep is
-kept as a fallback for non-monotone tables.
+Each R(x) is also one bitset over the operator-table index
+(y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows).  Adding a point to one
+coordinate sets one of the 3n index bits, so "every triple above Y" and
+"some triple below U" are superset-AND and subset-OR (zeta) transforms
+over those bits: one shift and mask per index bit acts on every triple at
+once.  The dual frame of an operator places (u, Y) in R exactly when the
+filter product generated by Y lies inside the operator preimage of u, the
+superset-AND transform of the entries holding u; the complex algebra's
+dia_R is the subset-OR transform of each R(x); and DF2 and DF3 are shift
+tests on the same bitsets.  diamond_r and box_r keep the per-triple
+definitions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import nsmallest
+from functools import cached_property, lru_cache
 
 from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, json_int, make_algebra
 from .errors import PreconditionError, InternalCheckError, SizeCapError
-from .report import CheckReport, first_violation as _first, passed
+from .report import CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_3bamo, check_psi
 
 # PIF1 sweeps (2^n - 1)^2 companion pairs per reachable triple; beyond
@@ -56,6 +62,17 @@ class PsiFrame:
     def full(self) -> int:
         return (1 << self.point_count) - 1
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """R(x) for each point x as a bitset over the triple index
+        (y1*s + y2)*s + y3, s = 2**point_count."""
+        n = self.point_count
+        raw = [bytearray(((1 << 3 * n) + 7) >> 3) for _ in range(n)]
+        for x, y1, y2, y3 in self.entries:
+            idx = (y1 << n | y2) << n | y3
+            raw[x][idx >> 3] |= 1 << (idx & 7)
+        return tuple(int.from_bytes(r, "little") for r in raw)
+
     def r_of(self, x: int) -> set[tuple[int, int, int]]:
         return {(y1, y2, y3) for (p, y1, y2, y3) in self.entries if p == x}
 
@@ -75,22 +92,19 @@ class PsiFrame:
         return [(y1, y2, y3) for y1 in ne for y2 in ne for y3 in ne]
 
     def to_json(self, compact: bool = False) -> dict:
-        def pts(mask: int) -> list[int]:
-            return [i for i in range(self.point_count) if mask >> i & 1]
-
         if compact:
             import base64
 
-            n = 1 << self.point_count
-            raw = bytearray((self.point_count * n ** 3 + 7) // 8)
-            for x, y1, y2, y3 in self.entries:
-                idx = ((x * n + y1) * n + y2) * n + y3
-                raw[idx >> 3] |= 1 << (idx & 7)
+            # x major: each row fills whole bytes (8**points bits)
+            nbytes = 1 << 3 * self.point_count >> 3
+            raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
             return {"points": self.point_count, "bits": base64.b64encode(raw).decode("ascii")}
+        n = self.point_count
+        pts = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
         entries = sorted(self.entries)
         return {
-            "points": self.point_count,
-            "R": [[x, pts(y1), pts(y2), pts(y3)] for x, y1, y2, y3 in entries],
+            "points": n,
+            "R": [[x, pts[y1], pts[y2], pts[y3]] for x, y1, y2, y3 in entries],
         }
 
 
@@ -105,16 +119,12 @@ def frame_from_json(data: dict) -> PsiFrame:
 
         # one bit per (x, Y1, Y2, Y3), x major; a bit past the last index
         # decodes to a point x >= n, which PsiFrame refuses
-        raw = base64.b64decode(data["bits"])
+        bits = int.from_bytes(base64.b64decode(data["bits"]), "little")
         full = (1 << n) - 1
-        entries = set()
-        for i, byte in enumerate(raw):
-            while byte:
-                low = byte & -byte
-                byte ^= low
-                idx = i << 3 | low.bit_length() - 1
-                entries.add((idx >> 3 * n, idx >> 2 * n & full, idx >> n & full, idx & full))
-        return PsiFrame(n, frozenset(entries))
+        entries = frozenset(
+            (idx >> 3 * n, idx >> 2 * n & full, idx >> n & full, idx & full) for idx in _set_bits(bits)
+        )
+        return PsiFrame(n, entries)
 
     def point(p) -> int:
         if not 0 <= json_int(p, "point") < n:
@@ -129,6 +139,98 @@ def frame_from_json(data: dict) -> PsiFrame:
 
     entries = {(point(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]}
     return PsiFrame(n, frozenset(entries))
+
+
+@lru_cache(maxsize=None)
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """For each byte, the positions of its set bits, ascending."""
+    return tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
+def _set_bits(m: int) -> list[int]:
+    """Positions of the set bits of m, ascending."""
+    bits = _byte_bits()
+    raw = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    return [i << 3 | b for i, byte in enumerate(raw) if byte for b in bits[byte]]
+
+
+def _coordinate_mask(n: int, coord: int, values) -> int:
+    """The triple indices at n points whose coordinate coord (0 for Y1)
+    takes one of the given values."""
+    size = 1 << n
+    width = size ** (2 - coord)  # consecutive indices sharing that coordinate
+    mask = sum(((1 << width) - 1) << v * width for v in values)
+    period = size * width
+    while period < size ** 3:
+        mask |= mask << period
+        period *= 2
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _index_masks(n: int) -> tuple[tuple[int, ...], int, int]:
+    """Masks over the triple index at n points: has[b], the indices with
+    index bit b set (bit b of Y3 for b < n, of Y2 below 2n, of Y1 above);
+    the triples with every coordinate nonempty; and those whose Y1 and Y2
+    are singletons."""
+    size = 1 << n
+    has = tuple(
+        _coordinate_mask(n, 2 - b // n, [y for y in range(size) if y >> b % n & 1]) for b in range(3 * n)
+    )
+    nonempty = ~0
+    for coord in range(3):
+        nonempty &= _coordinate_mask(n, coord, range(1, size))
+    singles = [1 << i for i in range(n)]
+    return has, nonempty, _coordinate_mask(n, 0, singles) & _coordinate_mask(n, 1, singles)
+
+
+@lru_cache(maxsize=None)
+def _meets_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """meets[coord][y]: the triple indices at n points whose coordinate
+    coord meets the point mask y."""
+    size = 1 << n
+    return tuple(
+        tuple(_coordinate_mask(n, coord, [u for u in range(size) if u & y]) for y in range(size))
+        for coord in range(3)
+    )
+
+
+@lru_cache(maxsize=None)
+def _digit_bytes(i: int) -> bytes:
+    """Translation of a table value to the digit 0 or 1 of its bit i."""
+    return bytes(48 + (v >> i & 1) for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _lane_bytes(x: int) -> bytes:
+    """Translation of the digits 0 and 1 to 0 and point x's bit."""
+    return bytes((1 << x) * (c == 49) for c in range(256))
+
+
+def _table_of_rows(n: int, rows) -> tuple[int, ...]:
+    """The table over the triple index whose entry j holds point x exactly
+    when bit j of rows[x] is set."""
+    count = 1 << 3 * n
+    lanes = 0
+    for x, r in enumerate(rows):
+        digits = format(r, f"0{count}b").encode()[::-1]
+        lanes |= int.from_bytes(digits.translate(_lane_bytes(x)), "little")
+    return tuple(lanes.to_bytes(count, "little"))
+
+
+def _up(m: int, has: tuple[int, ...], index_bits) -> int:
+    """The subset-OR transform of m along the given index bits: every
+    triple above a member of m in those coordinates' points."""
+    for b in index_bits:
+        m |= (m & ~has[b]) << (1 << b)
+    return m
+
+
+def _triple_at(n: int, mask: int) -> tuple[int, int, int]:
+    """The triple at the lowest set bit of a nonzero index mask."""
+    j = (mask & -mask).bit_length() - 1
+    full = (1 << n) - 1
+    return (j >> 2 * n, j >> n & full, j & full)
 
 
 def in_l_set(u: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
@@ -159,6 +261,26 @@ def box_r(frame: PsiFrame, u: tuple[int, int, int]) -> int:
     return out
 
 
+def diamond_table(frame: PsiFrame) -> tuple[int, ...]:
+    """diamond_r at every triple U, in operator-table order: each R(x)
+    closed under the subset-OR transform holds the U above some member."""
+    n = frame.point_count
+    has = _index_masks(n)[0]
+    return _table_of_rows(n, [_up(r, has, range(3 * n)) for r in frame.rows])
+
+
+def box_table(frame: PsiFrame) -> tuple[int, ...]:
+    """box_r at every triple U, in operator-table order, from its own
+    definition R(x) <= L_U: point x's row is the meet, over the members Y
+    of R(x), of the triples meeting Y in some coordinate."""
+    n = frame.point_count
+    m1, m2, m3 = _meets_masks(n)
+    rows = [(1 << (1 << 3 * n)) - 1] * n
+    for x, y1, y2, y3 in frame.entries:
+        rows[x] &= m1[y1] | m2[y2] | m3[y3]
+    return _table_of_rows(n, rows)
+
+
 def check_psi_frame(frame: PsiFrame) -> CheckReport:
     """Check the descriptive-frame conditions.
 
@@ -170,34 +292,29 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
     That intersection holds Y exactly when some member of R(x) lies below
     Y componentwise (for the converse take U = the complement of Y), so
     DF2 says each R(x) is upward closed: every upper cover of a member
-    (one more point in one coordinate) is a member.  Its witness (x, Y)
-    is the least missing cover, which is also the first violation of a
-    sweep of points ascending, then triples ascending.
+    (one more point in one coordinate) is a member, 3n shift tests on the
+    bitset of R(x).  DF3 says R(x) lies inside the up-closure, over the
+    first two coordinates, of its members with singleton Y1 and Y2.  Each
+    witness (x, Y) is the least violation, points ascending, then triples
+    ascending: the lowest bit of the first point's violation mask.
     """
-    entries, n = frame.entries, frame.point_count
-    points = [1 << i for i in range(n)]
-    missing_covers = (
-        cover
-        for x, y1, y2, y3 in entries
-        for p in points
-        for cover in ((x, y1 | p, y2, y3), (x, y1, y2 | p, y3), (x, y1, y2, y3 | p))
-        if cover not in entries
-    )
-    df3 = (
-        (x, y1, y2, y3)
-        for x, y1, y2, y3 in sorted(entries)
-        if not any(
-            (x, 1 << i, 1 << j, y3) in entries
-            for i in range(n)
-            if y1 >> i & 1
-            for j in range(n)
-            if y2 >> j & 1
-        )
-    )
+    n = frame.point_count
+    has, _, singles = _index_masks(n)
+    df2 = df3 = None
+    for x, r in enumerate(frame.rows):
+        missing = 0
+        for b, h in enumerate(has):
+            missing |= (r & ~h) << (1 << b)
+        missing &= ~r
+        if missing and df2 is None:
+            df2 = (x, *_triple_at(n, missing))
+        lacking = r & ~_up(r & singles, has, range(n, 3 * n))
+        if lacking and df3 is None:
+            df3 = (x, *_triple_at(n, lacking))
     results = (
         passed("DF1", "trivially satisfied (finite discrete space)"),
-        _first("DF2", nsmallest(1, missing_covers)),
-        _first("DF3", df3),
+        passed("DF2") if df2 is None else failed("DF2", df2),
+        passed("DF3") if df3 is None else failed("DF3", df3),
     )
     return CheckReport("psi-frame", results)
 
@@ -272,45 +389,33 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     return CheckReport("psi-space", results)
 
 
-def dual_frame(op: TernaryOperator, monotone: bool | None = None) -> PsiFrame:
-    """The frame on the atom set of the operator's algebra.
+def dual_frame(op: TernaryOperator) -> PsiFrame:
+    """The frame on the atom set of the operator's algebra: (u, Y) is
+    related exactly when atom u lies below the operator at every triple
+    above Y componentwise (the filter product generated by Y lies inside
+    the preimage of u).
 
-    For a monotone (3BAMO-passing) table, (u, Y) is related exactly when
-    atom u lies below the operator applied to the componentwise joins of
-    Y; otherwise the full filter-product sweep decides membership.
+    For each atom, the superset-AND transform of the bitset of table
+    entries holding it gives that set of triples, masked to those with
+    every coordinate nonempty; monotone and other tables take this one
+    path.
     """
-    alg = op.alg
-    if monotone is None:
-        monotone = check_3bamo(op).passed
-    n = alg.atom_count
-    entries = set()
-    ne = range(1, (1 << n))
-    # point masks over atoms coincide with element masks of the algebra
-    for y1 in ne:
-        for y2 in ne:
-            for y3 in ne:
-                if monotone:
-                    reach = op(y1, y2, y3)
-                else:
-                    reach = alg.top
-                    for a1 in _supersets(alg, y1):
-                        for a2 in _supersets(alg, y2):
-                            for a3 in _supersets(alg, y3):
-                                reach &= op(a1, a2, a3)
-                                if reach == 0:
-                                    break
-                            if reach == 0:
-                                break
-                        if reach == 0:
-                            break
-                for i in range(n):
-                    if reach >> i & 1:
-                        entries.add((i, y1, y2, y3))
-    return PsiFrame(n, frozenset(entries))
-
-
-def _supersets(alg: FiniteBooleanAlgebra, y: int) -> list[int]:
-    return [a for a in alg.elements() if a & y == y]
+    n = op.alg.atom_count
+    has, nonempty, _ = _index_masks(n)
+    digits = bytes(reversed(op.table))  # entries lie below 2**MAX_ATOMS <= 256
+    rows = []
+    for i in range(n):
+        m = int(digits.translate(_digit_bytes(i)), 2)
+        for b, h in enumerate(has):
+            m &= m >> (1 << b) | h
+        rows.append(m & nonempty)
+    full = (1 << n) - 1
+    entries = frozenset(
+        (x, j >> 2 * n, j >> n & full, j & full) for x, r in enumerate(rows) for j in _set_bits(r)
+    )
+    frame = PsiFrame(n, entries)
+    frame.__dict__["rows"] = tuple(rows)  # fills the cached property
+    return frame
 
 
 def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOperator]:
@@ -327,14 +432,7 @@ def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOpera
             f"complex_algebra requires a descriptive frame; {bad.axiom} fails at {bad.witness}"
         )
     alg = make_algebra(frame.point_count)
-    size = alg.size
-    table = tuple(
-        diamond_r(frame, (u1, u2, u3))
-        for u1 in range(size)
-        for u2 in range(size)
-        for u3 in range(size)
-    )
-    op = TernaryOperator(alg, table)
+    op = TernaryOperator(alg, diamond_table(frame))
     rep = check_3bamo(op)
     if not rep.passed:
         bad = rep.failures()[0]

@@ -234,8 +234,8 @@ def morphism_duality_check(
                 f"{name} fails {bad.axiom} at {bad.witness}"
             )
     mc = classify_psi_morphism(h, op_source, op_target)
-    frame_target = dual_frame(op_target, monotone=True)
-    frame_source = dual_frame(op_source, monotone=True)
+    frame_target = dual_frame(op_target)
+    frame_source = dual_frame(op_source)
     f = dual_map(h)
     fm = classify_frame_map(f, frame_target, frame_source)
     sp2 = fm.result("Sp2").passed

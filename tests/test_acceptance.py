@@ -213,7 +213,7 @@ def test_criterion_06_duality_objects():
         assert (3, smallest_diamond(make_algebra(3)).table) in tables
         for op in pool:
             alg = op.alg
-            frame = dual_frame(op, monotone=True)
+            frame = dual_frame(op)
             assert check_psi_frame(frame).passed
             for a in alg.elements():
                 for b in alg.elements():

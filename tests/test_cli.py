@@ -79,8 +79,11 @@ def test_pipeline_verify_suite():
     lines = r.stdout.strip().splitlines()
     assert all(line.startswith("[pass]") for line in lines[:-1])
     assert lines[-1].endswith("lemmas verified")
-    r2 = run_cli("verify-suite", "--k", "2")
-    assert r2.stdout == r.stdout
+    r2 = run_cli("verify-suite", "--k", "2", "--timings")
+    assert r2.stdout == r.stdout  # byte-identical across runs, with or without timings
+    timings = r2.stderr.splitlines()
+    assert [t.split()[-1] for t in timings] == [line.split()[1] for line in lines[:-1]]
+    assert all(float(t.split()[0]) >= 0 for t in timings)
 
 
 def test_check_eca_pass(largest_rel_file):
@@ -106,6 +109,18 @@ def test_dualize_complex_round_trip():
     dual = run_cli("dualize", "-", stdin=json.dumps(op.to_json()))
     assert dual.returncode == 0
     back = run_cli("complex", "-", stdin=dual.stdout)
+    assert back.returncode == 0
+    assert operator_from_json(json.loads(back.stdout)).table == op.table
+
+
+def test_dualize_complex_round_trip_at_five_points():
+    """A 5-point compact frame goes through complex within the timeout:
+    the complex algebra is built from the frame's bitsets, not one sweep
+    of the frame per triple."""
+    op = smallest_diamond(make_algebra(5))
+    dual = run_cli("dualize", "--compact", "-", stdin=json.dumps(op.to_json()), timeout=60)
+    assert dual.returncode == 0
+    back = run_cli("complex", "-", stdin=dual.stdout, timeout=60)
     assert back.returncode == 0
     assert operator_from_json(json.loads(back.stdout)).table == op.table
 
@@ -477,7 +492,7 @@ _VALUES = {
 _ARGV_OPTIONS = {
     "enumerate": ["--what", "--k", "--axioms", "--mode", "-o", "--compact"],
     "find": ["--sentence", "--k", "--axioms", "--mode", "-o", "--compact"],
-    "verify-suite": ["--k", "-o", "--compact"],
+    "verify-suite": ["--k", "-o", "--compact", "--timings"],
 }
 _STRAY = st.sampled_from(["--kk", "--help", "-x", "--", "extra", "--what", "--sentence", "--compact=1"])
 
@@ -485,7 +500,7 @@ _STRAY = st.sampled_from(["--kk", "--help", "-x", "--", "extra", "--what", "--se
 def _option(verb):
     """One option token with its value, or without one, or a stray token."""
     def tokens(name):
-        if name == "--compact":
+        if name in ("--compact", "--timings"):
             return st.just([name])
         value = _VALUES[name]
         return st.one_of(

@@ -12,7 +12,7 @@ decider (a false failure falls back to the sweep, which passes), so the
 deciders are compared here directly, on inputs that take each path."""
 import random
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from operator import and_
 
 import pytest
@@ -180,7 +180,7 @@ def test_cut_on_minimal_premises_decides_the_cut():
     for rel in _cut_cases():
         con = _conclusion_masks(rel)
         verdict = _cut_witness(con, rel.alg.top) is None
-        reduced = _cut_on_minimal_premises(con, rel.alg)
+        reduced = _cut_on_minimal_premises(rel, con)
         assert reduced in (None, verdict), rel.bits
         assert _verdict(rel, "cut", con) == reduced, rel.bits
         report = check_eca(rel)
@@ -191,6 +191,34 @@ def test_cut_on_minimal_premises_decides_the_cut():
     # the reduction decides passes and failures, and the fallback runs on
     # relations that are not antitone, passing and failing
     assert paths == set(product((False, True), (False, True)))
+
+
+def _antitone_by_lines(con, alg):
+    """Reference for the cut's hypothesis: C(d or u, e) <= C(d, e) and
+    C(d, e or u) <= C(d, e), line by line over the conclusion masks."""
+    size = alg.size
+    rows = [con[d * size:(d + 1) * size] for d in range(size)]  # rows[d][e] = C(d, e)
+    cols = [con[e::size] for e in range(size)]  # cols[e][d] = C(d, e)
+    return not any(
+        x & ~y
+        for lines in (rows, cols)
+        for d in range(size)
+        for u in alg.atoms()
+        if not d & u
+        for x, y in zip(lines[d | u], lines[d])
+    )
+
+
+def test_cut_hypothesis_mask_test_matches_lines():
+    alg4 = make_algebra(4)
+    flips4 = (TernaryRelation(alg4, largest_eca(alg4).bits ^ 1 << i) for i in range(16 ** 3))
+    seen = set()
+    for rel in chain(_cut_cases(), flips4):
+        con = _conclusion_masks(rel)
+        antitone = _antitone_by_lines(con, rel.alg)
+        assert (_cut_on_minimal_premises(rel, con) is not None) == antitone, rel.bits
+        seen.add((rel.alg.atom_count, antitone))
+    assert seen == set(product((1, 2, 3, 4), (False, True)))
 
 
 def _joined_table(alg, rng):

@@ -24,9 +24,10 @@ from psiforge import (
     rel_to_op,
     smallest_diamond,
 )
-from psiforge.duality_frames import frame_from_json, pif2_strong_form_separation
+from psiforge.duality_frames import box_table, diamond_table, frame_from_json, pif2_strong_form_separation
 from psiforge.enumeration import sample_3bamos
-from psiforge.ternary_operator import operator_from_function
+from psiforge.ternary_operator import TernaryOperator, check_3bamo, operator_from_function
+from psiforge.verify import bamo_operator_pool
 
 
 def full_frame(n):
@@ -73,7 +74,7 @@ def test_diamond_box_match_l_set_definitions(alg2, rel_ops_k2):
     is contained in the L-set of the triple)."""
     pool = [smallest_diamond(alg2), example_3bamo()] + list(rel_ops_k2)
     for op in pool:
-        fr = dual_frame(op, monotone=True)
+        fr = dual_frame(op)
         full = fr.full
         triples = fr.closed_triples()
         r_of = {x: fr.r_of(x) for x in range(fr.point_count)}
@@ -183,6 +184,91 @@ def test_df2_matches_l_set_definition():
     assert seen == {True, False}
 
 
+def _literal_df3(frame):
+    """DF3's first violation, by its definition: a member (x, Y) of R with
+    no member (x, {i}, {j}, Y3) for points i in Y1 and j in Y2."""
+    for x, y1, y2, y3 in sorted(frame.entries):
+        singles = [(x, 1 << i, 1 << j, y3) for i in range(frame.point_count) for j in range(frame.point_count)]
+        if not any(s in frame.entries for s in singles if s[1] & y1 and s[2] & y2):
+            return (x, y1, y2, y3)
+    return None
+
+
+def test_df3_matches_singleton_definition():
+    rng = random.Random(4)
+    seen = set()
+    for n in (1, 1, 2, 2, 2, 2, 3, 3) * 3:
+        ne = range(1, 1 << n)
+        singles = [1 << i for i in range(n)]
+        triples = [(y1, y2, y3) for y1 in ne for y2 in ne for y3 in ne]
+        entries = set()
+        for x in range(n):  # R(x) the up-closure of a few singleton-pair triples
+            gens = [(rng.choice(singles), rng.choice(singles), rng.choice(ne)) for _ in range(rng.randrange(3))]
+            entries |= {
+                (x, *y) for y in triples for z in gens if z[0] & y[0] and z[1] & y[1] and z[2] == y[2]
+            }
+        if rng.random() < 0.7:  # then toggle one entry
+            entries ^= {(rng.randrange(n), *rng.choice(triples))}
+        frame = PsiFrame(n, frozenset(entries))
+        want = _literal_df3(frame)
+        got = check_psi_frame(frame).result("DF3")
+        assert (got.passed, got.witness) == (want is None, want), sorted(entries)
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def _random_tables(alg, rng, count):
+    """Tables of every density, most failing MO1-MO4."""
+    size = alg.size
+    for _ in range(count):
+        density = rng.random()
+        yield TernaryOperator(alg, tuple(rng.randrange(size) if rng.random() < density else 0 for _ in range(size ** 3)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dual_frame_matches_product_sweep(k):
+    alg = make_algebra(k)
+    rng = random.Random(k)
+    ops = [smallest_diamond(alg), rel_to_op(largest_eca(alg))] + sample_3bamos(alg, count=2, seed=k)
+    for op in ops[:2]:  # near misses: one entry of a monotone table moved
+        for _ in range(3):
+            table = list(op.table)
+            table[rng.randrange(len(table))] ^= rng.randrange(1, alg.size)
+            ops.append(TernaryOperator(alg, tuple(table)))
+    ops += list(_random_tables(alg, rng, 12 if k < 3 else 3))
+    kinds = set()
+    for op in ops:
+        fr = dual_frame(op)
+        assert fr.entries == product_sweep_dual_frame(op).entries
+        kinds.add((check_3bamo(op).passed, bool(fr.entries)))
+    assert {(True, True), (False, True), (False, False)} <= kinds
+
+
+def _random_frames(rng, count):
+    for _ in range(count):
+        n = rng.randrange(1, 4)
+        ne = range(1, 1 << n)
+        yield PsiFrame(n, frozenset(
+            (rng.randrange(n), rng.choice(ne), rng.choice(ne), rng.choice(ne)) for _ in range(rng.randrange(30))
+        ))
+
+
+def test_all_triple_tables_match_per_triple_definitions():
+    """diamond_table, box_table and complex_algebra's table against the
+    per-triple diamond_r and box_r, on every pool dual frame and on
+    random frames that need not be descriptive."""
+    frames = [dual_frame(op) for op in bamo_operator_pool(3)]
+    frames += list(_random_frames(random.Random(7), 40))
+    for fr in frames:
+        size = 1 << fr.point_count
+        triples = [(a, b, c) for a in range(size) for b in range(size) for c in range(size)]
+        dia = tuple(diamond_r(fr, u) for u in triples)
+        assert diamond_table(fr) == dia
+        assert box_table(fr) == tuple(box_r(fr, u) for u in triples)
+        if check_psi_frame(fr).passed:
+            assert complex_algebra(fr)[1].table == dia
+
+
 def test_dual_frame_of_smallest_k2(alg2):
     op = smallest_diamond(alg2)
     fr = dual_frame(op)
@@ -199,12 +285,12 @@ def test_dual_frame_of_smallest_k2(alg2):
 def test_dual_frame_monotone_reduction_matches_product_sweep(alg2, rel_ops_k2):
     ops = [smallest_diamond(alg2), example_3bamo()] + list(rel_ops_k2)
     for op in ops:
-        assert dual_frame(op, monotone=True).entries == product_sweep_dual_frame(op).entries
+        assert dual_frame(op).entries == product_sweep_dual_frame(op).entries
 
 
 def test_dual_frame_non_monotone_falls_back(alg1):
-    # a table violating the distribution laws: the constructor must use
-    # the product sweep, here checked against the oracle
+    # a table violating the distribution laws: the superset-AND transform
+    # still gives the product sweep's frame
     op = operator_from_function(alg1, lambda a, b, c: 1 if (a, b, c) == (1, 1, 0) else 0)
     fr = dual_frame(op)
     assert fr.entries == product_sweep_dual_frame(op).entries
@@ -222,7 +308,7 @@ def test_stone_commutation_on_pool(alg2, rel_ops_k2):
     pool += sample_3bamos(alg2, count=5, seed=0xEC0)
     for op in pool:
         alg = op.alg
-        fr = dual_frame(op, monotone=True)
+        fr = dual_frame(op)
         for a in alg.elements():
             for b in alg.elements():
                 for c in alg.elements():
@@ -238,7 +324,7 @@ def test_pi_pif_equivalence_componentwise(alg2, rel_ops_k2):
     pool += sample_3bamos(alg2, count=8, seed=3)
     for op in pool:
         psi_rep = check_psi(op)
-        space_rep = check_psi_space(dual_frame(op, monotone=True))
+        space_rep = check_psi_space(dual_frame(op))
         for i in (1, 2, 3, 4):
             assert (
                 psi_rep.result(f"PI{i}").passed
@@ -287,7 +373,7 @@ def test_complex_algebra_refuses_non_descriptive():
         complex_algebra(PsiFrame(2, frozenset({(0, 3, 1, 1)})))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_double_dual_identity(k):
     alg = make_algebra(k)
     ops = [smallest_diamond(alg), rel_to_op(largest_eca(alg))]
@@ -309,7 +395,7 @@ def test_totality_iff_relational(alg2, rel_ops_k2):
     pool = [smallest_diamond(alg2), example_3bamo()] + list(rel_ops_k2)
     pool += sample_3bamos(alg2, count=5, seed=11)
     for op in pool:
-        assert is_total(dual_frame(op, monotone=True))[0] == is_relational(op)[0]
+        assert is_total(dual_frame(op))[0] == is_relational(op)[0]
 
 
 def test_pif2_strong_form_search(alg2, rel_ops_k2):

@@ -118,7 +118,7 @@ def test_semi_corresponds_to_sp3_not_sp2(alg2, psi_ops_k2):
         mc = classify_psi_morphism(ident, o1, o2)
         assert mc.semi and not mc.hemi
         fm = classify_frame_map(
-            dual_map(ident), dual_frame(o2, monotone=True), dual_frame(o1, monotone=True)
+            dual_map(ident), dual_frame(o2), dual_frame(o1)
         )
         assert fm.result("Sp3").passed
         assert not fm.result("Sp2").passed
