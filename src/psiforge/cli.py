@@ -4,8 +4,11 @@ Verbs: check, convert, dualize, complex, enumerate, find, verify-suite,
 topo.  Inputs and outputs are JSON (one object, or one object per line for
 enumerate); '-' means stdin/stdout.  Exit status: 0 all checked properties
 hold, 1 a checked property failed (the witness is in the printed report),
-2 usage or input error.  The environment variable PSIFORGE_SEED overrides
-the seed of `enumerate --mode sampled` and `verify-suite` (default 0xEC0).
+2 usage or input error.  `enumerate --mode sampled` keeps the tables,
+among 200 seeded pseudo-inference samples, that satisfy the axioms; it
+stops at 3 atoms like the sampler.  The environment variable PSIFORGE_SEED
+overrides the seed of `enumerate --mode sampled` and `verify-suite`
+(default 0xEC0).
 
 Each verb's handler imports the modules it runs, so a call loads only those.
 """

@@ -14,17 +14,19 @@ U and a family R(x):
   dia_R(U)     points x with some Y in R(x) below U componentwise
   box_R(U)     points x with R(x) contained in L_U
 
-Each R(x) is also one bitset over the operator-table index
-(y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows).  Adding a point to one
-coordinate sets one of the 3n index bits, so "every triple above Y" and
-"some triple below U" are superset-AND and subset-OR (zeta) transforms
-over those bits: one shift and mask per index bit acts on every triple at
-once.  The dual frame of an operator places (u, Y) in R exactly when the
-filter product generated by Y lies inside the operator preimage of u, the
+R is stored as one bitset per point over the operator-table index
+(y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows); the (x, Y1, Y2, Y3)
+entries are a view read off it.  Adding a point to one coordinate sets
+one of the 3n index bits, so "every triple above Y" and "some triple
+below U" are superset-AND and subset-OR (zeta) transforms over those
+bits: one shift and mask per index bit acts on every triple at once.
+The dual frame of an operator places (u, Y) in R exactly when the filter
+product generated by Y lies inside the operator preimage of u, the
 superset-AND transform of the entries holding u; the complex algebra's
 dia_R is the subset-OR transform of each R(x); and DF2 and DF3 are shift
-tests on the same bitsets.  diamond_r and box_r keep the per-triple
-definitions.
+tests on the same bitsets.  The space conditions PIF1-PIF4 and totality
+read the reach table, whose entry j is the mask of points reaching
+triple j.  diamond_r and box_r keep the per-triple definitions.
 """
 from __future__ import annotations
 
@@ -41,48 +43,55 @@ from .ternary_operator import TernaryOperator, check_3bamo, check_psi
 PIF1_MAX_POINTS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PsiFrame:
-    """Point set {0..point_count-1} plus R as a set of (x, Y1, Y2, Y3)
-    entries, the Yi being nonempty point masks."""
+    """Point set {0..point_count-1} plus R, stored as one bitset per point:
+    bit (y1*s + y2)*s + y3 of rows[x], s = 2**point_count, is set exactly
+    when x reaches the triple (Y1, Y2, Y3) of nonempty point masks.
+
+    PsiFrame(n, entries) lays out an iterable of (x, Y1, Y2, Y3) entries;
+    the entries property reads them back."""
 
     point_count: int
-    entries: frozenset[tuple[int, int, int, int]]
+    rows: tuple[int, ...]
 
-    def __post_init__(self):
-        full = self.full
-        for x, y1, y2, y3 in self.entries:
-            if not 0 <= x < self.point_count:
+    def __init__(self, point_count: int, entries):
+        n, full = point_count, (1 << point_count) - 1
+        raw = [bytearray(((1 << 3 * n) + 7) >> 3) for _ in range(n)]
+        for x, y1, y2, y3 in entries:
+            if not 0 <= x < n:
                 raise ValueError(f"point {x} out of range")
-            for y in (y1, y2, y3):
-                if y == 0 or y > full:
-                    raise ValueError("relation components must be nonempty point masks")
+            if not (0 < y1 <= full and 0 < y2 <= full and 0 < y3 <= full):
+                raise ValueError("relation components must be nonempty point masks")
+            idx = (y1 << n | y2) << n | y3
+            raw[x][idx >> 3] |= 1 << (idx & 7)
+        object.__setattr__(self, "point_count", n)
+        object.__setattr__(self, "rows", tuple(int.from_bytes(r, "little") for r in raw))
+
+    @classmethod
+    def _of_rows(cls, point_count: int, rows) -> "PsiFrame":
+        """The frame with the given per-point bitsets; a bit at a triple
+        with an empty coordinate is refused."""
+        rows = tuple(rows)
+        if len(rows) != point_count:
+            raise ValueError(f"{len(rows)} rows for {point_count} points")
+        nonempty = _index_masks(point_count)[1]
+        if any(r & ~nonempty for r in rows):
+            raise ValueError("relation components must be nonempty point masks")
+        frame = cls.__new__(cls)
+        object.__setattr__(frame, "point_count", point_count)
+        object.__setattr__(frame, "rows", rows)
+        return frame
+
+    @cached_property
+    def entries(self) -> frozenset[tuple[int, int, int, int]]:
+        """R as a set of (x, Y1, Y2, Y3) entries."""
+        n = self.point_count
+        return frozenset((x, *_triple(n, j)) for x, r in enumerate(self.rows) for j in _set_bits(r))
 
     @property
     def full(self) -> int:
         return (1 << self.point_count) - 1
-
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """R(x) for each point x as a bitset over the triple index
-        (y1*s + y2)*s + y3, s = 2**point_count."""
-        n = self.point_count
-        raw = [bytearray(((1 << 3 * n) + 7) >> 3) for _ in range(n)]
-        for x, y1, y2, y3 in self.entries:
-            idx = (y1 << n | y2) << n | y3
-            raw[x][idx >> 3] |= 1 << (idx & 7)
-        return tuple(int.from_bytes(r, "little") for r in raw)
-
-    def r_of(self, x: int) -> set[tuple[int, int, int]]:
-        return {(y1, y2, y3) for (p, y1, y2, y3) in self.entries if p == x}
-
-    def rinv(self) -> dict[tuple[int, int, int], int]:
-        """Triple -> mask of points reaching it; triples absent map to 0."""
-        out: dict[tuple[int, int, int], int] = {}
-        for x, y1, y2, y3 in self.entries:
-            key = (y1, y2, y3)
-            out[key] = out.get(key, 0) | 1 << x
-        return out
 
     def nonempty_masks(self) -> range:
         return range(1, self.full + 1)
@@ -99,12 +108,16 @@ class PsiFrame:
             nbytes = 1 << 3 * self.point_count >> 3
             raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
             return {"points": self.point_count, "bits": base64.b64encode(raw).decode("ascii")}
-        n = self.point_count
+        n, full = self.point_count, self.full
         pts = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
-        entries = sorted(self.entries)
+        # points ascending, then triple indices ascending: sorted entry order
         return {
             "points": n,
-            "R": [[x, pts[y1], pts[y2], pts[y3]] for x, y1, y2, y3 in entries],
+            "R": [
+                [x, pts[j >> 2 * n], pts[j >> n & full], pts[j & full]]
+                for x, r in enumerate(self.rows)
+                for j in _set_bits(r)
+            ],
         }
 
 
@@ -117,14 +130,14 @@ def frame_from_json(data: dict) -> PsiFrame:
     if "bits" in data:
         import base64
 
-        # one bit per (x, Y1, Y2, Y3), x major; a bit past the last index
-        # decodes to a point x >= n, which PsiFrame refuses
+        # one bit per (x, Y1, Y2, Y3), x major, 8**n bits per point; a bit
+        # past the last row belongs to a point x >= n
         bits = int.from_bytes(base64.b64decode(data["bits"]), "little")
-        full = (1 << n) - 1
-        entries = frozenset(
-            (idx >> 3 * n, idx >> 2 * n & full, idx >> n & full, idx & full) for idx in _set_bits(bits)
-        )
-        return PsiFrame(n, entries)
+        width = 1 << 3 * n
+        extra = bits >> n * width
+        if extra:
+            raise ValueError(f"point {n + ((extra & -extra).bit_length() - 1 >> 3 * n)} out of range")
+        return PsiFrame._of_rows(n, [bits >> x * width & (1 << width) - 1 for x in range(n)])
 
     def point(p) -> int:
         if not 0 <= json_int(p, "point") < n:
@@ -137,8 +150,7 @@ def frame_from_json(data: dict) -> PsiFrame:
             m |= 1 << point(p)
         return m
 
-    entries = {(point(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]}
-    return PsiFrame(n, frozenset(entries))
+    return PsiFrame(n, [(point(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]])
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +238,15 @@ def _up(m: int, has: tuple[int, ...], index_bits) -> int:
     return m
 
 
-def _triple_at(n: int, mask: int) -> tuple[int, int, int]:
-    """The triple at the lowest set bit of a nonzero index mask."""
-    j = (mask & -mask).bit_length() - 1
+def _triple(n: int, j: int) -> tuple[int, int, int]:
+    """The triple (Y1, Y2, Y3) at index j."""
     full = (1 << n) - 1
     return (j >> 2 * n, j >> n & full, j & full)
+
+
+def _triple_at(n: int, mask: int) -> tuple[int, int, int]:
+    """The triple at the lowest set bit of a nonzero index mask."""
+    return _triple(n, (mask & -mask).bit_length() - 1)
 
 
 def in_l_set(u: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
@@ -276,8 +292,10 @@ def box_table(frame: PsiFrame) -> tuple[int, ...]:
     n = frame.point_count
     m1, m2, m3 = _meets_masks(n)
     rows = [(1 << (1 << 3 * n)) - 1] * n
-    for x, y1, y2, y3 in frame.entries:
-        rows[x] &= m1[y1] | m2[y2] | m3[y3]
+    for x, r in enumerate(frame.rows):
+        for j in _set_bits(r):
+            y1, y2, y3 = _triple(n, j)
+            rows[x] &= m1[y1] | m2[y2] | m3[y3]
     return _table_of_rows(n, rows)
 
 
@@ -319,12 +337,6 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
     return CheckReport("psi-frame", results)
 
 
-def _rinv3(rinv: dict, y1: int, y2: int, y3: int) -> int:
-    if y1 == 0 or y2 == 0 or y3 == 0:
-        return 0
-    return rinv.get((y1, y2, y3), 0)
-
-
 def check_psi_space(frame: PsiFrame) -> CheckReport:
     """Check the pseudo-inference frame conditions PIF1-PIF4 on a frame
     already passing the descriptive conditions.
@@ -344,40 +356,41 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
             f"check_psi_space requires a descriptive frame; {bad.axiom} fails at {bad.witness}"
         )
 
-    rinv = frame.rinv()
-    reachable = sorted(rinv)
-    full = frame.full
+    n, full = frame.point_count, frame.full
+    reach = _table_of_rows(n, frame.rows)  # a triple with an empty coordinate reads 0
+    reachable = [j for j, m in enumerate(reach) if m]
     ne = frame.nonempty_masks()
     cl_note = "closure taken as identity (finite discrete space)"
 
     def pif1():
-        for (y1, y2, y3) in reachable:
-            ry = rinv[(y1, y2, y3)]
+        for j in reachable:
+            ry, (y1, y2, y3) = reach[j], _triple(n, j)
+            pair = j >> n << n  # the index of (Y1, Y2, 0)
             for z in ne:
-                t1 = _rinv3(rinv, y1, y2, z)
+                t1 = reach[pair | z]
                 if ry & ~t1 == 0:
                     continue
                 for w in ne:
-                    cover = t1 | _rinv3(rinv, y1, y2, w) | _rinv3(
-                        rinv, full ^ z, full ^ w, y3
-                    )
+                    cover = t1 | reach[pair | w] | reach[((full ^ z) << n | full ^ w) << n | y3]
                     if ry & ~cover:
                         yield (y1, y2, y3, z, w)
 
     def pif2():
-        for (y1, y2, y3) in reachable:
-            if y1 & y3 == 0 and rinv[(y1, y2, y3)]:
+        for j in reachable:
+            y1, y2, y3 = _triple(n, j)
+            if y1 & y3 == 0:
                 yield (y1, y2, y3)
 
     def pif3():
         for y1 in ne:
             for y2 in ne:
-                if (y1 & y2) & ~_rinv3(rinv, y1, y1, y2):
+                if (y1 & y2) & ~reach[(y1 << n | y1) << n | y2]:
                     yield (y1, y2)
 
     def pif4():
-        for (y1, y2, y3) in reachable:
-            if rinv[(y1, y2, y3)] & ~_rinv3(rinv, y2, y1, y3):
+        for j in reachable:
+            y1, y2, y3 = _triple(n, j)
+            if reach[j] & ~reach[(y2 << n | y1) << n | y3]:
                 yield (y1, y2, y3)
 
     results = (
@@ -409,13 +422,7 @@ def dual_frame(op: TernaryOperator) -> PsiFrame:
         for b, h in enumerate(has):
             m &= m >> (1 << b) | h
         rows.append(m & nonempty)
-    full = (1 << n) - 1
-    entries = frozenset(
-        (x, j >> 2 * n, j >> n & full, j & full) for x, r in enumerate(rows) for j in _set_bits(r)
-    )
-    frame = PsiFrame(n, entries)
-    frame.__dict__["rows"] = tuple(rows)  # fills the cached property
-    return frame
+    return PsiFrame._of_rows(n, rows)
 
 
 def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOperator]:
@@ -449,10 +456,10 @@ def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOpera
 
 def is_total(frame: PsiFrame) -> tuple[bool, tuple[int, int, int] | None]:
     """Total iff every triple is reachable from all points or from none."""
-    rinv = frame.rinv()
-    for key in sorted(rinv):
-        if rinv[key] not in (0, frame.full):
-            return False, key
+    full = frame.full
+    for j, m in enumerate(_table_of_rows(frame.point_count, frame.rows)):
+        if m and m != full:
+            return False, _triple(frame.point_count, j)
     return True, None
 
 
@@ -469,14 +476,14 @@ def pif2_strong_form_separation(frames: list[PsiFrame]) -> tuple[PsiFrame | None
         space = check_psi_space(frame)
         if not space.result("PIF2").passed:
             continue
-        rinv = frame.rinv()
-        full = frame.full
+        n, full = frame.point_count, frame.full
+        reach = _table_of_rows(n, frame.rows)
         for y1 in frame.nonempty_masks():
             comp = full ^ y1
             if comp == 0:
                 continue
             for y2 in frame.nonempty_masks():
-                if _rinv3(rinv, y1, y2, comp):
+                if reach[(y1 << n | y2) << n | comp]:
                     return frame, "separating frame found"
     return None, (
         "no separation: with closure the identity, the strong form is an "

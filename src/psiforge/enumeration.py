@@ -30,7 +30,7 @@ from .boolean_core import (
 from .contact_relation import TernaryRelation, _bits_of_rows, _conclusion_masks, is_eca, op_to_rel, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, holds, parse_axiom_file
-from .ternary_operator import AXIOM_TEXTS, DEFAULT_SEED, TernaryOperator, smallest_diamond
+from .ternary_operator import AXIOM_TEXTS, DEFAULT_SEED, TernaryOperator
 
 ENUM_MAX_ATOMS_EXACT = 2
 ENUM_MAX_ATOMS_ECAS = 3
@@ -183,7 +183,6 @@ def enumerate_operators(
     alg: FiniteBooleanAlgebra,
     axioms: list[Sentence],
     mode: str = "auto",
-    sample_count: int = 200,
     seed: int = DEFAULT_SEED,
 ) -> OperatorEnumeration:
     """Operator tables satisfying every sentence of ``axioms``, canonical
@@ -192,8 +191,9 @@ def enumerate_operators(
     Modes: "exhaustive" (single atom only; anything larger is refused
     outright rather than silently sampled), "relational" (tables valued in
     {0, top}, via the relation enumerator and under its 3-atom cap),
-    "sampled" (seeded, labelled, never claimed exhaustive).  "auto" picks
-    exhaustive for one atom and relational above.
+    "sampled" (seeded, labelled, never claimed exhaustive: up to 200
+    pseudo-inference tables from sample_psi_operators, under its 3-atom
+    cap).  "auto" picks exhaustive for one atom and relational above.
     """
     if mode == "auto":
         mode = "exhaustive" if alg.atom_count == 1 else "relational"
@@ -210,25 +210,8 @@ def enumerate_operators(
         tables = (op.table for op in ops if sentence_holds_everywhere(axioms, op))
         return OperatorEnumeration(_representatives(alg, tables), "relational-exhaustive")
     if mode == "sampled":
-        rng = random.Random(seed)
-        base = smallest_diamond(alg)
-        candidates: list[tuple[int, ...]] = []
-        # random tables rarely satisfy the laws; join random relational
-        # tables onto the least pseudo-inference operator to keep yield up
-        relational_pool = (
-            [rel_to_op(rel) for rel in enumerate_ecas(alg)]
-            if alg.atom_count <= ENUM_MAX_ATOMS_EXACT
-            else []
-        )
-        for _ in range(sample_count):
-            table = tuple(rng.randrange(alg.size) for _ in range(alg.size ** 3))
-            candidates.append(table)
-            if relational_pool:
-                other = rng.choice(relational_pool)
-                candidates.append(
-                    tuple(x | y for x, y in zip(base.table, other.table))
-                )
-        tables = (t for t in candidates if sentence_holds_everywhere(axioms, TernaryOperator(alg, t)))
+        ops = sample_psi_operators(alg, 200, seed)
+        tables = (op.table for op in ops if sentence_holds_everywhere(axioms, op))
         return OperatorEnumeration(_representatives(alg, tables), f"sampled(seed={seed})")
     raise ValueError(f"unknown mode {mode!r}")
 

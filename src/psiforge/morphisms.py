@@ -23,7 +23,7 @@ from itertools import product
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
 from .contact_relation import TernaryRelation, _chi_table, check_eca, rel_to_op
-from .duality_frames import PsiFrame, dual_frame
+from .duality_frames import PsiFrame, _index_masks, _set_bits, _triple, _triple_at, _up, dual_frame
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_psi
@@ -180,27 +180,32 @@ def classify_frame_map(
             raise ValueError(f"image point {p} outside the second frame")
 
     results = [passed("Sp1", "trivially satisfied (finite discrete space)")]
+    n1, n2 = frame1.point_count, frame2.point_count
+    img = [_image_mask(f, y) for y in range(1 << n1)]
+
+    def image(j: int) -> int:
+        """The index in frame2 of the componentwise image of triple j."""
+        y1, y2, y3 = _triple(n1, j)
+        return (img[y1] << n2 | img[y2]) << n2 | img[y3]
 
     def sp2():
-        for x, y1, y2, y3 in sorted(frame1.entries):
-            img = (f[x], _image_mask(f, y1), _image_mask(f, y2), _image_mask(f, y3))
-            if img not in frame2.entries:
-                yield (x, y1, y2, y3)
+        for x, r in enumerate(frame1.rows):
+            r2 = frame2.rows[f[x]]
+            for j in _set_bits(r):
+                if not r2 >> image(j) & 1:
+                    yield (x, *_triple(n1, j))
 
     def sp3():
-        for x in range(frame1.point_count):
-            rx = sorted(frame1.r_of(x))
-            for x2, z1, z2, z3 in sorted(frame2.entries):
-                if x2 != f[x]:
-                    continue
-                ok = any(
-                    _image_mask(f, y1) & z1 == _image_mask(f, y1)
-                    and _image_mask(f, y2) & z2 == _image_mask(f, y2)
-                    and _image_mask(f, y3) & z3 == _image_mask(f, y3)
-                    for (y1, y2, y3) in rx
-                )
-                if not ok:
-                    yield (x, z1, z2, z3)
+        # the Z reached from f(x) with no image of R1(x) below them: R2(f(x))
+        # outside the up-closure of those images over all 3n2 index bits
+        has = _index_masks(n2)[0]
+        for x, r in enumerate(frame1.rows):
+            below = 0
+            for j in _set_bits(r):
+                below |= 1 << image(j)
+            lacking = frame2.rows[f[x]] & ~_up(below, has, range(3 * n2))
+            if lacking:
+                yield (x, *_triple_at(n2, lacking))
 
     results.append(_first("Sp2", sp2()))
     results.append(_first("Sp3", sp3()))

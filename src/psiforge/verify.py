@@ -157,7 +157,6 @@ class _Suite:
             2: [rel_to_op(r) for r in self.ecas2],
         }
         self.k1_psi = enumerate_psi_operators(self.alg1)
-        self.k1_3bamos = brute_force_operators(self.alg1, named_axioms("3bamo"))
         self.k2_psi = enumerate_psi_operators(self.alg2)
 
     def record(self, lemma: str, passed: bool, detail: str, t0: float):

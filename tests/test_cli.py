@@ -314,6 +314,14 @@ def test_compact_frame_trailing_bit_exits_2():
     assert "out of range" in r.stderr
 
 
+def test_compact_frame_empty_coordinate_exits_2():
+    # a one-point frame's bit 3 is the triple ({}, {0}, {0}) of point 0
+    empty_y1 = json.dumps({"points": 1, "bits": base64.b64encode(bytes([1 << 3])).decode("ascii")})
+    r = run_cli("check", "--kind", "frame", "-", stdin=empty_y1)
+    assert_usage_error(r)
+    assert "nonempty" in r.stderr
+
+
 @pytest.mark.parametrize(
     "payload",
     [

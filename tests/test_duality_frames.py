@@ -77,7 +77,7 @@ def test_diamond_box_match_l_set_definitions(alg2, rel_ops_k2):
         fr = dual_frame(op)
         full = fr.full
         triples = fr.closed_triples()
-        r_of = {x: fr.r_of(x) for x in range(fr.point_count)}
+        r_of = {x: {(y1, y2, y3) for (p, y1, y2, y3) in fr.entries if p == x} for x in range(fr.point_count)}
         for u1 in range(full + 1):
             for u2 in range(full + 1):
                 for u3 in range(full + 1):
@@ -154,7 +154,7 @@ def _literal_df2(frame):
         l_set(frame, (u1, u2, u3)) for u1 in range(size) for u2 in range(size) for u3 in range(size)
     ]
     for x in range(frame.point_count):
-        rx = frame.r_of(x)
+        rx = {(y1, y2, y3) for (p, y1, y2, y3) in frame.entries if p == x}
         family = [lu for lu in l_sets if rx <= lu]
         for y in frame.closed_triples():
             if y not in rx and all(y in lu for lu in family):
@@ -405,16 +405,109 @@ def test_pif2_strong_form_search(alg2, rel_ops_k2):
     assert "no separation" in note
 
 
+def _literal_rinv(frame):
+    """Triple -> mask of points reaching it, from the entry set."""
+    out = {}
+    for x, y1, y2, y3 in frame.entries:
+        out[(y1, y2, y3)] = out.get((y1, y2, y3), 0) | 1 << x
+    return out
+
+
+def _literal_psi_space(frame):
+    """PIF1-PIF4 as (axiom, first violation or None), swept over a
+    triple -> points dict; a triple with an empty coordinate reaches none."""
+    rinv = _literal_rinv(frame)
+    full, ne = frame.full, frame.nonempty_masks()
+
+    def at(y1, y2, y3):
+        return 0 if 0 in (y1, y2, y3) else rinv.get((y1, y2, y3), 0)
+
+    def pif1():
+        for y1, y2, y3 in sorted(rinv):
+            ry = rinv[(y1, y2, y3)]
+            for z in ne:
+                t1 = at(y1, y2, z)
+                if ry & ~t1 == 0:
+                    continue
+                for w in ne:
+                    if ry & ~(t1 | at(y1, y2, w) | at(full ^ z, full ^ w, y3)):
+                        yield (y1, y2, y3, z, w)
+
+    def pif2():
+        return ((y1, y2, y3) for y1, y2, y3 in sorted(rinv) if y1 & y3 == 0)
+
+    def pif3():
+        return ((y1, y2) for y1 in ne for y2 in ne if (y1 & y2) & ~at(y1, y1, y2))
+
+    def pif4():
+        return ((y1, y2, y3) for y1, y2, y3 in sorted(rinv) if rinv[(y1, y2, y3)] & ~at(y2, y1, y3))
+
+    return [(f"PIF{i}", next(g, None)) for i, g in enumerate((pif1(), pif2(), pif3(), pif4()), 1)]
+
+
+def _literal_is_total(frame):
+    rinv = _literal_rinv(frame)
+    return next(((False, key) for key in sorted(rinv) if rinv[key] not in (0, frame.full)), (True, None))
+
+
+def _literal_strong_form_triple(frame):
+    """Some reached (Y1, Y2, complement of Y1), the complement nonempty."""
+    rinv, full = _literal_rinv(frame), frame.full
+    return any(rinv.get((y1, y2, full ^ y1), 0) for y1 in range(1, full) for y2 in frame.nonempty_masks())
+
+
+def _descriptive_frames(rng, count):
+    """Up-closures of a few singleton-pair triples per point: DF2 and DF3
+    hold by construction."""
+    for _ in range(count):
+        n = rng.randrange(1, 4)
+        ne = range(1, 1 << n)
+        singles = [1 << i for i in range(n)]
+        entries = set()
+        for x in range(n):
+            for _ in range(rng.randrange(4)):
+                z = (rng.choice(singles), rng.choice(singles), rng.choice(ne))
+                entries |= {
+                    (x, y1, y2, y3) for y1 in ne for y2 in ne for y3 in ne
+                    if z[0] & ~y1 == 0 and z[1] & ~y2 == 0 and z[2] & ~y3 == 0
+                }
+        yield PsiFrame(n, frozenset(entries))
+
+
+def test_space_checks_match_literal_references():
+    """check_psi_space, is_total and the strong-form scan against the
+    triple -> points dict sweeps, on every pool dual frame and on random
+    frames (descriptive ones for the space conditions)."""
+    frames = [dual_frame(op) for op in bamo_operator_pool(3)]
+    frames += list(_random_frames(random.Random(8), 40))
+    frames += list(_descriptive_frames(random.Random(9), 60))
+    failing, totals = set(), set()
+    for fr in frames:
+        assert is_total(fr) == _literal_is_total(fr)
+        totals.add(is_total(fr)[0])
+        if not check_psi_frame(fr).passed:
+            continue
+        got = [(r.axiom, r.witness if not r.passed else None) for r in check_psi_space(fr).results]
+        want = _literal_psi_space(fr)
+        assert got == want
+        failing |= {axiom for axiom, w in want if w is not None}
+        found, _ = pif2_strong_form_separation([fr])
+        assert (found is not None) == (want[1][1] is None and _literal_strong_form_triple(fr))
+    assert failing == {"PIF1", "PIF2", "PIF3", "PIF4"}
+    assert totals == {True, False}
+
+
 def test_frame_json_round_trips(alg2):
     fr = dual_frame(smallest_diamond(alg2))
     assert frame_from_json(fr.to_json()).entries == fr.entries
     assert frame_from_json(fr.to_json(compact=True)).entries == fr.entries
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_compact_frame_round_trip(k):
     """The compact form is one little-endian bit per (x, Y1, Y2, Y3), on
-    dual frames and on a frame without their Y1/Y2 symmetry."""
+    dual frames and on a frame without their Y1/Y2 symmetry (at 5 and 6
+    points on the smallest diamond's dual frame only)."""
     alg = make_algebra(k)
     n = alg.size
     rng = random.Random(k)
@@ -423,17 +516,38 @@ def test_compact_frame_round_trip(k):
         (rng.randrange(k), rng.choice(masks), rng.choice(masks), rng.choice(masks))
         for _ in range(12)
     )
-    for fr in (
-        dual_frame(smallest_diamond(alg)),
-        dual_frame(rel_to_op(largest_eca(alg))),
-        PsiFrame(k, scattered),
-    ):
+    frames = [dual_frame(smallest_diamond(alg))]
+    if k <= 4:
+        frames += [dual_frame(rel_to_op(largest_eca(alg))), PsiFrame(k, scattered)]
+    for fr in frames:
         data = fr.to_json(compact=True)
-        want = sum(1 << ((x * n + y1) * n + y2) * n + y3 for x, y1, y2, y3 in fr.entries)
-        raw = base64.b64decode(data["bits"])
-        assert len(raw) == (k * n ** 3 + 7) // 8
-        assert int.from_bytes(raw, "little") == want
+        want = bytearray((k * n ** 3 + 7) // 8)
+        for x, y1, y2, y3 in fr.entries:
+            i = ((x * n + y1) * n + y2) * n + y3
+            want[i >> 3] |= 1 << (i & 7)
+        assert base64.b64decode(data["bits"]) == want
         assert frame_from_json(data).entries == fr.entries
+
+
+def test_compact_frame_round_trip_at_six_points():
+    fr = dual_frame(rel_to_op(largest_eca(make_algebra(6))))
+    back = frame_from_json(fr.to_json(compact=True))
+    assert back.rows == fr.rows
+    assert check_psi_frame(back).passed
+
+
+def test_compact_frame_refuses_empty_coordinates():
+    """A bit at a triple of the last point with one empty coordinate, the
+    others full."""
+    for k in (1, 2, 3):
+        n, full = 1 << k, (1 << k) - 1
+        for y1, y2, y3 in ((0, full, full), (full, 0, full), (full, full, 0)):
+            i = (((k - 1) * n + y1) * n + y2) * n + y3
+            raw = bytearray(k * n ** 3 // 8)
+            raw[i >> 3] |= 1 << (i & 7)
+            data = {"points": k, "bits": base64.b64encode(raw).decode("ascii")}
+            with pytest.raises(ValueError, match="nonempty"):
+                frame_from_json(data)
 
 
 def test_compact_frame_refuses_trailing_bits():

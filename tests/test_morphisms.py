@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -101,6 +102,53 @@ def test_frame_map_into_full_relation():
     sparse = PsiFrame(2, frozenset({(0, 3, 3, 3)}))
     rep = classify_frame_map((1, 0), sparse, full)
     assert rep.result("Sp2").passed
+
+
+def _literal_frame_map(f, frame1, frame2):
+    """Sp2 and Sp3's first violations (None when they hold), scanning the
+    sorted entry sets."""
+
+    def image(y):
+        return sum({1 << f[i] for i in range(frame1.point_count) if y >> i & 1})
+
+    sp2 = next((
+        (x, y1, y2, y3) for x, y1, y2, y3 in sorted(frame1.entries)
+        if (f[x], image(y1), image(y2), image(y3)) not in frame2.entries
+    ), None)
+    sp3 = None
+    for x in range(frame1.point_count):
+        rx = sorted((y1, y2, y3) for p, y1, y2, y3 in frame1.entries if p == x)
+        for x2, z1, z2, z3 in sorted(frame2.entries):
+            if x2 == f[x] and not any(
+                image(y1) & ~z1 == 0 and image(y2) & ~z2 == 0 and image(y3) & ~z3 == 0 for y1, y2, y3 in rx
+            ):
+                sp3 = (x, z1, z2, z3)
+                break
+        if sp3:
+            break
+    return sp2, sp3
+
+
+def test_frame_map_conditions_match_entry_scan():
+    """Sp2 and Sp3, witnesses included, against the entry-set scan for
+    every point map between the 1- and 2-point pool dual frames and
+    between random frames of 1-3 points."""
+    frames = [fr for fr in map(dual_frame, bamo_operator_pool(3)) if fr.point_count <= 2]
+    rng = random.Random(12)
+    extra = []
+    for _ in range(12):
+        n = rng.randrange(1, 4)
+        ne = range(1, 1 << n)
+        extra.append(PsiFrame(n, [(rng.randrange(n), rng.choice(ne), rng.choice(ne), rng.choice(ne)) for _ in range(rng.randrange(25))]))
+    pairs = [(a, b) for a in frames for b in frames] + [(a, b) for a in extra for b in extra]
+    seen = set()
+    for frame1, frame2 in pairs:
+        for f in product(range(frame2.point_count), repeat=frame1.point_count):
+            rep = classify_frame_map(f, frame1, frame2)
+            got = tuple(None if r.passed else r.witness for r in (rep.result("Sp2"), rep.result("Sp3")))
+            assert got == _literal_frame_map(f, frame1, frame2)
+            seen.add(tuple(w is None for w in got))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_semi_corresponds_to_sp3_not_sp2(alg2, psi_ops_k2):
