@@ -147,7 +147,8 @@ def frame_from_json(data: dict) -> PsiFrame:
     def mask(pts) -> int:
         m = 0
         for p in pts:
-            m |= 1 << point(p)
+            # a valid point inline; point() names the fault of any other
+            m |= 1 << (p if type(p) is int and 0 <= p < n else point(p))
         return m
 
     return PsiFrame(n, [(point(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]])

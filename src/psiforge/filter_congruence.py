@@ -22,7 +22,8 @@ from .boolean_core import FiniteBooleanAlgebra, Filter
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
-from .ternary_operator import TernaryOperator, _atom_form_holds, check_psi, check_strict, is_relational
+from .planes import LAWS
+from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,11 @@ def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
 
 
 def _monotone(op: TernaryOperator) -> bool:
-    """MO2-MO4 on atoms: dia is additive in its first two coordinates and
+    """MO2-MO4 on planes: dia is additive in its first two coordinates and
     monotone in its third (each a chain of single-atom covers), so it is
     monotone in each coordinate."""
-    return all(_atom_form_holds(op, row) for row in ("MO2-atom", "MO3-atom", "MO4-atom"))
+    raw = bytes(op.table)
+    return all(LAWS[ax](raw, op.alg.size) for ax in ("MO2", "MO3", "MO4"))
 
 
 def _closed(op: TernaryOperator, flt: Filter, monotone: bool) -> bool:

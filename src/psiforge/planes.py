@@ -1,0 +1,177 @@
+"""Plane verdicts: the operator laws decided by whole-table tests.
+
+Every table entry is below 2**MAX_ATOMS <= 256, so a table is the byte
+string raw = bytes(op.table), entry (a, b, c) at byte (a*s + b)*s + c with
+s = |A|, and the integer X read from it little-end first.  Adding an atom
+u to a coordinate that lacks it moves an entry u*w bytes up, where w is
+the coordinate's stride (s*s for a, s for b, 1 for c), so one shift of X,
+masked to the entries whose coordinate lacks u, lines each entry up with
+its cover.  Rows are copied across by bytes repetition, and P <= Q, entry
+by entry, is tested as P & Q == P.  Each test decides its law over the
+whole table at once, with no loop over tuples; PI1 and R1 are decided on
+atom pairs, exactly where MO1-MO3 hold, and R2 as one bound that is exact
+there too.  The laws' sentences, and the witnesses, are in
+ternary_operator, which loads this module when it first checks a law.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
+
+
+def _atom_bits(s: int) -> range:
+    """The bit positions i of the atoms u = 1 << i of the algebra of size s."""
+    return range(s.bit_length() - 1)
+
+
+@lru_cache(maxsize=None)
+def _lacking(n: int, block: int) -> int:
+    """The byte mask of the n-entry table's entries i with i // block
+    even: those whose coordinate of stride w lacks the atom u, for
+    block = w*u."""
+    return int.from_bytes((b"\xff" * block + bytes(block)) * (n // (2 * block)), "little")
+
+
+@lru_cache(maxsize=None)
+def _meets(s: int) -> int:
+    """Byte a*s + f is a and f."""
+    return int.from_bytes(bytes(a & f for a in range(s) for f in range(s)), "little")
+
+
+@lru_cache(maxsize=None)
+def _differences(s: int) -> bytes:
+    """Byte a*s + b is a and not b."""
+    return bytes(a & ~b for a in range(s) for b in range(s))
+
+
+def _row(raw: bytes, s: int, a: int, b: int) -> bytes:
+    """dia(a, b, c) over c."""
+    start = (a * s + b) * s
+    return raw[start:start + s]
+
+
+def _spread(row: bytes, times: int) -> bytes:
+    """Each byte of row repeated ``times`` times."""
+    return b"".join(bytes((v,)) * times for v in row)
+
+
+def _mo1(raw: bytes, s: int) -> bool:
+    s2 = s * s
+    zero = bytes(s2)
+    first_rows = b"".join(raw[a * s2:a * s2 + s] for a in range(s))
+    return raw[:s2] == zero and first_rows == zero and raw[::s] == zero
+
+
+def _additive(raw: bytes, s: int, w: int) -> bool:
+    """dia is additive in its coordinate of stride w (s*s: MO2, s: MO3):
+    dia at x or u is dia at x or dia at u, for each atom u and each x
+    lacking u."""
+    n, x = len(raw), int.from_bytes(raw, "little")
+    for i in _atom_bits(s):
+        block = w << i
+        low = x & _lacking(n, block)
+        # dia at u, wherever the coordinate holds u, and 0 elsewhere
+        at_u = b"".join(
+            (bytes(block) + raw[o + block:o + block + w] * (1 << i)) * (s >> (i + 1)) for o in range(0, n, s * w)
+        )
+        if (low << 8 * block) | int.from_bytes(at_u, "little") | low != x:
+            return False
+    return True
+
+
+def _monotone_in_c(raw: bytes, s: int) -> bool:
+    """MO4: dia(a, b, c) <= dia(a, b, c or u) for each atom u."""
+    n, x = len(raw), int.from_bytes(raw, "little")
+    for i in _atom_bits(s):
+        up = (x & _lacking(n, 1 << i)) << (8 << i)
+        if up & x != up:
+            return False
+    return True
+
+
+def _pi1_on_atom_pairs(raw: bytes, s: int) -> bool:
+    """dia(u, v, f) <= dia(u, v, not d) or dia(u, v, not e) or dia(d, e, f)
+    for all atoms u, v, on the table laid out (f, d, e)."""
+    s2 = s * s
+    by_f = int.from_bytes(b"".join(raw[f::s] for f in range(s)), "little")
+    for i, j in product(_atom_bits(s), repeat=2):
+        row = _row(raw, s, 1 << i, 1 << j)
+        if not row.strip(b"\0"):
+            continue
+        neg = row[::-1]  # dia(u, v, not d) over d
+        sides = int.from_bytes(_spread(neg, s), "little") | int.from_bytes(neg * s, "little")
+        lhs = int.from_bytes(_spread(row, s2), "little")
+        if lhs & (by_f | int.from_bytes(sides.to_bytes(s2, "little") * s, "little")) != lhs:
+            return False
+    return True
+
+
+def _r1_on_atom_pairs(raw: bytes, s: int) -> bool:
+    """dia(u, v, a) and not dia(u, v, b) <= dia(1, 1, a and not b) for all
+    atoms u, v, on the (a, b) grid."""
+    ones = _row(raw, s, s - 1, s - 1)
+    fixed = int.from_bytes(_differences(s).translate(ones + bytes(256 - s)), "little")
+    for i, j in product(_atom_bits(s), repeat=2):
+        row = _row(raw, s, 1 << i, 1 << j)
+        lhs = int.from_bytes(_spread(row, s), "little")
+        if lhs & (int.from_bytes(row * s, "little") | fixed) != lhs:
+            return False
+    return True
+
+
+def _r2_below_middle(raw: bytes, s: int) -> bool:
+    """dia(x, a, y) <= dia(1, a, 1) everywhere: R2 where MO1 and MO3 hold.
+    It is R2 at b = 0, and it gives R2, as dia(x, a, y) is the join of
+    dia(x, a and b, y) <= dia(x, b, y) and dia(x, a and not b, y)."""
+    s2, top = s * s, s - 1
+    middle = raw[top * s2 + top:s2 * s:s]  # dia(1, a, 1) over a
+    x = int.from_bytes(raw, "little")
+    return int.from_bytes(_spread(middle, s) * s, "little") & x == x
+
+
+def _s_below_mu(raw: bytes, s: int) -> bool:
+    """dia(a, b, c) <= mu(dia(a, b, c)), reading mu off the table."""
+    s2, top = s * s, s - 1
+    ones, middle = _row(raw, s, top, top), raw[top * s2 + top:s2 * s:s]
+    mu_of = bytes(top ^ (ones[top ^ z] | middle[top ^ z]) for z in range(s)) + bytes(256 - s)
+    x = int.from_bytes(raw, "little")
+    return int.from_bytes(raw.translate(mu_of), "little") & x == x
+
+
+def _pi2(raw: bytes, s: int) -> bool:
+    s2, top = s * s, s - 1
+    return b"".join(raw[a * s2 + (top ^ a):(a + 1) * s2:s] for a in range(s)) == bytes(s2)
+
+
+def _pi3(raw: bytes, s: int) -> bool:
+    diagonal = int.from_bytes(b"".join(raw[(a * s + a) * s:(a * s + a + 1) * s] for a in range(s)), "little")
+    meets = _meets(s)
+    return diagonal & meets == meets
+
+
+def _pi4(raw: bytes, s: int) -> bool:
+    # dia(a, b, f) <= dia(b, a, f) for all a, b is symmetry in (a, b)
+    return raw == b"".join(raw[(b * s + a) * s:(b * s + a + 1) * s] for a in range(s) for b in range(s))
+
+
+# The plane verdict of each law, called as test(raw, s).  Those of PI1,
+# R1 and R2 decide the law only where MO1-MO3 hold.
+LAWS = {
+    "MO1": _mo1,
+    "MO2": lambda raw, s: _additive(raw, s, s * s),
+    "MO3": lambda raw, s: _additive(raw, s, s),
+    "MO4": _monotone_in_c,
+    "PI1": _pi1_on_atom_pairs,
+    "PI2": _pi2,
+    "PI3": _pi3,
+    "PI4": _pi4,
+    "R1": _r1_on_atom_pairs,
+    "R2": _r2_below_middle,
+    "S": _s_below_mu,
+}
+
+
+def distributes(raw: bytes, s: int) -> bool:
+    """MO1-MO3: then dia(a, b, c) is the join of dia(u, v, c) over the
+    atoms u <= a, v <= b (the empty join 0 when a or b is 0)."""
+    return all(LAWS[ax](raw, s) for ax in ("MO1", "MO2", "MO3"))

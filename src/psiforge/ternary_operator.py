@@ -6,13 +6,14 @@ behaviour), PI1-PI4 (pseudo-inference), R1/R2/S (strictness), the
 relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
-MO1-MO4, PI1-PI4, R1, R2 and S are checked by compiling their sentences
-in AXIOM_TEXTS (terms.compile_sweep); MO1 is its three sentences swept in
-turn.  AXIOM_TEXTS lives here, beside the sweep rows that read it;
-enumeration.named_axioms parses the same texts.  MO2-MO4 are decided on
-their atom forms, also compiled rows, and so are R1 and R2 on tables
-satisfying MO1-MO3; a law's own sentence is then swept only to name a
-witness.
+MO1-MO4, PI1-PI4, R1, R2 and S are stated once, as sentences in
+AXIOM_TEXTS; enumeration.named_axioms parses the same texts.  Each law is
+decided by a few whole-table tests on the table's bytes (the plane
+verdicts of module planes: masks, shifts and byte-wise lookups, no loop
+over tuples); those of PI1, R1 and R2 are exact where MO1-MO3 hold.  A
+law's compiled sentence (terms.compile_sweep; MO1 its three sentences in
+turn) is swept only when its plane test fails, to name the witness, and
+in full where that hypothesis fails.
 
 Witness order.  Bounded sweeps run in ascending mask order and report the
 first violating tuple.  The five-variable cut axiom PI1, decided on atom
@@ -205,11 +206,6 @@ _SWEEP_ROWS = (
     ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False, ""),
     ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False, ""),
     ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False, ""),
-    ("MO2-atom", "dia(a or u, b, c) = dia(a, b, c) or dia(u, b, c)", "abc", False, "u"),
-    ("MO3-atom", "dia(a, b or u, c) = dia(a, b, c) or dia(a, u, c)", "abc", False, "u"),
-    ("MO4-atom", "dia(a, b, c) <= dia(a, b, c or u)", "abc", False, "u"),
-    ("R1-atom", ("strictness", 0), "ab", False, "xy"),
-    ("R2-atom", ("strictness", 1), "aby", False, "x"),
 )
 
 
@@ -242,29 +238,15 @@ def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
     return passed(axiom)
 
 
-def _atom_form_holds(op: TernaryOperator, row: str) -> bool:
-    """Whether the row holds with each of its parameters bound to every atom."""
-    (sweep,) = _row_sweeps(row)
-    (params,) = {r[4] for r in _SWEEP_ROWS if r[0] == row}
-    atoms = op.alg.atoms()
-    return all(sweep(op.table, op.alg.top, *us) is None for us in product(atoms, repeat=len(params)))
+def _decide(op: TernaryOperator, raw: bytes, axiom: str, hypothesis: bool = True) -> AxiomResult:
+    """The plane verdict where the hypothesis that makes it exact holds;
+    the full sweep otherwise, or to name the witness."""
+    # imported at first use, like terms: most verbs check no operator law
+    from .planes import LAWS
 
-
-def _sweep_on_atoms(op: TernaryOperator, axiom: str, hypothesis: bool = True) -> AxiomResult:
-    """Decide the axiom by its atom form where the hypothesis that makes
-    that exact holds; sweep it in full otherwise, or to name the witness."""
-    if hypothesis and _atom_form_holds(op, f"{axiom}-atom"):
+    if hypothesis and LAWS[axiom](raw, op.alg.size):
         return passed(axiom)
     return _sweep(op, axiom)
-
-
-def _distributes(op: TernaryOperator) -> bool:
-    """MO1-MO3, checked as MO1 and the atom forms of MO2/MO3: then
-    dia(a, b, c) is the join of dia(u, v, c) over the atoms u <= a, v <= b
-    (the empty join 0 when a or b is 0)."""
-    return _sweep(op, "MO1").passed and all(
-        _atom_form_holds(op, row) for row in ("MO2-atom", "MO3-atom")
-    )
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -276,56 +258,64 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
     (witnesses (a, x, b, c) and (a, b, x, c)).
     MO4: dia(a,b,c) or dia(a,b,x) <= dia(a,b,c or x)   (witness a,b,c,x).
 
-    MO2-MO4 are decided on atom covers, over k*|A|^3 tuples where their
-    sentences span |A|^4.  MO2 holds iff dia(a or u, b, c) = dia(a, b, c)
-    or dia(u, b, c) for every atom u: the instances (0, u) and (a, u) with
-    u <= a give dia(0, b, c) <= dia(a, b, c), and induction on the atoms
-    of x does the rest; MO3 likewise.  MO4 says dia is monotone in c, so
-    it holds iff dia(a, b, c) <= dia(a, b, c or u) for every atom u, by
-    chains of single-atom covers.  No other law is assumed.  The full
-    sweep runs only when an atom form fails, to name the first witness.
+    Each is decided on planes of the table, with no law assumed.  MO1
+    reads the three zero-argument planes.  MO2 holds iff dia(a or u, b, c)
+    = dia(a, b, c) or dia(u, b, c) for every atom u and every a lacking u:
+    that gives dia(0, b, c) <= dia(u, b, c), the instances with u <= a,
+    and, by induction on the atoms of x, the law; it is one test per
+    atom: the planes lacking u, shifted onto those holding it and joined
+    with plane u, must equal them.  MO3 likewise.  MO4 says dia is monotone in c, so it holds
+    iff dia(a, b, c) <= dia(a, b, c or u) for every atom u, by chains of
+    single-atom covers: one shift-and-mask test per atom.  The sentence
+    sweep runs only when a law fails, to name the first witness.
     """
-    mo = [_sweep(op, "MO1")] + [_sweep_on_atoms(op, ax) for ax in ("MO2", "MO3", "MO4")]
-    return CheckReport("3bamo", tuple(mo))
+    raw = bytes(op.table)
+    return CheckReport("3bamo", tuple(_decide(op, raw, ax) for ax in ("MO1", "MO2", "MO3", "MO4")))
 
 
 def check_psi(op: TernaryOperator) -> CheckReport:
     """Check PI1-PI4, exactly at every size.
 
-    PI1 is decided on atom pairs: under MO1-MO3 (checked first, as MO1 and
-    the atom forms of MO2/MO3), dia(a, b, f) joins dia(u, v, f) over atoms
-    u <= a, v <= b, and each right-hand side of PI1 at (u, v) lies below
-    the one at (a, b).  Its witness (a, b, f, d, e) is the first violation
-    of the top-down sweep up to PI1_TOP_DOWN_MAX_ATOMS atoms.  Above that,
-    a table satisfying MO1-MO3 reports its first atom-pair violation, with
+    PI1 is decided on atom pairs: under MO1-MO3 (decided first, as in
+    check_3bamo), dia(a, b, f) joins dia(u, v, f) over atoms u <= a,
+    v <= b, and each right-hand side of PI1 at (u, v) lies below the one
+    at (a, b).  Each atom pair is one test on the table laid out (f, d,
+    e).  Its witness (a, b, f, d, e) is the first violation of the
+    top-down sweep up to PI1_TOP_DOWN_MAX_ATOMS atoms.  Above that, a
+    table satisfying MO1-MO3 reports its first atom-pair violation, with
     a note, and any other table is refused with SizeCapError.  PI2, PI3
-    and PI4 report witnesses (a, b), (a, f) and (a, b, f).
+    and PI4 are decided on planes (the (a, b, not a) entries, the
+    diagonal (a, a, f), the (a, b) transpose) and report witnesses
+    (a, b), (a, f) and (a, b, f).
     """
-    results = [_check_pi1(op)] + [_sweep(op, ax) for ax in ("PI2", "PI3", "PI4")]
+    raw = bytes(op.table)
+    results = [_check_pi1(op, raw)] + [_decide(op, raw, ax) for ax in ("PI2", "PI3", "PI4")]
     return CheckReport("psi", tuple(results))
 
 
-def _check_pi1(op: TernaryOperator) -> AxiomResult:
+def _check_pi1(op: TernaryOperator, raw: bytes) -> AxiomResult:
+    from .planes import LAWS, distributes
+
     alg, table, top = op.alg, op.table, op.alg.top
+    hypothesis = distributes(raw, alg.size)
+    if hypothesis and LAWS["PI1"](raw, alg.size):
+        return passed("PI1")
+    small = alg.atom_count <= PI1_TOP_DOWN_MAX_ATOMS
+    if not small and not hypothesis:
+        raise SizeCapError(
+            f"PI1 above {PI1_TOP_DOWN_MAX_ATOMS} atoms is decided only for tables "
+            "satisfying MO1-MO3, and this one does not (run check --kind 3bamo)"
+        )
     (pi1,) = _row_sweeps("PI1")
 
     def first(pairs):
         return next(((a, b) + w for a, b in pairs if (w := pi1(table, top, a, b)) is not None), None)
 
-    distributes = _distributes(op)
-    witness = first(product(alg.atoms()[::-1], repeat=2)) if distributes else None
-    if distributes and witness is None:
-        return passed("PI1")
-    if alg.atom_count <= PI1_TOP_DOWN_MAX_ATOMS:
+    if small:
         witness = first(product(range(top, -1, -1), repeat=2))
         return passed("PI1") if witness is None else failed("PI1", witness)
-    if not distributes:
-        raise SizeCapError(
-            f"PI1 above {PI1_TOP_DOWN_MAX_ATOMS} atoms is decided only for tables "
-            "satisfying MO1-MO3, and this one does not (run check --kind 3bamo)"
-        )
     note = f"atom-pair witness; the top-down witness sweep stops at {PI1_TOP_DOWN_MAX_ATOMS} atoms"
-    return failed("PI1", witness, note)
+    return failed("PI1", first(product(alg.atoms()[::-1], repeat=2)), note)
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
@@ -359,32 +349,37 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     R2: dia(x,a,y) and not dia(x,b,y) <= dia(1,a and not b,1)   (witness x,a,b,y)
     S:  dia(a,b,c) <= mu(dia(a,b,c))                            (witness a,b,c)
 
-    R1 and R2 are decided exactly at every size on atoms when MO1-MO3 hold
-    (checked as in check_psi): R1 on the k^2 atom pairs (x, y), over
-    k^2*|A|^2 tuples, and R2 on the k atoms x, over k*|A|^3, where each
-    spans |A|^4.  Proof: dia(x, y, a) is the join of dia(u, v, a) over
-    atoms u <= x, v <= y, and dia(u, v, b) <= dia(x, y, b), so
-    dia(x, y, a) and not dia(x, y, b) lies below the join of
-    dia(u, v, a) and not dia(u, v, b), and R1's right side does not depend
-    on (x, y).  R2 likewise joins over the atoms of x alone (its second
-    coordinate is a and b).  A table failing MO1-MO3 is swept in full, and
-    a failing atom form runs the full sweep to name the first witness.
+    R1 and R2 are decided exactly at every size on planes when MO1-MO3
+    hold (decided as in check_3bamo).  R1 is decided on the k^2 atom pairs
+    (x, y), each one test on the (a, b) grid.  Proof: dia(x, y, a) is the
+    join of dia(u, v, a) over atoms u <= x, v <= y, and dia(u, v, b) <=
+    dia(x, y, b), so dia(x, y, a) and not dia(x, y, b) lies below the
+    join of dia(u, v, a) and not dia(u, v, b), and R1's right side does
+    not depend on (x, y).  R2 holds iff dia(x, a, y) <= dia(1, a, 1)
+    everywhere, one test on the whole table: that is R2 at b = 0, and
+    since dia(x, a, y) is the join of dia(x, a and b, y) <= dia(x, b, y)
+    and dia(x, a and not b, y), it gives R2.  S is one test against the
+    table mapped byte by byte through mu.  A table failing MO1-MO3 is
+    swept in full, and a failing plane test runs the full sweep to name
+    the first witness.
     """
-    distributes = _distributes(op)
-    results = [_sweep_on_atoms(op, ax, distributes) for ax in ("R1", "R2")]
-    return CheckReport("strict", (*results, _sweep(op, "S")))
+    from .planes import distributes
+
+    raw = bytes(op.table)
+    hypothesis = distributes(raw, op.alg.size)
+    results = [_decide(op, raw, ax, hypothesis) for ax in ("R1", "R2")]
+    return CheckReport("strict", (*results, _decide(op, raw, "S")))
 
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff every table entry is 0 or top; else the first offending triple."""
-    alg = op.alg
-    for a in alg.elements():
-        for b in alg.elements():
-            for c in alg.elements():
-                v = op(a, b, c)
-                if v != 0 and v != alg.top:
-                    return False, (a, b, c)
-    return True, None
+    size, top = op.alg.size, op.alg.top
+    # one pass over the table's bytes: 1 marks an entry other than 0 and top
+    marks = bytes(v not in (0, top) for v in range(256))
+    i = bytes(op.table).translate(marks).find(1)
+    if i < 0:
+        return True, None
+    return False, (i // (size * size), i // size % size, i % size)
 
 
 def discriminator_check(op: TernaryOperator) -> CheckReport:

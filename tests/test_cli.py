@@ -357,9 +357,14 @@ def _loaded_modules(*argv):
     return {line.removeprefix("psiforge.") for line in r.stderr.splitlines() if line.startswith("psiforge.")}
 
 
-def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file):
+def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tmp_path):
     operator_checker = {"cli", "errors", "boolean_core", "report", "terms", "ternary_operator"}
-    assert _loaded_modules("check", "--kind", "psi", example_op_file) == operator_checker
+    # the failing example compiles sentences to name its witnesses; a
+    # passing table is decided on planes and never loads the compiler
+    assert _loaded_modules("check", "--kind", "psi", example_op_file) == operator_checker | {"planes"}
+    passing = tmp_path / "smallest_diamond_k2.json"
+    passing.write_text(json.dumps(smallest_diamond(make_algebra(2)).to_json()))
+    assert _loaded_modules("check", "--kind", "psi", str(passing)) == operator_checker - {"terms"} | {"planes"}
     assert _loaded_modules("check", "--kind", "eca", largest_rel_file) == operator_checker | {"contact_relation"}
     assert _loaded_modules("--help") == {"cli", "errors"}
 

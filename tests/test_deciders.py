@@ -1,12 +1,12 @@
 """The reduced deciders agree with the full sweeps of their laws, and
 the verdict-only is_eca/is_extca agree with the reports.
 
-MO2-MO4 are decided on rows with an atom parameter u, R1 and R2 on atoms
-under MO1-MO3, and closed filters on meets with the generator when MO2-MO4
-hold on atoms.  The relation laws are decided on bitmasks: EC0, EC2, EC3,
-ExtCA2 and ExtCA3 by mask tests on the bitset, EC4 on its conclusion
-masks, and the cut EC1 on minimal premises when those masks are
-antitone; each law's sentence (or the cut's sweep) runs only to name a
+Every operator law is decided on planes of the table: MO1-MO4, PI2-PI4
+and S outright, PI1, R1 and R2 on atoms under MO1-MO3, and closed filters
+on meets with the generator when MO2-MO4 hold.  The relation laws are
+decided on bitmasks: EC0, EC2, EC3, ExtCA2 and ExtCA3 by mask tests on
+the bitset, EC4 on its conclusion masks, and the cut EC1 on minimal
+premises when those masks are antitone; each law's sentence (or the cut's sweep) runs only to name a
 witness or when a hypothesis fails.  The checkers would hide a wrong
 decider (a false failure falls back to the sweep, which passes), so the
 deciders are compared here directly, on inputs that take each path."""
@@ -43,7 +43,8 @@ from psiforge.contact_relation import (
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
 from psiforge.filter_congruence import _closed, _filter_law, _monotone, filter_is_closed
-from psiforge.ternary_operator import TernaryOperator, _atom_form_holds, _distributes, _sweep
+from psiforge.planes import LAWS, distributes
+from psiforge.ternary_operator import TernaryOperator, _row_sweeps, _sweep
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
@@ -84,14 +85,19 @@ def _relations(k, rng, count):
     return [TernaryRelation(alg, bits) for bits in rels]
 
 
+def _plane(op, axiom):
+    return LAWS[axiom](bytes(op.table), op.alg.size)
+
+
 @pytest.mark.parametrize("k,count", [(1, 200), (2, 200), (3, 60)])
 def test_mo_atom_forms_decide_mo2_to_mo4(k, count):
     verdicts = set()
     for op in _operators(k, random.Random(k), count):
         mo1 = _sweep(op, "MO1").passed
+        assert _plane(op, "MO1") == mo1, op.table
         for axiom in ("MO2", "MO3", "MO4"):
             verdict = _sweep(op, axiom).passed
-            assert _atom_form_holds(op, f"{axiom}-atom") == verdict, (axiom, op.table)
+            assert _plane(op, axiom) == verdict, (axiom, op.table)
             verdicts.add((axiom, mo1, verdict))
     # each law passes and fails, both with and without MO1, except that on
     # one atom MO1 implies MO2-MO4
@@ -221,23 +227,43 @@ def test_cut_hypothesis_mask_test_matches_lines():
     assert seen == set(product((1, 2, 3, 4), (False, True)))
 
 
-def _joined_table(alg, rng):
-    """dia(a, b, c) = the join of f_uv(c) over atoms u <= a, v <= b, for
-    random maps f_uv with f_uv(0) = 0 and a random share of their values
-    0: MO1-MO3 hold, MO4 mostly not."""
+def _pair_maps(alg, rng):
+    """Random maps f_uv, one per pair of atoms, with f_uv(0) = 0 and a
+    random share of their values 0."""
     size, atoms = alg.size, alg.atoms()
     density = rng.random()
 
     def value():
         return rng.randrange(size) if rng.random() < density else 0
 
-    maps = {(u, v): [0] + [value() for _ in range(size - 1)] for u in atoms for v in atoms}
+    return {(u, v): [0] + [value() for _ in range(size - 1)] for u in atoms for v in atoms}
+
+
+def _join(alg, maps):
+    """dia(a, b, c) = the join of f_uv(c) over atoms u <= a, v <= b:
+    MO1-MO3 hold, MO4 mostly not."""
+    size, atoms = alg.size, alg.atoms()
     return tuple(
         reduce(int.__or__, (maps[u, v][c] for u in atoms if u & a for v in atoms if v & b), 0)
         for a in range(size)
         for b in range(size)
         for c in range(size)
     )
+
+
+def _joined_table(alg, rng):
+    return _join(alg, _pair_maps(alg, rng))
+
+
+def _one_value_changes(alg, maps):
+    """The joins of maps with one value f_uv(c), c > 0, changed, each in
+    turn: failures planted at every atom pair and argument."""
+    for (u, v), values in maps.items():
+        for c, value in product(range(1, alg.size), range(alg.size)):
+            if value != values[c]:
+                changed = dict(maps)
+                changed[u, v] = values[:c] + [value] + values[c + 1:]
+                yield _join(alg, changed)
 
 
 def _strict_tables():
@@ -268,13 +294,50 @@ def test_r1_r2_atom_forms_decide_r1_r2():
     for op in _strict_tables():
         full = tuple(_sweep(op, ax) for ax in ("R1", "R2", "S"))
         assert check_strict(op).results == full, op.table
-        distributes = _distributes(op)
+        hypothesis = distributes(bytes(op.table), op.alg.size)
         for axiom, result in zip(("R1", "R2"), full):
-            if distributes:
-                assert _atom_form_holds(op, f"{axiom}-atom") == result.passed, (axiom, op.table)
-            paths.add((axiom, distributes, result.passed))
+            if hypothesis:
+                assert _plane(op, axiom) == result.passed, (axiom, op.table)
+            paths.add((axiom, hypothesis, result.passed))
     # each law passes and fails, both under MO1-MO3 and without it
     assert paths == set(product(("R1", "R2"), (False, True), (False, True)))
+
+
+def _plane_cases():
+    """Every one-atom table; seeded two- and three-atom tables of every
+    density, the monotone samples and their near-misses; and joined
+    tables, on which MO1-MO3 hold, with one-value changes of their atom
+    pair maps."""
+    alg1, alg2, alg3 = make_algebra(1), make_algebra(2), make_algebra(3)
+    rng = random.Random(29)
+    yield from (TernaryOperator(alg1, tuple(t >> i & 1 for i in range(8))) for t in range(256))
+    for k, count in ((2, 150), (3, 40)):
+        alg = make_algebra(k)
+        yield from _operators(k, rng, count)
+        yield from (TernaryOperator(alg, _joined_table(alg, rng)) for _ in range(30))
+    for _ in range(3):
+        yield from (TernaryOperator(alg2, t) for t in _one_value_changes(alg2, _pair_maps(alg2, rng)))
+    changes = list(_one_value_changes(alg3, _pair_maps(alg3, rng)))
+    yield from (TernaryOperator(alg3, t) for t in rng.sample(changes, 60))
+
+
+def test_plane_verdicts_decide_every_operator_law():
+    (pi1,) = _row_sweeps("PI1")
+    verdicts = set()
+    for op in _plane_cases():
+        raw, size, top = bytes(op.table), op.alg.size, op.alg.top
+        hypothesis = distributes(raw, size)
+        for axiom, plane in LAWS.items():
+            if axiom in ("PI1", "R1", "R2") and not hypothesis:
+                continue
+            if axiom == "PI1":
+                verdict = all(pi1(op.table, top, a, b) is None for a, b in product(range(size), repeat=2))
+            else:
+                verdict = _sweep(op, axiom).passed
+            assert plane(raw, size) == verdict, (axiom, op.table)
+            verdicts.add((axiom, verdict))
+    # every law passes and fails
+    assert verdicts == set(product(LAWS, (False, True)))
 
 
 def _filter_operators():

@@ -560,6 +560,24 @@ def test_compact_frame_refuses_trailing_bits():
             frame_from_json(data)
 
 
+
+def test_list_frame_refuses_a_bad_point_in_a_repeated_list():
+    """A point list that recurs across entries is read in each: a later
+    copy holding an out-of-range point, a boolean or a float is refused
+    with the message it gets alone."""
+    both = [0, 1]
+    good = {"points": 2, "R": [[0, both, both, both], [1, both, both, both]]}
+    assert frame_from_json(good).entries == {(0, 3, 3, 3), (1, 3, 3, 3)}
+    for bad, message in (
+        ([0, 2], "point 2 out of range"),
+        ([0, True], "point must be an integer, got bool"),
+        ([0, 1.0], "point must be an integer, got float"),
+    ):
+        data = {"points": 2, "R": [[0, both, both, both], [1, both, list(bad), both], [1, both, both, bad]]}
+        with pytest.raises(ValueError) as info:
+            frame_from_json(data)
+        assert str(info.value) == message
+
 def test_frame_validation():
     with pytest.raises(ValueError):
         PsiFrame(2, frozenset({(2, 1, 1, 1)}))
