@@ -15,9 +15,13 @@ minimal premises where those masks are antitone in each premise.  Each
 law is also one written sentence about the relation's characteristic
 table (_LAWS), or for the cut a bitmask sweep that runs top-down like
 PI1; these run only when a law fails, to name its first witness in the
-documented order, or when the cut's hypothesis fails.  is_eca and
-is_extca walk the same law list as check_eca and check_extca, stop at
-the first failing law and name no witness.
+documented order, or when the cut's hypothesis fails.
+
+Verdicts without witnesses come from one decider, pool_verdicts, which
+takes many relations packed side by side in one int, relation i in bits
+i*size^3 and up: the mask laws are tested on every lane at once, and
+only the relations passing them have EC4 and the cut decided one by
+one.  is_eca and is_extca are its pool of one.
 """
 from __future__ import annotations
 
@@ -201,8 +205,8 @@ def _law(chi: tuple[int, ...], top: int, law: str, note: str = "") -> AxiomResul
 
 
 # Each axiom system's laws in report order, as (reported name, law): a
-# law of _LAWS, or "cut".  The checkers and the verdict-only is_eca and
-# is_extca all walk these lists.
+# law of _LAWS, or "cut".  The checkers and the verdict-only
+# pool_verdicts all read these lists.
 _SYSTEMS = {
     "eca": (("EC0", "EC0"), ("EC1", "cut"), ("EC2", "EC2"), ("EC3", "EC3"), ("EC4", "EC4")),
     "extca": (
@@ -256,26 +260,44 @@ def _law_masks(k: int) -> dict:
     }
 
 
+# the laws decided by mask tests alone, on any number of relations at once
+_MASK_LAWS = frozenset(("EC0", "EC2", "EC3", "ExtCA2", "ExtCA3"))
+
+
+def _lanes(width: int, n: int) -> int:
+    """The lowest bit of each of n lanes of width bits (a multiple of 8)."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * n, "little")
+
+
+def _mask_failures(bits: int, k: int, law: str, lanes: int = 1) -> int:
+    """The bits at which a mask law fails, on relations packed side by side
+    in lanes of size^3 bits (``lanes`` from _lanes; 1 for one relation):
+    nonzero in a relation's lane iff the law fails on it.  Each mask is
+    repeated in every lane; EC0's shifts stay inside a lane, as its masks
+    hold only triples whose image lies in the same relation."""
+    masks = _law_masks(k)
+    if law == "EC0":
+        # (a, b) |- f implies (a or u, b) |- f or u for every atom u
+        moved = 0
+        for shift, mask in masks["EC0"]:
+            moved |= (bits & mask * lanes) << shift
+        return moved & ~bits
+    mask, want = masks[law]
+    return (bits & mask * lanes) ^ want * lanes
+
+
 def _verdict(rel: TernaryRelation, law: str, con: list[int] | None) -> bool | None:
     """Whether a system law holds: EC0, EC2, EC3, ExtCA2 and ExtCA3 by
     mask tests on the bitset, EC4 and the cut on its conclusion masks
     con.  None when the cut's hypothesis fails (see
     _cut_on_minimal_premises)."""
-    bits = rel.bits
-    if law == "EC0":
-        # (a, b) |- f implies (a or u, b) |- f or u for every atom u
-        moved = 0
-        for shift, mask in _law_masks(rel.alg.atom_count)["EC0"]:
-            moved |= (bits & mask) << shift
-        return not moved & ~bits
+    if law in _MASK_LAWS:
+        return not _mask_failures(rel.bits, rel.alg.atom_count, law)
     if law == "cut":
         return _cut_on_minimal_premises(rel, con)
-    if law == "EC4":
-        size = rel.alg.size
-        swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
-        return not any(x & ~y for x, y in zip(con, swapped))
-    mask, want = _law_masks(rel.alg.atom_count)[law]
-    return bits & mask == want
+    size = rel.alg.size  # EC4
+    swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
+    return not any(x & ~y for x, y in zip(con, swapped))
 
 
 def _check(rel: TernaryRelation, system: str) -> CheckReport:
@@ -295,17 +317,38 @@ def _check(rel: TernaryRelation, system: str) -> CheckReport:
     return CheckReport(system, tuple(results))
 
 
-def _decide(rel: TernaryRelation, system: str) -> bool:
-    con = None
+def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -> bytes:
+    """Whether each of n relations satisfies an axiom system ("eca" or
+    "extca"): byte i is 1 iff the relation in bits i*size^3 and up of
+    ``packed`` passes check_eca (check_extca), else 0.
+
+    The mask laws are tested on all n relations at once: their failure
+    bits are ORed and each lane is folded onto its lowest bit.  Only the
+    relations that pass every mask law have EC4 and then the cut decided
+    one by one, on their conclusion masks (the cut by its sweep where its
+    minimal-premise hypothesis fails).
+    """
+    k, width = alg.atom_count, alg.size ** 3
+    lanes = _lanes(width, n)
+    fails = 0
     for _, law in _SYSTEMS[system]:
-        if law in ("cut", "EC4"):
-            con = con or _conclusion_masks(rel)
-        verdict = _verdict(rel, law, con)
-        if verdict is None:
-            verdict = _cut_witness(con, rel.alg.top) is None
-        if not verdict:
-            return False
-    return True
+        if law in _MASK_LAWS:
+            fails |= _mask_failures(packed, k, law, lanes)
+    shift = width >> 1
+    while shift:  # each lane's lowest bit becomes the OR of the lane
+        fails |= fails >> shift
+        shift >>= 1
+    step = width // 8
+    verdicts = bytearray((lanes & ~fails).to_bytes(n * step, "little")[::step])
+    raw = packed.to_bytes(n * step, "little")
+    for i in compress(range(n), verdicts):
+        rel = TernaryRelation(alg, int.from_bytes(raw[i * step:(i + 1) * step], "little"))
+        con = _conclusion_masks(rel)
+        ok = _verdict(rel, "EC4", con) and _verdict(rel, "cut", con)
+        if ok is None:
+            ok = _cut_witness(con, alg.top) is None
+        verdicts[i] = ok
+    return bytes(verdicts)
 
 
 def check_eca(rel: TernaryRelation) -> CheckReport:
@@ -338,15 +381,15 @@ def check_extca(rel: TernaryRelation) -> CheckReport:
 
 
 def is_eca(rel: TernaryRelation) -> bool:
-    """check_eca(rel).passed, stopping at the first failing law; no witness
+    """check_eca(rel).passed: pool_verdicts on a pool of one; no witness
     sweep runs."""
-    return _decide(rel, "eca")
+    return pool_verdicts(rel.alg, rel.bits, 1, "eca") == b"\x01"
 
 
 def is_extca(rel: TernaryRelation) -> bool:
-    """check_extca(rel).passed, stopping at the first failing law; no
+    """check_extca(rel).passed: pool_verdicts on a pool of one; no
     witness sweep runs."""
-    return _decide(rel, "extca")
+    return pool_verdicts(rel.alg, rel.bits, 1, "extca") == b"\x01"
 
 
 def _cut_on_minimal_premises(rel: TernaryRelation, con: list[int]) -> bool | None:

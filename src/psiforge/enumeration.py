@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
 
 from .boolean_core import (
@@ -27,27 +27,46 @@ from .boolean_core import (
     automorphisms,
     make_algebra,
 )
-from .contact_relation import TernaryRelation, _bits_of_rows, _conclusion_masks, is_eca, op_to_rel, rel_to_op
+from .contact_relation import TernaryRelation, _bits_of_rows, _conclusion_masks, op_to_rel, pool_verdicts, rel_to_op
 from .errors import SizeCapError
-from .terms import Sentence, holds, parse_axiom_file
+from .terms import Sentence, _sweep_plan, holds, parse_axiom_file
 from .ternary_operator import AXIOM_TEXTS, DEFAULT_SEED, TernaryOperator
 
 ENUM_MAX_ATOMS_EXACT = 2
 ENUM_MAX_ATOMS_ECAS = 3
 
+_AXIOM_SETS = {"3bamo": ("3bamo",), "psi": ("3bamo", "pi"), "strict": ("3bamo", "pi", "strictness")}
+
+
+@lru_cache(maxsize=None)
+def _parsed_axioms(text: str) -> tuple[Sentence, ...]:
+    return tuple(parse_axiom_file(AXIOM_TEXTS[text]))
+
+
 def named_axioms(name: str) -> list[Sentence]:
-    """Built-in axiom sets: 3bamo, psi (= 3bamo + pi), strict (= psi + strictness)."""
-    if name == "3bamo":
-        return parse_axiom_file(AXIOM_TEXTS["3bamo"])
-    if name == "psi":
-        return parse_axiom_file(AXIOM_TEXTS["3bamo"]) + parse_axiom_file(AXIOM_TEXTS["pi"])
-    if name == "strict":
-        return named_axioms("psi") + parse_axiom_file(AXIOM_TEXTS["strictness"])
-    raise ValueError(f"unknown axiom set {name!r}")
+    """Built-in axiom sets: 3bamo, psi (= 3bamo + pi), strict (= psi +
+    strictness).  Each text is parsed once; every call returns a fresh list."""
+    if name not in _AXIOM_SETS:
+        raise ValueError(f"unknown axiom set {name!r}")
+    return [s for text in _AXIOM_SETS[name] for s in _parsed_axioms(text)]
 
 
-def sentence_holds_everywhere(axioms: list[Sentence], op: TernaryOperator) -> bool:
-    return all(holds(s, op)[0] for s in axioms)
+def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> list[tuple[int, ...]]:
+    """The tables on which every sentence of ``axioms`` holds, as holds()
+    decides it, with each sentence's sweep plan looked up once per call.
+    A sentence is compiled when a table first reaches it."""
+    top, sweeps, pending = alg.top, [], iter(axioms)
+
+    def passes(table) -> bool:
+        if any(sweep(table, top) is not None for sweep in sweeps):
+            return False
+        for s in pending:
+            sweeps.append(_sweep_plan(s)[1])
+            if sweeps[-1](table, top) is not None:
+                return False
+        return True
+
+    return [t for t in tables if passes(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +137,9 @@ def brute_force_relations(alg: FiniteBooleanAlgebra) -> list[TernaryRelation]:
     """Naive oracle: test every bitset.  Single-atom algebras only."""
     if alg.atom_count != 1:
         raise SizeCapError("brute force over all relation bitsets needs a single atom")
-    out = []
-    for bits in range(1 << alg.size ** 3):
-        rel = TernaryRelation(alg, bits)
-        if is_eca(rel):
-            out.append(rel)
-    return out
+    n = 1 << alg.size ** 3
+    verdicts = pool_verdicts(alg, int.from_bytes(bytes(range(n)), "little"), n, "eca")  # bitset i in byte i
+    return [TernaryRelation(alg, bits) for bits in compress(range(n), verdicts)]
 
 
 def enumerate_ecas(alg: FiniteBooleanAlgebra, workers: int = 1) -> list[TernaryRelation]:
@@ -171,12 +187,8 @@ def brute_force_operators(
     """Naive oracle over every table; single-atom algebras only."""
     if alg.atom_count != 1:
         raise SizeCapError("brute force over all operator tables needs a single atom")
-    out = []
-    for digits in product(range(alg.size), repeat=alg.size ** 3):
-        op = TernaryOperator(alg, digits[::-1])  # entry 0 varies fastest
-        if sentence_holds_everywhere(axioms, op):
-            out.append(op)
-    return out
+    tables = (digits[::-1] for digits in product(range(alg.size), repeat=alg.size ** 3))  # entry 0 varies fastest
+    return [TernaryOperator(alg, t) for t in _satisfying(alg, axioms, tables)]
 
 
 def enumerate_operators(
@@ -206,12 +218,10 @@ def enumerate_operators(
         tables = (op.table for op in brute_force_operators(alg, axioms))
         return OperatorEnumeration(_representatives(alg, tables), "exhaustive")
     if mode == "relational":
-        ops = (rel_to_op(rel) for rel in enumerate_ecas(alg))
-        tables = (op.table for op in ops if sentence_holds_everywhere(axioms, op))
+        tables = _satisfying(alg, axioms, (rel_to_op(rel).table for rel in enumerate_ecas(alg)))
         return OperatorEnumeration(_representatives(alg, tables), "relational-exhaustive")
     if mode == "sampled":
-        ops = sample_psi_operators(alg, 200, seed)
-        tables = (op.table for op in ops if sentence_holds_everywhere(axioms, op))
+        tables = _satisfying(alg, axioms, (op.table for op in sample_psi_operators(alg, 200, seed)))
         return OperatorEnumeration(_representatives(alg, tables), f"sampled(seed={seed})")
     raise ValueError(f"unknown mode {mode!r}")
 

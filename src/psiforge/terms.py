@@ -533,11 +533,19 @@ def compile_sweep(
     return namespace["sweep"]
 
 
+@lru_cache(maxsize=256)
+def _sweep_plan(s: Sentence):
+    """The sentence's variables in order of first appearance, and its
+    top-down sweep over them: what holds() runs, built once per sentence."""
+    names = tuple(variables(s))
+    return names, compile_sweep(s, names, True)
+
+
 def holds(s: Sentence, op: TernaryOperator) -> tuple[bool, dict[str, int] | None]:
     """Sweep every assignment top-down over the variables in order of first
     appearance; returns (True, None) or the first falsifying assignment."""
-    names = tuple(variables(s))
-    witness = compile_sweep(s, names, True)(op.table, op.alg.top)
+    names, sweep = _sweep_plan(s)
+    witness = sweep(op.table, op.alg.top)
     if witness is None:
         return True, None
     return False, dict(zip(names, witness))

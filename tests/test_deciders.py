@@ -1,17 +1,21 @@
 """The reduced deciders agree with the full sweeps of their laws, and
-the verdict-only is_eca/is_extca agree with the reports.
+the verdict-only pool decider (pool_verdicts, with is_eca/is_extca as its
+pool of one) agrees with the reports, lane by lane.
 
 Every operator law is decided on planes of the table: MO1-MO4, PI2-PI4
 and S outright, PI1, R1 and R2 on atoms under MO1-MO3, and closed filters
 on meets with the generator when MO2-MO4 hold.  The relation laws are
 decided on bitmasks: EC0, EC2, EC3, ExtCA2 and ExtCA3 by mask tests on
 the bitset, EC4 on its conclusion masks, and the cut EC1 on minimal
-premises when those masks are antitone; each law's sentence (or the cut's sweep) runs only to name a
-witness or when a hypothesis fails.  The checkers would hide a wrong
-decider (a false failure falls back to the sweep, which passes), so the
-deciders are compared here directly, on inputs that take each path."""
+premises when those masks are antitone; each law's sentence (or the
+cut's sweep) runs only to name a witness or when a hypothesis fails.
+pool_verdicts tests the mask laws on many relations packed in one int
+and decides EC4 and the cut only on the relations that pass them.  The
+checkers would hide a wrong decider (a false failure falls back to the
+sweep, which passes), so the deciders are compared here directly, on
+inputs that take each path."""
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, product
 from operator import and_
 
@@ -38,13 +42,15 @@ from psiforge.contact_relation import (
     _conclusion_masks,
     _cut_on_minimal_premises,
     _cut_witness,
+    _SYSTEMS,
     _law_sweeps,
     _verdict,
+    pool_verdicts,
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
 from psiforge.filter_congruence import _closed, _filter_law, _monotone, filter_is_closed
 from psiforge.planes import LAWS, distributes
-from psiforge.ternary_operator import TernaryOperator, _row_sweeps, _sweep
+from psiforge.ternary_operator import DEFAULT_SEED, TernaryOperator, _row_sweeps, _sweep
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
@@ -225,6 +231,85 @@ def test_cut_hypothesis_mask_test_matches_lines():
         assert (_cut_on_minimal_premises(rel, con) is not None) == antitone, rel.bits
         seen.add((rel.alg.atom_count, antitone))
     assert seen == set(product((1, 2, 3, 4), (False, True)))
+
+
+def _pack(rels):
+    """One int holding relations on one algebra side by side, relation i
+    in bits i*size^3 and up."""
+    step = rels[0].alg.size ** 3 // 8
+    return int.from_bytes(b"".join(r.bits.to_bytes(step, "little") for r in rels), "little")
+
+
+def _pair_removals():
+    """The ECAs on two and three atoms, the largest ones among them, each
+    with one pair (a, b, f), (b, a, f) with a != b taken out: EC4 still
+    holds, and some fail EC0 alone, others the cut alone."""
+    for alg in (make_algebra(2), make_algebra(3)):
+        size = alg.size
+        for bits in sorted({r.bits for r in enumerate_ecas(alg)} | {largest_eca(alg).bits}):
+            for a, b, f in product(range(size), repeat=3):
+                pair = 1 << (a * size + b) * size + f | 1 << (b * size + a) * size + f
+                if a < b and bits & pair == pair:
+                    yield TernaryRelation(alg, bits ^ pair)
+
+
+_POOLS = {
+    "relations-k1": lambda: _relations(1, random.Random(31), 200),
+    "relations-k2": lambda: _relations(2, random.Random(32), 200),
+    "relations-k3": lambda: _relations(3, random.Random(33), 60),
+    **{name: lambda name=name: _mask_law_cases()[name] for name in ("k1-all", "k2-seeded", "k3-eca-flips", "k4-largest-flips")},
+    "cut-cases": lambda: list(_cut_cases()),
+    "pair-removals": lambda: list(_pair_removals()),
+}
+
+
+@lru_cache(maxsize=None)
+def _report(check, rel):
+    # the input sets share relations: the cut cases hold the k3 ECA flips
+    return check(rel)
+
+
+@pytest.mark.parametrize("name", list(_POOLS))
+def test_pool_verdicts_equal_the_reports(name):
+    """pool_verdicts on each input set, packed per algebra, gives every
+    lane its relation's report verdict.  Lanes that pass every mask law
+    are then decided by the cut (and EC4), passing and failing."""
+    by_alg = {}
+    for rel in _POOLS[name]():
+        by_alg.setdefault(rel.alg, []).append(rel)
+    paths = set()
+    for alg, rels in by_alg.items():
+        pool = _pack(rels)
+        for system, check in (("eca", check_eca), ("extca", check_extca)):
+            verdicts = pool_verdicts(alg, pool, len(rels), system)
+            assert len(verdicts) == len(rels)
+            for rel, verdict in zip(rels, verdicts):
+                report = _report(check, rel)
+                assert verdict == report.passed, (system, rel.bits)
+                masks = [r.passed for r, (_, law) in zip(report.results, _SYSTEMS[system]) if law not in ("cut", "EC4")]
+                cut = report.results[1].passed if all(masks) else None
+                paths.add((system, cut, verdict))
+    # lanes failing a mask law, and lanes passing them all that the cut
+    # passes; on one atom no relation passing the mask laws fails the cut
+    for system in ("eca", "extca"):
+        assert {(system, None, False), (system, True, True)} <= paths, name
+        if "k1" not in name:
+            assert (system, False, False) in paths, name
+
+
+def test_one_wide_draw_is_the_per_call_draws():
+    """The k=2 agreement item draws its relations as one getrandbits(64 n):
+    the same bits, relation i in bits 64 i and up, and the same generator
+    state as n calls getrandbits(64); its lanes get is_eca's verdicts."""
+    n = 10_000
+    wide, calls = random.Random(DEFAULT_SEED), random.Random(DEFAULT_SEED)
+    pool = wide.getrandbits(64 * n)
+    draws = [calls.getrandbits(64) for _ in range(n)]
+    assert pool == int.from_bytes(b"".join(d.to_bytes(8, "little") for d in draws), "little")
+    assert wide.getstate() == calls.getstate()
+    alg = make_algebra(2)
+    first = pool & (1 << 64 * 500) - 1
+    assert pool_verdicts(alg, first, 500, "eca") == bytes(is_eca(TernaryRelation(alg, d)) for d in draws[:500])
 
 
 def _pair_maps(alg, rng):

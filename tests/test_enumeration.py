@@ -11,6 +11,7 @@ from psiforge import (
     enumerate_ecas,
     enumerate_operators,
     find_counterexample,
+    holds,
     is_relational,
     largest_eca,
     make_algebra,
@@ -33,7 +34,6 @@ from psiforge.enumeration import (
     enumerate_psi_operators,
     sample_3bamos,
     sample_psi_operators,
-    sentence_holds_everywhere,
 )
 from psiforge.topo_models import eca_from_topology, three_point_space
 
@@ -46,9 +46,20 @@ def test_named_axiom_sizes():
         named_axioms("nonsense")
 
 
+def test_named_axioms_returns_a_fresh_list():
+    first = named_axioms("psi")
+    expected = list(first)
+    first.clear()
+    assert named_axioms("psi") == expected
+    named_axioms("3bamo").append(parse("a = a"))
+    assert named_axioms("3bamo") == expected[:6]
+    assert named_axioms("strict")[:10] == expected
+    assert named_axioms("psi") is not named_axioms("psi")
+
+
 def test_axiom_sentences_hold_on_smallest(alg1, alg2):
     for alg in (alg1, alg2):
-        assert sentence_holds_everywhere(named_axioms("strict"), smallest_diamond(alg))
+        assert all(holds(s, smallest_diamond(alg))[0] for s in named_axioms("strict"))
 
 
 def test_enumerate_ecas_k1_matches_brute_force(alg1, ecas_k1):

@@ -17,6 +17,7 @@ from psiforge import (
     pretty,
     smallest_diamond,
 )
+from psiforge.enumeration import brute_force_operators, named_axioms
 from psiforge.terms import (
     Binary,
     Const,
@@ -235,6 +236,21 @@ def test_compiled_sweep_matches_brute_force(s, op, data):
         bound = {x: data.draw(st.integers(0, op.alg.top)) for x in params}
         got = compile_sweep(s, order, descending, params)(op.table, op.alg.top, *bound.values())
         assert got == _brute_force(s, op, order, descending, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(axioms=st.lists(_sentences, min_size=1, max_size=3))
+@example(axioms=named_axioms("3bamo"))
+@example(axioms=named_axioms("psi"))
+@example(axioms=named_axioms("strict"))
+def test_brute_force_operators_equals_a_holds_filter(axioms):
+    """brute_force_operators sweeps each sentence's plan over raw tables;
+    it keeps exactly the tables on which holds() passes every sentence,
+    for the built-in axiom sets and for drawn sentences."""
+    alg = make_algebra(1)
+    ops = (TernaryOperator(alg, t[::-1]) for t in product(range(2), repeat=8))
+    want = [op.table for op in ops if all(holds(s, op)[0] for s in axioms)]
+    assert [op.table for op in brute_force_operators(alg, axioms)] == want
 
 
 def test_compile_sweep_rejects_bad_orders_and_names():

@@ -1,8 +1,7 @@
-from psiforge import check_eca, check_extca
+from psiforge import TernaryRelation, check_eca, check_extca
 from psiforge.verify import (
     SuiteItem,
     bamo_operator_pool,
-    eca_one_bit_flips,
     psi_operator_pool,
     run_suite,
     scoreboard,
@@ -22,7 +21,7 @@ def test_eca_agreement_flips_reach_laws_past_ec0(ecas_k2):
     """Random 2-atom relations all fail at EC0 = ExtCA0 first, so the
     agreement item also checks the one-bit flips of the two ECAs, which
     fail first at later laws."""
-    flips = eca_one_bit_flips(ecas_k2)
+    flips = [TernaryRelation(r.alg, r.bits ^ 1 << i) for r in ecas_k2 for i in range(64)]
     assert len(flips) == 128
     for check, first_law in ((check_eca, "EC0"), (check_extca, "ExtCA0")):
         first = {next((r.axiom for r in check(rel).results if not r.passed), None) for rel in flips}
