@@ -10,13 +10,15 @@ generator where MO2-MO4 hold on atoms, so dia is monotone in each
 coordinate (filter_is_closed), and by its definition otherwise; modality by its definition.  The
 (Su)/(Mid) reduction and the generator-only modality shortcut are rows
 there too, computed alongside so their equivalence (valid for
-pseudo-inference operators) can be asserted, not assumed.
+pseudo-inference operators) can be asserted, not assumed.  A partition
+is tested as a congruence by its definition, comparing each element
+with its block's least member on tables translated to those members
+(congruence_respects_op).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cache, lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, Filter
 from .errors import InternalCheckError, PreconditionError
@@ -182,36 +184,67 @@ def congruence_from_filter(alg: FiniteBooleanAlgebra, flt: Filter) -> Congruence
 
 
 def congruence_is_boolean_compatible(cong: Congruence) -> bool:
-    alg = cong.alg
-    for a in alg.elements():
-        for b in alg.elements():
-            if not cong.related(a, b):
-                continue
-            if not cong.related(alg.neg(a), alg.neg(b)):
-                return False
-            for c in alg.elements():
-                if not cong.related(a | c, b | c) or not cong.related(a & c, b & c):
-                    return False
-    return True
+    """Whether a ~ b gives not a ~ not b, a | c ~ b | c and a & c ~ b & c,
+    decided on block leads as in congruence_respects_op."""
+    lead = _leads(map(cong.reps.__getitem__, cong.alg.elements()))
+    return _respects_boolean(lead, _boolean_tables(cong.alg.elements(), cong.alg.top))
 
 
 def congruence_respects_op(op: TernaryOperator, cong: Congruence) -> bool:
     """Compatibility with the ternary operator, one coordinate at a time
-    (equivalent to the simultaneous form by transitivity)."""
-    alg = op.alg
-    for a in alg.elements():
-        for b in alg.elements():
-            if not cong.related(a, b):
-                continue
-            for x in alg.elements():
-                for y in alg.elements():
-                    if not cong.related(op(a, x, y), op(b, x, y)):
-                        return False
-                    if not cong.related(op(x, a, y), op(x, b, y)):
-                        return False
-                    if not cong.related(op(x, y, a), op(x, y, b)):
-                        return False
-    return True
+    (equivalent to the simultaneous form by transitivity).
+
+    Decided on each block's lead, its least member: dia(a, x, y) ~
+    dia(b, x, y) holds for every related pair a ~ b iff it holds for
+    every pair (a, lead a), since a ~ b exactly when lead a = lead b and
+    ~ is an equivalence.  So this is the definition, on any partition,
+    closed filter or not.
+    """
+    lead = _leads(map(cong.reps.__getitem__, cong.alg.elements()))
+    return _respects_op(lead, bytes(op.table))
+
+
+def _leads(labels) -> bytes:
+    """Each element's lead: the least element with the same label."""
+    first: dict = {}
+    return bytes(first.setdefault(label, a) for a, label in enumerate(labels))
+
+
+def _agrees(parts, lead: bytes) -> bool:
+    return all(parts[a] == parts[b] for a, b in enumerate(lead) if a != b)
+
+
+def _respects_op(lead: bytes, table: bytes) -> bool:
+    """The lead test on a ternary table over 0..n-1 (n = len(lead)): with
+    its entries taken to their leads, each element's run dia(a, ., .),
+    slices dia(., b, .) and slice dia(., ., c) equal its lead's."""
+    n = len(lead)
+    lab, sq = table.translate(lead.ljust(256, b"\0")), n * n
+    return (
+        _agrees([lab[a * sq:a * sq + sq] for a in range(n)], lead)
+        and _agrees([[lab[b * n + y::sq] for y in range(n)] for b in range(n)], lead)
+        and _agrees([lab[c::n] for c in range(n)], lead)
+    )
+
+
+def _respects_boolean(lead: bytes, tables: tuple[bytes, bytes, bytes]) -> bool:
+    """The lead test on the not, join and meet tables of _boolean_tables."""
+    n = len(lead)
+    neg, join, meet = (t.translate(lead.ljust(256, b"\0")) for t in tables)
+    rows = ([t[a * n:a * n + n] for a in range(n)] for t in (join, meet))
+    return _agrees(neg, lead) and all(_agrees(parts, lead) for parts in rows)
+
+
+@lru_cache(maxsize=None)
+def _boolean_tables(carrier, top: int) -> tuple[bytes, bytes, bytes]:
+    """The not, join and meet tables of the Boolean subalgebra on
+    ``carrier``, each element numbered by its position in it."""
+    pos = {a: i for i, a in enumerate(carrier)}
+    return (
+        bytes(pos[top ^ a] for a in carrier),
+        bytes(pos[a | b] for a in carrier for b in carrier),
+        bytes(pos[a & b] for a in carrier for b in carrier),
+    )
 
 
 def congruence_to_filter(cong: Congruence) -> Filter:
@@ -314,16 +347,10 @@ def _congruence_join(x: Congruence, y: Congruence) -> Congruence:
 
 
 def _compose(x: Congruence, y: Congruence) -> frozenset[tuple[int, int]]:
-    alg = x.alg
-    out = set()
-    for a in alg.elements():
-        for b in alg.elements():
-            if not x.related(a, b):
-                continue
-            for c in alg.elements():
-                if y.related(b, c):
-                    out.add((a, c))
-    return frozenset(out)
+    """x then y as pairs: (a, c) where a's x-block meets c's y-block."""
+    elements = x.alg.elements()
+    met = {(x.reps[b], y.reps[b]) for b in elements}
+    return frozenset((a, c) for a in elements for c in elements if (x.reps[a], y.reps[c]) in met)
 
 
 def enumerate_subalgebras(op: TernaryOperator) -> list[tuple[int, ...]]:
@@ -355,53 +382,23 @@ def _subalgebra_congruences(op: TernaryOperator, carrier: tuple[int, ...]) -> li
     """All congruences of the subalgebra on ``carrier``, as pair sets.
 
     Enumerated from scratch over all partitions, so this stays an oracle
-    independent of the filter-based route used on the full algebra.
+    independent of the filter-based route used on the full algebra; each
+    is decided by the lead tests on the subalgebra's tables, built once.
     """
-    alg = op.alg
-    n = len(carrier)
     pos = {a: i for i, a in enumerate(carrier)}
+    table = bytes(pos[op(a, b, c)] for a in carrier for b in carrier for c in carrier)
+    boolean = _boolean_tables(carrier, op.alg.top)
+    # every partition as its restricted growth string (each label at most
+    # one above those before it), in ascending order
+    strings = [()]
+    for _ in carrier:
+        strings = [s + (label,) for s in strings for label in range(max(s, default=-1) + 2)]
     congs = []
-    for assignment in product(range(n), repeat=n):
-        # keep one canonical labelling per partition
-        first_of: dict[int, int] = {}
-        for i, lab in enumerate(assignment):
-            first_of.setdefault(lab, i)
-        if tuple(first_of[lab] for lab in assignment) != assignment:
-            continue
-
-        def related(a, b, labels=assignment):
-            return labels[pos[a]] == labels[pos[b]]
-
-        ok = True
-        for a in carrier:
-            for b in carrier:
-                if not ok:
-                    break
-                if not related(a, b):
-                    continue
-                if not related(alg.neg(a), alg.neg(b)):
-                    ok = False
-                    break
-                for x in carrier:
-                    if not related(a | x, b | x) or not related(a & x, b & x):
-                        ok = False
-                        break
-                    for y in carrier:
-                        if (
-                            not related(op(a, x, y), op(b, x, y))
-                            or not related(op(x, a, y), op(x, b, y))
-                            or not related(op(x, y, a), op(x, y, b))
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
-                break
-        if ok:
-            congs.append(
-                frozenset((a, b) for a in carrier for b in carrier if related(a, b))
-            )
+    for labels in strings:
+        lead = _leads(labels)
+        if _respects_boolean(lead, boolean) and _respects_op(lead, table):
+            members = list(zip(carrier, labels))
+            congs.append(frozenset((a, b) for a, x in members for b, y in members if x == y))
     return congs
 
 
@@ -431,14 +428,15 @@ def variety_spot_checks(ops: list[TernaryOperator]) -> CheckReport:
         ))
 
         known = {c.reps for c in congs}
+        join, meet = cache(_congruence_join), cache(_congruence_meet)
 
         def distributivity_violations():
             for x in congs:
                 for y in congs:
                     for z in congs:
-                        join_yz = _congruence_join(y, z)
-                        meet_xy = _congruence_meet(x, y)
-                        meet_xz = _congruence_meet(x, z)
+                        join_yz = join(y, z)
+                        meet_xy = meet(x, y)
+                        meet_xz = meet(x, z)
                         if (
                             join_yz.reps not in known
                             or meet_xy.reps not in known
@@ -447,8 +445,8 @@ def variety_spot_checks(ops: list[TernaryOperator]) -> CheckReport:
                             raise InternalCheckError(
                                 "congruence lattice not closed over the enumerated set"
                             )
-                        lhs = _congruence_meet(x, join_yz)
-                        rhs = _congruence_join(meet_xy, meet_xz)
+                        lhs = meet(x, join_yz)
+                        rhs = join(meet_xy, meet_xz)
                         if lhs.reps != rhs.reps:
                             yield ()
 

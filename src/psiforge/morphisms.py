@@ -19,10 +19,12 @@ exactly this proved pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
-from .contact_relation import TernaryRelation, _chi_table, check_eca, rel_to_op
+from .contact_relation import TernaryRelation, _chi_table, check_eca, is_eca, rel_to_op
 from .duality_frames import PsiFrame, _index_masks, _set_bits, _triple, _triple_at, _up, dual_frame
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
@@ -138,30 +140,34 @@ def classify_psi_morphism(
     h: BooleanHom, op_source: TernaryOperator, op_target: TernaryOperator
 ) -> MorphismClassification:
     """semi: h(dia(a,b,c)) <= dia(h a, h b, h c) for all source triples;
-    hemi: the reverse inequality; full is the conjunction."""
+    hemi: the reverse inequality; full is the conjunction.  Each side is
+    one int, a byte per source triple; a class fails where a byte of one
+    side has a bit the other lacks."""
     if op_source.alg != h.source or op_target.alg != h.target:
         raise ValueError("operators do not live on the homomorphism's algebras")
-    img = [h(a) for a in h.source.elements()]
-    st, target = h.target.size, op_target.table
-    lhs = [img[v] for v in op_source.table]  # h(dia(a, b, c))
-    rhs = [target[(x * st + y) * st + z] for x, y, z in product(img, repeat=3)]  # dia(h a, h b, h c)
-    semi_w = _first_triple((x & ~y for x, y in zip(lhs, rhs)), h.source.size)
-    hemi_w = _first_triple((y & ~x for x, y in zip(lhs, rhs)), h.source.size)
+    image, gather = _plan(h.atom_map, h.source.atom_count, h.target.atom_count)
+    lhs = int.from_bytes(bytes(op_source.table).translate(image), "little")  # h(dia(a, b, c))
+    rhs = int.from_bytes(bytes(gather(op_target.table)), "little")  # dia(h a, h b, h c)
+    semi_w = _first_triple(lhs & ~rhs, h.source.size)
+    hemi_w = _first_triple(rhs & ~lhs, h.source.size)
     return MorphismClassification(semi_w is None, hemi_w is None, semi_w, hemi_w)
 
 
-def _first_triple(flags, size: int) -> tuple[int, int, int] | None:
-    """The (a, b, c) of the first true flag in (a, b, c) mask order."""
-    i = next((i for i, flag in enumerate(flags) if flag), None)
-    return None if i is None else (i // (size * size), i // size % size, i % size)
+@lru_cache(maxsize=8)
+def _plan(atom_map: tuple[int, ...], k_s: int, k_t: int):
+    """A homomorphism's image as a bytes.translate table, and an itemgetter
+    picking from a target table, in (a, b, c) order over the source, the
+    entries at (h a, h b, h c)."""
+    img = [sum(1 << t for t, i in enumerate(atom_map) if a >> i & 1) for a in range(1 << k_s)]
+    st = 1 << k_t
+    plan = [(x * st + y) * st + z for x, y, z in product(img, repeat=3)]
+    return bytes(img).ljust(256, b"\0"), itemgetter(*plan)
 
 
-def _image_mask(f: tuple[int, ...], y: int) -> int:
-    out = 0
-    for i, fi in enumerate(f):
-        if y >> i & 1:
-            out |= 1 << fi
-    return out
+def _first_triple(fails: int, size: int) -> tuple[int, int, int] | None:
+    """The (a, b, c) of the lowest nonzero byte of ``fails``, in (a, b, c) mask order."""
+    i = ((fails & -fails).bit_length() - 1) >> 3
+    return None if not fails else (i // (size * size), i // size % size, i % size)
 
 
 def classify_frame_map(
@@ -181,7 +187,9 @@ def classify_frame_map(
 
     results = [passed("Sp1", "trivially satisfied (finite discrete space)")]
     n1, n2 = frame1.point_count, frame2.point_count
-    img = [_image_mask(f, y) for y in range(1 << n1)]
+    img = [0]  # point set y of frame1 -> its image, one point at a time
+    for p in f:
+        img += [m | 1 << p for m in img]
 
     def image(j: int) -> int:
         """The index in frame2 of the componentwise image of triple j."""
@@ -253,16 +261,8 @@ def morphism_duality_check(
     ]
 
     # round trip: preimage along the dual point map recovers h elementwise
-    roundtrip = passed("hom-roundtrip")
-    for a in h.source.elements():
-        pre = 0
-        for t in range(h.target.atom_count):
-            if a >> f[t] & 1:
-                pre |= 1 << t
-        if pre != h(a):
-            roundtrip = failed("hom-roundtrip", (a,))
-            break
-    results.append(roundtrip)
+    pre = [sum(1 << t for t, i in enumerate(f) if a >> i & 1) for a in h.source.elements()]
+    results.append(_first("hom-roundtrip", ((a,) for a, m in enumerate(pre) if m != h(a))))
     return CheckReport("morphism-duality", tuple(results))
 
 
@@ -291,9 +291,8 @@ def classify_eca_morphism(
     operators: reflecting = semi, preserving = hemi, similarity = full.
     """
     for rel, name in ((rel_source, "source"), (rel_target, "target")):
-        rep = check_eca(rel)
-        if not rep.passed:
-            bad = rep.failures()[0]
+        if not is_eca(rel):
+            bad = check_eca(rel).failures()[0]
             raise PreconditionError(
                 f"classify_eca_morphism requires EC relations; "
                 f"{name} fails {bad.axiom} at {bad.witness}"
@@ -301,12 +300,13 @@ def classify_eca_morphism(
     if rel_source.alg != h.source or rel_target.alg != h.target:
         raise ValueError("relations do not live on the homomorphism's algebras")
 
-    img = [h(a) for a in h.source.elements()]
-    st, target = h.target.size, _chi_table(rel_target)
-    src = _chi_table(rel_source)
-    tgt = [target[(x * st + y) * st + z] for x, y, z in product(img, repeat=3)]  # (h a, h b) |- h c
-    refl_w = _first_triple((t and not s for s, t in zip(src, tgt)), h.source.size)
-    pres_w = _first_triple((s and not t for s, t in zip(src, tgt)), h.source.size)
+    # chi as one byte per triple, 1 where the triple holds; the target's
+    # at (h a, h b, h c)
+    _, gather = _plan(h.atom_map, h.source.atom_count, h.target.atom_count)
+    src, tgt = (bytes(map(bool, _chi_table(rel))) for rel in (rel_source, rel_target))
+    src, tgt = int.from_bytes(src, "little"), int.from_bytes(bytes(gather(tgt)), "little")
+    refl_w = _first_triple(tgt & ~src, h.source.size)
+    pres_w = _first_triple(src & ~tgt, h.source.size)
     cls = EcaMorphismClassification(refl_w is None, pres_w is None, refl_w, pres_w)
 
     mc = classify_psi_morphism(h, rel_to_op(rel_source), rel_to_op(rel_target))

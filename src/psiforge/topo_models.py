@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .boolean_core import FiniteBooleanAlgebra, json_int, make_algebra
-from .contact_relation import TernaryRelation, check_eca
+from .contact_relation import TernaryRelation, _bits_of_rows, check_eca, is_eca
 from .errors import InternalCheckError, SizeCapError
 from .ternary_operator import DEFAULT_SEED
 
@@ -145,9 +145,11 @@ def regular_closed_algebra(top: FiniteTopology) -> RegularClosedAlgebra:
     and a failure raises InternalCheckError since it can only mean an
     interior/closure bug.
     """
-    rc = sorted(
-        m for m in range(top.full + 1) if top.closure(top.interior(m)) == m
-    )
+    # one interior per point set; closure and the lattice meet are lookups
+    full = top.full
+    inner = [top.interior(m) for m in range(full + 1)]
+    closure = [full ^ i for i in reversed(inner)]
+    rc = [m for m, i in enumerate(inner) if closure[i] == m]
     rc_set = set(rc)
     nonzero = [m for m in rc if m]
     atoms = [m for m in nonzero if not any(x & m == x for x in nonzero if x != m)]
@@ -156,10 +158,10 @@ def regular_closed_algebra(top: FiniteTopology) -> RegularClosedAlgebra:
     alg = make_algebra(k)
 
     def rc_meet(x: int, y: int) -> int:
-        return top.closure(top.interior(x & y))
+        return closure[inner[x & y]]
 
     def rc_neg(x: int) -> int:
-        return top.closure(top.full ^ x)
+        return closure[full ^ x]
 
     for x in rc:
         for y in rc:
@@ -169,13 +171,9 @@ def regular_closed_algebra(top: FiniteTopology) -> RegularClosedAlgebra:
         raise InternalCheckError("regular closed lattice is not a powerset of its atoms")
 
     # carrier element i -> union of the atoms in its mask
-    element_masks = []
-    for i in range(1 << k):
-        m = 0
-        for bit in range(k):
-            if i >> bit & 1:
-                m |= atoms[bit]
-        element_masks.append(m)
+    element_masks = [0]
+    for atom in atoms:
+        element_masks += [m | atom for m in element_masks]
     if sorted(element_masks) != rc:
         raise InternalCheckError("atom decomposition does not cover the lattice")
 
@@ -201,20 +199,14 @@ def eca_from_topology(top: FiniteTopology) -> tuple[RegularClosedAlgebra, Ternar
     """Transport (A,B) |- C iff A intersect B is a subset of C onto the
     powerset carrier; the result always passes check_eca."""
     rca = regular_closed_algebra(top)
-    alg = rca.alg
-    size = alg.size
     masks = rca.element_masks
-    bits = 0
-    for a in range(size):
-        for b in range(size):
-            inter = masks[a] & masks[b]
-            for c in range(size):
-                if inter & masks[c] == inter:
-                    bits |= 1 << ((a * size + b) * size + c)
-    rel = TernaryRelation(alg, bits)
-    report = check_eca(rel)
-    if not report.passed:
-        bad = report.failures()[0]
+    # the (a, b) row holds the c whose mask contains masks[a] & masks[b],
+    # found once per distinct intersection
+    meets = [x & y for x in masks for y in masks]
+    above = {m: sum(1 << c for c, mc in enumerate(masks) if m & mc == m) for m in set(meets)}
+    rel = TernaryRelation(rca.alg, _bits_of_rows([above[m] for m in meets], len(masks)))
+    if not is_eca(rel):
+        bad = check_eca(rel).failures()[0]
         raise InternalCheckError(
             f"topological relation fails {bad.axiom} at {bad.witness}"
         )

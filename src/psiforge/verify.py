@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from . import topo_models
 from .boolean_core import make_algebra
 from .contact_relation import (
+    _bits_of_rows,
     characteristic_lemma_check,
     check_derived_eca_props,
     is_eca,
-    is_extca,
     largest_eca,
     op_to_rel,
     pool_verdicts,
@@ -409,14 +409,16 @@ class _Suite:
         self.record("three-point-space-witness", ok, "lattice meet 0 yet in contact", t0)
 
         t0 = time.perf_counter()
-        ok = True
-        count = 0
-        for top in topo_models.random_topologies(100, seed=self.seed, max_points=4):
+        spaces = topo_models.random_topologies(100, seed=self.seed, max_points=4)
+        distinct = {}  # algebra -> its distinct relation bitsets
+        for top in spaces:
             _, rel = topo_models.eca_from_topology(top)
-            if not (is_eca(rel) and is_extca(rel)):
-                ok = False
-            count += 1
-        self.record("random-topologies-give-ecas", ok, f"{count} seeded spaces", t0)
+            distinct.setdefault(rel.alg, set()).add(rel.bits)
+        ok = True
+        for alg, bits in distinct.items():  # one packed pool per algebra
+            pool, n = _bits_of_rows(sorted(bits), alg.size ** 3), len(bits)
+            ok = ok and all(pool_verdicts(alg, pool, n, system) == b"\x01" * n for system in ("eca", "extca"))
+        self.record("random-topologies-give-ecas", ok, f"{len(spaces)} seeded spaces", t0)
 
     def morphisms(self):
         t0 = time.perf_counter()
@@ -449,19 +451,25 @@ class _Suite:
         # composition closure and contravariance over k=2 endo-homs
         homs = enumerate_homs(self.alg2, self.alg2)
         ops = self.k2_psi[:4]
-        # each classification once: (hom, o_i, o_j) up front, (h o g, o1, o3) per (g, h)
-        kinds = [[[classify_psi_morphism(m, oi, oj) for oj in ops] for oi in ops] for m in homs]
+        # each classification once, by atom map: every composite h o g is
+        # one of the homs
+        kinds = {
+            (m.atom_map, i, j): classify_psi_morphism(m, oi, oj)
+            for m in homs
+            for i, oi in enumerate(ops)
+            for j, oj in enumerate(ops)
+        }
         idx = range(len(ops))
-        for g, g_kinds in zip(homs, kinds):
-            for h, h_kinds in zip(homs, kinds):
+        for g in homs:
+            for h in homs:
                 comp = h.compose(g)
                 if comp.atom_map != tuple(g.atom_map[i] for i in h.atom_map):
                     ok = False
                 for i1 in idx:
                     for i3 in idx:
-                        mc = classify_psi_morphism(comp, ops[i1], ops[i3])
+                        mc = kinds[comp.atom_map, i1, i3]
                         for i2 in idx:
-                            m1, m2 = g_kinds[i1][i2], h_kinds[i2][i3]
+                            m1, m2 = kinds[g.atom_map, i1, i2], kinds[h.atom_map, i2, i3]
                             if m1.semi and m2.semi and not mc.semi:
                                 ok = False
                             if m1.hemi and m2.hemi and not mc.hemi:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -23,6 +24,8 @@ from psiforge import (
     variety_spot_checks,
 )
 from psiforge.filter_congruence import (
+    _compose,
+    _subalgebra_congruences,
     closed_filter_generators,
     congruence_from_partition,
     congruence_is_boolean_compatible,
@@ -33,7 +36,9 @@ from psiforge.filter_congruence import (
     filter_is_modal,
     filter_is_modal_via_generator,
 )
+from psiforge.enumeration import enumerate_psi_operators
 from psiforge.ternary_operator import TernaryOperator, mu
+from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
 def all_partitions(items):
@@ -261,3 +266,139 @@ def test_variety_refuses_non_strict(psi_ops_k2):
 def test_congruence_lattice_of_simple_is_two_chain(rel_ops_k2, alg2):
     for op in rel_ops_k2:
         assert closed_filter_generators(op) == [0, alg2.top]
+
+
+# Definitional loops over related pairs: the references for the lead tests.
+
+
+def _boolean_by_pairs(cong):
+    alg = cong.alg
+    for a in alg.elements():
+        for b in alg.elements():
+            if not cong.related(a, b):
+                continue
+            if not cong.related(alg.neg(a), alg.neg(b)):
+                return False
+            for c in alg.elements():
+                if not cong.related(a | c, b | c) or not cong.related(a & c, b & c):
+                    return False
+    return True
+
+
+def _respects_op_by_pairs(op, cong):
+    alg = op.alg
+    for a in alg.elements():
+        for b in alg.elements():
+            if not cong.related(a, b):
+                continue
+            for x in alg.elements():
+                for y in alg.elements():
+                    if not cong.related(op(a, x, y), op(b, x, y)):
+                        return False
+                    if not cong.related(op(x, a, y), op(x, b, y)):
+                        return False
+                    if not cong.related(op(x, y, a), op(x, y, b)):
+                        return False
+    return True
+
+
+def _subalgebra_congruences_by_pairs(op, carrier):
+    alg = op.alg
+    n = len(carrier)
+    pos = {a: i for i, a in enumerate(carrier)}
+    congs = []
+    for assignment in product(range(n), repeat=n):
+        first_of = {}
+        for i, lab in enumerate(assignment):
+            first_of.setdefault(lab, i)
+        if tuple(first_of[lab] for lab in assignment) != assignment:
+            continue
+
+        def related(a, b, labels=assignment):
+            return labels[pos[a]] == labels[pos[b]]
+
+        ok = all(
+            related(alg.neg(a), alg.neg(b))
+            and all(related(a | x, b | x) and related(a & x, b & x) for x in carrier)
+            and all(
+                related(op(a, x, y), op(b, x, y))
+                and related(op(x, a, y), op(x, b, y))
+                and related(op(x, y, a), op(x, y, b))
+                for x in carrier
+                for y in carrier
+            )
+            for a in carrier
+            for b in carrier
+            if related(a, b)
+        )
+        if ok:
+            congs.append(frozenset((a, b) for a in carrier for b in carrier if related(a, b)))
+    return congs
+
+
+def _lead_cases(alg, ops, congs):
+    """Both congruence tests against the loops on every (operator,
+    congruence) pair; the verdicts seen, for coverage."""
+    seen = set()
+    for cong in congs:
+        boolean = congruence_is_boolean_compatible(cong)
+        assert boolean == _boolean_by_pairs(cong), cong
+        seen.add(("boolean", boolean))
+        for op in ops:
+            respects = congruence_respects_op(op, cong)
+            assert respects == _respects_op_by_pairs(op, cong), (op.table, cong)
+            seen.add(("op", respects))
+    return seen
+
+
+def test_lead_tests_equal_the_definitional_loops(alg1, alg2, alg3):
+    """congruence_is_boolean_compatible and congruence_respects_op against
+    their pairwise loops: every partition of the carrier at k <= 2, both
+    with block minima as reps and with labels that are no block member,
+    for the psi and bamo pools; seeded labellings at k = 3."""
+    pool = psi_operator_pool(2) + bamo_operator_pool(2)
+    seen = set()
+    for alg in (alg1, alg2):
+        ops = [op for op in pool if op.alg == alg]
+        congs = []
+        for blocks in all_partitions(alg.elements()):
+            cong = congruence_from_partition(alg, blocks)
+            # labelled by the largest member, shifted past the carrier
+            label = {min(b): max(b) + 100 for b in blocks}
+            congs += [cong, Congruence(alg, tuple(label[r] for r in cong.reps))]
+        seen |= _lead_cases(alg, ops, congs)
+    rng = random.Random(17)
+    ops3 = [op for op in psi_operator_pool(3) + bamo_operator_pool(3) if op.alg == alg3]
+    congs3 = [congruence_from_filter(alg3, Filter(alg3, g)) for g in alg3.elements()]
+    congs3 += [Congruence(alg3, tuple(rng.randrange(4) for _ in range(8))) for _ in range(40)]
+    seen |= _lead_cases(alg3, ops3, congs3)
+    assert seen == {("boolean", True), ("boolean", False), ("op", True), ("op", False)}
+
+
+def test_subalgebra_congruences_equal_the_definitional_loop(alg1, alg2):
+    ops = [op for alg in (alg1, alg2) for op in enumerate_psi_operators(alg) if check_strict(op).passed]
+    carriers = 0
+    for op in ops:
+        for carrier in enumerate_subalgebras(op):
+            assert _subalgebra_congruences(op, carrier) == _subalgebra_congruences_by_pairs(op, carrier)
+            carriers += 1
+    assert carriers > len(ops)
+
+
+def test_composition_equals_the_definitional_loop(alg2):
+    """_compose against a loop over middle elements, on every pair of
+    partitions of the 2-atom carrier; some pairs do not permute."""
+    congs = [congruence_from_partition(alg2, blocks) for blocks in all_partitions(alg2.elements())]
+    permute = set()
+    for x in congs:
+        for y in congs:
+            pairs = {
+                (a, c)
+                for a in alg2.elements()
+                for b in alg2.elements()
+                for c in alg2.elements()
+                if x.related(a, b) and y.related(b, c)
+            }
+            assert _compose(x, y) == pairs
+            permute.add(_compose(x, y) == _compose(y, x))
+    assert permute == {True, False}

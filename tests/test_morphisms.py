@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -227,11 +228,15 @@ def test_eca_morphism_equivalences_all_homs(alg2, ecas_k2):
 
 
 def test_eca_morphism_refuses_non_eca(alg2, ecas_k2):
-    from psiforge import full_relation
+    from psiforge import check_eca, full_relation
 
     ident = make_hom(alg2, alg2, (0, 1))
-    with pytest.raises(PreconditionError):
-        classify_eca_morphism(ident, full_relation(alg2), ecas_k2[0])
+    full = full_relation(alg2)
+    bad = check_eca(full).failures()[0]
+    for source, target, name in ((full, ecas_k2[0], "source"), (ecas_k2[0], full, "target")):
+        message = f"classify_eca_morphism requires EC relations; {name} fails {bad.axiom} at {bad.witness}"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            classify_eca_morphism(ident, source, target)
 
 
 def test_composition_closure(alg2, psi_ops_k2):

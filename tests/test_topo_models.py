@@ -1,6 +1,7 @@
 import pytest
 
 from psiforge import (
+    InternalCheckError,
     check_eca,
     check_extca,
     eca_from_topology,
@@ -159,3 +160,50 @@ def test_oversized_spaces_refused_before_the_sweep():
     # regular-closed atoms, refused by the algebra cap
     with pytest.raises(SizeCapError, match="atom count 8"):
         regular_closed_algebra(make_topology(range(8), [[p] for p in range(8)]))
+
+
+def _by_definition(top):
+    """The element masks and the relation bits by definition: Cl(Int(m))
+    tested per point set, and the relation set bit by bit."""
+    rc = sorted(m for m in range(top.full + 1) if top.closure(top.interior(m)) == m)
+    nonzero = [m for m in rc if m]
+    atoms = [m for m in nonzero if not any(x & m == x for x in nonzero if x != m)]
+    masks = []
+    for i in range(1 << len(atoms)):
+        m = 0
+        for bit, atom in enumerate(atoms):
+            if i >> bit & 1:
+                m |= atom
+        masks.append(m)
+    size = len(masks)
+    bits = 0
+    for a in range(size):
+        for b in range(size):
+            inter = masks[a] & masks[b]
+            for c in range(size):
+                if inter & masks[c] == inter:
+                    bits |= 1 << ((a * size + b) * size + c)
+    return tuple(masks), bits
+
+
+def test_tables_equal_the_definition():
+    spaces = random_topologies(200, seed=0x70B0, max_points=4)
+    spaces += [make_topology(range(n), [[p] for p in range(n)]) for n in range(1, 5)]
+    sizes = set()
+    for top in spaces:
+        masks, bits = _by_definition(top)
+        assert regular_closed_algebra(top).element_masks == masks
+        rca, rel = eca_from_topology(top)
+        assert (rca.alg.size, rca.element_masks, rel.bits) == (len(masks), masks, bits)
+        sizes.add(len(masks))
+    assert sizes == {2, 4, 8, 16}
+
+
+def test_a_failing_relation_names_its_axiom(monkeypatch):
+    """The self-check decides is_eca and names the failing axiom and
+    witness from check_eca."""
+    import psiforge.topo_models as T
+
+    monkeypatch.setattr(T, "_bits_of_rows", lambda rows, size: 0)
+    with pytest.raises(InternalCheckError, match=r"topological relation fails EC2 at \(0, 0, 0\)"):
+        eca_from_topology(three_point_space())

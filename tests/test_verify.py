@@ -15,6 +15,7 @@ def test_suite_all_pass_at_default_scale():
     assert failures == []
     details = {i.lemma: i.detail for i in items}
     assert details["eca-extca-agree-k2-random"] == "10000 seeded relations, 128 one-bit flips of the 2 ECAs"
+    assert details["random-topologies-give-ecas"] == "100 seeded spaces"
 
 
 def test_eca_agreement_flips_reach_laws_past_ec0(ecas_k2):
