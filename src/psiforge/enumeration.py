@@ -29,8 +29,8 @@ from .boolean_core import (
 )
 from .contact_relation import TernaryRelation, _bits_of_rows, _conclusion_masks, op_to_rel, pool_verdicts, rel_to_op
 from .errors import SizeCapError
-from .terms import Sentence, _sweep_plan, holds, parse_axiom_file
-from .ternary_operator import AXIOM_TEXTS, DEFAULT_SEED, TernaryOperator
+from .terms import Sentence, _sweep_plan, holds
+from .ternary_operator import DEFAULT_SEED, TernaryOperator, _axiom_set
 
 ENUM_MAX_ATOMS_EXACT = 2
 ENUM_MAX_ATOMS_ECAS = 3
@@ -38,17 +38,12 @@ ENUM_MAX_ATOMS_ECAS = 3
 _AXIOM_SETS = {"3bamo": ("3bamo",), "psi": ("3bamo", "pi"), "strict": ("3bamo", "pi", "strictness")}
 
 
-@lru_cache(maxsize=None)
-def _parsed_axioms(text: str) -> tuple[Sentence, ...]:
-    return tuple(parse_axiom_file(AXIOM_TEXTS[text]))
-
-
 def named_axioms(name: str) -> list[Sentence]:
     """Built-in axiom sets: 3bamo, psi (= 3bamo + pi), strict (= psi +
     strictness).  Each text is parsed once; every call returns a fresh list."""
     if name not in _AXIOM_SETS:
         raise ValueError(f"unknown axiom set {name!r}")
-    return [s for text in _AXIOM_SETS[name] for s in _parsed_axioms(text)]
+    return [s for text in _AXIOM_SETS[name] for s in _axiom_set(text)]
 
 
 def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> list[tuple[int, ...]]:

@@ -8,10 +8,12 @@ the coordinate's stride (s*s for a, s for b, 1 for c), so one shift of X,
 masked to the entries whose coordinate lacks u, lines each entry up with
 its cover.  Rows are copied across by bytes repetition, and P <= Q, entry
 by entry, is tested as P & Q == P.  Each test decides its law over the
-whole table at once, with no loop over tuples; PI1 and R1 are decided on
-atom pairs, exactly where MO1-MO3 hold, and R2 as one bound that is exact
-there too.  The laws' sentences, and the witnesses, are in
-ternary_operator, which loads this module when it first checks a law.
+whole table at once, with no loop over tuples, except PI1, R1 and R2,
+tested one (a, b) row or column at a time: on the atom pairs alone and,
+for R2, as one bound, where MO1-MO3 hold, and on every row or column
+otherwise.  Every verdict is exact on every table.  The laws' sentences,
+and the witnesses, are in ternary_operator, which loads this module when
+it first checks a law.
 """
 from __future__ import annotations
 
@@ -42,6 +44,12 @@ def _meets(s: int) -> int:
 def _differences(s: int) -> bytes:
     """Byte a*s + b is a and not b."""
     return bytes(a & ~b for a in range(s) for b in range(s))
+
+
+@lru_cache(maxsize=None)
+def _constant_planes(s: int) -> tuple[int, ...]:
+    """Int v has the byte v at each of the s*s places (d, e)."""
+    return tuple(int.from_bytes(bytes((v,)) * (s * s), "little") for v in range(s))
 
 
 def _row(raw: bytes, s: int, a: int, b: int) -> bytes:
@@ -89,44 +97,62 @@ def _monotone_in_c(raw: bytes, s: int) -> bool:
     return True
 
 
-def _pi1_on_atom_pairs(raw: bytes, s: int) -> bool:
-    """dia(u, v, f) <= dia(u, v, not d) or dia(u, v, not e) or dia(d, e, f)
-    for all atoms u, v, on the table laid out (f, d, e)."""
-    s2 = s * s
-    by_f = int.from_bytes(b"".join(raw[f::s] for f in range(s)), "little")
-    for i, j in product(_atom_bits(s), repeat=2):
-        row = _row(raw, s, 1 << i, 1 << j)
-        if not row.strip(b"\0"):
+def _pairs(raw: bytes, s: int):
+    """The (a, b) rows that decide PI1 and R1: the atom pairs where MO1-MO3
+    hold, as each row dia(a, b, .) is then the join of the rows at the
+    atoms below a and b, and every pair otherwise."""
+    return product([1 << i for i in _atom_bits(s)] if distributes(raw, s) else range(s), repeat=2)
+
+
+def pi1_failure(raw: bytes, s: int, pairs) -> tuple[int, int] | None:
+    """The first (a, b) of pairs at which dia(a, b, f) <= dia(a, b, not d)
+    or dia(a, b, not e) or dia(d, e, f) fails for some f, d, e; None if
+    there is none.  Each f with dia(a, b, f) != 0 is one test on the
+    (d, e) plane of f.  The test reads only the row dia(a, b, .) and the
+    table, so each distinct row is tested once."""
+    constant = _constant_planes(s)
+    top = constant[s - 1]
+    gaps = [top ^ int.from_bytes(raw[f::s], "little") for f in range(s)]  # not dia(d, e, f) over (d, e)
+    holds = {bytes(s)}
+    for a, b in pairs:
+        row = _row(raw, s, a, b)
+        if row in holds:
             continue
-        neg = row[::-1]  # dia(u, v, not d) over d
-        sides = int.from_bytes(_spread(neg, s), "little") | int.from_bytes(neg * s, "little")
-        lhs = int.from_bytes(_spread(row, s2), "little")
-        if lhs & (by_f | int.from_bytes(sides.to_bytes(s2, "little") * s, "little")) != lhs:
-            return False
-    return True
+        neg = row[::-1]  # dia(a, b, not d) over d
+        # not (dia(a, b, not d) or dia(a, b, not e)) over (d, e)
+        uncovered = top ^ (int.from_bytes(_spread(neg, s), "little") | int.from_bytes(neg * s, "little"))
+        if any(constant[v] & gaps[f] & uncovered for f, v in enumerate(row) if v):
+            return a, b
+        holds.add(row)
+    return None
 
 
-def _r1_on_atom_pairs(raw: bytes, s: int) -> bool:
-    """dia(u, v, a) and not dia(u, v, b) <= dia(1, 1, a and not b) for all
-    atoms u, v, on the (a, b) grid."""
-    ones = _row(raw, s, s - 1, s - 1)
-    fixed = int.from_bytes(_differences(s).translate(ones + bytes(256 - s)), "little")
-    for i, j in product(_atom_bits(s), repeat=2):
-        row = _row(raw, s, 1 << i, 1 << j)
+def _rows_below(rows, bound: bytes, s: int) -> bool:
+    """row(a) and not row(b) <= bound(a and not b) for each distinct row,
+    on the (a, b) grid."""
+    fixed = int.from_bytes(_differences(s).translate(bound + bytes(256 - s)), "little")
+    for row in dict.fromkeys(rows):
         lhs = int.from_bytes(_spread(row, s), "little")
         if lhs & (int.from_bytes(row * s, "little") | fixed) != lhs:
             return False
     return True
 
 
-def _r2_below_middle(raw: bytes, s: int) -> bool:
-    """dia(x, a, y) <= dia(1, a, 1) everywhere: R2 where MO1 and MO3 hold.
-    It is R2 at b = 0, and it gives R2, as dia(x, a, y) is the join of
-    dia(x, a and b, y) <= dia(x, b, y) and dia(x, a and not b, y)."""
+def _r1(raw: bytes, s: int) -> bool:
+    """dia(x, y, a) and not dia(x, y, b) <= dia(1, 1, a and not b) on the
+    rows (x, y) of _pairs."""
+    return _rows_below((_row(raw, s, x, y) for x, y in _pairs(raw, s)), _row(raw, s, s - 1, s - 1), s)
+
+
+def _r2(raw: bytes, s: int) -> bool:
+    """R2 on each column (x, y) on the (a, b) grid; where MO1-MO3 hold, the
+    one bound dia(x, a, y) <= dia(1, a, 1) (see check_strict)."""
     s2, top = s * s, s - 1
     middle = raw[top * s2 + top:s2 * s:s]  # dia(1, a, 1) over a
-    x = int.from_bytes(raw, "little")
-    return int.from_bytes(_spread(middle, s) * s, "little") & x == x
+    if distributes(raw, s):
+        x = int.from_bytes(raw, "little")
+        return int.from_bytes(_spread(middle, s) * s, "little") & x == x
+    return _rows_below((raw[x * s2 + y:(x + 1) * s2:s] for x in range(s) for y in range(s)), middle, s)
 
 
 def _s_below_mu(raw: bytes, s: int) -> bool:
@@ -154,24 +180,25 @@ def _pi4(raw: bytes, s: int) -> bool:
     return raw == b"".join(raw[(b * s + a) * s:(b * s + a + 1) * s] for a in range(s) for b in range(s))
 
 
-# The plane verdict of each law, called as test(raw, s).  Those of PI1,
-# R1 and R2 decide the law only where MO1-MO3 hold.
+# The plane verdict of each law, called as test(raw, s).
 LAWS = {
     "MO1": _mo1,
     "MO2": lambda raw, s: _additive(raw, s, s * s),
     "MO3": lambda raw, s: _additive(raw, s, s),
     "MO4": _monotone_in_c,
-    "PI1": _pi1_on_atom_pairs,
+    "PI1": lambda raw, s: pi1_failure(raw, s, _pairs(raw, s)) is None,
     "PI2": _pi2,
     "PI3": _pi3,
     "PI4": _pi4,
-    "R1": _r1_on_atom_pairs,
-    "R2": _r2_below_middle,
+    "R1": _r1,
+    "R2": _r2,
     "S": _s_below_mu,
 }
 
 
+@lru_cache(maxsize=1)
 def distributes(raw: bytes, s: int) -> bool:
     """MO1-MO3: then dia(a, b, c) is the join of dia(u, v, c) over the
-    atoms u <= a, v <= b (the empty join 0 when a or b is 0)."""
+    atoms u <= a, v <= b (the empty join 0 when a or b is 0).  PI1, R1
+    and R2 all read it, so the last table's verdict is kept."""
     return all(LAWS[ax](raw, s) for ax in ("MO1", "MO2", "MO3"))

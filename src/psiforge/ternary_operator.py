@@ -8,19 +8,18 @@ reporting a concrete witness on failure.
 
 MO1-MO4, PI1-PI4, R1, R2 and S are stated once, as sentences in
 AXIOM_TEXTS; enumeration.named_axioms parses the same texts.  Each law is
-decided by a few whole-table tests on the table's bytes (the plane
-verdicts of module planes: masks, shifts and byte-wise lookups, no loop
-over tuples); those of PI1, R1 and R2 are exact where MO1-MO3 hold.  A
-law's compiled sentence (terms.compile_sweep; MO1 its three sentences in
-turn) is swept only when its plane test fails, to name the witness, and
-in full where that hypothesis fails.
+decided exactly on every table by whole-table tests on the table's bytes
+(the plane verdicts of module planes: masks, shifts and byte-wise
+lookups; PI1, R1 and R2 one (a, b) row or column at a time).  A law's
+compiled sentence (terms.compile_sweep; MO1 its three sentences in turn)
+is swept only when its plane test fails, to name the witness.
 
 Witness order.  Bounded sweeps run in ascending mask order and report the
-first violating tuple.  The five-variable cut axiom PI1, decided on atom
-pairs, reports the first violation of the top-down (descending mask
-order) sweep up to PI1_TOP_DOWN_MAX_ATOMS atoms: its canonical
+first violating tuple.  The five-variable cut axiom PI1 reports the first
+violation of the top-down (descending mask order) sweep: its canonical
 counterexamples live near the top, and this order matches the standard
-four-element counterexample exactly.
+four-element counterexample exactly.  The first failing (a, b) is found
+by the per-pair plane test, and only that pair is swept.
 """
 from __future__ import annotations
 
@@ -29,12 +28,8 @@ from functools import lru_cache
 from itertools import product
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int, make_algebra
-from .errors import SizeCapError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
-# PI1 quantifies five variables.  Its verdict is exact at every size; the
-# top-down witness sweep over all |A|^5 tuples stops at this atom count.
-PI1_TOP_DOWN_MAX_ATOMS = 4
 DEFAULT_SEED = 0xEC0
 
 
@@ -238,13 +233,13 @@ def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
     return passed(axiom)
 
 
-def _decide(op: TernaryOperator, raw: bytes, axiom: str, hypothesis: bool = True) -> AxiomResult:
-    """The plane verdict where the hypothesis that makes it exact holds;
-    the full sweep otherwise, or to name the witness."""
+def _decide(op: TernaryOperator, raw: bytes, axiom: str) -> AxiomResult:
+    """The plane verdict; the sentence is swept only when it fails, to
+    name the witness."""
     # imported at first use, like terms: most verbs check no operator law
     from .planes import LAWS
 
-    if hypothesis and LAWS[axiom](raw, op.alg.size):
+    if LAWS[axiom](raw, op.alg.size):
         return passed(axiom)
     return _sweep(op, axiom)
 
@@ -276,17 +271,16 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
 def check_psi(op: TernaryOperator) -> CheckReport:
     """Check PI1-PI4, exactly at every size.
 
-    PI1 is decided on atom pairs: under MO1-MO3 (decided first, as in
-    check_3bamo), dia(a, b, f) joins dia(u, v, f) over atoms u <= a,
-    v <= b, and each right-hand side of PI1 at (u, v) lies below the one
-    at (a, b).  Each atom pair is one test on the table laid out (f, d,
-    e).  Its witness (a, b, f, d, e) is the first violation of the
-    top-down sweep up to PI1_TOP_DOWN_MAX_ATOMS atoms.  Above that, a
-    table satisfying MO1-MO3 reports its first atom-pair violation, with
-    a note, and any other table is refused with SizeCapError.  PI2, PI3
-    and PI4 are decided on planes (the (a, b, not a) entries, the
-    diagonal (a, a, f), the (a, b) transpose) and report witnesses
-    (a, b), (a, f) and (a, b, f).
+    PI1 is decided one (a, b) pair at a time, from the row dia(a, b, .)
+    and the (d, e) planes of the table.  Where MO1-MO3 hold (decided
+    first, as in check_3bamo) the atom pairs suffice: dia(a, b, f) joins
+    dia(u, v, f) over atoms u <= a, v <= b, and each right-hand side of
+    PI1 at (u, v) lies below the one at (a, b); otherwise every pair is
+    tested.  The witness (a, b, f, d, e) is the first violation of the
+    top-down sweep: the first failing pair in top-down order, swept
+    top-down over (f, d, e).  PI2, PI3 and PI4 are decided on planes
+    (the (a, b, not a) entries, the diagonal (a, a, f), the (a, b)
+    transpose) and report witnesses (a, b), (a, f) and (a, b, f).
     """
     raw = bytes(op.table)
     results = [_check_pi1(op, raw)] + [_decide(op, raw, ax) for ax in ("PI2", "PI3", "PI4")]
@@ -294,28 +288,14 @@ def check_psi(op: TernaryOperator) -> CheckReport:
 
 
 def _check_pi1(op: TernaryOperator, raw: bytes) -> AxiomResult:
-    from .planes import LAWS, distributes
+    from .planes import LAWS, pi1_failure
 
-    alg, table, top = op.alg, op.table, op.alg.top
-    hypothesis = distributes(raw, alg.size)
-    if hypothesis and LAWS["PI1"](raw, alg.size):
+    size, top = op.alg.size, op.alg.top
+    if LAWS["PI1"](raw, size):
         return passed("PI1")
-    small = alg.atom_count <= PI1_TOP_DOWN_MAX_ATOMS
-    if not small and not hypothesis:
-        raise SizeCapError(
-            f"PI1 above {PI1_TOP_DOWN_MAX_ATOMS} atoms is decided only for tables "
-            "satisfying MO1-MO3, and this one does not (run check --kind 3bamo)"
-        )
+    a, b = pi1_failure(raw, size, product(range(top, -1, -1), repeat=2))
     (pi1,) = _row_sweeps("PI1")
-
-    def first(pairs):
-        return next(((a, b) + w for a, b in pairs if (w := pi1(table, top, a, b)) is not None), None)
-
-    if small:
-        witness = first(product(range(top, -1, -1), repeat=2))
-        return passed("PI1") if witness is None else failed("PI1", witness)
-    note = f"atom-pair witness; the top-down witness sweep stops at {PI1_TOP_DOWN_MAX_ATOMS} atoms"
-    return failed("PI1", first(product(alg.atoms()[::-1], repeat=2)), note)
+    return failed("PI1", (a, b) + pi1(op.table, top, a, b))
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
@@ -349,26 +329,22 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     R2: dia(x,a,y) and not dia(x,b,y) <= dia(1,a and not b,1)   (witness x,a,b,y)
     S:  dia(a,b,c) <= mu(dia(a,b,c))                            (witness a,b,c)
 
-    R1 and R2 are decided exactly at every size on planes when MO1-MO3
-    hold (decided as in check_3bamo).  R1 is decided on the k^2 atom pairs
-    (x, y), each one test on the (a, b) grid.  Proof: dia(x, y, a) is the
+    All three are decided exactly at every size on planes.  R1 is one test
+    per row (x, y) on the (a, b) grid.  Where MO1-MO3 hold (decided as in
+    check_3bamo) the k^2 atom pairs (x, y) suffice: dia(x, y, a) is the
     join of dia(u, v, a) over atoms u <= x, v <= y, and dia(u, v, b) <=
     dia(x, y, b), so dia(x, y, a) and not dia(x, y, b) lies below the
     join of dia(u, v, a) and not dia(u, v, b), and R1's right side does
-    not depend on (x, y).  R2 holds iff dia(x, a, y) <= dia(1, a, 1)
+    not depend on (x, y).  R2 is likewise one test per column (x, y),
+    and where MO1-MO3 hold it holds iff dia(x, a, y) <= dia(1, a, 1)
     everywhere, one test on the whole table: that is R2 at b = 0, and
     since dia(x, a, y) is the join of dia(x, a and b, y) <= dia(x, b, y)
     and dia(x, a and not b, y), it gives R2.  S is one test against the
-    table mapped byte by byte through mu.  A table failing MO1-MO3 is
-    swept in full, and a failing plane test runs the full sweep to name
-    the first witness.
+    table mapped byte by byte through mu.  A failing plane test runs the
+    law's sweep to name the first witness.
     """
-    from .planes import distributes
-
     raw = bytes(op.table)
-    hypothesis = distributes(raw, op.alg.size)
-    results = [_decide(op, raw, ax, hypothesis) for ax in ("R1", "R2")]
-    return CheckReport("strict", (*results, _decide(op, raw, "S")))
+    return CheckReport("strict", tuple(_decide(op, raw, ax) for ax in ("R1", "R2", "S")))
 
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:

@@ -259,9 +259,10 @@ def test_bad_seed_env_exits_2(example_op_file):
 
 
 def test_check_psi_above_four_atoms(tmp_path):
-    """At five atoms PI1 is decided exactly, with no seed: the smallest
-    diamond passes with the same bytes under any PSIFORGE_SEED, and a
-    table failing MO1-MO3 is refused as a size-cap error."""
+    """At five atoms PI1 is decided exactly, with no seed and no note: the
+    smallest diamond passes with the same bytes under any PSIFORGE_SEED,
+    and a table failing MO1-MO3 fails with a witness that re-evaluates
+    to a violation."""
     alg = make_algebra(5)
     good = tmp_path / "smallest5.json"
     good.write_text(json.dumps(smallest_diamond(alg).to_json()))
@@ -273,8 +274,17 @@ def test_check_psi_above_four_atoms(tmp_path):
     bad = tmp_path / "not_mo5.json"
     bad.write_text(json.dumps({"alg": alg.to_json(), "table": table}))
     r = run_cli("check", "--kind", "psi", str(bad))
-    assert_usage_error(r)
-    assert "check --kind 3bamo" in r.stderr
+    assert r.returncode == 1, r.stderr
+    results = json.loads(r.stdout)["results"]
+    assert all("note" not in result for result in results)
+    pi1 = results[0]
+    assert pi1["axiom"] == "PI1" and pi1["witness"] == [31, 1, 31, 31, 29]
+    a, b, f, d, e = pi1["witness"]
+
+    def dia(x, y, z):
+        return table[(x * 32 + y) * 32 + z]
+
+    assert dia(a, b, f) & ~(dia(a, b, 31 ^ d) | dia(a, b, 31 ^ e) | dia(d, e, f))
 
 
 def test_json_array_input_exits_2():

@@ -3,12 +3,13 @@ the verdict-only pool decider (pool_verdicts, with is_eca/is_extca as its
 pool of one) agrees with the reports, lane by lane.
 
 Every operator law is decided on planes of the table: MO1-MO4, PI2-PI4
-and S outright, PI1, R1 and R2 on atoms under MO1-MO3, and closed filters
-on meets with the generator when MO2-MO4 hold.  The relation laws are
-decided on bitmasks: EC0, EC2, EC3, ExtCA2 and ExtCA3 by mask tests on
-the bitset, EC4 on its conclusion masks, and the cut EC1 on minimal
-premises when those masks are antitone; each law's sentence (or the
-cut's sweep) runs only to name a witness or when a hypothesis fails.
+and S outright, PI1, R1 and R2 on atom pairs under MO1-MO3 and on every
+pair otherwise, and closed filters on meets with the generator when
+MO2-MO4 hold.  The relation laws are decided on bitmasks: EC0, EC2, EC3,
+ExtCA2 and ExtCA3 by mask tests on the bitset, EC4 on its conclusion
+masks, and the cut EC1 on minimal premises when those masks are
+antitone; each law's sentence (or the cut's sweep) runs only to name a
+witness or when a hypothesis fails.
 pool_verdicts tests the mask laws on many relations packed in one int
 and decides EC4 and the cut only on the relations that pass them.  The
 checkers would hide a wrong decider (a false failure falls back to the
@@ -381,8 +382,7 @@ def test_r1_r2_atom_forms_decide_r1_r2():
         assert check_strict(op).results == full, op.table
         hypothesis = distributes(bytes(op.table), op.alg.size)
         for axiom, result in zip(("R1", "R2"), full):
-            if hypothesis:
-                assert _plane(op, axiom) == result.passed, (axiom, op.table)
+            assert _plane(op, axiom) == result.passed, (axiom, op.table)
             paths.add((axiom, hypothesis, result.passed))
     # each law passes and fails, both under MO1-MO3 and without it
     assert paths == set(product(("R1", "R2"), (False, True), (False, True)))
@@ -408,21 +408,23 @@ def _plane_cases():
 
 def test_plane_verdicts_decide_every_operator_law():
     (pi1,) = _row_sweeps("PI1")
-    verdicts = set()
+    verdicts, paths = set(), set()
     for op in _plane_cases():
         raw, size, top = bytes(op.table), op.alg.size, op.alg.top
         hypothesis = distributes(raw, size)
         for axiom, plane in LAWS.items():
-            if axiom in ("PI1", "R1", "R2") and not hypothesis:
-                continue
             if axiom == "PI1":
                 verdict = all(pi1(op.table, top, a, b) is None for a, b in product(range(size), repeat=2))
             else:
                 verdict = _sweep(op, axiom).passed
             assert plane(raw, size) == verdict, (axiom, op.table)
             verdicts.add((axiom, verdict))
-    # every law passes and fails
+            if axiom in ("PI1", "R1", "R2"):
+                paths.add((axiom, hypothesis, verdict))
+    # every law passes and fails, and PI1, R1 and R2, decided on atom pairs
+    # where MO1-MO3 hold and on every pair otherwise, do so on both paths
     assert verdicts == set(product(LAWS, (False, True)))
+    assert paths == set(product(("PI1", "R1", "R2"), (False, True), (False, True)))
 
 
 def _filter_operators():

@@ -1,8 +1,9 @@
+from itertools import product, takewhile
+
 import pytest
 
 from psiforge import (
     AxiomResult,
-    SizeCapError,
     TernaryOperator,
     box_op,
     check_3bamo,
@@ -20,6 +21,7 @@ from psiforge import (
     smallest_diamond,
 )
 from psiforge.enumeration import sample_3bamos
+from psiforge.planes import distributes
 from psiforge.ternary_operator import (
     constant_operator,
     discriminator_d,
@@ -27,6 +29,7 @@ from psiforge.ternary_operator import (
     example_3bamo_nonzero_entries,
     operator_from_function,
     operator_from_json,
+    _row_sweeps,
 )
 
 # the four-element counterexample, straight from its defining listing:
@@ -102,10 +105,16 @@ def test_pi1_exhaustive_at_four_atoms():
     assert not alg.leq(bad(a, b, f), bad(a, b, alg.neg(d)) | bad(a, b, alg.neg(e)) | bad(d, e, f))
 
 
+def _pi1_violated(op, witness):
+    alg = op.alg
+    a, b, f, d, e = witness
+    return not alg.leq(op(a, b, f), op(a, b, alg.neg(d)) | op(a, b, alg.neg(e)) | op(d, e, f))
+
+
 def test_pi1_exact_above_four_atoms():
-    # at five atoms PI1 is decided on atom pairs: a pass is exact, a failure
-    # of an MO table reports its first atom-pair violation, and a table
-    # failing MO1-MO3 is refused rather than swept over |A|^5 tuples
+    # above four atoms PI1 is decided exactly on every table, with the
+    # top-down witness and no note: the first failing (a, b) in top-down
+    # order, swept top-down over (f, d, e)
     alg = make_algebra(5)
     rep = check_psi(smallest_diamond(alg))
     assert rep.passed
@@ -113,16 +122,25 @@ def test_pi1_exact_above_four_atoms():
     mo = sample_3bamos(alg, count=1, seed=1)[0]
     assert check_3bamo(mo).passed
     r = check_psi(mo).result("PI1")
-    assert not r.passed
-    assert r.note == "atom-pair witness; the top-down witness sweep stops at 4 atoms"
-    a, b, f, d, e = r.witness
-    assert a in alg.atoms() and b in alg.atoms()
-    assert not alg.leq(mo(a, b, f), mo(a, b, alg.neg(d)) | mo(a, b, alg.neg(e)) | mo(d, e, f))
-    bad = operator_from_function(
-        alg, lambda a, b, c: a & b & c if (a, b, c) != (31, 1, 31) else 31
-    )
-    with pytest.raises(SizeCapError, match="check --kind 3bamo"):
-        check_psi(bad)
+    assert r == AxiomResult("PI1", False, (2, 8, 4, 22, 6))
+    assert _pi1_violated(mo, r.witness)
+    # no earlier pair in top-down order fails; PI1 at (a, b) reads only the
+    # row dia(a, b, .) and the table, so one pair per distinct row is swept
+    (pi1,) = _row_sweeps("PI1")
+    rows = {}
+    for a, b in takewhile(lambda p: p != (2, 8), product(range(31, -1, -1), repeat=2)):
+        rows.setdefault(mo.table[(a * 32 + b) * 32:(a * 32 + b + 1) * 32], (a, b))
+    assert all(pi1(mo.table, 31, a, b) is None for a, b in rows.values())
+    # tables failing MO1-MO3 are decided too; at six atoms the witness pair
+    # (63, 1) is the 63rd in top-down order, so the search stops early
+    for k, witness in ((5, (31, 1, 31, 31, 29)), (6, (63, 1, 63, 63, 61))):
+        alg = make_algebra(k)
+        top = alg.top
+        bad = operator_from_function(alg, lambda a, b, c: a & b & c if (a, b, c) != (top, 1, top) else top)
+        assert not distributes(bytes(bad.table), alg.size)
+        r = check_psi(bad).result("PI1")
+        assert r == AxiomResult("PI1", False, witness)
+        assert _pi1_violated(bad, witness)
 
 
 def test_smallest_diamond_entries(alg2):
@@ -185,6 +203,19 @@ def test_smallest_diamond_strict_verdict_computed(alg2):
     # residuation laws reduce to lattice arithmetic: the sweep decides
     rep = check_strict(smallest_diamond(alg2))
     assert rep.passed
+
+
+def test_strict_decided_where_mo1_fails():
+    # dia(a, b, c) = top iff a = top fails MO1 yet satisfies R1 and R2:
+    # both are decided on every row and column of the table, where a sweep
+    # over all |A|^4 tuples took 0.36 s at five atoms and 6.9 s at six
+    alg = make_algebra(5)
+    top = alg.top
+    op = operator_from_function(alg, lambda a, b, c: top if a == top else 0)
+    assert not distributes(bytes(op.table), alg.size)
+    rep = check_strict(op)
+    assert rep.results == (AxiomResult("R1", True), AxiomResult("R2", True), AxiomResult("S", False, (top, 0, 0)))
+    assert not alg.leq(op(top, 0, 0), mu(op, op(top, 0, 0)))
 
 
 def test_is_relational(alg1, alg2):
