@@ -9,13 +9,12 @@ inverse, a bijection between these relations and relational operators.
 
 Every law of both systems is decided on the relation's bitset: EC0,
 EC2, EC3 and their ExtCA twins by a few and/or/shift tests against masks
-built once per atom count (_law_masks), EC4 and the five-variable cut
-(EC1 and its ExtCA twin) on the bitset's conclusion masks, the cut on
-minimal premises where those masks are antitone in each premise.  Each
-law is also one written sentence about the relation's characteristic
-table (_LAWS), or for the cut a bitmask sweep that runs top-down like
-PI1; these run only when a law fails, to name its first witness in the
-documented order, or when the cut's hypothesis fails.
+built once per atom count (_law_masks), EC4 on the bitset's conclusion
+masks, and the five-variable cut (EC1 and its ExtCA twin) by one AND per
+premise of each distinct conclusion mask (_cut_witness), which also
+names the cut's first witness.  Each other law is also one written
+sentence about the relation's characteristic table (_LAWS), swept only
+when the law fails, to name its first witness in the documented order.
 
 Verdicts without witnesses come from one decider, pool_verdicts, which
 takes many relations packed side by side in one int, relation i in bits
@@ -225,10 +224,7 @@ def _law_masks(k: int) -> dict:
     size^2 rows.  EC0: per atom u three (shift, mask) pairs, the mask
     holding the triples (a, b, f) whose image (a or u, b, f or u) lies
     shift bits higher: u added to a and f, to a alone, and to f alone.
-    The cut's hypothesis: per atom u two (shift, mask) pairs, the mask
-    holding the triples whose first (second) premise lacks u, and the
-    shift moving (a or u, b, f) (or (a, b or u, f)) onto (a, b, f).  Each
-    other law: (mask, want), holding iff the relation meets mask in
+    Each other law: (mask, want), holding iff the relation meets mask in
     want."""
     size = 1 << k
     up = [sum(1 << c for c in range(size) if c & m == m) for m in range(size)]
@@ -237,7 +233,7 @@ def _law_masks(k: int) -> dict:
     def bits(row) -> int:
         return _bits_of_rows([row(a, b) for a in range(size) for b in range(size)], size)
 
-    moves, antitone = [], []
+    moves = []
     for u in (1 << i for i in range(k)):
         has, lacks = up[u], full ^ up[u]
         moves += [
@@ -245,14 +241,9 @@ def _law_masks(k: int) -> dict:
             (u * size * size, bits(lambda a, b: 0 if a & u else has)),
             (u, bits(lambda a, b: lacks if a & u else 0)),
         ]
-        antitone += [
-            (u * size * size, bits(lambda a, b: 0 if a & u else full)),
-            (u * size, bits(lambda a, b: 0 if b & u else full)),
-        ]
     below = bits(lambda a, b: up[a])  # a <= f: all present
     return {
         "EC0": tuple(moves),
-        "antitone": tuple(antitone),
         "EC2": (below, below),
         "ExtCA2": (below, below),
         "EC3": (bits(lambda a, b: full ^ up[a] if a == b else 0), 0),  # a = b, a not <= f: all absent
@@ -286,15 +277,14 @@ def _mask_failures(bits: int, k: int, law: str, lanes: int = 1) -> int:
     return (bits & mask * lanes) ^ want * lanes
 
 
-def _verdict(rel: TernaryRelation, law: str, con: list[int] | None) -> bool | None:
+def _verdict(rel: TernaryRelation, law: str, con: list[int]) -> bool:
     """Whether a system law holds: EC0, EC2, EC3, ExtCA2 and ExtCA3 by
     mask tests on the bitset, EC4 and the cut on its conclusion masks
-    con.  None when the cut's hypothesis fails (see
-    _cut_on_minimal_premises)."""
+    con."""
     if law in _MASK_LAWS:
         return not _mask_failures(rel.bits, rel.alg.atom_count, law)
     if law == "cut":
-        return _cut_on_minimal_premises(rel, con)
+        return _cut_witness(rel, con) is None
     size = rel.alg.size  # EC4
     swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
     return not any(x & ~y for x, y in zip(con, swapped))
@@ -302,17 +292,17 @@ def _verdict(rel: TernaryRelation, law: str, con: list[int] | None) -> bool | No
 
 def _check(rel: TernaryRelation, system: str) -> CheckReport:
     """Every law's verdict, and the first witness in its documented order
-    of each failing law: the cut's sweep or the law's sentence over chi."""
+    of each failing law: the cut's own, or the law's sentence over chi."""
     con, chi, top = _conclusion_masks(rel), (), rel.alg.top
     results = []
     for name, law in _SYSTEMS[system]:
-        witness = None
-        if not _verdict(rel, law, con):
-            if law == "cut":
-                witness = _cut_witness(con, top)
-            else:
-                chi = chi or _chi_table(rel)
-                witness = _law_sweeps(law)[0](chi, top)
+        if law == "cut":
+            witness = _cut_witness(rel, con)
+        elif _verdict(rel, law, con):
+            witness = None
+        else:
+            chi = chi or _chi_table(rel)
+            witness = _law_sweeps(law)[0](chi, top)
         results.append(passed(name) if witness is None else failed(name, witness))
     return CheckReport(system, tuple(results))
 
@@ -325,8 +315,7 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
     The mask laws are tested on all n relations at once: their failure
     bits are ORed and each lane is folded onto its lowest bit.  Only the
     relations that pass every mask law have EC4 and then the cut decided
-    one by one, on their conclusion masks (the cut by its sweep where its
-    minimal-premise hypothesis fails).
+    one by one, on their conclusion masks.
     """
     k, width = alg.atom_count, alg.size ** 3
     lanes = _lanes(width, n)
@@ -344,10 +333,7 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
     for i in compress(range(n), verdicts):
         rel = TernaryRelation(alg, int.from_bytes(raw[i * step:(i + 1) * step], "little"))
         con = _conclusion_masks(rel)
-        ok = _verdict(rel, "EC4", con) and _verdict(rel, "cut", con)
-        if ok is None:
-            ok = _cut_witness(con, alg.top) is None
-        verdicts[i] = ok
+        verdicts[i] = _verdict(rel, "EC4", con) and _verdict(rel, "cut", con)
     return bytes(verdicts)
 
 
@@ -361,10 +347,10 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
     EC4: (a,b) |- f  implies  (b,a) |- f                  (witness a,b,f)
 
     Every verdict comes from mask tests on the bitset and, for EC1 and
-    EC4, its conclusion masks (EC1 on minimal premises where they are
-    antitone in each premise, see _cut_on_minimal_premises).  A law's
-    sweep runs only when it fails, or when the cut's hypothesis does, to
-    name the first witness.
+    EC4, its conclusion masks (EC1 by one AND per premise of each
+    distinct conclusion mask, see _cut_witness).  A law's sentence is
+    swept only when it fails, to name the first witness; EC1 sweeps only
+    its first failing conclusion mask.
     """
     return _check(rel, "eca")
 
@@ -392,59 +378,40 @@ def is_extca(rel: TernaryRelation) -> bool:
     return pool_verdicts(rel.alg, rel.bits, 1, "extca") == b"\x01"
 
 
-def _cut_on_minimal_premises(rel: TernaryRelation, con: list[int]) -> bool | None:
-    """The cut's verdict from minimal premises, or None when the conclusion
-    masks con are not antitone in each premise.
+def _cut_witness(rel: TernaryRelation, con: list[int]) -> tuple[int, ...] | None:
+    """The cut's first violation (a, b, d, e, f), every variable top-down;
+    None if the cut holds.  con is the relation's conclusion masks.
 
     Write C(d, e) for the conclusion mask of (d, e).  The cut says
-    C(d, e) <= C(a, b) whenever d and e lie in C(a, b), so it depends on
-    M = C(a, b) alone.  Hypothesis: C(d or u, e) <= C(d, e) and
-    C(d, e or u) <= C(d, e) for every atom u, 2k shift-and-mask tests on
-    the relation's bitset; by chains of covers, C is then antitone in
-    each premise.  Stepping down
-    covers inside M takes each d in M to a d0 <= d in M with no lower
-    cover in M, and C(d, e) <= C(d0, e0).  So the cut holds iff
-    C(d0, e0) <= M for those d0, e0: the bits M & ~((M & without u) << u)
-    over every atom u, one element (a and b) per mask on the largest
-    relation, where the full sweep visits every d and e in M.
+    C(d, e) <= M whenever d and e lie in M = C(a, b), so it depends on M
+    alone: M fails iff some d in M has a triple (d, e, f) with e in M and
+    f not in M.  The relation's (e, f) bits for premise d are one
+    size^2-bit slab, and those (e, f) are the pattern (full ^ M) spread
+    over the rows e in M: one AND per d in M.  Each distinct M is tested
+    once, the (a, b) top-down, and only the first failing one is swept
+    over (d, e, f) to name the witness.
     """
-    bits, alg = rel.bits, rel.alg
-    for shift, lacks in _law_masks(alg.atom_count)["antitone"]:
-        if bits >> shift & lacks & ~bits:
-            return None
-    size, atoms = alg.size, alg.atoms()
-    without = [sum(1 << c for c in range(size) if not c & u) for u in atoms]
-    for m in set(con):
-        lowered = 0
-        for u, w in zip(atoms, without):
-            lowered |= (m & w) << u
-        low = m & ~lowered
-        mins = [c for c in range(size) if low >> c & 1]
-        if any(con[d * size + e] & ~m for d in mins for e in mins):
-            return False
-    return True
-
-
-def _cut_witness(con: list[int], top: int) -> tuple[int, ...] | None:
-    """The cut's first violation (a, b, d, e, f), every variable top-down."""
-    # one bit operation per (a, b, d, e) finds every missing conclusion f
-    size = top + 1
-    desc = range(top, -1, -1)
-    for a in desc:
-        for b in desc:
-            cab = con[a * size + b]
-            if not cab:
-                continue
-            for d in desc:
-                if not cab >> d & 1:
-                    continue
+    size, bits = rel.alg.size, rel.bits
+    square, full = size * size, (1 << size) - 1
+    slabs = [bits >> d * square & (1 << square) - 1 for d in range(size)]
+    holds = set()
+    for i in range(square - 1, -1, -1):
+        cab = con[i]
+        if cab in holds:
+            continue
+        outside = _bits_of_rows([full ^ cab if cab >> e & 1 else 0 for e in range(size)], size)
+        if not any(slabs[d] & outside for d in range(size) if cab >> d & 1):
+            holds.add(cab)
+            continue
+        # one bit operation per (d, e) finds every missing conclusion f
+        desc = range(size - 1, -1, -1)
+        for d in desc:
+            if cab >> d & 1:
                 for e in desc:
-                    if not cab >> e & 1:
-                        continue
-                    missing = con[d * size + e] & ~cab
+                    missing = con[d * size + e] & ~cab if cab >> e & 1 else 0
                     if missing:
                         # first f top-down = highest missing conclusion
-                        return (a, b, d, e, missing.bit_length() - 1)
+                        return (*divmod(i, size), d, e, missing.bit_length() - 1)
     return None
 
 

@@ -4,16 +4,15 @@ simplicity, subdirect-irreducibility and variety-level spot checks.
 A filter F is closed when dia(x1,x2,x3) -> dia(y1,y2,y3) lands in F
 whenever every xi -> yi does; closed filters correspond one-to-one to
 congruences compatible with the operator.  F is modal when it is closed
-under mu.  Both are stated as sentences in the rows of _FILTER_LAWS and
-swept by terms.compile_sweep.  Closedness is decided on meets with the
-generator where MO2-MO4 hold on atoms, so dia is monotone in each
-coordinate (filter_is_closed), and by its definition otherwise; modality by its definition.  The
-(Su)/(Mid) reduction and the generator-only modality shortcut are rows
-there too, computed alongside so their equivalence (valid for
-pseudo-inference operators) can be asserted, not assumed.  A partition
-is tested as a congruence by its definition, comparing each element
-with its block's least member on tables translated to those members
-(congruence_respects_op).
+under mu.  Closedness is decided on every operator by one whole-table
+test against the meets of dia above each triple (filter_is_closed).
+Modality, the (Su)/(Mid) reduction and the generator-only modality
+shortcut are stated as sentences in the rows of _FILTER_LAWS and swept
+by terms.compile_sweep; the last two are computed alongside so their
+equivalence (valid for pseudo-inference operators) can be asserted, not
+assumed.  A partition is tested as a congruence by its definition,
+comparing each element with its block's least member on tables
+translated to those members (congruence_respects_op).
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from .boolean_core import FiniteBooleanAlgebra, Filter
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
-from .planes import LAWS
+from .planes import _lacking
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
@@ -43,13 +42,6 @@ class ClassifiedFilter:
 # g and x and not y = 0, and a lies in it iff g and not a = 0.  A law
 # with several rows holds when each of them does.
 _FILTER_LAWS = (
-    (
-        "closed",
-        "g and x and not y = 0 & g and p and not q = 0 & g and u and not w = 0"
-        " => g and dia(x, p, u) and not dia(y, q, w) = 0",
-        "xypquw",
-    ),
-    ("closed-meet", "g and dia(x, p, u) <= dia(g and x, g and p, g and u)", "xpu"),
     ("su-mid", "g and a and not b = 0 => g and dia(x, y, a) and not dia(x, y, b) = 0", "abxy"),
     ("su-mid", "g and a and not b = 0 => g and dia(x, a, y) and not dia(x, b, y) = 0", "abxy"),
     ("modal", "g and not a = 0 => g and not mu(a) = 0", "a"),
@@ -71,35 +63,32 @@ def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
     return all(sweep(op.table, op.alg.top, g) is None for sweep in _filter_sweeps(law))
 
 
-def _monotone(op: TernaryOperator) -> bool:
-    """MO2-MO4 on planes: dia is additive in its first two coordinates and
-    monotone in its third (each a chain of single-atom covers), so it is
-    monotone in each coordinate."""
-    raw = bytes(op.table)
-    return all(LAWS[ax](raw, op.alg.size) for ax in ("MO2", "MO3", "MO4"))
-
-
-def _closed(op: TernaryOperator, flt: Filter, monotone: bool) -> bool:
-    """Whether [g) is closed, given ``monotone``, the verdict of _monotone(op)."""
-    # the improper filter is closed; a sweep of it would visit every tuple
-    if flt.generator == 0:
-        return True
-    return _filter_law(op, flt, "closed-meet" if monotone else "closed")
-
-
 def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
     """Whether [g) is closed, exactly on every operator.
 
-    The definition sweeps every coordinate-wise implication triple, |A|^6
-    tuples.  Where MO2-MO4 hold on atoms (dia additive in its first two
-    coordinates and monotone in its third, hence monotone in each), [g) is
-    closed iff g and dia(x, p, u) <= dia(g and x, g and p, g and u), over
-    |A|^3: the definition's instance y = g and x, q = g and p, w = g and u
-    gives it, and conversely g and x <= y, g and p <= q, g and u <= w give
-    dia(g and x, g and p, g and u) <= dia(y, q, w) by monotonicity.  Any
-    other operator is swept by the definition.
+    x -> y lies in [g) iff g and x <= y, so for fixed (x, p, u) the
+    definition's premises are exactly the triples (y, q, w) >= (g and x,
+    g and p, g and u): [g) is closed iff g and dia(x, p, u) <= D(g and x,
+    g and p, g and u) everywhere, with D(a, b, c) the meet of dia over
+    every triple >= (a, b, c).  D is the superset-AND transform of the
+    table's bytes, one shift-and-mask step per atom and coordinate (on a
+    monotone operator D is dia).  The atoms outside g are cleared from
+    each coordinate by copying the entries that lack such an atom over
+    those that hold it, and the law is one test on the whole table.
     """
-    return _closed(op, flt, _monotone(op))
+    raw, g, size = bytes(op.table), flt.generator, op.alg.size
+    n, dia = len(raw), int.from_bytes(raw, "little")
+    # an entry holding atom u in a coordinate of stride w lies w*u bytes
+    # above the entry lacking it
+    covers = [(u, stride * u) for stride in (size * size, size, 1) for u in op.alg.atoms()]
+    meets = dia
+    for _, block in covers:
+        meets &= meets >> 8 * block | ~_lacking(n, block)
+    for u, block in covers:
+        if not g & u:
+            low = meets & _lacking(n, block)
+            meets = low | low << 8 * block
+    return not dia & int.from_bytes(bytes((g,)) * n, "little") & ~meets
 
 
 def filter_is_closed_su_mid(op: TernaryOperator, flt: Filter) -> bool:
@@ -120,13 +109,9 @@ def filter_is_modal_via_generator(op: TernaryOperator, flt: Filter) -> bool:
 
 
 def classify_filter(op: TernaryOperator, flt: Filter) -> ClassifiedFilter:
-    return _classify(op, flt, _monotone(op))
-
-
-def _classify(op: TernaryOperator, flt: Filter, monotone: bool) -> ClassifiedFilter:
     return ClassifiedFilter(
         filter=flt,
-        is_closed=_closed(op, flt, monotone),
+        is_closed=filter_is_closed(op, flt),
         is_modal=filter_is_modal(op, flt),
         closed_via_su_mid=filter_is_closed_su_mid(op, flt),
         modal_via_generator=filter_is_modal_via_generator(op, flt),
@@ -134,8 +119,7 @@ def _classify(op: TernaryOperator, flt: Filter, monotone: bool) -> ClassifiedFil
 
 
 def all_filters_classified(op: TernaryOperator) -> list[ClassifiedFilter]:
-    alg, monotone = op.alg, _monotone(op)
-    return [_classify(op, Filter(alg, g), monotone) for g in alg.elements()]
+    return [classify_filter(op, Filter(op.alg, g)) for g in op.alg.elements()]
 
 
 @dataclass(frozen=True)
@@ -267,8 +251,7 @@ def congruence_filter_maps(alg: FiniteBooleanAlgebra, value):
 
 
 def closed_filter_generators(op: TernaryOperator) -> list[int]:
-    alg, monotone = op.alg, _monotone(op)
-    return [g for g in alg.elements() if _closed(op, Filter(alg, g), monotone)]
+    return [g for g in op.alg.elements() if filter_is_closed(op, Filter(op.alg, g))]
 
 
 def _require_psi(op: TernaryOperator, caller: str) -> None:

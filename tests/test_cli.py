@@ -574,9 +574,14 @@ def test_exit_contract_on_any_argv(argv, argv_paths):
     argv = [path(t) for t in argv]
     out, err = io.StringIO(), io.StringIO()
     # a stray token can become a relative output path: write it in the tmp dir
-    with mock.patch.object(verify, "run_suite", lambda k, seed: []), contextlib.chdir(argv_paths["ROOT"]):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+    cwd = os.getcwd()
+    os.chdir(argv_paths["ROOT"])
+    try:
+        with mock.patch.object(verify, "run_suite", lambda k, seed: []):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code == 2:
         assert out.getvalue() == "", argv

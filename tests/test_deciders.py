@@ -1,20 +1,20 @@
-"""The reduced deciders agree with the full sweeps of their laws, and
-the verdict-only pool decider (pool_verdicts, with is_eca/is_extca as its
-pool of one) agrees with the reports, lane by lane.
+"""The plane and mask deciders agree with the full sweeps of their laws,
+and the verdict-only pool decider (pool_verdicts, with is_eca/is_extca
+as its pool of one) agrees with the reports, lane by lane.
 
 Every operator law is decided on planes of the table: MO1-MO4, PI2-PI4
 and S outright, PI1, R1 and R2 on atom pairs under MO1-MO3 and on every
-pair otherwise, and closed filters on meets with the generator when
-MO2-MO4 hold.  The relation laws are decided on bitmasks: EC0, EC2, EC3,
+pair otherwise.  Closed filters are decided by one whole-table test
+against the meets of dia above each triple, compared here with the
+definition.  The relation laws are decided on bitmasks: EC0, EC2, EC3,
 ExtCA2 and ExtCA3 by mask tests on the bitset, EC4 on its conclusion
-masks, and the cut EC1 on minimal premises when those masks are
-antitone; each law's sentence (or the cut's sweep) runs only to name a
-witness or when a hypothesis fails.
-pool_verdicts tests the mask laws on many relations packed in one int
-and decides EC4 and the cut only on the relations that pass them.  The
-checkers would hide a wrong decider (a false failure falls back to the
-sweep, which passes), so the deciders are compared here directly, on
-inputs that take each path."""
+masks, and the cut EC1 by one AND per premise of each distinct
+conclusion mask, compared here with a plain top-down sweep; each other
+law's sentence runs only to name a witness.  pool_verdicts tests the
+mask laws on many relations packed in one int and decides EC4 and the
+cut only on the relations that pass them.  The checkers would hide a
+wrong plane or mask decider where the sweep naming the witness passes,
+so the deciders are compared here directly."""
 import random
 from functools import lru_cache, reduce
 from itertools import chain, product
@@ -41,7 +41,6 @@ from psiforge.contact_relation import (
     _bits_of_rows,
     _chi_table,
     _conclusion_masks,
-    _cut_on_minimal_premises,
     _cut_witness,
     _SYSTEMS,
     _law_sweeps,
@@ -49,8 +48,9 @@ from psiforge.contact_relation import (
     pool_verdicts,
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
-from psiforge.filter_congruence import _closed, _filter_law, _monotone, filter_is_closed
+from psiforge.filter_congruence import filter_is_closed
 from psiforge.planes import LAWS, distributes
+from psiforge.terms import compile_sweep, parse
 from psiforge.ternary_operator import DEFAULT_SEED, TernaryOperator, _row_sweeps, _sweep
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
@@ -188,50 +188,77 @@ def _cut_cases():
         yield from (TernaryRelation(alg3, rel.bits ^ 1 << i) for i in range(512))
 
 
-def test_cut_on_minimal_premises_decides_the_cut():
+def _reference_cut(con, top):
+    """The cut's first violation (a, b, d, e, f), every variable top-down,
+    by a plain sweep over the conclusion masks con; None if it holds."""
+    # one bit operation per (a, b, d, e) finds every missing conclusion f
+    size = top + 1
+    desc = range(top, -1, -1)
+    for a in desc:
+        for b in desc:
+            cab = con[a * size + b]
+            if not cab:
+                continue
+            for d in desc:
+                if not cab >> d & 1:
+                    continue
+                for e in desc:
+                    if not cab >> e & 1:
+                        continue
+                    missing = con[d * size + e] & ~cab
+                    if missing:
+                        # first f top-down = highest missing conclusion
+                        return (a, b, d, e, missing.bit_length() - 1)
+    return None
+
+
+# C(d, e) holds C(d2, e) for every d2 >= d, and C(d, e2) for every e2 >= e
+_ANTITONE = tuple(
+    compile_sweep(parse(text), tuple("abcf"))
+    for text in (
+        "f or a = a => dia(a, b, c) and dia(f, b, c) = dia(a, b, c)",
+        "f or b = b => dia(a, b, c) and dia(a, f, c) = dia(a, b, c)",
+    )
+)
+
+
+def test_cut_witness_matches_the_reference_sweep():
     paths = set()
-    for rel in _cut_cases():
-        con = _conclusion_masks(rel)
-        verdict = _cut_witness(con, rel.alg.top) is None
-        reduced = _cut_on_minimal_premises(rel, con)
-        assert reduced in (None, verdict), rel.bits
-        assert _verdict(rel, "cut", con) == reduced, rel.bits
+    for rel in chain(_cut_cases(), _mask_law_cases()["k4-largest-flips"]):
+        con, top = _conclusion_masks(rel), rel.alg.top
+        witness = _reference_cut(con, top)
+        assert _cut_witness(rel, con) == witness, rel.bits
+        assert _verdict(rel, "cut", con) is (witness is None), rel.bits
         report = check_eca(rel)
         ec1 = report.results[1]
-        assert (ec1.axiom, ec1.passed, ec1.witness) == ("EC1", verdict, _cut_witness(con, rel.alg.top)), rel.bits
+        assert (ec1.axiom, ec1.passed, ec1.witness) == ("EC1", witness is None, witness), rel.bits
         assert is_eca(rel) == report.passed, rel.bits
-        paths.add((reduced is not None, verdict))
-    # the reduction decides passes and failures, and the fallback runs on
-    # relations that are not antitone, passing and failing
+        if rel.alg.atom_count < 4:
+            chi = _chi_table(rel)
+            antitone = all(sweep(chi, top) is None for sweep in _ANTITONE)
+            paths.add((antitone, witness is None))
+    # the cut passes and fails on relations whose conclusion masks are
+    # antitone in each premise and on others
     assert paths == set(product((False, True), (False, True)))
 
 
-def _antitone_by_lines(con, alg):
-    """Reference for the cut's hypothesis: C(d or u, e) <= C(d, e) and
-    C(d, e or u) <= C(d, e), line by line over the conclusion masks."""
-    size = alg.size
-    rows = [con[d * size:(d + 1) * size] for d in range(size)]  # rows[d][e] = C(d, e)
-    cols = [con[e::size] for e in range(size)]  # cols[e][d] = C(d, e)
-    return not any(
-        x & ~y
-        for lines in (rows, cols)
-        for d in range(size)
-        for u in alg.atoms()
-        if not d & u
-        for x, y in zip(lines[d | u], lines[d])
-    )
-
-
-def test_cut_hypothesis_mask_test_matches_lines():
-    alg4 = make_algebra(4)
-    flips4 = (TernaryRelation(alg4, largest_eca(alg4).bits ^ 1 << i) for i in range(16 ** 3))
-    seen = set()
-    for rel in chain(_cut_cases(), flips4):
-        con = _conclusion_masks(rel)
-        antitone = _antitone_by_lines(con, rel.alg)
-        assert (_cut_on_minimal_premises(rel, con) is not None) == antitone, rel.bits
-        seen.add((rel.alg.atom_count, antitone))
-    assert seen == set(product((1, 2, 3, 4), (False, True)))
+def test_cut_at_five_atoms():
+    """Five atoms: on C(0, 0) = 0 with every other conclusion mask full,
+    which is not antitone, the cut holds; on a one-bit flip of the
+    largest relation it fails at the reference sweep's first witness."""
+    alg = make_algebra(5)
+    size, full = alg.size, (1 << alg.size) - 1
+    rel = TernaryRelation(alg, _bits_of_rows([0] + [full] * (size * size - 1), size))
+    report = check_eca(rel)
+    assert [(r.axiom, r.passed) for r in report.results] == [
+        ("EC0", True), ("EC1", True), ("EC2", False), ("EC3", False), ("EC4", True)
+    ]
+    assert _reference_cut(_conclusion_masks(rel), alg.top) is None
+    assert not is_eca(rel)
+    flip = TernaryRelation(alg, largest_eca(alg).bits ^ 1 << (17 * size + 12) * size + 20)
+    ec1 = check_eca(flip).results[1]
+    assert (ec1.axiom, ec1.passed) == ("EC1", False)
+    assert ec1.witness == _reference_cut(_conclusion_masks(flip), alg.top) == (17, 12, 31, 16, 20)
 
 
 def _pack(rels):
@@ -443,17 +470,28 @@ def _filter_operators():
     return ops
 
 
+def _closed_by_definition(op, flt):
+    """[g) is closed, read off the definition: dia(x1, x2, x3) ->
+    dia(y1, y2, y3) lies in [g) whenever every xi -> yi does."""
+    alg = op.alg
+    elems = alg.elements()
+    pairs = [(x, y) for x in elems for y in elems if alg.implies(x, y) in flt]
+    return all(
+        alg.implies(op(x1, x2, x3), op(y1, y2, y3)) in flt
+        for x1, y1 in pairs
+        for x2, y2 in pairs
+        for x3, y3 in pairs
+    )
+
+
 def test_closed_on_meets_decides_closed_filters():
     paths = set()
     for op in _filter_operators():
-        monotone = _monotone(op)
+        monotone = all(_plane(op, ax) for ax in ("MO2", "MO3", "MO4"))
         for g in op.alg.elements():
             flt = Filter(op.alg, g)
-            definition = _filter_law(op, flt, "closed")
+            definition = _closed_by_definition(op, flt)
             assert filter_is_closed(op, flt) == definition, (op.table, g)
-            assert _closed(op, flt, monotone) == definition, (op.table, g)
-            if monotone:
-                assert _filter_law(op, flt, "closed-meet") == definition, (op.table, g)
             paths.add((monotone, definition))
     # closed and non-closed filters, on monotone operators and on others
     assert paths == set(product((False, True), (False, True)))
