@@ -303,6 +303,8 @@ def _check(rel: TernaryRelation, system: str) -> CheckReport:
         else:
             chi = chi or _chi_table(rel)
             witness = _law_sweeps(law)[0](chi, top)
+            if witness is None:
+                raise InternalCheckError(f"{name} fails its mask test but its sweep finds no witness")
         results.append(passed(name) if witness is None else failed(name, witness))
     return CheckReport(system, tuple(results))
 
@@ -412,16 +414,12 @@ def _cut_witness(rel: TernaryRelation, con: list[int]) -> tuple[int, ...] | None
                     if missing:
                         # first f top-down = highest missing conclusion
                         return (*divmod(i, size), d, e, missing.bit_length() - 1)
+        raise InternalCheckError(f"the cut fails its AND test at {divmod(i, size)} but no (d, e, f) violates it")
     return None
 
 
 def _require_eca(rel: TernaryRelation, caller: str) -> None:
-    report = check_eca(rel)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise PreconditionError(
-            f"{caller} requires an EC relation; {bad.axiom} fails at {bad.witness}"
-        )
+    check_eca(rel).require(PreconditionError, f"{caller} requires an EC relation")
 
 
 def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:

@@ -26,21 +26,22 @@ superset-AND transform of the entries holding u; the complex algebra's
 dia_R is the subset-OR transform of each R(x); and DF2 and DF3 are shift
 tests on the same bitsets.  The space conditions PIF1-PIF4 and totality
 read the reach table, whose entry j is the mask of points reaching
-triple j.  diamond_r and box_r keep the per-triple definitions.
+triple j.  Read as an operator table on the point sets, it is upward
+closed and 0 at any empty coordinate on a frame with DF2, and there PIF1
+holds exactly when PI1 holds of it (see check_psi_space), so the PI1 row
+test of module planes decides PIF1 at every size.  diamond_r and box_r
+keep the per-triple definitions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, json_int, make_algebra
 from .errors import PreconditionError, InternalCheckError, SizeCapError
 from .report import CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_3bamo, check_psi
-
-# PIF1 sweeps (2^n - 1)^2 companion pairs per reachable triple; beyond
-# four points this leaves desk scale.
-PIF1_MAX_POINTS = 4
 
 
 @dataclass(frozen=True, init=False)
@@ -220,15 +221,15 @@ def _lane_bytes(x: int) -> bytes:
     return bytes((1 << x) * (c == 49) for c in range(256))
 
 
-def _table_of_rows(n: int, rows) -> tuple[int, ...]:
-    """The table over the triple index whose entry j holds point x exactly
-    when bit j of rows[x] is set."""
+def _table_of_rows(n: int, rows) -> bytes:
+    """The table over the triple index, one byte per entry, whose entry j
+    holds point x exactly when bit j of rows[x] is set."""
     count = 1 << 3 * n
     lanes = 0
     for x, r in enumerate(rows):
         digits = format(r, f"0{count}b").encode()[::-1]
         lanes |= int.from_bytes(digits.translate(_lane_bytes(x)), "little")
-    return tuple(lanes.to_bytes(count, "little"))
+    return lanes.to_bytes(count, "little")
 
 
 def _up(m: int, has: tuple[int, ...], index_bits) -> int:
@@ -283,7 +284,7 @@ def diamond_table(frame: PsiFrame) -> tuple[int, ...]:
     closed under the subset-OR transform holds the U above some member."""
     n = frame.point_count
     has = _index_masks(n)[0]
-    return _table_of_rows(n, [_up(r, has, range(3 * n)) for r in frame.rows])
+    return tuple(_table_of_rows(n, [_up(r, has, range(3 * n)) for r in frame.rows]))
 
 
 def box_table(frame: PsiFrame) -> tuple[int, ...]:
@@ -297,7 +298,7 @@ def box_table(frame: PsiFrame) -> tuple[int, ...]:
         for j in _set_bits(r):
             y1, y2, y3 = _triple(n, j)
             rows[x] &= m1[y1] | m2[y2] | m3[y3]
-    return _table_of_rows(n, rows)
+    return tuple(_table_of_rows(n, rows))
 
 
 def check_psi_frame(frame: PsiFrame) -> CheckReport:
@@ -339,23 +340,27 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
 
 
 def check_psi_space(frame: PsiFrame) -> CheckReport:
-    """Check the pseudo-inference frame conditions PIF1-PIF4 on a frame
-    already passing the descriptive conditions.
+    """Check the pseudo-inference frame conditions PIF1-PIF4, exactly at
+    every size, on a frame already passing the descriptive conditions.
 
-    PIF1 sweeps companion pairs (Z, W) against every reachable triple;
-    closure is the identity here, so cl(Z^c) is the plain complement
-    (empty complement makes the last term vacuously empty).
+    Closure is the identity here, so PIF1 says: the points reaching a
+    triple Y reach (Y1, Y2, Z), (Y1, Y2, W) or (not Z, not W, Y3), for all
+    nonempty Z and W.  On the reach table read as an operator table, that
+    is PI1 at (a, b, f) = Y, d = not Z, e = not W, less the instances with
+    d or e the top.  With DF2 the table is upward closed and 0 at any
+    empty coordinate, so at each (Y1, Y2) those instances add nothing: a
+    failure at d = top fails at Z = W = not e as well, since (e, e, f) lies
+    below (top, e, f); one at e = top fails at Z = W = not d; and
+    d = e = top never fails.  So PIF1 is decided by the PI1 row test of
+    module planes on the table's bytes (DF3 makes the table additive in
+    its first two coordinates, so the test reads the atom pairs only), and
+    only when that fails is its first failing (Y1, Y2), ascending, swept
+    over (Y3, Z, W), ascending, to name the witness.  PIF2-PIF4 are swept by their definitions over the
+    reached triples (the pairs for PIF3), ascending.
     """
-    if frame.point_count > PIF1_MAX_POINTS:
-        raise SizeCapError(
-            f"PIF1 sweep capped at {PIF1_MAX_POINTS} points, frame has {frame.point_count}"
-        )
-    frame_report = check_psi_frame(frame)
-    if not frame_report.passed:
-        bad = frame_report.failures()[0]
-        raise PreconditionError(
-            f"check_psi_space requires a descriptive frame; {bad.axiom} fails at {bad.witness}"
-        )
+    check_psi_frame(frame).require(PreconditionError, "check_psi_space requires a descriptive frame")
+    # imported at first use: the other frame verbs check no operator law
+    from .planes import LAWS, pi1_failure
 
     n, full = frame.point_count, frame.full
     reach = _table_of_rows(n, frame.rows)  # a triple with an empty coordinate reads 0
@@ -363,42 +368,34 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     ne = frame.nonempty_masks()
     cl_note = "closure taken as identity (finite discrete space)"
 
-    def pif1():
-        for j in reachable:
-            ry, (y1, y2, y3) = reach[j], _triple(n, j)
-            pair = j >> n << n  # the index of (Y1, Y2, 0)
-            for z in ne:
-                t1 = reach[pair | z]
-                if ry & ~t1 == 0:
-                    continue
-                for w in ne:
-                    cover = t1 | reach[pair | w] | reach[((full ^ z) << n | full ^ w) << n | y3]
-                    if ry & ~cover:
-                        yield (y1, y2, y3, z, w)
+    def pif1_witness():
+        pair = pi1_failure(reach, full + 1, product(ne, repeat=2))
+        if pair is not None:
+            y1, y2 = pair
+            base = (y1 << n | y2) << n  # the index of (Y1, Y2, 0)
+            for y3 in ne:
+                ry = reach[base | y3]
+                for z in ne:
+                    t1 = reach[base | z]
+                    if ry & ~t1 == 0:
+                        continue
+                    for w in ne:
+                        if ry & ~(t1 | reach[base | w] | reach[((full ^ z) << n | full ^ w) << n | y3]):
+                            return (y1, y2, y3, z, w)
+        raise InternalCheckError("PIF1 fails its row test but its sweep finds no witness")
 
-    def pif2():
-        for j in reachable:
-            y1, y2, y3 = _triple(n, j)
-            if y1 & y3 == 0:
-                yield (y1, y2, y3)
-
-    def pif3():
-        for y1 in ne:
-            for y2 in ne:
-                if (y1 & y2) & ~reach[(y1 << n | y1) << n | y2]:
-                    yield (y1, y2)
-
-    def pif4():
-        for j in reachable:
-            y1, y2, y3 = _triple(n, j)
-            if reach[j] & ~reach[(y2 << n | y1) << n | y3]:
-                yield (y1, y2, y3)
+    pif2 = (_triple(n, j) for j in reachable if j >> 2 * n & j == 0)  # Y1 and Y3 disjoint
+    pif3 = ((y1, y2) for y1 in ne for y2 in ne if y1 & y2 & ~reach[(y1 << n | y1) << n | y2])
+    # the points reaching (Y1, Y2, Y3) against those reaching (Y2, Y1, Y3)
+    pif4 = (
+        _triple(n, j) for j in reachable if reach[j] & ~reach[((j >> n & full) << n | j >> 2 * n) << n | j & full]
+    )
 
     results = (
-        _first("PIF1", pif1(), cl_note),
-        _first("PIF2", pif2()),
-        _first("PIF3", pif3()),
-        _first("PIF4", pif4()),
+        passed("PIF1", cl_note) if LAWS["PI1"](reach, full + 1) else failed("PIF1", pif1_witness(), cl_note),
+        _first("PIF2", pif2),
+        _first("PIF3", pif3),
+        _first("PIF4", pif4),
     )
     return CheckReport("psi-space", results)
 
@@ -433,25 +430,12 @@ def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOpera
     monotone-operator axioms, and the pseudo-inference axioms as well when
     the frame passes the space conditions.
     """
-    frame_report = check_psi_frame(frame)
-    if not frame_report.passed:
-        bad = frame_report.failures()[0]
-        raise PreconditionError(
-            f"complex_algebra requires a descriptive frame; {bad.axiom} fails at {bad.witness}"
-        )
+    check_psi_frame(frame).require(PreconditionError, "complex_algebra requires a descriptive frame")
     alg = make_algebra(frame.point_count)
     op = TernaryOperator(alg, diamond_table(frame))
-    rep = check_3bamo(op)
-    if not rep.passed:
-        bad = rep.failures()[0]
-        raise InternalCheckError(f"complex algebra fails {bad.axiom} at {bad.witness}")
-    if frame.point_count <= PIF1_MAX_POINTS and check_psi_space(frame).passed:
-        rep = check_psi(op)
-        if not rep.passed:
-            bad = rep.failures()[0]
-            raise InternalCheckError(
-                f"complex algebra of a pseudo-inference space fails {bad.axiom} at {bad.witness}"
-            )
+    check_3bamo(op).require(InternalCheckError, "the complex algebra fails check_3bamo")
+    if check_psi_space(frame).passed:
+        check_psi(op).require(InternalCheckError, "the complex algebra of a pseudo-inference space fails check_psi")
     return alg, op
 
 

@@ -255,12 +255,7 @@ def closed_filter_generators(op: TernaryOperator) -> list[int]:
 
 
 def _require_psi(op: TernaryOperator, caller: str) -> None:
-    report = check_psi(op)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise PreconditionError(
-            f"{caller} requires a pseudo-inference operator; {bad.axiom} fails at {bad.witness}"
-        )
+    check_psi(op).require(PreconditionError, f"{caller} requires a pseudo-inference operator")
 
 
 def is_simple(op: TernaryOperator) -> bool:
@@ -393,12 +388,7 @@ def variety_spot_checks(ops: list[TernaryOperator]) -> CheckReport:
     results: list[AxiomResult] = []
     for idx, op in enumerate(ops):
         _require_psi(op, "variety_spot_checks")
-        strict_report = check_strict(op)
-        if not strict_report.passed:
-            bad = strict_report.failures()[0]
-            raise PreconditionError(
-                f"variety_spot_checks requires strict operators; {bad.axiom} fails at {bad.witness}"
-            )
+        check_strict(op).require(PreconditionError, "variety_spot_checks requires strict operators")
         alg = op.alg
         congs = [
             congruence_from_filter(alg, Filter(alg, g))

@@ -44,6 +44,13 @@ class CheckReport:
     def failures(self) -> list[AxiomResult]:
         return [r for r in self.results if not r.passed]
 
+    def require(self, error: type[Exception], context: str) -> None:
+        """Raise error("<context>; <axiom> fails at <witness>") at the first
+        failed axiom, if any."""
+        if not self.passed:
+            bad = self.failures()[0]
+            raise error(f"{context}; {bad.axiom} fails at {bad.witness}")
+
     def to_json(self) -> dict:
         return {
             "kind": self.structure_kind,

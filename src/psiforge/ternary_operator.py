@@ -28,6 +28,7 @@ from functools import lru_cache
 from itertools import product
 
 from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int, make_algebra
+from .errors import InternalCheckError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
 DEFAULT_SEED = 0xEC0
@@ -241,7 +242,10 @@ def _decide(op: TernaryOperator, raw: bytes, axiom: str) -> AxiomResult:
 
     if LAWS[axiom](raw, op.alg.size):
         return passed(axiom)
-    return _sweep(op, axiom)
+    result = _sweep(op, axiom)
+    if result.passed:
+        raise InternalCheckError(f"{axiom} fails its plane test but its sweep finds no witness")
+    return result
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -293,9 +297,12 @@ def _check_pi1(op: TernaryOperator, raw: bytes) -> AxiomResult:
     size, top = op.alg.size, op.alg.top
     if LAWS["PI1"](raw, size):
         return passed("PI1")
-    a, b = pi1_failure(raw, size, product(range(top, -1, -1), repeat=2))
+    pair = pi1_failure(raw, size, product(range(top, -1, -1), repeat=2))
     (pi1,) = _row_sweeps("PI1")
-    return failed("PI1", (a, b) + pi1(op.table, top, a, b))
+    witness = None if pair is None else pi1(op.table, top, *pair)
+    if witness is None:
+        raise InternalCheckError(f"PI1 fails its plane test at {pair} but its sweep finds no witness")
+    return failed("PI1", pair + witness)
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:

@@ -116,13 +116,17 @@ def test_dualize_complex_round_trip():
 def test_dualize_complex_round_trip_at_five_points():
     """A 5-point compact frame goes through complex within the timeout:
     the complex algebra is built from the frame's bitsets, not one sweep
-    of the frame per triple."""
+    of the frame per triple.  Its space conditions are checked too, with
+    no size cap."""
     op = smallest_diamond(make_algebra(5))
     dual = run_cli("dualize", "--compact", "-", stdin=json.dumps(op.to_json()), timeout=60)
     assert dual.returncode == 0
     back = run_cli("complex", "-", stdin=dual.stdout, timeout=60)
     assert back.returncode == 0
     assert operator_from_json(json.loads(back.stdout)).table == op.table
+    space = run_cli("check", "--kind", "space", "-", stdin=dual.stdout, timeout=60)
+    assert space.returncode == 0
+    assert json.loads(space.stdout)["passed"]
 
 
 def test_check_frame_and_total():
@@ -376,6 +380,12 @@ def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tm
     passing.write_text(json.dumps(smallest_diamond(make_algebra(2)).to_json()))
     assert _loaded_modules("check", "--kind", "psi", str(passing)) == operator_checker - {"terms"} | {"planes"}
     assert _loaded_modules("check", "--kind", "eca", largest_rel_file) == operator_checker | {"contact_relation"}
+    # PIF1 is decided by the PI1 row test; the other frame checks load no plane test
+    frame = tmp_path / "smallest_diamond_k2_frame.json"
+    frame.write_text(json.dumps(dual_frame(smallest_diamond(make_algebra(2))).to_json()))
+    assert "planes" in _loaded_modules("check", "--kind", "space", str(frame))
+    assert "planes" not in _loaded_modules("check", "--kind", "frame", str(frame))
+    assert "planes" not in _loaded_modules("check", "--kind", "total", str(frame))
     assert _loaded_modules("--help") == {"cli", "errors"}
 
 

@@ -12,9 +12,10 @@ masks, and the cut EC1 by one AND per premise of each distinct
 conclusion mask, compared here with a plain top-down sweep; each other
 law's sentence runs only to name a witness.  pool_verdicts tests the
 mask laws on many relations packed in one int and decides EC4 and the
-cut only on the relations that pass them.  The checkers would hide a
-wrong plane or mask decider where the sweep naming the witness passes,
-so the deciders are compared here directly."""
+cut only on the relations that pass them.  A checker whose decider
+flags a failure that the sweep cannot name raises InternalCheckError,
+but a decider that passes a failing law would go unseen, so the
+deciders are compared here directly."""
 import random
 from functools import lru_cache, reduce
 from itertools import chain, product
@@ -24,10 +25,12 @@ import pytest
 
 from psiforge import (
     Filter,
+    InternalCheckError,
     TernaryRelation,
     automorphisms,
     check_eca,
     check_extca,
+    check_psi,
     check_strict,
     enumerate_ecas,
     example_3bamo,
@@ -37,6 +40,7 @@ from psiforge import (
     make_algebra,
     smallest_diamond,
 )
+from psiforge import contact_relation, duality_frames, planes
 from psiforge.contact_relation import (
     _bits_of_rows,
     _chi_table,
@@ -495,3 +499,29 @@ def test_closed_on_meets_decides_closed_filters():
             paths.add((monotone, definition))
     # closed and non-closed filters, on monotone operators and on others
     assert paths == set(product((False, True), (False, True)))
+
+
+def test_a_failed_verdict_without_a_witness_is_an_error(monkeypatch):
+    """Each decider that flags a failure the sweep cannot name raises
+    InternalCheckError rather than passing the law or naming no witness."""
+    alg = make_algebra(2)
+    op, rel = smallest_diamond(alg), largest_eca(alg)
+    frame = duality_frames.dual_frame(op)
+    monkeypatch.setitem(planes.LAWS, "PI2", lambda raw, s: False)
+    with pytest.raises(InternalCheckError, match="PI2"):
+        check_psi(op)
+    monkeypatch.setitem(planes.LAWS, "PI1", lambda raw, s: False)
+    with pytest.raises(InternalCheckError, match="PI1"):
+        check_psi(op)
+    with pytest.raises(InternalCheckError, match="PIF1"):
+        duality_frames.check_psi_space(frame)
+    # every bit of the cut's pattern set: each mask is flagged (the law
+    # masks, built from the same rows, are built first, unpatched)
+    assert check_eca(rel).passed
+    with monkeypatch.context() as m:
+        m.setattr(contact_relation, "_bits_of_rows", lambda rows, size: -1)
+        with pytest.raises(InternalCheckError, match="cut"):
+            check_eca(rel)
+    monkeypatch.setattr(contact_relation, "_mask_failures", lambda *args: 1)
+    with pytest.raises(InternalCheckError, match="EC0"):
+        check_eca(rel)

@@ -6,7 +6,6 @@ import pytest
 from psiforge import (
     PreconditionError,
     PsiFrame,
-    SizeCapError,
     box_op,
     box_r,
     check_psi,
@@ -346,18 +345,6 @@ def test_check_psi_space_refuses_bad_frame():
         check_psi_space(fr)
 
 
-def test_pif1_size_cap(monkeypatch):
-    import psiforge.duality_frames as df
-
-    def frame_sweep(frame):
-        raise AssertionError("DF2 swept a frame above the PIF1 cap")
-
-    # the cap is enforced before the descriptive conditions are swept
-    monkeypatch.setattr(df, "check_psi_frame", frame_sweep)
-    with pytest.raises(SizeCapError):
-        check_psi_space(empty_frame(5))
-
-
 def test_complex_algebra_one_point_frames():
     ops = []
     for fr in (empty_frame(1), full_frame(1)):
@@ -474,14 +461,30 @@ def _descriptive_frames(rng, count):
         yield PsiFrame(n, frozenset(entries))
 
 
+def _four_point_frames():
+    """Dual frames of 4-atom operators: seeded monotone samples, the
+    smallest diamond, the largest relation's operator, and the smallest
+    diamond with its entry (1, 1, c) short of the lowest atom of c."""
+    alg = make_algebra(4)
+    ops = sample_3bamos(alg, count=4, seed=2) + [smallest_diamond(alg), rel_to_op(largest_eca(alg))]
+    for c in (3, 6, 12, 15):
+        table = list(smallest_diamond(alg).table)
+        table[(alg.top * alg.size + alg.top) * alg.size + c] ^= c & -c
+        ops.append(TernaryOperator(alg, tuple(table)))
+    return [dual_frame(op) for op in ops]
+
+
 def test_space_checks_match_literal_references():
     """check_psi_space, is_total and the strong-form scan against the
-    triple -> points dict sweeps, on every pool dual frame and on random
-    frames (descriptive ones for the space conditions)."""
+    triple -> points dict sweeps, on every pool dual frame, on random
+    frames (descriptive ones for the space conditions) and on 4-point
+    dual frames.  PIF1 is decided by the same row test as PI1, so the
+    literal sweep is its independent reference."""
     frames = [dual_frame(op) for op in bamo_operator_pool(3)]
     frames += list(_random_frames(random.Random(8), 40))
     frames += list(_descriptive_frames(random.Random(9), 60))
-    failing, totals = set(), set()
+    frames += _four_point_frames()
+    failing, totals, pif1_at_four = set(), set(), set()
     for fr in frames:
         assert is_total(fr) == _literal_is_total(fr)
         totals.add(is_total(fr)[0])
@@ -491,10 +494,36 @@ def test_space_checks_match_literal_references():
         want = _literal_psi_space(fr)
         assert got == want
         failing |= {axiom for axiom, w in want if w is not None}
+        if fr.point_count == 4:
+            pif1_at_four.add(want[0][1] is None)
         found, _ = pif2_strong_form_separation([fr])
         assert (found is not None) == (want[1][1] is None and _literal_strong_form_triple(fr))
     assert failing == {"PIF1", "PIF2", "PIF3", "PIF4"}
     assert totals == {True, False}
+    assert pif1_at_four == {True, False}
+
+
+def _violates_pif1(frame, witness):
+    """Whether (Y1, Y2, Y3, Z, W) violates PIF1 by its definition: some
+    point reaches Y but none of (Y1, Y2, Z), (Y1, Y2, W) and
+    (not Z, not W, Y3)."""
+    y1, y2, y3, z, w = witness
+    rinv, full = _literal_rinv(frame), frame.full
+    cover = rinv.get((y1, y2, z), 0) | rinv.get((y1, y2, w), 0) | rinv.get((full ^ z, full ^ w, y3), 0)
+    return bool(rinv.get((y1, y2, y3), 0) & ~cover)
+
+
+def test_space_checks_above_four_points():
+    """PIF1 is decided at every frame size: the dual frames of the 5- and
+    6-atom smallest diamonds pass, and a failing 5-point frame's witness
+    is a violation."""
+    for k in (5, 6):
+        rep = check_psi_space(dual_frame(smallest_diamond(make_algebra(k))))
+        assert rep.passed, rep
+    frame = dual_frame(sample_3bamos(make_algebra(5), count=1, seed=1)[0])
+    pif1 = check_psi_space(frame).result("PIF1")
+    assert not pif1.passed
+    assert _violates_pif1(frame, pif1.witness)
 
 
 def test_frame_json_round_trips(alg2):
