@@ -9,6 +9,7 @@ is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .errors import SizeCapError
@@ -23,17 +24,19 @@ class FiniteBooleanAlgebra:
     """Powerset algebra on ``atom_count`` atoms.
 
     Elements are the ints 0 .. 2**atom_count - 1 read as atom-subset
-    bitmasks; 0 is bottom and the full mask is top.
+    bitmasks; 0 is bottom and the full mask is top.  ``size`` and ``top``
+    are computed on first read and kept on the instance, outside the
+    fields, so repr, equality, hashing and to_json see the fields alone.
     """
 
     atom_count: int
     atom_names: tuple[str, ...]
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 1 << self.atom_count
 
-    @property
+    @cached_property
     def top(self) -> int:
         return self.size - 1
 
@@ -181,6 +184,19 @@ def filter_closedset_maps(alg: FiniteBooleanAlgebra, value):
     if isinstance(value, Filter):
         return filter_to_closedset(value)
     return closedset_to_filter(alg, value)
+
+
+@lru_cache(maxsize=None)
+def _lacking_bits(n: int, g: int) -> int:
+    """The n-bit mask of the bits i with i // g even, g a power of two,
+    built by bytes repetition.  On a table over A^3 of n / 2**lane entries
+    of 2**lane bits each, with g = 2**(j + lane), it holds the entries
+    whose offset (a*size + b)*size + c lacks bit j."""
+    pattern, width = (1 << g) - 1, 2 * g
+    while width < 8:
+        pattern |= pattern << width
+        width *= 2
+    return int.from_bytes(pattern.to_bytes(width // 8, "little") * (n // width), "little")
 
 
 def automorphisms(alg: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:

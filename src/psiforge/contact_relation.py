@@ -6,6 +6,11 @@ the simplified axiom system EC0-EC4, check_extca the original ExtCA0-ExtCA4;
 the two are equivalent and both are checked literally.  The translations
 rel_to_op / op_to_rel implement dia(a,b,c) = not chi(a,b,not c) and its
 inverse, a bijection between these relations and relational operators.
+They work on whole words: not c flips every atom bit of c, so moving each
+bit (a, b, c) to (a, b, not c) is one shift-and-mask step per atom on the
+bitset (_negate_conclusions), and a bitset becomes a table of 0 and top
+bytes, or a table the bitset of its zero entries, by one binary format
+and one bytes.translate (_entries, _zeros).
 
 Every law of both systems is decided on the relation's bitset: EC0,
 EC2, EC3 and their ExtCA twins by a few and/or/shift tests against masks
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, product
 
-from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
+from .boolean_core import FiniteBooleanAlgebra, _lacking_bits, algebra_from_json, json_int
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
@@ -127,37 +132,34 @@ def _bits_of_rows(rows: list[int], size: int) -> int:
     return int.from_bytes(b"".join(r.to_bytes(step, "little") for r in rows), "little")
 
 
-@lru_cache(maxsize=None)
-def _byte_values(top: int) -> tuple[tuple[int, ...], ...]:
-    """For each byte, its eight bits low first as 0 or top."""
-    return tuple(tuple(top * (byte >> i & 1) for i in range(8)) for byte in range(256))
+def _negate_conclusions(bits: int, k: int) -> int:
+    """The bitset over A^3 with bit (a, b, c) moved to (a, b, not c): not c
+    flips every atom bit of c, one shift-and-mask step per atom."""
+    n = 1 << 3 * k
+    for i in range(k):
+        low = _lacking_bits(n, 1 << i)
+        bits = (bits & low) << (1 << i) | bits >> (1 << i) & low
+    return bits
 
 
-@lru_cache(maxsize=None)
-def _byte_of(top: int) -> dict[tuple[int, ...], int]:
-    """The inverse of _byte_values(top): eight 0-or-top values to their byte."""
-    return {values: byte for byte, values in enumerate(_byte_values(top))}
+def _entries(bits: int, n: int, values: bytes) -> bytes:
+    """The bitset's n bits as n bytes, bit i at byte i: values[0] where
+    the bit is clear, values[1] where it is set."""
+    return format(bits, f"0{n}b")[::-1].encode().translate(bytes.maketrans(b"01", values))
+
+
+# the binary digit of each byte value: 1 for 0, 0 for any other
+_ZERO_DIGITS = b"1" + b"0" * 255
+
+
+def _zeros(raw: bytes) -> int:
+    """The bitset with bit i set iff byte i of raw is 0."""
+    return int(raw.translate(_ZERO_DIGITS)[::-1], 2)
 
 
 def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
-    """chi as a flat table valued 0 and top, read off the bitset in one
-    pass (size^3 is a multiple of 8)."""
-    raw = rel.bits.to_bytes(rel.alg.size ** 3 // 8, "little")
-    return tuple(chain.from_iterable(map(_byte_values(rel.alg.top).__getitem__, raw)))
-
-
-def _relation_of_chi(alg: FiniteBooleanAlgebra, chi) -> TernaryRelation:
-    """The relation whose chi table is the given 0-or-top values, written
-    into the bitset a byte at a time: the inverse of _chi_table."""
-    eights = zip(*[iter(chi)] * 8)
-    raw = bytes(map(_byte_of(alg.top).__getitem__, eights))
-    return TernaryRelation(alg, int.from_bytes(raw, "little"))
-
-
-def _negated_conclusions(table, size: int):
-    """The table's entries at (a, b, not c) in (a, b, c) order: not c is
-    top - c, so each row of size entries is read backwards."""
-    return chain.from_iterable(table[row:row + size][::-1] for row in range(0, len(table), size))
+    """chi as a flat table valued 0 and top."""
+    return tuple(_entries(rel.bits, rel.alg.size ** 3, bytes((0, rel.alg.top))))
 
 
 # Relation laws, one row each: (law, sentence, witness order).  Each is
@@ -458,8 +460,8 @@ def characteristic_lemma_check(rel: TernaryRelation) -> CheckReport:
 def rel_to_op(rel: TernaryRelation) -> TernaryOperator:
     """dia(a,b,c) = 0 if (a,b) |- not c, else top.  Image lies in {0, top}."""
     alg = rel.alg
-    table = tuple(alg.top ^ v for v in _negated_conclusions(_chi_table(rel), alg.size))
-    return TernaryOperator(alg, table)
+    negated = _negate_conclusions(rel.bits, alg.atom_count)
+    return TernaryOperator(alg, tuple(_entries(negated, alg.size ** 3, bytes((alg.top, 0)))))
 
 
 def op_to_rel(op: TernaryOperator) -> TernaryRelation:
@@ -469,9 +471,7 @@ def op_to_rel(op: TernaryOperator) -> TernaryRelation:
     inverse of rel_to_op only on relational operators (use is_relational to
     flag the breach).
     """
-    alg = op.alg
-    chi = (0 if v else alg.top for v in _negated_conclusions(op.table, alg.size))
-    return _relation_of_chi(alg, chi)
+    return TernaryRelation(op.alg, _negate_conclusions(_zeros(bytes(op.table)), op.alg.atom_count))
 
 
 def contact_from_eca(rel: TernaryRelation) -> frozenset[tuple[int, int]]:

@@ -7,8 +7,13 @@ so the tables are products of valid slices and the entailment relations
 come from the tables with one slice, every diagonal whole, at each atom.
 No checker filters generated candidates; the checkers are the oracle.
 
-Canonical form: the lexicographically least bitset (or operator table) in
-the automorphism orbit; outputs are deduplicated and sorted by it.
+Canonical form: the least bitset (or lexicographically least operator
+table) in the automorphism orbit; outputs are deduplicated and sorted by
+it.  Each image is built on the whole word by permute_offsets: the atom
+permutation moves the offset (a, b, c) of every bit, or of every byte of
+a table whose values it has first mapped by one bytes.translate, by at
+most 3(k-1) delta swaps of offset bits.  Every value is below 256, so
+the least bytes image is the least table.
 
 The built-in axiom sets of named_axioms are the texts of
 ternary_operator.AXIOM_TEXTS, which the operator checkers sweep.
@@ -21,13 +26,8 @@ from functools import lru_cache
 from itertools import compress, product
 from math import prod
 
-from .boolean_core import (
-    FiniteBooleanAlgebra,
-    apply_automorphism,
-    automorphisms,
-    make_algebra,
-)
-from .contact_relation import TernaryRelation, _bits_of_rows, _conclusion_masks, op_to_rel, pool_verdicts, rel_to_op
+from .boolean_core import FiniteBooleanAlgebra, _lacking_bits, apply_automorphism, automorphisms, make_algebra
+from .contact_relation import TernaryRelation, op_to_rel, pool_verdicts, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, _sweep_plan, holds
 from .ternary_operator import DEFAULT_SEED, TernaryOperator, _axiom_set
@@ -68,54 +68,79 @@ def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> li
 # canonical forms
 
 
-def _images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> list[int]:
-    return [apply_automorphism(alg, perm, a) for a in range(alg.size)]
+@lru_cache(maxsize=None)
+def _swap_mask(n: int, low: int, high: int) -> int:
+    """The n-bit mask of the bits i with i // low odd and i // high even
+    (low < high, powers of two): the lower entry of each pair that a
+    swap of two offset bits exchanges."""
+    return _lacking_bits(n, high) & ~_lacking_bits(n, low)
 
 
-@lru_cache(maxsize=64)
-def _row_images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """For each byte of a size-bit conclusion row (the whole row below
-    eight bits), the automorphism's image of every value it takes: bit c
-    of the row moves to bit img[c]."""
-    img = _images(alg, perm)
-    width = min(alg.size, 8)
-    return tuple(
-        tuple(sum(1 << img[low + c] for c in range(width) if v >> c & 1) for v in range(1 << width))
-        for low in range(0, alg.size, width)
-    )
+@lru_cache(maxsize=None)
+def _swaps(k: int, perm: tuple[int, ...], lane: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps (shift, mask) of permute_offsets: the atom
+    permutation as at most k - 1 transpositions of offset bits, each
+    applied to the a, b and c fields of the 3k-bit offset."""
+    n = 8 ** k << lane
+    at = list(range(k))  # at[p]: the atom bit whose entries offset bit p holds now
+    swaps = []
+    for p in range(k):
+        q = at.index(perm.index(p))  # atom bit i belongs at offset bit perm[i]
+        if q == p:
+            continue
+        at[p], at[q] = at[q], at[p]
+        for field in (0, k, 2 * k):
+            low, high = 1 << field + p + lane, 1 << field + q + lane
+            swaps.append((high - low, _swap_mask(n, low, high)))
+    return tuple(swaps)
+
+
+def permute_offsets(k: int, perm: tuple[int, ...], x: int, lane: int) -> int:
+    """x read as the 8**k entries of 2**lane bits each over A^3, entry
+    (a, b, c) at offset (a*size + b)*size + c, with every entry moved to
+    (img a, img b, img c), img the atom permutation perm: one delta swap
+    (Knuth, TAOCP 4A 7.1.3) per transposition and field."""
+    for shift, mask in _swaps(k, perm, lane):
+        t = (x >> shift ^ x) & mask
+        x ^= t | t << shift
+    return x
+
+
+@lru_cache(maxsize=None)
+def _value_images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> bytes:
+    """The bytes.translate table taking each element to its image."""
+    return bytes(apply_automorphism(alg, perm, a) for a in alg.elements()) + bytes(256 - alg.size)
+
+
+def _moved_table(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], raw: bytes) -> bytes:
+    """The table's bytes with values and offsets moved by the automorphism."""
+    values = int.from_bytes(raw.translate(_value_images(alg, perm)), "little")
+    return permute_offsets(alg.atom_count, perm, values, 3).to_bytes(len(raw), "little")
 
 
 def permute_relation_bits(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], bits: int) -> int:
     """The relation moved by the automorphism, (a, b, c) to (img[a],
-    img[b], img[c]): each conclusion row through its cached row images."""
-    size = alg.size
-    rows = _conclusion_masks(TernaryRelation(alg, bits))
-    moved = [0] * len(rows)
-    for j, table in enumerate(_row_images(alg, perm)):
-        moved = [m | table[r >> 8 * j & 255] for m, r in zip(moved, rows)]
-    pre = sorted(range(size), key=_images(alg, perm).__getitem__)  # pre[img[a]] = a
-    return _bits_of_rows([moved[a * size + b] for a in pre for b in pre], size)
+    img[b], img[c])."""
+    return permute_offsets(alg.atom_count, perm, bits, 0)
 
 
 def canonical_relation_bits(alg: FiniteBooleanAlgebra, bits: int) -> int:
-    return min(permute_relation_bits(alg, p, bits) for p in automorphisms(alg))
+    k = alg.atom_count
+    return min(permute_offsets(k, p, bits, 0) for p in automorphisms(alg))
 
 
 def permute_operator_table(
     alg: FiniteBooleanAlgebra, perm: tuple[int, ...], table: tuple[int, ...]
 ) -> tuple[int, ...]:
-    size = alg.size
-    img = _images(alg, perm)
-    pre = [0] * size
-    for a, pa in enumerate(img):
-        pre[pa] = a
-    return tuple(
-        img[table[(a * size + b) * size + c]] for a in pre for b in pre for c in pre
-    )
+    """The operator moved by the automorphism: img[v] at (img[a], img[b],
+    img[c]) for the value v at (a, b, c)."""
+    return tuple(_moved_table(alg, perm, bytes(table)))
 
 
 def canonical_operator_table(alg: FiniteBooleanAlgebra, table: tuple[int, ...]) -> tuple[int, ...]:
-    return min(permute_operator_table(alg, p, table) for p in automorphisms(alg))
+    # every value is below 256, so the least bytes image is the least tuple
+    raw = bytes(table)
+    return tuple(min(_moved_table(alg, p, raw) for p in automorphisms(alg)))
 
 
 def _representatives(alg: FiniteBooleanAlgebra, tables) -> tuple[TernaryOperator, ...]:
@@ -239,19 +264,24 @@ def enumerate_operators(
 
 def _assemble_from_atom_maps(alg, m) -> TernaryOperator:
     """The table whose (a, b, c) entry joins m[(u, v)][c] over atoms u <= a
-    and v <= b.  A pair keyed in one order only serves both orders."""
+    and v <= b.  A pair keyed in one order only serves both orders.  Each
+    (a, b) row is an int with entry c in byte c: the OR of the rows at
+    (a minus its lowest atom u, b) and (u, b), and at an atom a, of
+    (a, b minus its lowest atom v) and (a, v)."""
     size = alg.size
-    rows = {(v, u): row for (u, v), row in m.items()} | m
-    below = [[u for u in alg.atoms() if a & u] for a in range(size)]
-    table = []
-    for a in range(size):
-        for b in range(size):
-            out = [0] * size
-            for u in below[a]:
-                for v in below[b]:
-                    out = [x | y for x, y in zip(out, rows[(u, v)])]
-            table.extend(out)
-    return TernaryOperator(alg, tuple(table))
+    maps = {(v, u): row for (u, v), row in m.items()} | m
+    rows = [0] * (size * size)
+    for a in range(1, size):
+        u = a & -a
+        for b in range(1, size):
+            v = b & -b
+            if a != u:
+                rows[a * size + b] = rows[(a ^ u) * size + b] | rows[u * size + b]
+            elif b != v:
+                rows[a * size + b] = rows[a * size + (b ^ v)] | rows[a * size + v]
+            else:
+                rows[a * size + b] = int.from_bytes(bytes(maps[(u, v)]), "little")
+    return TernaryOperator(alg, tuple(b"".join(r.to_bytes(size, "little") for r in rows)))
 
 
 def _pairs(alg) -> list[tuple[int, int]]:

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .boolean_core import FiniteBooleanAlgebra, Filter
+from .boolean_core import FiniteBooleanAlgebra, Filter, _lacking_bits
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
-from .planes import _lacking
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
@@ -83,10 +82,10 @@ def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
     covers = [(u, stride * u) for stride in (size * size, size, 1) for u in op.alg.atoms()]
     meets = dia
     for _, block in covers:
-        meets &= meets >> 8 * block | ~_lacking(n, block)
+        meets &= meets >> 8 * block | ~_lacking_bits(8 * n, 8 * block)
     for u, block in covers:
         if not g & u:
-            low = meets & _lacking(n, block)
+            low = meets & _lacking_bits(8 * n, 8 * block)
             meets = low | low << 8 * block
     return not dia & int.from_bytes(bytes((g,)) * n, "little") & ~meets
 

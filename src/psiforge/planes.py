@@ -20,18 +20,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .boolean_core import _lacking_bits
+
 
 def _atom_bits(s: int) -> range:
     """The bit positions i of the atoms u = 1 << i of the algebra of size s."""
     return range(s.bit_length() - 1)
-
-
-@lru_cache(maxsize=None)
-def _lacking(n: int, block: int) -> int:
-    """The byte mask of the n-entry table's entries i with i // block
-    even: those whose coordinate of stride w lacks the atom u, for
-    block = w*u."""
-    return int.from_bytes((b"\xff" * block + bytes(block)) * (n // (2 * block)), "little")
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +71,7 @@ def _additive(raw: bytes, s: int, w: int) -> bool:
     n, x = len(raw), int.from_bytes(raw, "little")
     for i in _atom_bits(s):
         block = w << i
-        low = x & _lacking(n, block)
+        low = x & _lacking_bits(8 * n, 8 * block)  # the entries whose coordinate lacks u
         # dia at u, wherever the coordinate holds u, and 0 elsewhere
         at_u = b"".join(
             (bytes(block) + raw[o + block:o + block + w] * (1 << i)) * (s >> (i + 1)) for o in range(0, n, s * w)
@@ -91,7 +85,7 @@ def _monotone_in_c(raw: bytes, s: int) -> bool:
     """MO4: dia(a, b, c) <= dia(a, b, c or u) for each atom u."""
     n, x = len(raw), int.from_bytes(raw, "little")
     for i in _atom_bits(s):
-        up = (x & _lacking(n, 1 << i)) << (8 << i)
+        up = (x & _lacking_bits(8 * n, 8 << i)) << (8 << i)
         if up & x != up:
             return False
     return True

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -177,3 +178,21 @@ def test_algebra_json_round_trip(alg2):
     data = json.loads(json.dumps(alg2.to_json()))
     back = algebra_from_json(data)
     assert back == alg2
+
+
+def test_size_and_top_are_kept_outside_the_fields():
+    """size and top are computed once per algebra and kept on the
+    instance, where repr, equality, hashing, to_json and the dataclass
+    fields do not see them."""
+    read, fresh = make_algebra(3), make_algebra(3)
+    assert (read.size, read.top) == (8, 7)
+    assert repr(read) == repr(fresh) == "FiniteBooleanAlgebra(atom_count=3, atom_names=('a0', 'a1', 'a2'))"
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read.to_json() == fresh.to_json() == {"atoms": 3, "names": ["a0", "a1", "a2"]}
+    assert [f.name for f in dataclasses.fields(read)] == ["atom_count", "atom_names"]
+    assert dataclasses.asdict(read) == {"atom_count": 3, "atom_names": ("a0", "a1", "a2")}
+    for k in range(1, 7):
+        alg = make_algebra(k)
+        assert (alg.size, alg.top) == (2 ** k, 2 ** k - 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.top = 3

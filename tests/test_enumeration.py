@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -23,6 +24,7 @@ from psiforge import (
 )
 from psiforge.boolean_core import apply_automorphism, automorphisms
 from psiforge.enumeration import (
+    _assemble_from_atom_maps,
     _candidate_slices,
     _pairs,
     _slices,
@@ -32,6 +34,8 @@ from psiforge.enumeration import (
     canonical_operator_table,
     canonical_relation_bits,
     enumerate_psi_operators,
+    permute_operator_table,
+    permute_relation_bits,
     sample_3bamos,
     sample_psi_operators,
 )
@@ -251,6 +255,8 @@ def test_enumerate_operators_k3_relational():
     """auto picks relational mode at three atoms, under the relation
     enumerator's cap: the canonical tables of the pinned census."""
     from psiforge import TernaryRelation
+    from psiforge.boolean_core import automorphisms
+    from psiforge.enumeration import permute_operator_table, permute_relation_bits
 
     alg3 = make_algebra(3)
     enum = enumerate_operators(alg3, named_axioms("psi"))
@@ -309,29 +315,102 @@ def test_canonical_forms_are_orbit_invariant(alg2, ecas_k2, psi_ops_k2):
             )
 
 
+def _moved_bits(alg, perm, bits):
+    """The relation moved by the automorphism, one triple at a time."""
+    size = alg.size
+    img = [apply_automorphism(alg, perm, a) for a in range(size)]
+    moved = 0
+    for i, (a, b, c) in enumerate(product(range(size), repeat=3)):
+        if bits >> i & 1:
+            moved |= 1 << (img[a] * size + img[b]) * size + img[c]
+    return moved
+
+
+def _moved_table(alg, perm, table):
+    """The operator moved by the automorphism, one entry at a time: img[v]
+    at (img[a], img[b], img[c]) for the value v at (a, b, c)."""
+    size = alg.size
+    img = [apply_automorphism(alg, perm, a) for a in range(size)]
+    pre = [0] * size
+    for a, pa in enumerate(img):
+        pre[pa] = a
+    return tuple(img[table[(a * size + b) * size + c]] for a in pre for b in pre for c in pre)
+
+
+def _seeded_perms(k, rng, count):
+    return [tuple(rng.sample(range(k), k)) for _ in range(count)]
+
+
 def test_canonical_relation_bits_matches_a_per_bit_reference():
-    """The row-lookup canonical form equals the least image over the
-    automorphisms, each built one triple (a, b, c) at a time."""
-    import random
-
-    def reference(alg, bits):
-        size, images = alg.size, []
-        for perm in automorphisms(alg):
-            img = [apply_automorphism(alg, perm, a) for a in range(size)]
-            moved = 0
-            for i, (a, b, c) in enumerate(product(range(size), repeat=3)):
-                if bits >> i & 1:
-                    moved |= 1 << (img[a] * size + img[b]) * size + img[c]
-            images.append(moved)
-        return min(images)
-
+    """The delta-swap canonical form equals the least image over the
+    automorphisms, each built one triple (a, b, c) at a time; and each
+    image equals its per-bit build, on every automorphism through 3 atoms
+    and on seeded ones at 4."""
     rng = random.Random(5)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         alg = make_algebra(k)
         n = alg.size ** 3
-        cases = [largest_eca(alg).bits] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(100)]
+        count = 100 if k < 4 else 3
+        cases = [largest_eca(alg).bits] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(count)]
         for bits in cases:
-            assert canonical_relation_bits(alg, bits) == reference(alg, bits), (k, bits)
+            images = {perm: _moved_bits(alg, perm, bits) for perm in automorphisms(alg)}
+            assert canonical_relation_bits(alg, bits) == min(images.values()), (k, bits)
+            perms = automorphisms(alg) if k < 4 else _seeded_perms(k, rng, 6)
+            for perm in perms:
+                assert permute_relation_bits(alg, perm, bits) == images[perm], (k, perm)
+
+
+def test_permute_operator_table_matches_a_per_entry_reference():
+    """Moving a table by its bytes equals moving it one entry at a time:
+    every automorphism through 3 atoms, seeded ones at 4 and 5, on random
+    tables and translated relations; and the canonical table is the least
+    per-entry image."""
+    rng = random.Random(6)
+    for k in (1, 2, 3, 4, 5):
+        alg = make_algebra(k)
+        size = alg.size
+        tables = [tuple(rng.randrange(size) for _ in range(size ** 3)) for _ in range(3)]
+        tables.append(rel_to_op(largest_eca(alg)).table)
+        for table in tables:
+            perms = automorphisms(alg) if k < 4 else _seeded_perms(k, rng, 4)
+            for perm in perms:
+                assert permute_operator_table(alg, perm, table) == _moved_table(alg, perm, table), (k, perm)
+            if k < 4:
+                least = min(_moved_table(alg, perm, table) for perm in automorphisms(alg))
+                assert canonical_operator_table(alg, table) == least
+
+
+def _joined_rows(alg, m):
+    """The table joined from atom-pair maps one entry list at a time."""
+    size = alg.size
+    rows = {(v, u): row for (u, v), row in m.items()} | m
+    below = [[u for u in alg.atoms() if a & u] for a in range(size)]
+    table = []
+    for a in range(size):
+        for b in range(size):
+            out = [0] * size
+            for u in below[a]:
+                for v in below[b]:
+                    out = [x | y for x, y in zip(out, rows[(u, v)])]
+            table.extend(out)
+    return tuple(table)
+
+
+def test_assemble_from_atom_maps_matches_a_per_entry_join():
+    """Rows ORed from smaller rows equal the per-entry join over atoms,
+    on random maps keyed by every ordered pair or by unordered ones."""
+    rng = random.Random(7)
+    for k in (1, 2, 3, 4, 5):
+        alg = make_algebra(k)
+        atoms = alg.atoms()
+        for _ in range(3):
+            for ordered in (True, False):
+                m = {
+                    (u, v): [rng.randrange(alg.size) for _ in range(alg.size)]
+                    for i, u in enumerate(atoms)
+                    for v in (atoms if ordered else atoms[i:])
+                }
+                assert _assemble_from_atom_maps(alg, m).table == _joined_rows(alg, m), (k, ordered)
 
 
 def test_permutations_commute_with_rel_to_op():
