@@ -199,6 +199,16 @@ def _lacking_bits(n: int, g: int) -> int:
     return int.from_bytes(pattern.to_bytes(width // 8, "little") * (n // width), "little")
 
 
+def _first_entry(fails: int, size: int, places: int = 3, width: int = 8) -> tuple[int, ...] | None:
+    """The lowest nonzero entry of ``fails``, read as entries of ``width``
+    bits: its index as ``places`` digits base size, most significant first
+    (the (a, b, c) of a byte table over A^3 by default); None if fails is 0."""
+    if not fails:
+        return None
+    i = ((fails & -fails).bit_length() - 1) // width
+    return tuple(i // size ** p % size for p in range(places - 1, -1, -1))
+
+
 def automorphisms(alg: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:
     """All atom permutations, each given as a tuple perm with perm[i] = image index."""
     return [tuple(p) for p in permutations(range(alg.atom_count))]

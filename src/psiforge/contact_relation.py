@@ -12,14 +12,15 @@ bitset (_negate_conclusions), and a bitset becomes a table of 0 and top
 bytes, or a table the bitset of its zero entries, by one binary format
 and one bytes.translate (_entries, _zeros).
 
-Every law of both systems is decided on the relation's bitset: EC0,
-EC2, EC3 and their ExtCA twins by a few and/or/shift tests against masks
-built once per atom count (_law_masks), EC4 on the bitset's conclusion
-masks, and the five-variable cut (EC1 and its ExtCA twin) by one AND per
-premise of each distinct conclusion mask (_cut_witness), which also
-names the cut's first witness.  Each other law is also one written
-sentence about the relation's characteristic table (_LAWS), swept only
-when the law fails, to name its first witness in the documented order.
+Every law of both systems has one decider on the relation's bitset,
+_failure: EC0, EC2, EC3 and their ExtCA twins by a few and/or/shift
+tests against masks built once per atom count (_law_masks), EC4 on the
+bitset's conclusion masks, and the five-variable cut (EC1 and its ExtCA
+twin) by one AND per premise of each distinct conclusion mask
+(_cut_witness).  It gives None when the law holds, else the prefix of its
+first witness in the documented order.  Each law is also one written
+sentence about the relation's characteristic table (_LAWS), swept with
+that prefix bound to name the rest of the witness.
 
 Verdicts without witnesses come from one decider, pool_verdicts, which
 takes many relations packed side by side in one int, relation i in bits
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, product
 
-from .boolean_core import FiniteBooleanAlgebra, _lacking_bits, algebra_from_json, json_int
+from .boolean_core import FiniteBooleanAlgebra, _first_entry, _lacking_bits, algebra_from_json, json_int
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .terms import compile_sweep, parse
@@ -167,9 +168,10 @@ def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
 # chi is valued 0 and top, so 0, 1 and not keep their truth-value
 # meaning.  A law with several rows sweeps them in turn and reports the
 # first failure, except EC3-iff, whose two rows sweep the same (a, f) and
-# report the least witness.
+# report the least witness.  The cut, like PI1, is swept top-down.
 _LAWS = (
     ("EC0", "dia(a, b, f) <= dia(a or d, b, f or d)", "abfd"),
+    ("cut", "dia(a, b, d) and dia(a, b, e) and dia(d, e, f) <= dia(a, b, f)", "abdef"),
     ("EC2", "dia(a, b, a or f) = 1", "abf"),
     ("EC3", "dia(a, a, f) and a <= f", "af"),
     ("EC4", "dia(a, b, f) <= dia(b, a, f)", "abf"),
@@ -193,8 +195,13 @@ _LAWS = (
 
 
 @lru_cache(maxsize=None)
-def _law_sweeps(law: str) -> tuple:
-    return tuple(compile_sweep(parse(text), tuple(order)) for name, text, order in _LAWS if name == law)
+def _law_sweeps(law: str, bound: int = 0) -> tuple:
+    """The law's rows compiled, the first ``bound`` letters of each order bound by the caller."""
+    return tuple(
+        compile_sweep(parse(text), tuple(order[bound:]), name == "cut", tuple(order[:bound]))
+        for name, text, order in _LAWS
+        if name == law
+    )
 
 
 def _law(chi: tuple[int, ...], top: int, law: str, note: str = "") -> AxiomResult:
@@ -222,39 +229,25 @@ _SYSTEMS = {
 
 @lru_cache(maxsize=None)
 def _law_masks(k: int) -> dict:
-    """Bitsets over A^3 deciding the relation laws at k atoms, built from
-    size^2 rows.  EC0: per atom u three (shift, mask) pairs, the mask
-    holding the triples (a, b, f) whose image (a or u, b, f or u) lies
-    shift bits higher: u added to a and f, to a alone, and to f alone.
-    Each other law: (mask, want), holding iff the relation meets mask in
-    want."""
-    size = 1 << k
+    """Bitsets over A^3 deciding the relation laws at k atoms.  EC0: per
+    atom u, the shift u and the triples whose f lacks u, the shift u*size^2
+    and those whose a lacks u.  Each other law, built from size^2 rows:
+    (mask, want), holding iff the relation meets mask in want."""
+    size, square, n = 1 << k, 1 << 2 * k, 1 << 3 * k
     up = [sum(1 << c for c in range(size) if c & m == m) for m in range(size)]
     full = up[0]
 
     def bits(row) -> int:
         return _bits_of_rows([row(a, b) for a in range(size) for b in range(size)], size)
 
-    moves = []
-    for u in (1 << i for i in range(k)):
-        has, lacks = up[u], full ^ up[u]
-        moves += [
-            (u * size * size + u, bits(lambda a, b: 0 if a & u else lacks)),
-            (u * size * size, bits(lambda a, b: 0 if a & u else has)),
-            (u, bits(lambda a, b: lacks if a & u else 0)),
-        ]
     below = bits(lambda a, b: up[a])  # a <= f: all present
     return {
-        "EC0": tuple(moves),
+        "EC0": tuple((1 << i, _lacking_bits(n, 1 << i), square << i, _lacking_bits(n, square << i)) for i in range(k)),
         "EC2": (below, below),
         "ExtCA2": (below, below),
         "EC3": (bits(lambda a, b: full ^ up[a] if a == b else 0), 0),  # a = b, a not <= f: all absent
         "ExtCA3": (bits(lambda a, b: full ^ up[a & b]), 0),  # a and b not <= f: all absent
     }
-
-
-# the laws decided by mask tests alone, on any number of relations at once
-_MASK_LAWS = frozenset(("EC0", "EC2", "EC3", "ExtCA2", "ExtCA3"))
 
 
 def _lanes(width: int, n: int) -> int:
@@ -266,48 +259,52 @@ def _mask_failures(bits: int, k: int, law: str, lanes: int = 1) -> int:
     """The bits at which a mask law fails, on relations packed side by side
     in lanes of size^3 bits (``lanes`` from _lanes; 1 for one relation):
     nonzero in a relation's lane iff the law fails on it.  Each mask is
-    repeated in every lane; EC0's shifts stay inside a lane, as its masks
-    hold only triples whose image lies in the same relation."""
+    repeated in every lane.  EC0 fails at each (a, b, f) present with (a or
+    d, b, f or d) absent for some d: outside the meet over d of bit (a or d,
+    b, f or d) pulled back to (a, b, f), taken one atom at a time (a
+    superset-AND transform, in f, then in a), each pull inside its lane."""
     masks = _law_masks(k)
     if law == "EC0":
-        # (a, b) |- f implies (a or u, b) |- f or u for every atom u
-        moved = 0
-        for shift, mask in masks["EC0"]:
-            moved |= (bits & mask * lanes) << shift
-        return moved & ~bits
+        kept = bits
+        for u, in_f, v, in_a in masks["EC0"]:
+            pulled = kept ^ (kept ^ kept >> u) & in_f * lanes
+            kept &= pulled ^ (pulled ^ pulled >> v) & in_a * lanes
+        return bits ^ kept
     mask, want = masks[law]
     return (bits & mask * lanes) ^ want * lanes
 
 
-def _verdict(rel: TernaryRelation, law: str, con: list[int]) -> bool:
-    """Whether a system law holds: EC0, EC2, EC3, ExtCA2 and ExtCA3 by
-    mask tests on the bitset, EC4 and the cut on its conclusion masks
-    con."""
-    if law in _MASK_LAWS:
-        return not _mask_failures(rel.bits, rel.alg.atom_count, law)
+def _failure(rel: TernaryRelation, law: str, con: list[int]) -> tuple[int, ...] | None:
+    """None if a system law holds; else the prefix of its first witness: for
+    a mask law that of its lowest failing bit, (a, b, f) for EC0, (a,) for
+    EC3, (a, b) for the others; for EC4 the first (a, b) with C(a, b) not
+    below C(b, a); the cut's whole witness.  con: the conclusion masks."""
+    size = rel.alg.size
     if law == "cut":
-        return _cut_witness(rel, con) is None
-    size = rel.alg.size  # EC4
-    swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
-    return not any(x & ~y for x, y in zip(con, swapped))
+        return _cut_witness(rel, con)
+    if law == "EC4":
+        swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
+        return next((divmod(i, size) for i, (x, y) in enumerate(zip(con, swapped)) if x & ~y), None)
+    places = {"EC0": 3, "EC3": 1}.get(law, 2)
+    return _first_entry(_mask_failures(rel.bits, rel.alg.atom_count, law), size, places, size ** (3 - places))
 
 
 def _check(rel: TernaryRelation, system: str) -> CheckReport:
-    """Every law's verdict, and the first witness in its documented order
-    of each failing law: the cut's own, or the law's sentence over chi."""
+    """Every law's verdict and, for each failing law, its first witness in
+    its documented order: the prefix _failure gives, and the rest from the
+    law's sentence over chi."""
     con, chi, top = _conclusion_masks(rel), (), rel.alg.top
     results = []
     for name, law in _SYSTEMS[system]:
-        if law == "cut":
-            witness = _cut_witness(rel, con)
-        elif _verdict(rel, law, con):
-            witness = None
-        else:
-            chi = chi or _chi_table(rel)
-            witness = _law_sweeps(law)[0](chi, top)
-            if witness is None:
-                raise InternalCheckError(f"{name} fails its mask test but its sweep finds no witness")
-        results.append(passed(name) if witness is None else failed(name, witness))
+        prefix = _failure(rel, law, con)
+        if prefix is None:
+            results.append(passed(name))
+            continue
+        chi = chi or _chi_table(rel)
+        rest = _law_sweeps(law, len(prefix))[0](chi, top, *prefix)
+        if rest is None:
+            raise InternalCheckError(f"{name} fails its mask test at {prefix} but its sweep finds no witness")
+        results.append(failed(name, prefix + rest))
     return CheckReport(system, tuple(results))
 
 
@@ -325,7 +322,7 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
     lanes = _lanes(width, n)
     fails = 0
     for _, law in _SYSTEMS[system]:
-        if law in _MASK_LAWS:
+        if law in _law_masks(k):  # decided by mask tests alone, on every lane at once
             fails |= _mask_failures(packed, k, law, lanes)
     shift = width >> 1
     while shift:  # each lane's lowest bit becomes the OR of the lane
@@ -337,7 +334,7 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
     for i in compress(range(n), verdicts):
         rel = TernaryRelation(alg, int.from_bytes(raw[i * step:(i + 1) * step], "little"))
         con = _conclusion_masks(rel)
-        verdicts[i] = _verdict(rel, "EC4", con) and _verdict(rel, "cut", con)
+        verdicts[i] = _failure(rel, "EC4", con) is None and _failure(rel, "cut", con) is None
     return bytes(verdicts)
 
 
@@ -352,9 +349,10 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
 
     Every verdict comes from mask tests on the bitset and, for EC1 and
     EC4, its conclusion masks (EC1 by one AND per premise of each
-    distinct conclusion mask, see _cut_witness).  A law's sentence is
-    swept only when it fails, to name the first witness; EC1 sweeps only
-    its first failing conclusion mask.
+    distinct conclusion mask, see _cut_witness).  A failing test also
+    gives the prefix of the law's first witness, and its sentence is
+    swept past that prefix only: over d for EC0, over f for EC2-EC4, and
+    not at all for EC1, whose witness is only re-evaluated.
     """
     return _check(rel, "eca")
 

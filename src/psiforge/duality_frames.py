@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
-from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, json_int, make_algebra
+from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, _first_entry, json_int, make_algebra
 from .errors import PreconditionError, InternalCheckError, SizeCapError
 from .report import CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_3bamo, check_psi
@@ -246,11 +245,6 @@ def _triple(n: int, j: int) -> tuple[int, int, int]:
     return (j >> 2 * n, j >> n & full, j & full)
 
 
-def _triple_at(n: int, mask: int) -> tuple[int, int, int]:
-    """The triple at the lowest set bit of a nonzero index mask."""
-    return _triple(n, (mask & -mask).bit_length() - 1)
-
-
 def in_l_set(u: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
     return bool(y[0] & u[0] or y[1] & u[1] or y[2] & u[2])
 
@@ -327,10 +321,10 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
             missing |= (r & ~h) << (1 << b)
         missing &= ~r
         if missing and df2 is None:
-            df2 = (x, *_triple_at(n, missing))
+            df2 = (x, *_first_entry(missing, 1 << n, 3, 1))
         lacking = r & ~_up(r & singles, has, range(n, 3 * n))
         if lacking and df3 is None:
-            df3 = (x, *_triple_at(n, lacking))
+            df3 = (x, *_first_entry(lacking, 1 << n, 3, 1))
     results = (
         passed("DF1", "trivially satisfied (finite discrete space)"),
         passed("DF2") if df2 is None else failed("DF2", df2),
@@ -353,14 +347,15 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     below (top, e, f); one at e = top fails at Z = W = not d; and
     d = e = top never fails.  So PIF1 is decided by the PI1 row test of
     module planes on the table's bytes (DF3 makes the table additive in
-    its first two coordinates, so the test reads the atom pairs only), and
-    only when that fails is its first failing (Y1, Y2), ascending, swept
-    over (Y3, Z, W), ascending, to name the witness.  PIF2-PIF4 are swept by their definitions over the
-    reached triples (the pairs for PIF3), ascending.
+    its first two coordinates, so the test reads the atom pairs only, and a
+    failing pair lies above a failing atom pair): its first failing pair,
+    ascending, is PIF1's first failing (Y1, Y2), swept over (Y3, Z, W),
+    ascending, to name the witness.  PIF2-PIF4 are swept by their
+    definitions over the reached triples (the pairs for PIF3), ascending.
     """
     check_psi_frame(frame).require(PreconditionError, "check_psi_space requires a descriptive frame")
     # imported at first use: the other frame verbs check no operator law
-    from .planes import LAWS, pi1_failure
+    from .planes import _pairs, pi1_failure
 
     n, full = frame.point_count, frame.full
     reach = _table_of_rows(n, frame.rows)  # a triple with an empty coordinate reads 0
@@ -368,21 +363,18 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     ne = frame.nonempty_masks()
     cl_note = "closure taken as identity (finite discrete space)"
 
-    def pif1_witness():
-        pair = pi1_failure(reach, full + 1, product(ne, repeat=2))
-        if pair is not None:
-            y1, y2 = pair
-            base = (y1 << n | y2) << n  # the index of (Y1, Y2, 0)
-            for y3 in ne:
-                ry = reach[base | y3]
-                for z in ne:
-                    t1 = reach[base | z]
-                    if ry & ~t1 == 0:
-                        continue
-                    for w in ne:
-                        if ry & ~(t1 | reach[base | w] | reach[((full ^ z) << n | full ^ w) << n | y3]):
-                            return (y1, y2, y3, z, w)
-        raise InternalCheckError("PIF1 fails its row test but its sweep finds no witness")
+    def pif1_witness(y1, y2):
+        base = (y1 << n | y2) << n  # the index of (Y1, Y2, 0)
+        for y3 in ne:
+            ry = reach[base | y3]
+            for z in ne:
+                t1 = reach[base | z]
+                if ry & ~t1 == 0:
+                    continue
+                for w in ne:
+                    if ry & ~(t1 | reach[base | w] | reach[((full ^ z) << n | full ^ w) << n | y3]):
+                        return (y1, y2, y3, z, w)
+        raise InternalCheckError(f"PIF1 fails its row test at {(y1, y2)} but its sweep finds no witness")
 
     pif2 = (_triple(n, j) for j in reachable if j >> 2 * n & j == 0)  # Y1 and Y3 disjoint
     pif3 = ((y1, y2) for y1 in ne for y2 in ne if y1 & y2 & ~reach[(y1 << n | y1) << n | y2])
@@ -391,8 +383,9 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
         _triple(n, j) for j in reachable if reach[j] & ~reach[((j >> n & full) << n | j >> 2 * n) << n | j & full]
     )
 
+    pair = pi1_failure(reach, full + 1, _pairs(reach, full + 1))
     results = (
-        passed("PIF1", cl_note) if LAWS["PI1"](reach, full + 1) else failed("PIF1", pif1_witness(), cl_note),
+        passed("PIF1", cl_note) if pair is None else failed("PIF1", pif1_witness(*pair), cl_note),
         _first("PIF2", pif2),
         _first("PIF3", pif3),
         _first("PIF4", pif4),

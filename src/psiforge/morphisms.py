@@ -23,9 +23,9 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int
+from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int
 from .contact_relation import TernaryRelation, _chi_table, check_eca, is_eca, rel_to_op
-from .duality_frames import PsiFrame, _index_masks, _set_bits, _triple, _triple_at, _up, dual_frame
+from .duality_frames import PsiFrame, _index_masks, _set_bits, _triple, _up, dual_frame
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_psi
@@ -148,8 +148,8 @@ def classify_psi_morphism(
     image, gather = _plan(h.atom_map, h.source.atom_count, h.target.atom_count)
     lhs = int.from_bytes(bytes(op_source.table).translate(image), "little")  # h(dia(a, b, c))
     rhs = int.from_bytes(bytes(gather(op_target.table)), "little")  # dia(h a, h b, h c)
-    semi_w = _first_triple(lhs & ~rhs, h.source.size)
-    hemi_w = _first_triple(rhs & ~lhs, h.source.size)
+    semi_w = _first_entry(lhs & ~rhs, h.source.size)
+    hemi_w = _first_entry(rhs & ~lhs, h.source.size)
     return MorphismClassification(semi_w is None, hemi_w is None, semi_w, hemi_w)
 
 
@@ -162,12 +162,6 @@ def _plan(atom_map: tuple[int, ...], k_s: int, k_t: int):
     st = 1 << k_t
     plan = [(x * st + y) * st + z for x, y, z in product(img, repeat=3)]
     return bytes(img).ljust(256, b"\0"), itemgetter(*plan)
-
-
-def _first_triple(fails: int, size: int) -> tuple[int, int, int] | None:
-    """The (a, b, c) of the lowest nonzero byte of ``fails``, in (a, b, c) mask order."""
-    i = ((fails & -fails).bit_length() - 1) >> 3
-    return None if not fails else (i // (size * size), i // size % size, i % size)
 
 
 def classify_frame_map(
@@ -213,7 +207,7 @@ def classify_frame_map(
                 below |= 1 << image(j)
             lacking = frame2.rows[f[x]] & ~_up(below, has, range(3 * n2))
             if lacking:
-                yield (x, *_triple_at(n2, lacking))
+                yield (x, *_first_entry(lacking, 1 << n2, 3, 1))
 
     results.append(_first("Sp2", sp2()))
     results.append(_first("Sp3", sp3()))
@@ -305,8 +299,8 @@ def classify_eca_morphism(
     _, gather = _plan(h.atom_map, h.source.atom_count, h.target.atom_count)
     src, tgt = (bytes(map(bool, _chi_table(rel))) for rel in (rel_source, rel_target))
     src, tgt = int.from_bytes(src, "little"), int.from_bytes(bytes(gather(tgt)), "little")
-    refl_w = _first_triple(tgt & ~src, h.source.size)
-    pres_w = _first_triple(src & ~tgt, h.source.size)
+    refl_w = _first_entry(tgt & ~src, h.source.size)
+    pres_w = _first_entry(src & ~tgt, h.source.size)
     cls = EcaMorphismClassification(refl_w is None, pres_w is None, refl_w, pres_w)
 
     mc = classify_psi_morphism(h, rel_to_op(rel_source), rel_to_op(rel_target))

@@ -1,4 +1,5 @@
-"""Plane verdicts: the operator laws decided by whole-table tests.
+"""Plane deciders: each operator law decided by whole-table tests, which
+also locate where it first fails.
 
 Every table entry is below 2**MAX_ATOMS <= 256, so a table is the byte
 string raw = bytes(op.table), entry (a, b, c) at byte (a*s + b)*s + c with
@@ -11,16 +12,20 @@ by entry, is tested as P & Q == P.  Each test decides its law over the
 whole table at once, with no loop over tuples, except PI1, R1 and R2,
 tested one (a, b) row or column at a time: on the atom pairs alone and,
 for R2, as one bound, where MO1-MO3 hold, and on every row or column
-otherwise.  Every verdict is exact on every table.  The laws' sentences,
-and the witnesses, are in ternary_operator, which loads this module when
-it first checks a law.
+otherwise.  Every verdict is exact on every table.
+
+LAWS[law](raw, s) is the law's one decider: None when the law holds, else
+the prefix of its first witness in its order (ternary_operator._SWEEP_ROWS):
+(), the first failing a or (a, b), or the whole witness.  Where a test
+and the search for the prefix differ, the search, itself exact, runs only
+after the test has failed.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
 
-from .boolean_core import _lacking_bits
+from .boolean_core import _first_entry, _lacking_bits
 
 
 def _atom_bits(s: int) -> range:
@@ -57,18 +62,19 @@ def _spread(row: bytes, times: int) -> bytes:
     return b"".join(bytes((v,)) * times for v in row)
 
 
-def _mo1(raw: bytes, s: int) -> bool:
+def _mo1(raw: bytes, s: int) -> tuple[()] | None:
     s2 = s * s
     zero = bytes(s2)
     first_rows = b"".join(raw[a * s2:a * s2 + s] for a in range(s))
-    return raw[:s2] == zero and first_rows == zero and raw[::s] == zero
+    return None if raw[:s2] == zero and first_rows == zero and raw[::s] == zero else ()
 
 
-def _additive(raw: bytes, s: int, w: int) -> bool:
-    """dia is additive in its coordinate of stride w (s*s: MO2, s: MO3):
-    dia at x or u is dia at x or dia at u, for each atom u and each x
-    lacking u."""
+def _nonadditive(raw: bytes, s: int, w: int) -> int:
+    """Nonzero, at the entries that fail it, unless dia is additive in its
+    coordinate of stride w (s*s: MO2, s: MO3): dia at x or u is dia at x
+    or dia at u, for each atom u and each x lacking u."""
     n, x = len(raw), int.from_bytes(raw, "little")
+    fails = 0
     for i in _atom_bits(s):
         block = w << i
         low = x & _lacking_bits(8 * n, 8 * block)  # the entries whose coordinate lacks u
@@ -76,25 +82,33 @@ def _additive(raw: bytes, s: int, w: int) -> bool:
         at_u = b"".join(
             (bytes(block) + raw[o + block:o + block + w] * (1 << i)) * (s >> (i + 1)) for o in range(0, n, s * w)
         )
-        if (low << 8 * block) | int.from_bytes(at_u, "little") | low != x:
-            return False
-    return True
+        fails |= ((low << 8 * block) | int.from_bytes(at_u, "little") | low) ^ x
+    return fails
 
 
-def _monotone_in_c(raw: bytes, s: int) -> bool:
-    """MO4: dia(a, b, c) <= dia(a, b, c or u) for each atom u."""
+def _mo2(raw: bytes, s: int) -> tuple[int] | None:
+    """The first a with dia(a or x, ., .) != dia(a, ., .) or dia(x, ., .)
+    for some x, searched where the atom forms fail."""
+    s2 = s * s
+    if not _nonadditive(raw, s, s2):
+        return None
+    slabs = [int.from_bytes(raw[i:i + s2], "little") for i in range(0, len(raw), s2)]
+    return next(((a,) for a in range(s) for x in range(s) if slabs[a | x] != slabs[a] | slabs[x]), None)
+
+
+def _mo4(raw: bytes, s: int) -> tuple[int, int] | None:
+    """The first (a, b) row failing dia(a, b, c) <= dia(a, b, c or u) for an atom u."""
     n, x = len(raw), int.from_bytes(raw, "little")
+    fails = 0
     for i in _atom_bits(s):
-        up = (x & _lacking_bits(8 * n, 8 << i)) << (8 << i)
-        if up & x != up:
-            return False
-    return True
+        fails |= (x & _lacking_bits(8 * n, 8 << i)) << (8 << i) & ~x
+    return _first_entry(fails, s, 2, 8 * s)
 
 
 def _pairs(raw: bytes, s: int):
-    """The (a, b) rows that decide PI1 and R1: the atom pairs where MO1-MO3
-    hold, as each row dia(a, b, .) is then the join of the rows at the
-    atoms below a and b, and every pair otherwise."""
+    """The (a, b) rows that decide PI1 and R1, ascending: the atom pairs
+    where MO1-MO3 hold, as each row dia(a, b, .) is then the join of the
+    rows at the atoms below a and b, and every pair otherwise."""
     return product([1 << i for i in _atom_bits(s)] if distributes(raw, s) else range(s), repeat=2)
 
 
@@ -121,66 +135,79 @@ def pi1_failure(raw: bytes, s: int, pairs) -> tuple[int, int] | None:
     return None
 
 
-def _rows_below(rows, bound: bytes, s: int) -> bool:
-    """row(a) and not row(b) <= bound(a and not b) for each distinct row,
-    on the (a, b) grid."""
+def _pi1(raw: bytes, s: int) -> tuple[int, int] | None:
+    """The first failing (a, b) top-down; under MO1-MO3, once an atom pair fails."""
+    if distributes(raw, s) and pi1_failure(raw, s, _pairs(raw, s)) is None:
+        return None
+    return pi1_failure(raw, s, product(range(s - 1, -1, -1), repeat=2))
+
+
+def _first_below(rows, bound: bytes, s: int):
+    """The key of the first (key, row) for which row(a) and not row(b) <=
+    bound(a and not b) fails on the (a, b) grid; None if there is none.
+    Each distinct row is tested once."""
     fixed = int.from_bytes(_differences(s).translate(bound + bytes(256 - s)), "little")
-    for row in dict.fromkeys(rows):
+    holds = set()
+    for key, row in rows:
+        if row in holds:
+            continue
         lhs = int.from_bytes(_spread(row, s), "little")
         if lhs & (int.from_bytes(row * s, "little") | fixed) != lhs:
-            return False
-    return True
+            return key
+        holds.add(row)
+    return None
 
 
-def _r1(raw: bytes, s: int) -> bool:
-    """dia(x, y, a) and not dia(x, y, b) <= dia(1, 1, a and not b) on the
-    rows (x, y) of _pairs."""
-    return _rows_below((_row(raw, s, x, y) for x, y in _pairs(raw, s)), _row(raw, s, s - 1, s - 1), s)
+def _r1(raw: bytes, s: int) -> tuple[int, int] | None:
+    """The first row (x, y) of _pairs failing R1 (see check_strict)."""
+    return _first_below(((p, _row(raw, s, *p)) for p in _pairs(raw, s)), _row(raw, s, s - 1, s - 1), s)
 
 
-def _r2(raw: bytes, s: int) -> bool:
-    """R2 on each column (x, y) on the (a, b) grid; where MO1-MO3 hold, the
-    one bound dia(x, a, y) <= dia(1, a, 1) (see check_strict)."""
+def _r2(raw: bytes, s: int) -> tuple[int] | None:
+    """The first x of a column (x, ., y) failing R2 on the (a, b) grid or,
+    where MO1-MO3 hold, of dia(x, a, y) <= dia(1, a, 1) (see check_strict)."""
     s2, top = s * s, s - 1
     middle = raw[top * s2 + top:s2 * s:s]  # dia(1, a, 1) over a
     if distributes(raw, s):
         x = int.from_bytes(raw, "little")
-        return int.from_bytes(_spread(middle, s) * s, "little") & x == x
-    return _rows_below((raw[x * s2 + y:(x + 1) * s2:s] for x in range(s) for y in range(s)), middle, s)
+        return _first_entry(x & ~int.from_bytes(_spread(middle, s) * s, "little"), s, 1, 8 * s2)
+    columns = (((x,), raw[x * s2 + y:(x + 1) * s2:s]) for x in range(s) for y in range(s))
+    return _first_below(columns, middle, s)
 
 
-def _s_below_mu(raw: bytes, s: int) -> bool:
+def _s_below_mu(raw: bytes, s: int) -> tuple[int, int, int] | None:
     """dia(a, b, c) <= mu(dia(a, b, c)), reading mu off the table."""
     s2, top = s * s, s - 1
     ones, middle = _row(raw, s, top, top), raw[top * s2 + top:s2 * s:s]
     mu_of = bytes(top ^ (ones[top ^ z] | middle[top ^ z]) for z in range(s)) + bytes(256 - s)
-    x = int.from_bytes(raw, "little")
-    return int.from_bytes(raw.translate(mu_of), "little") & x == x
+    return _first_entry(int.from_bytes(raw, "little") & ~int.from_bytes(raw.translate(mu_of), "little"), s)
 
 
-def _pi2(raw: bytes, s: int) -> bool:
+def _pi2(raw: bytes, s: int) -> tuple[int, int] | None:
     s2, top = s * s, s - 1
-    return b"".join(raw[a * s2 + (top ^ a):(a + 1) * s2:s] for a in range(s)) == bytes(s2)
+    plane = b"".join(raw[a * s2 + (top ^ a):(a + 1) * s2:s] for a in range(s))  # dia(a, b, not a) over (a, b)
+    return _first_entry(int.from_bytes(plane, "little"), s, 2)
 
 
-def _pi3(raw: bytes, s: int) -> bool:
+def _pi3(raw: bytes, s: int) -> tuple[int, int] | None:
     diagonal = int.from_bytes(b"".join(raw[(a * s + a) * s:(a * s + a + 1) * s] for a in range(s)), "little")
-    meets = _meets(s)
-    return diagonal & meets == meets
+    return _first_entry(_meets(s) & ~diagonal, s, 2)
 
 
-def _pi4(raw: bytes, s: int) -> bool:
+def _pi4(raw: bytes, s: int) -> tuple[int, int, int] | None:
     # dia(a, b, f) <= dia(b, a, f) for all a, b is symmetry in (a, b)
-    return raw == b"".join(raw[(b * s + a) * s:(b * s + a + 1) * s] for a in range(s) for b in range(s))
+    swapped = b"".join(raw[(b * s + a) * s:(b * s + a + 1) * s] for a in range(s) for b in range(s))
+    return _first_entry(int.from_bytes(raw, "little") & ~int.from_bytes(swapped, "little"), s)
 
 
-# The plane verdict of each law, called as test(raw, s).
+# Each law's decider, called as LAWS[law](raw, s): None if the law holds,
+# else the prefix of its first witness.
 LAWS = {
     "MO1": _mo1,
-    "MO2": lambda raw, s: _additive(raw, s, s * s),
-    "MO3": lambda raw, s: _additive(raw, s, s),
-    "MO4": _monotone_in_c,
-    "PI1": lambda raw, s: pi1_failure(raw, s, _pairs(raw, s)) is None,
+    "MO2": _mo2,
+    "MO3": lambda raw, s: _first_entry(_nonadditive(raw, s, s), s, 1, 8 * s * s),  # the first failing slab a
+    "MO4": _mo4,
+    "PI1": _pi1,
     "PI2": _pi2,
     "PI3": _pi3,
     "PI4": _pi4,
@@ -195,4 +222,4 @@ def distributes(raw: bytes, s: int) -> bool:
     """MO1-MO3: then dia(a, b, c) is the join of dia(u, v, c) over the
     atoms u <= a, v <= b (the empty join 0 when a or b is 0).  PI1, R1
     and R2 all read it, so the last table's verdict is kept."""
-    return all(LAWS[ax](raw, s) for ax in ("MO1", "MO2", "MO3"))
+    return _mo1(raw, s) is None and not _nonadditive(raw, s, s * s) and not _nonadditive(raw, s, s)

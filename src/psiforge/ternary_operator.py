@@ -7,27 +7,26 @@ relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
 MO1-MO4, PI1-PI4, R1, R2 and S are stated once, as sentences in
-AXIOM_TEXTS; enumeration.named_axioms parses the same texts.  Each law is
-decided exactly on every table by whole-table tests on the table's bytes
-(the plane verdicts of module planes: masks, shifts and byte-wise
-lookups; PI1, R1 and R2 one (a, b) row or column at a time).  A law's
-compiled sentence (terms.compile_sweep; MO1 its three sentences in turn)
-is swept only when its plane test fails, to name the witness.
+AXIOM_TEXTS; enumeration.named_axioms parses the same texts.  Each law
+has one decider, planes.LAWS[law], exact on every table by whole-table
+tests on the table's bytes (masks, shifts and byte-wise lookups; PI1, R1
+and R2 one (a, b) row or column at a time).  It gives None when the law
+holds, else the prefix of the law's first witness, and the law's compiled
+sentence (terms.compile_sweep; MO1 its three sentences in turn) is swept
+with that prefix bound, over the remaining variables only.
 
-Witness order.  Bounded sweeps run in ascending mask order and report the
-first violating tuple.  The five-variable cut axiom PI1 reports the first
+Witness order.  Sweeps run in ascending mask order and report the first
+violating tuple.  The five-variable cut axiom PI1 reports the first
 violation of the top-down (descending mask order) sweep: its canonical
 counterexamples live near the top, and this order matches the standard
-four-element counterexample exactly.  The first failing (a, b) is found
-by the per-pair plane test, and only that pair is swept.
+four-element counterexample exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
-from .boolean_core import FiniteBooleanAlgebra, algebra_from_json, json_int, make_algebra
+from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
 from .errors import InternalCheckError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
@@ -179,29 +178,29 @@ AXIOM_TEXTS = {
 
 
 # Operator laws checked by a compiled sweep of their sentence, one row
-# each: (axiom, sentence, witness order, top-down, params bound by the
-# caller).  The sentence is an (axiom set, index) into AXIOM_TEXTS, or
-# the text of a PI2 or MO2-MO4 equivalent.
-# Witness orders are explicit and may name the constants 0 and 1; R2's
-# differs from the order in which its sentence introduces the variables
-# (x, a, y, b).  An axiom's rows are swept in turn; the first failure wins.
+# each: (axiom, sentence, witness order, top-down).  The sentence is an
+# (axiom set, index) into AXIOM_TEXTS, or the text of a PI2 or MO2-MO4
+# equivalent.  Witness orders are explicit and may name the constants 0
+# and 1; R2's differs from the order in which its sentence introduces the
+# variables (x, a, y, b).  An axiom's rows are swept in turn; the first
+# failure wins.
 _SWEEP_ROWS = (
-    ("MO1", ("3bamo", 0), "0bc", False, ""),
-    ("MO1", ("3bamo", 1), "a0c", False, ""),
-    ("MO1", ("3bamo", 2), "ab0", False, ""),
-    ("MO2", ("3bamo", 3), "axbc", False, ""),
-    ("MO3", ("3bamo", 4), "abxc", False, ""),
-    ("MO4", ("3bamo", 5), "abcx", False, ""),
-    ("PI1", ("pi", 0), "fde", True, "ab"),
-    ("PI2", ("pi", 1), "ab", False, ""),
-    ("PI3", ("pi", 2), "af", False, ""),
-    ("PI4", ("pi", 3), "abf", False, ""),
-    ("R1", ("strictness", 0), "xyab", False, ""),
-    ("R2", ("strictness", 1), "xaby", False, ""),
-    ("S", ("strictness", 2), "abc", False, ""),
-    ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False, ""),
-    ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False, ""),
-    ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False, ""),
+    ("MO1", ("3bamo", 0), "0bc", False),
+    ("MO1", ("3bamo", 1), "a0c", False),
+    ("MO1", ("3bamo", 2), "ab0", False),
+    ("MO2", ("3bamo", 3), "axbc", False),
+    ("MO3", ("3bamo", 4), "abxc", False),
+    ("MO4", ("3bamo", 5), "abcx", False),
+    ("PI1", ("pi", 0), "abfde", True),
+    ("PI2", ("pi", 1), "ab", False),
+    ("PI3", ("pi", 2), "af", False),
+    ("PI4", ("pi", 3), "abf", False),
+    ("R1", ("strictness", 0), "xyab", False),
+    ("R2", ("strictness", 1), "xaby", False),
+    ("S", ("strictness", 2), "abc", False),
+    ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False),
+    ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False),
+    ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False),
 )
 
 
@@ -214,15 +213,16 @@ def _axiom_set(name: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _row_sweeps(axiom: str) -> tuple:
+def _row_sweeps(axiom: str, bound: int = 0) -> tuple:
+    """The axiom's rows compiled, the first ``bound`` letters of each order bound by the caller."""
     # imported at first use: terms imports this module
     from .terms import compile_sweep, parse
 
     sweeps = []
-    for name, source, order, top_down, params in _SWEEP_ROWS:
+    for name, source, order, top_down in _SWEEP_ROWS:
         if name == axiom:
             sentence = parse(source) if isinstance(source, str) else _axiom_set(source[0])[source[1]]
-            sweeps.append(compile_sweep(sentence, tuple(order), top_down, tuple(params)))
+            sweeps.append(compile_sweep(sentence, tuple(order[bound:]), top_down, tuple(order[:bound])))
     return tuple(sweeps)
 
 
@@ -235,17 +235,19 @@ def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
 
 
 def _decide(op: TernaryOperator, raw: bytes, axiom: str) -> AxiomResult:
-    """The plane verdict; the sentence is swept only when it fails, to
-    name the witness."""
+    """The plane decider's verdict; on failure the sentence is swept past
+    the prefix it gives, to name the rest of the witness."""
     # imported at first use, like terms: most verbs check no operator law
     from .planes import LAWS
 
-    if LAWS[axiom](raw, op.alg.size):
+    prefix = LAWS[axiom](raw, op.alg.size)
+    if prefix is None:
         return passed(axiom)
-    result = _sweep(op, axiom)
-    if result.passed:
-        raise InternalCheckError(f"{axiom} fails its plane test but its sweep finds no witness")
-    return result
+    for sweep in _row_sweeps(axiom, len(prefix)):
+        rest = sweep(op.table, op.alg.top, *prefix)
+        if rest is not None:
+            return failed(axiom, prefix + rest)
+    raise InternalCheckError(f"{axiom} fails its plane test at {prefix} but its sweep finds no witness")
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -265,8 +267,9 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
     atom: the planes lacking u, shifted onto those holding it and joined
     with plane u, must equal them.  MO3 likewise.  MO4 says dia is monotone in c, so it holds
     iff dia(a, b, c) <= dia(a, b, c or u) for every atom u, by chains of
-    single-atom covers: one shift-and-mask test per atom.  The sentence
-    sweep runs only when a law fails, to name the first witness.
+    single-atom covers: one shift-and-mask test per atom.  A failing test
+    gives the first failing a (MO2, MO3) or (a, b) (MO4), and only the
+    remaining variables are swept to name the witness.
     """
     raw = bytes(op.table)
     return CheckReport("3bamo", tuple(_decide(op, raw, ax) for ax in ("MO1", "MO2", "MO3", "MO4")))
@@ -284,25 +287,11 @@ def check_psi(op: TernaryOperator) -> CheckReport:
     top-down sweep: the first failing pair in top-down order, swept
     top-down over (f, d, e).  PI2, PI3 and PI4 are decided on planes
     (the (a, b, not a) entries, the diagonal (a, a, f), the (a, b)
-    transpose) and report witnesses (a, b), (a, f) and (a, b, f).
+    transpose) whose lowest failing entry is the witness, (a, b), (a, f)
+    or (a, b, f).
     """
     raw = bytes(op.table)
-    results = [_check_pi1(op, raw)] + [_decide(op, raw, ax) for ax in ("PI2", "PI3", "PI4")]
-    return CheckReport("psi", tuple(results))
-
-
-def _check_pi1(op: TernaryOperator, raw: bytes) -> AxiomResult:
-    from .planes import LAWS, pi1_failure
-
-    size, top = op.alg.size, op.alg.top
-    if LAWS["PI1"](raw, size):
-        return passed("PI1")
-    pair = pi1_failure(raw, size, product(range(top, -1, -1), repeat=2))
-    (pi1,) = _row_sweeps("PI1")
-    witness = None if pair is None else pi1(op.table, top, *pair)
-    if witness is None:
-        raise InternalCheckError(f"PI1 fails its plane test at {pair} but its sweep finds no witness")
-    return failed("PI1", pair + witness)
+    return CheckReport("psi", tuple(_decide(op, raw, ax) for ax in ("PI1", "PI2", "PI3", "PI4")))
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
@@ -347,8 +336,10 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     everywhere, one test on the whole table: that is R2 at b = 0, and
     since dia(x, a, y) is the join of dia(x, a and b, y) <= dia(x, b, y)
     and dia(x, a and not b, y), it gives R2.  S is one test against the
-    table mapped byte by byte through mu.  A failing plane test runs the
-    law's sweep to name the first witness.
+    table mapped byte by byte through mu, naming its witness.  The sweeps
+    run past R1's first failing row (x, y), an atom pair under MO1-MO3,
+    and R2's first failing x (R2 fails at (x, a, b, y) iff the bound
+    does at (x, a and not b, y)).
     """
     raw = bytes(op.table)
     return CheckReport("strict", tuple(_decide(op, raw, ax) for ax in ("R1", "R2", "S")))
@@ -356,13 +347,11 @@ def check_strict(op: TernaryOperator) -> CheckReport:
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff every table entry is 0 or top; else the first offending triple."""
-    size, top = op.alg.size, op.alg.top
+    top = op.alg.top
     # one pass over the table's bytes: 1 marks an entry other than 0 and top
     marks = bytes(v not in (0, top) for v in range(256))
-    i = bytes(op.table).translate(marks).find(1)
-    if i < 0:
-        return True, None
-    return False, (i // (size * size), i // size % size, i % size)
+    first = _first_entry(int.from_bytes(bytes(op.table).translate(marks), "little"), op.alg.size)
+    return first is None, first
 
 
 def discriminator_check(op: TernaryOperator) -> CheckReport:

@@ -41,6 +41,7 @@ from .enumeration import (
     enumerate_ecas,
     enumerate_psi_operators,
     named_axioms,
+    permute_operator_table,
     sample_3bamos,
     sample_psi_operators,
 )
@@ -483,7 +484,7 @@ class _Suite:
                 continue
             inv = h.inverse()
             for op in self.k2_psi[:4]:
-                img = _push_operator(h, op)
+                img = TernaryOperator(h.target, permute_operator_table(h.target, inv.atom_map, op.table))
                 mc = classify_psi_morphism(h, op, img)
                 if not mc.full:
                     ok = False
@@ -541,20 +542,6 @@ def _mu_power(n: int, x: str) -> str:
 def _all_hold(laws: list[str], pool: list[TernaryOperator]) -> bool:
     sentences = [parse(law) for law in laws]
     return all(holds(s, op)[0] for op in pool for s in sentences)
-
-
-def _push_operator(h, op: TernaryOperator) -> TernaryOperator:
-    """Transport an operator along a bijective homomorphism."""
-    alg = h.target
-    inv = h.inverse()
-    size = alg.size
-    table = tuple(
-        h(op(inv(a), inv(b), inv(c)))
-        for a in range(size)
-        for b in range(size)
-        for c in range(size)
-    )
-    return TernaryOperator(alg, table)
 
 
 def run_suite(k: int = 2, seed: int = DEFAULT_SEED) -> list[SuiteItem]:

@@ -12,6 +12,7 @@ import pytest
 
 from psiforge import (
     Filter,
+    TernaryOperator,
     TernaryRelation,
     box_op,
     check_3bamo,
@@ -364,3 +365,17 @@ def test_criterion_11_cli_contract(tmp_path):
         assert suite1.stdout == suite2.stdout
         lines = suite1.stdout.strip().splitlines()
         assert all(line.startswith("[pass]") for line in lines[:-1])
+
+
+def test_criterion_12_failing_checks_at_the_ceiling():
+    """On failing 6-atom inputs each check names its witnesses by sweeping
+    only past the prefix its decider locates, not whole sentences."""
+    alg = make_algebra(6)
+    size = alg.size
+    table = list(smallest_diamond(alg).table)
+    table[(63 * size + 1) * size + 63] = 63
+    op = TernaryOperator(alg, tuple(table))
+    rel = TernaryRelation(alg, largest_eca(alg).bits | 1 << (5 * size + 6) * size)
+    for kind, check, structure in (("3bamo", check_3bamo, op), ("strict", check_strict, op), ("eca", check_eca, rel)):
+        with budget(f"criterion 12: check --kind {kind} on a failing 6-atom input", 1):
+            assert not check(structure).passed

@@ -1,21 +1,24 @@
-"""The plane and mask deciders agree with the full sweeps of their laws,
-and the verdict-only pool decider (pool_verdicts, with is_eca/is_extca
-as its pool of one) agrees with the reports, lane by lane.
+"""Each law's one decider agrees with the full sweep of its law, and the
+verdict-only pool decider (pool_verdicts, with is_eca/is_extca as its
+pool of one) agrees with the reports, lane by lane.
 
-Every operator law is decided on planes of the table: MO1-MO4, PI2-PI4
-and S outright, PI1, R1 and R2 on atom pairs under MO1-MO3 and on every
-pair otherwise.  Closed filters are decided by one whole-table test
-against the meets of dia above each triple, compared here with the
-definition.  The relation laws are decided on bitmasks: EC0, EC2, EC3,
-ExtCA2 and ExtCA3 by mask tests on the bitset, EC4 on its conclusion
-masks, and the cut EC1 by one AND per premise of each distinct
-conclusion mask, compared here with a plain top-down sweep; each other
-law's sentence runs only to name a witness.  pool_verdicts tests the
-mask laws on many relations packed in one int and decides EC4 and the
-cut only on the relations that pass them.  A checker whose decider
-flags a failure that the sweep cannot name raises InternalCheckError,
-but a decider that passes a failing law would go unseen, so the
-deciders are compared here directly."""
+Every operator law is decided on planes of the table (planes.LAWS):
+MO1-MO4, PI2-PI4 and S outright, PI1, R1 and R2 on atom pairs under
+MO1-MO3 and on every pair otherwise.  Closed filters are decided by one
+whole-table test against the meets of dia above each triple, compared
+here with the definition.  The relation laws are decided on bitmasks
+(contact_relation._failure): EC0, EC2, EC3, ExtCA2 and ExtCA3 by mask
+tests on the bitset, EC4 on its conclusion masks, and the cut EC1 by one
+AND per premise of each distinct conclusion mask, compared here with a
+plain top-down sweep.  A failing decider also gives the prefix of the
+law's first witness, and the check sweeps only the remaining variables,
+so each reported witness is compared here with the full sweep's.
+pool_verdicts tests the mask laws on many relations packed in one int
+and decides EC4 and the cut only on the relations that pass them.  A
+check whose decider flags a failure that the bounded sweep cannot name
+raises InternalCheckError, but a decider that passes a failing law, or
+a prefix past the first failure that still fails, would go unseen, so
+the deciders are compared here directly."""
 import random
 from functools import lru_cache, reduce
 from itertools import chain, product
@@ -28,6 +31,7 @@ from psiforge import (
     InternalCheckError,
     TernaryRelation,
     automorphisms,
+    check_3bamo,
     check_eca,
     check_extca,
     check_psi,
@@ -47,15 +51,15 @@ from psiforge.contact_relation import (
     _conclusion_masks,
     _cut_witness,
     _SYSTEMS,
+    _failure,
     _law_sweeps,
-    _verdict,
     pool_verdicts,
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
 from psiforge.filter_congruence import filter_is_closed
 from psiforge.planes import LAWS, distributes
 from psiforge.terms import compile_sweep, parse
-from psiforge.ternary_operator import DEFAULT_SEED, TernaryOperator, _row_sweeps, _sweep
+from psiforge.ternary_operator import DEFAULT_SEED, TernaryOperator, _sweep
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
@@ -97,7 +101,7 @@ def _relations(k, rng, count):
 
 
 def _plane(op, axiom):
-    return LAWS[axiom](bytes(op.table), op.alg.size)
+    return LAWS[axiom](bytes(op.table), op.alg.size) is None
 
 
 @pytest.mark.parametrize("k,count", [(1, 200), (2, 200), (3, 60)])
@@ -109,6 +113,9 @@ def test_mo_atom_forms_decide_mo2_to_mo4(k, count):
         for axiom in ("MO2", "MO3", "MO4"):
             verdict = _sweep(op, axiom).passed
             assert _plane(op, axiom) == verdict, (axiom, op.table)
+            if axiom != "MO4":  # the atom forms alone, before MO2's search for its prefix
+                stride = op.alg.size ** (2 if axiom == "MO2" else 1)
+                assert (planes._nonadditive(bytes(op.table), op.alg.size, stride) == 0) == verdict, (axiom, op.table)
             verdicts.add((axiom, mo1, verdict))
     # each law passes and fails, both with and without MO1, except that on
     # one atom MO1 implies MO2-MO4
@@ -148,7 +155,7 @@ def test_mask_verdicts_decide_the_law_sentences(cases):
         for law in _MASK_LAWS:
             (sweep,) = _law_sweeps(law)
             verdict = sweep(chi, rel.alg.top) is None
-            assert _verdict(rel, law, con) is verdict, (law, rel.bits)
+            assert (_failure(rel, law, con) is None) is verdict, (law, rel.bits)
             verdicts.add((law, verdict))
     # every law passes and fails on every input set
     assert verdicts == set(product(_MASK_LAWS, (False, True)))
@@ -232,7 +239,7 @@ def test_cut_witness_matches_the_reference_sweep():
         con, top = _conclusion_masks(rel), rel.alg.top
         witness = _reference_cut(con, top)
         assert _cut_witness(rel, con) == witness, rel.bits
-        assert _verdict(rel, "cut", con) is (witness is None), rel.bits
+        assert _failure(rel, "cut", con) == witness, rel.bits
         report = check_eca(rel)
         ec1 = report.results[1]
         assert (ec1.axiom, ec1.passed, ec1.witness) == ("EC1", witness is None, witness), rel.bits
@@ -438,17 +445,13 @@ def _plane_cases():
 
 
 def test_plane_verdicts_decide_every_operator_law():
-    (pi1,) = _row_sweeps("PI1")
     verdicts, paths = set(), set()
     for op in _plane_cases():
-        raw, size, top = bytes(op.table), op.alg.size, op.alg.top
+        raw, size = bytes(op.table), op.alg.size
         hypothesis = distributes(raw, size)
         for axiom, plane in LAWS.items():
-            if axiom == "PI1":
-                verdict = all(pi1(op.table, top, a, b) is None for a, b in product(range(size), repeat=2))
-            else:
-                verdict = _sweep(op, axiom).passed
-            assert plane(raw, size) == verdict, (axiom, op.table)
+            verdict = _sweep(op, axiom).passed
+            assert (plane(raw, size) is None) == verdict, (axiom, op.table)
             verdicts.add((axiom, verdict))
             if axiom in ("PI1", "R1", "R2"):
                 paths.add((axiom, hypothesis, verdict))
@@ -456,6 +459,101 @@ def test_plane_verdicts_decide_every_operator_law():
     # where MO1-MO3 hold and on every pair otherwise, do so on both paths
     assert verdicts == set(product(LAWS, (False, True)))
     assert paths == set(product(("PI1", "R1", "R2"), (False, True), (False, True)))
+
+
+def _seeded_changes(k, count, rng):
+    """The smallest diamond, a monotone sample and a table joined from atom
+    pair maps (MO1-MO3 hold on it), and count seeded changes of them: one
+    entry anywhere or on the diagonal (a, a, f), and one value of the
+    joined table's maps, which keeps MO1-MO3."""
+    alg = make_algebra(k)
+    size, n = alg.size, alg.size ** 3
+    maps = _pair_maps(alg, rng)
+    bases = [smallest_diamond(alg).table, sample_3bamos(alg, count=1, seed=k)[0].table, _join(alg, maps)]
+    tables = list(bases)
+    for i in range(count):
+        table = list(bases[i % 3])
+        a = rng.randrange(size)
+        table[rng.randrange(n) if i % 2 else (a * size + a) * size + rng.randrange(size)] = rng.randrange(size)
+        tables.append(table)
+        pair = rng.choice(list(maps))
+        values = list(maps[pair])
+        values[rng.randrange(1, size)] = rng.randrange(size)
+        tables.append(_join(alg, {**maps, pair: values}))
+    return [TernaryOperator(alg, tuple(t)) for t in tables]
+
+
+@pytest.mark.parametrize("k,count", [(4, 8), (5, 2)])
+def test_operator_witnesses_equal_the_full_sweeps(k, count):
+    """Each law's decider gives the prefix of the witness that its full
+    sentence sweep finds first, so every reported result equals that
+    sweep's.  PI1's full five-variable sweep takes seconds at five atoms,
+    so it is compared at four; its five- and six-atom witnesses are
+    pinned in test_ternary_operator and below."""
+    verdicts = set()
+    for op in _seeded_changes(k, count, random.Random(k)):
+        reports = (check_3bamo(op), check_psi(op), check_strict(op))
+        for result in chain.from_iterable(report.results for report in reports):
+            if (result.axiom, k) != ("PI1", 5):
+                assert result == _sweep(op, result.axiom), (result, op.table)
+                verdicts.add((result.axiom, result.passed))
+    # every law passes and fails
+    assert verdicts == set(product(set(LAWS) - ({"PI1"} if k == 5 else set()), (False, True)))
+
+
+def _seeded_flips(k, count, rng):
+    """The largest ECA, and count seeded one-bit flips of it: anywhere or
+    on the diagonal (a, a, f)."""
+    alg = make_algebra(k)
+    size, bits = alg.size, largest_eca(alg).bits
+    rels = [bits]
+    for i in range(count):
+        a = rng.randrange(size)
+        rels.append(bits ^ 1 << (rng.randrange(size ** 3) if i % 2 else (a * size + a) * size + rng.randrange(size)))
+    return [TernaryRelation(alg, r) for r in rels]
+
+
+@pytest.mark.parametrize("k,count", [(4, 10), (5, 6)])
+def test_relation_witnesses_equal_the_full_sweeps(k, count):
+    """Each relation law's decider gives the prefix of the witness that its
+    sentence's full sweep over chi finds first; the cut's full top-down
+    sweep is compared at four atoms, and the reference sweep over the
+    conclusion masks at five."""
+    failing = set()
+    for rel in _seeded_flips(k, count, random.Random(k)):
+        chi, top = _chi_table(rel), rel.alg.top
+        for system, check in (("eca", check_eca), ("extca", check_extca)):
+            for result, (name, law) in zip(check(rel).results, _SYSTEMS[system]):
+                if law == "cut" and k == 5:
+                    witness = _reference_cut(_conclusion_masks(rel), top)
+                else:
+                    (sweep,) = _law_sweeps(law)
+                    witness = sweep(chi, top)
+                assert (result.axiom, result.witness) == (name, witness), rel.bits
+                if witness is not None:
+                    failing.add(name)
+    assert failing == {name for system in _SYSTEMS.values() for name, _ in system}
+
+
+def test_six_atom_witnesses_are_pinned():
+    """The 6-atom smallest diamond with entry (63, 1, 63) raised to 63, and
+    the largest 6-atom relation with (5, 6, 0) added, report the first
+    witnesses of their full sweeps."""
+    alg = make_algebra(6)
+    size = alg.size
+    table = list(smallest_diamond(alg).table)
+    table[(63 * size + 1) * size + 63] = 63
+    op = TernaryOperator(alg, tuple(table))
+    failures = [(r.axiom, r.witness) for check in (check_3bamo, check_psi, check_strict) for r in check(op).failures()]
+    assert failures == [
+        ("MO2", (1, 62, 1, 63)), ("MO3", (63, 1, 2, 63)), ("PI1", (63, 1, 63, 63, 61)), ("PI4", (63, 1, 63)),
+        ("R1", (63, 1, 63, 2)), ("R2", (63, 1, 3, 63)), ("S", (62, 62, 62)),
+    ]
+    rel = TernaryRelation(alg, largest_eca(alg).bits | 1 << (5 * size + 6) * size)
+    assert [(r.axiom, r.witness) for r in check_eca(rel).failures()] == [
+        ("EC0", (5, 6, 0, 1)), ("EC1", (63, 4, 5, 6, 0)), ("EC4", (5, 6, 0)),
+    ]
+    assert check_extca(rel).result("ExtCA3").witness == (5, 6, 0)
 
 
 def _filter_operators():
@@ -501,20 +599,43 @@ def test_closed_on_meets_decides_closed_filters():
     assert paths == set(product((False, True), (False, True)))
 
 
+# a prefix of zeros, as long as each law's prefix, and the check reporting it
+_ZERO_PREFIXES = {
+    "MO1": (0, "3bamo"), "MO2": (1, "3bamo"), "MO3": (1, "3bamo"), "MO4": (2, "3bamo"),
+    "PI1": (2, "psi"), "PI2": (2, "psi"), "PI3": (2, "psi"), "PI4": (3, "psi"),
+    "R1": (2, "strict"), "R2": (1, "strict"), "S": (3, "strict"),
+}
+_RELATION_PREFIXES = {"EC0": 3, "cut": 5, "EC2": 2, "EC3": 1, "EC4": 2, "ExtCA2": 2, "ExtCA3": 2}
+
+
 def test_a_failed_verdict_without_a_witness_is_an_error(monkeypatch):
     """Each decider that flags a failure the sweep cannot name raises
-    InternalCheckError rather than passing the law or naming no witness."""
+    InternalCheckError rather than passing the law or naming no witness:
+    a prefix at which the law holds (zeros, on a table and a relation
+    satisfying every law, and a pair of the frame where PIF1 holds), or a
+    cut mask flagged where no triple fails."""
     alg = make_algebra(2)
     op, rel = smallest_diamond(alg), largest_eca(alg)
     frame = duality_frames.dual_frame(op)
-    monkeypatch.setitem(planes.LAWS, "PI2", lambda raw, s: False)
-    with pytest.raises(InternalCheckError, match="PI2"):
-        check_psi(op)
-    monkeypatch.setitem(planes.LAWS, "PI1", lambda raw, s: False)
-    with pytest.raises(InternalCheckError, match="PI1"):
-        check_psi(op)
-    with pytest.raises(InternalCheckError, match="PIF1"):
-        duality_frames.check_psi_space(frame)
+    checks = {"3bamo": check_3bamo, "psi": check_psi, "strict": check_strict}
+    for law, (length, kind) in _ZERO_PREFIXES.items():
+        with monkeypatch.context() as m:
+            m.setitem(planes.LAWS, law, lambda raw, s, length=length: (0,) * length)
+            with pytest.raises(InternalCheckError, match=law):
+                checks[kind](op)
+    for law, length in _RELATION_PREFIXES.items():
+        with monkeypatch.context() as m:
+            zeros = {law: (0,) * length}
+            m.setattr(contact_relation, "_failure", lambda rel, x, con, zeros=zeros: zeros.get(x))
+            for system, check in (("eca", check_eca), ("extca", check_extca)):
+                name = next((name for name, x in _SYSTEMS[system] if x == law), None)
+                if name is not None:
+                    with pytest.raises(InternalCheckError, match=name):
+                        check(rel)
+    with monkeypatch.context() as m:
+        m.setattr(planes, "pi1_failure", lambda raw, s, pairs: (1, 1))
+        with pytest.raises(InternalCheckError, match="PIF1"):
+            duality_frames.check_psi_space(frame)
     # every bit of the cut's pattern set: each mask is flagged (the law
     # masks, built from the same rows, are built first, unpatched)
     assert check_eca(rel).passed
