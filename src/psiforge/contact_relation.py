@@ -18,9 +18,13 @@ tests against masks built once per atom count (_law_masks), EC4 on the
 bitset's conclusion masks, and the five-variable cut (EC1 and its ExtCA
 twin) by one AND per premise of each distinct conclusion mask
 (_cut_witness).  It gives None when the law holds, else the prefix of its
-first witness in the documented order.  Each law is also one written
-sentence about the relation's characteristic table (_LAWS), swept with
-that prefix bound to name the rest of the witness.
+first witness in the documented order.  Each law, and each derived law
+of check_derived_eca_props and characteristic_lemma_check, is also
+stated as sentences about the relation's characteristic table, in the
+row format of module terms (_LAWS; the cut's row is swept top-down).  A
+failing law's rows are swept by terms.witness_at with the prefix bound,
+to name the rest of the witness; terms is imported only then, so a
+passing check compiles no sentence.
 
 Verdicts without witnesses come from one decider, pool_verdicts, which
 takes many relations packed side by side in one int, relation i in bits
@@ -38,7 +42,6 @@ from itertools import chain, compress, product
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, _lacking_bits, algebra_from_json, json_int
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
-from .terms import compile_sweep, parse
 from .ternary_operator import TernaryOperator, is_relational
 
 
@@ -163,58 +166,55 @@ def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
     return tuple(_entries(rel.bits, rel.alg.size ** 3, bytes((0, rel.alg.top))))
 
 
-# Relation laws, one row each: (law, sentence, witness order).  Each is
+# Relation laws: law -> rows (sentence, witness order, top-down), each
 # swept by compiling its sentence over chi's table, dia standing for chi.
 # chi is valued 0 and top, so 0, 1 and not keep their truth-value
 # meaning.  A law with several rows sweeps them in turn and reports the
 # first failure, except EC3-iff, whose two rows sweep the same (a, f) and
 # report the least witness.  The cut, like PI1, is swept top-down.
-_LAWS = (
-    ("EC0", "dia(a, b, f) <= dia(a or d, b, f or d)", "abfd"),
-    ("cut", "dia(a, b, d) and dia(a, b, e) and dia(d, e, f) <= dia(a, b, f)", "abdef"),
-    ("EC2", "dia(a, b, a or f) = 1", "abf"),
-    ("EC3", "dia(a, a, f) and a <= f", "af"),
-    ("EC4", "dia(a, b, f) <= dia(b, a, f)", "abf"),
-    ("ExtCA2", "a or f = f => dia(a, b, f) = 1", "abf"),
-    ("ExtCA3", "dia(a, b, f) and a and b <= f", "abf"),
-    ("EC3-iff", "dia(a, a, f) and a <= f", "af"),
-    ("EC3-iff", "a or f = f => dia(a, a, f) = 1", "af"),
-    ("weaker-right", "c or f = f => dia(a, b, c) and dia(a, b, f) = dia(a, b, c)", "abcf"),
-    ("stronger-left", "f or a = a => dia(a, b, c) and dia(f, b, c) = dia(a, b, c)", "abcf"),
-    ("BI-1", "dia(0, 1, a) = 1", "a"),
-    ("BI-2", "dia(a, b, c) and dia(x, b, c) <= dia(a or x, b, c)", "axbc"),
-    ("BI-3", "d or a = a => dia(a, b, c) and dia(d, b, c) = dia(a, b, c)", "abcd"),
-    ("BI-4", "c or d = d => dia(a, b, c) and dia(a, b, d) = dia(a, b, c)", "abcd"),
-    ("ch-1", "dia(0, b, c) = 1", "0bc"),
-    ("ch-1", "dia(a, 0, c) = 1", "a0c"),
-    ("ch-1", "dia(a, b, 1) = 1", "ab1"),
-    ("ch-2", "dia(a or x, b, c) = dia(a, b, c) and dia(x, b, c)", "axbc"),
-    ("ch-3", "dia(a, b or x, c) = dia(a, b, c) and dia(a, x, c)", "abxc"),
-    ("ch-4", "dia(a, b, c and x) <= dia(a, b, c) and dia(a, b, x)", "abcx"),
-)
-
-
-@lru_cache(maxsize=None)
-def _law_sweeps(law: str, bound: int = 0) -> tuple:
-    """The law's rows compiled, the first ``bound`` letters of each order bound by the caller."""
-    return tuple(
-        compile_sweep(parse(text), tuple(order[bound:]), name == "cut", tuple(order[:bound]))
-        for name, text, order in _LAWS
-        if name == law
-    )
+_LAWS = {
+    "EC0": (("dia(a, b, f) <= dia(a or d, b, f or d)", "abfd", False),),
+    "cut": (("dia(a, b, d) and dia(a, b, e) and dia(d, e, f) <= dia(a, b, f)", "abdef", True),),
+    "EC2": (("dia(a, b, a or f) = 1", "abf", False),),
+    "EC3": (("dia(a, a, f) and a <= f", "af", False),),
+    "EC4": (("dia(a, b, f) <= dia(b, a, f)", "abf", False),),
+    "ExtCA2": (("a or f = f => dia(a, b, f) = 1", "abf", False),),
+    "ExtCA3": (("dia(a, b, f) and a and b <= f", "abf", False),),
+    "EC3-iff": (
+        ("dia(a, a, f) and a <= f", "af", False),
+        ("a or f = f => dia(a, a, f) = 1", "af", False),
+    ),
+    "weaker-right": (("c or f = f => dia(a, b, c) and dia(a, b, f) = dia(a, b, c)", "abcf", False),),
+    "stronger-left": (("f or a = a => dia(a, b, c) and dia(f, b, c) = dia(a, b, c)", "abcf", False),),
+    "BI-1": (("dia(0, 1, a) = 1", "a", False),),
+    "BI-2": (("dia(a, b, c) and dia(x, b, c) <= dia(a or x, b, c)", "axbc", False),),
+    "BI-3": (("d or a = a => dia(a, b, c) and dia(d, b, c) = dia(a, b, c)", "abcd", False),),
+    "BI-4": (("c or d = d => dia(a, b, c) and dia(a, b, d) = dia(a, b, c)", "abcd", False),),
+    "ch-1": (
+        ("dia(0, b, c) = 1", "0bc", False),
+        ("dia(a, 0, c) = 1", "a0c", False),
+        ("dia(a, b, 1) = 1", "ab1", False),
+    ),
+    "ch-2": (("dia(a or x, b, c) = dia(a, b, c) and dia(x, b, c)", "axbc", False),),
+    "ch-3": (("dia(a, b or x, c) = dia(a, b, c) and dia(a, x, c)", "abxc", False),),
+    "ch-4": (("dia(a, b, c and x) <= dia(a, b, c) and dia(a, b, x)", "abcx", False),),
+}
 
 
 def _law(chi: tuple[int, ...], top: int, law: str, note: str = "") -> AxiomResult:
     """Sweep a law of _LAWS over chi's table."""
-    witnesses = [w for sweep in _law_sweeps(law) if (w := sweep(chi, top)) is not None]
+    # imported at first use: a passing check sweeps no sentence
+    from .terms import first_witness
+
+    witnesses = [w for row in _LAWS[law] if (w := first_witness((row,), chi, top)) is not None]
     if not witnesses:
         return passed(law, note)
     return failed(law, min(witnesses) if law == "EC3-iff" else witnesses[0], note)
 
 
-# Each axiom system's laws in report order, as (reported name, law): a
-# law of _LAWS, or "cut".  The checkers and the verdict-only
-# pool_verdicts all read these lists.
+# Each axiom system's laws in report order, as (reported name, law of
+# _LAWS).  The checkers and the verdict-only pool_verdicts all read these
+# lists.
 _SYSTEMS = {
     "eca": (("EC0", "EC0"), ("EC1", "cut"), ("EC2", "EC2"), ("EC3", "EC3"), ("EC4", "EC4")),
     "extca": (
@@ -300,11 +300,10 @@ def _check(rel: TernaryRelation, system: str) -> CheckReport:
         if prefix is None:
             results.append(passed(name))
             continue
+        from .terms import witness_at
+
         chi = chi or _chi_table(rel)
-        rest = _law_sweeps(law, len(prefix))[0](chi, top, *prefix)
-        if rest is None:
-            raise InternalCheckError(f"{name} fails its mask test at {prefix} but its sweep finds no witness")
-        results.append(failed(name, prefix + rest))
+        results.append(failed(name, witness_at(name, _LAWS[law], chi, top, prefix)))
     return CheckReport(system, tuple(results))
 
 

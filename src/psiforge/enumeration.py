@@ -15,8 +15,8 @@ a table whose values it has first mapped by one bytes.translate, by at
 most 3(k-1) delta swaps of offset bits.  Every value is below 256, so
 the least bytes image is the least table.
 
-The built-in axiom sets of named_axioms are the texts of
-ternary_operator.AXIOM_TEXTS, which the operator checkers sweep.
+The built-in axiom sets of named_axioms are the rows of the laws that
+ternary_operator.AXIOM_SETS lists, the rows the operator checkers sweep.
 """
 from __future__ import annotations
 
@@ -29,21 +29,23 @@ from math import prod
 from .boolean_core import FiniteBooleanAlgebra, _lacking_bits, apply_automorphism, automorphisms, make_algebra
 from .contact_relation import TernaryRelation, op_to_rel, pool_verdicts, rel_to_op
 from .errors import SizeCapError
-from .terms import Sentence, _sweep_plan, holds
-from .ternary_operator import DEFAULT_SEED, TernaryOperator, _axiom_set
+from .terms import Sentence, _sweep_plan, holds, parse
+from .ternary_operator import AXIOM_SETS, DEFAULT_SEED, LAW_ROWS, TernaryOperator
 
 ENUM_MAX_ATOMS_EXACT = 2
 ENUM_MAX_ATOMS_ECAS = 3
 
-_AXIOM_SETS = {"3bamo": ("3bamo",), "psi": ("3bamo", "pi"), "strict": ("3bamo", "pi", "strictness")}
+_NAMED_SETS = {"3bamo": ("3bamo",), "psi": ("3bamo", "pi"), "strict": ("3bamo", "pi", "strictness")}
 
 
 def named_axioms(name: str) -> list[Sentence]:
     """Built-in axiom sets: 3bamo, psi (= 3bamo + pi), strict (= psi +
-    strictness).  Each text is parsed once; every call returns a fresh list."""
-    if name not in _AXIOM_SETS:
+    strictness), each law's rows in order.  Every call returns a fresh
+    list."""
+    if name not in _NAMED_SETS:
         raise ValueError(f"unknown axiom set {name!r}")
-    return [s for text in _AXIOM_SETS[name] for s in _axiom_set(text)]
+    laws = (law for part in _NAMED_SETS[name] for law in AXIOM_SETS[part])
+    return [parse(text) for law in laws for text, _, _ in LAW_ROWS[law]]
 
 
 def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> list[tuple[int, ...]]:

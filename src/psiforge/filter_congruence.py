@@ -7,8 +7,9 @@ congruences compatible with the operator.  F is modal when it is closed
 under mu.  Closedness is decided on every operator by one whole-table
 test against the meets of dia above each triple (filter_is_closed).
 Modality, the (Su)/(Mid) reduction and the generator-only modality
-shortcut are stated as sentences in the rows of _FILTER_LAWS and swept
-by terms.compile_sweep; the last two are computed alongside so their
+shortcut are stated as sentences in _FILTER_LAWS, in the row format of
+module terms, and swept by terms.first_witness with the generator bound
+as a one-letter prefix; the last two are computed alongside so their
 equivalence (valid for pseudo-inference operators) can be asserted, not
 assumed.  A partition is tested as a congruence by its definition,
 comparing each element with its block's least member on tables
@@ -22,7 +23,6 @@ from functools import cache, lru_cache
 from .boolean_core import FiniteBooleanAlgebra, Filter, _lacking_bits
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
-from .terms import compile_sweep, parse
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
@@ -35,31 +35,26 @@ class ClassifiedFilter:
     modal_via_generator: bool
 
 
-# Filter laws, one row each: (law, sentence, sweep order), swept by
-# terms.compile_sweep in ascending mask order with the filter's generator
-# bound to the param g.  x -> y lies in the filter [g) iff
+# Filter laws: law -> rows (sentence, witness order, top-down), swept in
+# ascending mask order with the first letter of each order, the filter's
+# generator g, bound.  x -> y lies in the filter [g) iff
 # g and x and not y = 0, and a lies in it iff g and not a = 0.  A law
 # with several rows holds when each of them does.
-_FILTER_LAWS = (
-    ("su-mid", "g and a and not b = 0 => g and dia(x, y, a) and not dia(x, y, b) = 0", "abxy"),
-    ("su-mid", "g and a and not b = 0 => g and dia(x, a, y) and not dia(x, b, y) = 0", "abxy"),
-    ("modal", "g and not a = 0 => g and not mu(a) = 0", "a"),
-    ("modal-generator", "g and not mu(g) = 0", ""),
-)
-
-
-@lru_cache(maxsize=None)
-def _filter_sweeps(law: str) -> tuple:
-    return tuple(
-        compile_sweep(parse(text), tuple(order), params=("g",))
-        for name, text, order in _FILTER_LAWS
-        if name == law
-    )
+_FILTER_LAWS = {
+    "su-mid": (
+        ("g and a and not b = 0 => g and dia(x, y, a) and not dia(x, y, b) = 0", "gabxy", False),
+        ("g and a and not b = 0 => g and dia(x, a, y) and not dia(x, b, y) = 0", "gabxy", False),
+    ),
+    "modal": (("g and not a = 0 => g and not mu(a) = 0", "ga", False),),
+    "modal-generator": (("g and not mu(g) = 0", "g", False),),
+}
 
 
 def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
-    g = flt.generator
-    return all(sweep(op.table, op.alg.top, g) is None for sweep in _filter_sweeps(law))
+    # imported at first use: filter_is_closed sweeps no sentence
+    from .terms import first_witness
+
+    return first_witness(_FILTER_LAWS[law], op.table, op.alg.top, (flt.generator,)) is None
 
 
 def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:

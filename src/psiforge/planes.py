@@ -15,10 +15,11 @@ for R2, as one bound, where MO1-MO3 hold, and on every row or column
 otherwise.  Every verdict is exact on every table.
 
 LAWS[law](raw, s) is the law's one decider: None when the law holds, else
-the prefix of its first witness in its order (ternary_operator._SWEEP_ROWS):
-(), the first failing a or (a, b), or the whole witness.  Where a test
-and the search for the prefix differ, the search, itself exact, runs only
-after the test has failed.
+the prefix of its first witness in the witness order of its rows
+(ternary_operator.LAW_ROWS): () for MO1, the first failing a for MO3 and
+R2, (a, x) for MO2, (a, b) for MO4 and PI1, (x, y) for R1, and the whole
+witness for PI2-PI4 and S.  Where a test and the search for the prefix
+differ, the search, itself exact, runs only after the test has failed.
 """
 from __future__ import annotations
 
@@ -86,14 +87,14 @@ def _nonadditive(raw: bytes, s: int, w: int) -> int:
     return fails
 
 
-def _mo2(raw: bytes, s: int) -> tuple[int] | None:
-    """The first a with dia(a or x, ., .) != dia(a, ., .) or dia(x, ., .)
-    for some x, searched where the atom forms fail."""
+def _mo2(raw: bytes, s: int) -> tuple[int, int] | None:
+    """The first (a, x) with dia(a or x, ., .) != dia(a, ., .) or
+    dia(x, ., .), searched where the atom forms fail."""
     s2 = s * s
     if not _nonadditive(raw, s, s2):
         return None
     slabs = [int.from_bytes(raw[i:i + s2], "little") for i in range(0, len(raw), s2)]
-    return next(((a,) for a in range(s) for x in range(s) if slabs[a | x] != slabs[a] | slabs[x]), None)
+    return next(((a, x) for a in range(s) for x in range(s) if slabs[a | x] != slabs[a] | slabs[x]), None)
 
 
 def _mo4(raw: bytes, s: int) -> tuple[int, int] | None:

@@ -1,5 +1,6 @@
 """Term language for operator equations and quasi-identities, with a
-recursive-descent parser, an evaluator and a sweep compiler.
+recursive-descent parser, an evaluator, a sweep compiler and the law
+rows every checker sweeps.
 
 Grammar (concrete syntax):
 
@@ -25,11 +26,17 @@ Quantifier sweeps run top-down: holds() tries assignments in descending
 mask order over the variables in order of first appearance, and reports
 the first falsifying assignment.  The sweep is compile_sweep(), which
 turns a sentence into generated nested-loop code over the flat operator
-table; the operator, relation and filter checkers use it too, with
-explicit variable orders.  A sentence variable may instead be a param:
-bound once per call by the caller (the filter laws bind the filter's
-generator g this way) and not swept.  eval_term() stays the reference
-evaluator.
+table.  A sentence variable may instead be a param: bound once per call
+by the caller and not swept.  eval_term() stays the reference evaluator.
+
+Law rows.  Every law the checkers decide is a tuple of rows (sentence,
+witness order, top-down), one format for the operator laws
+(ternary_operator.LAW_ROWS), the relation laws (contact_relation._LAWS)
+and the filter laws (filter_congruence._FILTER_LAWS).  law_sweeps
+compiles a law's rows with the first letters of each order bound by the
+caller, first_witness sweeps them in turn past a bound prefix, and
+witness_at names the witness of a law an exact test found failing,
+raising InternalCheckError if the sweep finds none.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .errors import EvalError, ParseError, SizeCapError
+from .errors import EvalError, InternalCheckError, ParseError, SizeCapError
 from .ternary_operator import (
     TernaryOperator,
     discriminator_t,
@@ -257,8 +264,10 @@ def parse_term(text: str) -> Term:
     return t
 
 
+@lru_cache(maxsize=256)
 def parse(text: str) -> Sentence:
-    """Parse one sentence: an identity, an inequality, or a quasi-identity."""
+    """Parse one sentence: an identity, an inequality, or a quasi-identity.
+    Sentences are immutable, so each text is parsed once while cached."""
     p = _Parser(text)
     s = p.sentence()
     p.done()
@@ -446,7 +455,6 @@ def _expand(t: Term, nodes: dict) -> Term:
     return walk(t)
 
 
-@lru_cache(maxsize=256)
 def compile_sweep(
     s: Sentence, order: tuple[str, ...], descending: bool = False, params: tuple[str, ...] = ()
 ):
@@ -549,3 +557,43 @@ def holds(s: Sentence, op: TernaryOperator) -> tuple[bool, dict[str, int] | None
     if witness is None:
         return True, None
     return False, dict(zip(names, witness))
+
+
+# ---------------------------------------------------------------------------
+# law rows
+#
+# A law is a tuple of rows (sentence text, witness order, top-down).  Its
+# rows are swept in turn and the first violation is the law's witness, in
+# the row's order; an order may name the constants 0 and 1.
+
+
+@lru_cache(maxsize=None)
+def law_sweeps(rows: tuple, bound: int = 0) -> tuple:
+    """Each row compiled, the first ``bound`` letters of its order bound by
+    the caller: sweep(table, top, *prefix) gives the rest of a witness."""
+    return tuple(
+        compile_sweep(parse(text), tuple(order[bound:]), top_down, tuple(order[:bound]))
+        for text, order, top_down in rows
+    )
+
+
+def first_witness(rows: tuple, table, top: int, prefix: tuple = ()) -> tuple | None:
+    """The first violation of the rows swept in turn over ``table``, with
+    the first letters of each order bound to ``prefix``: the whole
+    witness, prefix first, or None if every row holds there."""
+    for sweep in law_sweeps(rows, len(prefix)):
+        rest = sweep(table, top, *prefix)
+        if rest is not None:
+            return prefix + rest
+    return None
+
+
+def witness_at(law: str, rows: tuple, table, top: int, prefix: tuple) -> tuple:
+    """The whole witness of a law that an exact test found failing at
+    ``prefix``, the prefix of its first witness.  A sweep that names none
+    means the test and the rows disagree: InternalCheckError, naming the
+    law and the prefix."""
+    witness = first_witness(rows, table, top, prefix)
+    if witness is None:
+        raise InternalCheckError(f"{law} fails its exact test at {prefix} but its sweep names no witness")
+    return witness

@@ -6,14 +6,15 @@ behaviour), PI1-PI4 (pseudo-inference), R1/R2/S (strictness), the
 relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
-MO1-MO4, PI1-PI4, R1, R2 and S are stated once, as sentences in
-AXIOM_TEXTS; enumeration.named_axioms parses the same texts.  Each law
-has one decider, planes.LAWS[law], exact on every table by whole-table
-tests on the table's bytes (masks, shifts and byte-wise lookups; PI1, R1
-and R2 one (a, b) row or column at a time).  It gives None when the law
-holds, else the prefix of the law's first witness, and the law's compiled
-sentence (terms.compile_sweep; MO1 its three sentences in turn) is swept
-with that prefix bound, over the remaining variables only.
+Each law is stated once, as rows of sentences in LAW_ROWS (terms' one
+row format), and AXIOM_SETS lists the laws of each built-in axiom set;
+enumeration.named_axioms parses the same rows.  Each law has one
+decider, planes.LAWS[law], exact on every table by whole-table tests on
+the table's bytes (masks, shifts and byte-wise lookups; PI1, R1 and R2
+one (a, b) row or column at a time).  It gives None when the law holds,
+else the prefix of the law's first witness, and terms.witness_at sweeps
+the law's rows (MO1 its three in turn) with that prefix bound, over the
+remaining variables only.
 
 Witness order.  Sweeps run in ascending mask order and report the first
 violating tuple.  The five-variable cut axiom PI1 reports the first
@@ -24,10 +25,8 @@ four-element counterexample exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
-from .errors import InternalCheckError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 
 DEFAULT_SEED = 0xEC0
@@ -149,105 +148,71 @@ def discriminator_t(op: TernaryOperator, a: int, b: int, c: int) -> int:
     return (a & dv) | (c & alg.neg(dv))
 
 
-# The built-in axiom sets, one sentence per line in the terms grammar:
-# swept by _SWEEP_ROWS below, and parsed by enumeration.named_axioms.
-AXIOM_TEXTS = {
-    "3bamo": """
-        # weak normality and monotone distribution laws
-        dia(0, b, c) = 0
-        dia(a, 0, c) = 0
-        dia(a, b, 0) = 0
-        dia(a or x, b, c) = dia(a, b, c) or dia(x, b, c)
-        dia(a, b or x, c) = dia(a, b, c) or dia(a, x, c)
-        dia(a, b, c) or dia(a, b, x) <= dia(a, b, c or x)
-    """,
-    "pi": """
-        # pseudo-inference laws
-        dia(a, b, f) <= dia(a, b, not d) or dia(a, b, not e) or dia(d, e, f)
-        dia(a, b, not a) = 0
-        a and f <= dia(a, a, f)
-        dia(a, b, f) <= dia(b, a, f)
-    """,
-    "strictness": """
-        # strictness laws
-        dia(x, y, a) and not dia(x, y, b) <= dia(1, 1, a and not b)
-        dia(x, a, y) and not dia(x, b, y) <= dia(1, a and not b, 1)
-        dia(a, b, c) <= mu(dia(a, b, c))
-    """,
+# Operator laws: law -> rows (sentence, witness order, top-down), swept
+# in turn by terms.first_witness; the first failure wins.  Witness orders
+# may name the constants 0 and 1; R2's differs from the order in which its
+# sentence introduces the variables (x, a, y, b).
+LAW_ROWS = {
+    # weak normality and monotone distribution laws
+    "MO1": (
+        ("dia(0, b, c) = 0", "0bc", False),
+        ("dia(a, 0, c) = 0", "a0c", False),
+        ("dia(a, b, 0) = 0", "ab0", False),
+    ),
+    "MO2": (("dia(a or x, b, c) = dia(a, b, c) or dia(x, b, c)", "axbc", False),),
+    "MO3": (("dia(a, b or x, c) = dia(a, b, c) or dia(a, x, c)", "abxc", False),),
+    "MO4": (("dia(a, b, c) or dia(a, b, x) <= dia(a, b, c or x)", "abcx", False),),
+    # pseudo-inference laws; the cut PI1 is swept top-down
+    "PI1": (("dia(a, b, f) <= dia(a, b, not d) or dia(a, b, not e) or dia(d, e, f)", "abfde", True),),
+    "PI2": (("dia(a, b, not a) = 0", "ab", False),),
+    "PI3": (("a and f <= dia(a, a, f)", "af", False),),
+    "PI4": (("dia(a, b, f) <= dia(b, a, f)", "abf", False),),
+    # strictness laws
+    "R1": (("dia(x, y, a) and not dia(x, y, b) <= dia(1, 1, a and not b)", "xyab", False),),
+    "R2": (("dia(x, a, y) and not dia(x, b, y) <= dia(1, a and not b, 1)", "xaby", False),),
+    "S": (("dia(a, b, c) <= mu(dia(a, b, c))", "abc", False),),
+    # the equivalent forms of PI2 that check_pi2_equivalents compares
+    "PI2-top-form": (("dia(a, 1, not a) = 0", "a", False),),
+    "PI2-quasi": (("a and f = 0 => dia(a, b, f) = 0", "afb", False),),
+    "PI2-quasi-top": (("a and f = 0 => dia(a, 1, f) = 0", "af", False),),
+}
+
+# The built-in axiom sets, as laws of LAW_ROWS in order: checked by
+# check_3bamo, check_psi and check_strict, and parsed row by row by
+# enumeration.named_axioms.
+AXIOM_SETS = {
+    "3bamo": ("MO1", "MO2", "MO3", "MO4"),
+    "pi": ("PI1", "PI2", "PI3", "PI4"),
+    "strictness": ("R1", "R2", "S"),
 }
 
 
-# Operator laws checked by a compiled sweep of their sentence, one row
-# each: (axiom, sentence, witness order, top-down).  The sentence is an
-# (axiom set, index) into AXIOM_TEXTS, or the text of a PI2 or MO2-MO4
-# equivalent.  Witness orders are explicit and may name the constants 0
-# and 1; R2's differs from the order in which its sentence introduces the
-# variables (x, a, y, b).  An axiom's rows are swept in turn; the first
-# failure wins.
-_SWEEP_ROWS = (
-    ("MO1", ("3bamo", 0), "0bc", False),
-    ("MO1", ("3bamo", 1), "a0c", False),
-    ("MO1", ("3bamo", 2), "ab0", False),
-    ("MO2", ("3bamo", 3), "axbc", False),
-    ("MO3", ("3bamo", 4), "abxc", False),
-    ("MO4", ("3bamo", 5), "abcx", False),
-    ("PI1", ("pi", 0), "abfde", True),
-    ("PI2", ("pi", 1), "ab", False),
-    ("PI3", ("pi", 2), "af", False),
-    ("PI4", ("pi", 3), "abf", False),
-    ("R1", ("strictness", 0), "xyab", False),
-    ("R2", ("strictness", 1), "xaby", False),
-    ("S", ("strictness", 2), "abc", False),
-    ("PI2-top-form", "dia(a, 1, not a) = 0", "a", False),
-    ("PI2-quasi", "a and f = 0 => dia(a, b, f) = 0", "afb", False),
-    ("PI2-quasi-top", "a and f = 0 => dia(a, 1, f) = 0", "af", False),
-)
-
-
-@lru_cache(maxsize=None)
-def _axiom_set(name: str) -> tuple:
-    """The parsed sentences of AXIOM_TEXTS[name], parsed once per process."""
-    from .terms import parse_axiom_file
-
-    return tuple(parse_axiom_file(AXIOM_TEXTS[name]))
-
-
-@lru_cache(maxsize=None)
-def _row_sweeps(axiom: str, bound: int = 0) -> tuple:
-    """The axiom's rows compiled, the first ``bound`` letters of each order bound by the caller."""
-    # imported at first use: terms imports this module
-    from .terms import compile_sweep, parse
-
-    sweeps = []
-    for name, source, order, top_down in _SWEEP_ROWS:
-        if name == axiom:
-            sentence = parse(source) if isinstance(source, str) else _axiom_set(source[0])[source[1]]
-            sweeps.append(compile_sweep(sentence, tuple(order[bound:]), top_down, tuple(order[:bound])))
-    return tuple(sweeps)
-
-
 def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
-    for sweep in _row_sweeps(axiom):
-        witness = sweep(op.table, op.alg.top)
-        if witness is not None:
-            return failed(axiom, witness)
-    return passed(axiom)
+    """The law's rows swept in full, as the reference for its decider."""
+    # imported at first use: terms imports this module
+    from .terms import first_witness
+
+    witness = first_witness(LAW_ROWS[axiom], op.table, op.alg.top)
+    return passed(axiom) if witness is None else failed(axiom, witness)
 
 
-def _decide(op: TernaryOperator, raw: bytes, axiom: str) -> AxiomResult:
-    """The plane decider's verdict; on failure the sentence is swept past
-    the prefix it gives, to name the rest of the witness."""
+def _check(op: TernaryOperator, kind: str, axioms: str) -> CheckReport:
+    """Each law of AXIOM_SETS[axioms] decided by planes.LAWS; a failing
+    law's rows are swept past the prefix it gives, to name the rest of
+    the witness."""
     # imported at first use, like terms: most verbs check no operator law
     from .planes import LAWS
 
-    prefix = LAWS[axiom](raw, op.alg.size)
-    if prefix is None:
-        return passed(axiom)
-    for sweep in _row_sweeps(axiom, len(prefix)):
-        rest = sweep(op.table, op.alg.top, *prefix)
-        if rest is not None:
-            return failed(axiom, prefix + rest)
-    raise InternalCheckError(f"{axiom} fails its plane test at {prefix} but its sweep finds no witness")
+    raw, results = bytes(op.table), []
+    for axiom in AXIOM_SETS[axioms]:
+        prefix = LAWS[axiom](raw, op.alg.size)
+        if prefix is None:
+            results.append(passed(axiom))
+            continue
+        from .terms import witness_at
+
+        results.append(failed(axiom, witness_at(axiom, LAW_ROWS[axiom], op.table, op.alg.top, prefix)))
+    return CheckReport(kind, tuple(results))
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -268,11 +233,10 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
     with plane u, must equal them.  MO3 likewise.  MO4 says dia is monotone in c, so it holds
     iff dia(a, b, c) <= dia(a, b, c or u) for every atom u, by chains of
     single-atom covers: one shift-and-mask test per atom.  A failing test
-    gives the first failing a (MO2, MO3) or (a, b) (MO4), and only the
-    remaining variables are swept to name the witness.
+    gives the first failing (a, x) (MO2), a (MO3) or (a, b) (MO4), and
+    only the remaining variables are swept to name the witness.
     """
-    raw = bytes(op.table)
-    return CheckReport("3bamo", tuple(_decide(op, raw, ax) for ax in ("MO1", "MO2", "MO3", "MO4")))
+    return _check(op, "3bamo", "3bamo")
 
 
 def check_psi(op: TernaryOperator) -> CheckReport:
@@ -290,8 +254,7 @@ def check_psi(op: TernaryOperator) -> CheckReport:
     transpose) whose lowest failing entry is the witness, (a, b), (a, f)
     or (a, b, f).
     """
-    raw = bytes(op.table)
-    return CheckReport("psi", tuple(_decide(op, raw, ax) for ax in ("PI1", "PI2", "PI3", "PI4")))
+    return _check(op, "psi", "pi")
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
@@ -301,21 +264,14 @@ def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
     (a documented precondition, not enforced); the final
     "PI2-agreement" result records whether the verdicts in fact agreed.
     """
-    r_pi2 = _sweep(op, "PI2")
-
-    r_top = _sweep(op, "PI2-top-form")
-    # swept in the order (a, f, b), reported as (a, b, f)
-    r_quasi = _sweep(op, "PI2-quasi")
-    if not r_quasi.passed:
-        a, f, b = r_quasi.witness
-        r_quasi = failed("PI2-quasi", (a, b, f))
-    r_quasi_top = _sweep(op, "PI2-quasi-top")
-
-    verdicts = (r_pi2.passed, r_top.passed, r_quasi.passed, r_quasi_top.passed)
+    results = [_sweep(op, law) for law in ("PI2", "PI2-top-form", "PI2-quasi", "PI2-quasi-top")]
+    if not results[2].passed:  # swept in the order (a, f, b), reported as (a, b, f)
+        a, f, b = results[2].witness
+        results[2] = failed("PI2-quasi", (a, b, f))
+    verdicts = tuple(r.passed for r in results)
     agree = all(verdicts) or not any(verdicts)
-    note = f"verdicts {verdicts}"
-    r_agree = AxiomResult("PI2-agreement", agree, None if agree else (), note)
-    return CheckReport("pi2-equivalents", (r_pi2, r_top, r_quasi, r_quasi_top, r_agree))
+    results.append(AxiomResult("PI2-agreement", agree, None if agree else (), f"verdicts {verdicts}"))
+    return CheckReport("pi2-equivalents", tuple(results))
 
 
 def check_strict(op: TernaryOperator) -> CheckReport:
@@ -341,8 +297,7 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     and R2's first failing x (R2 fails at (x, a, b, y) iff the bound
     does at (x, a and not b, y)).
     """
-    raw = bytes(op.table)
-    return CheckReport("strict", tuple(_decide(op, raw, ax) for ax in ("R1", "R2", "S")))
+    return _check(op, "strict", "strictness")
 
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:

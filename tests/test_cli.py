@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from psiforge import (
     check_eca,
     dual_frame,
+    empty_relation,
     example_3bamo,
     largest_eca,
     make_algebra,
@@ -379,7 +380,20 @@ def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tm
     passing = tmp_path / "smallest_diamond_k2.json"
     passing.write_text(json.dumps(smallest_diamond(make_algebra(2)).to_json()))
     assert _loaded_modules("check", "--kind", "psi", str(passing)) == operator_checker - {"terms"} | {"planes"}
-    assert _loaded_modules("check", "--kind", "eca", largest_rel_file) == operator_checker | {"contact_relation"}
+    # likewise a passing relation is decided on masks, and a failing one
+    # compiles the sentence of its first failing law
+    relation_checker = operator_checker - {"terms"} | {"contact_relation"}
+    for kind in ("eca", "extca"):
+        assert _loaded_modules("check", "--kind", kind, largest_rel_file) == relation_checker
+    failing = tmp_path / "empty_relation_k2.json"
+    failing.write_text(json.dumps(empty_relation(make_algebra(2)).to_json()))
+    assert _loaded_modules("check", "--kind", "eca", str(failing)) == relation_checker | {"terms"}
+    # the translations and the topological model sweep no sentence
+    assert _loaded_modules("convert", "--to", "op", largest_rel_file) == relation_checker
+    assert _loaded_modules("convert", "--to", "rel", str(passing)) == relation_checker
+    topology = tmp_path / "three_point_topology.json"
+    topology.write_text(json.dumps({"points": [1, 2, 3], "basis": [[1], [3]]}))
+    assert _loaded_modules("topo", str(topology)) == relation_checker | {"topo_models"}
     # PIF1 is decided by the PI1 row test; the other frame checks load no plane test
     frame = tmp_path / "smallest_diamond_k2_frame.json"
     frame.write_text(json.dumps(dual_frame(smallest_diamond(make_algebra(2))).to_json()))

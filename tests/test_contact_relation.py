@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from psiforge import (
     relation_from_triples,
     smallest_diamond,
 )
-from psiforge.contact_relation import relation_from_json
+from psiforge.contact_relation import _chi_table, _law, relation_from_json
 from psiforge.topo_models import eca_from_topology, three_point_space
 
 
@@ -83,6 +84,29 @@ def test_ec3_iff_on_topological(topo_rel):
     for a in alg.elements():
         for f in alg.elements():
             assert topo_rel.holds(a, a, f) == alg.leq(a, f)
+
+
+def test_ec3_iff_reports_its_least_witness():
+    """EC3-iff's two rows sweep the same (a, f), and the law reports the
+    least (a, f) failing either, on relations that are not ECAs (the
+    derived-law check refuses those, so _law is called directly)."""
+    rng, alg1, alg2 = random.Random(31), make_algebra(1), make_algebra(2)
+    rels = [TernaryRelation(alg1, bits) for bits in range(256)]
+    rels += [TernaryRelation(alg2, rng.getrandbits(64)) for _ in range(200)]
+    orders = set()
+    for rel in rels:
+        alg = rel.alg
+        pairs = [(a, f) for a in alg.elements() for f in alg.elements()]
+        # the first row fails where (a, a) |- f and a is not below f, the
+        # second where a <= f and not (a, a) |- f
+        first = [(a, f) for a, f in pairs if rel.holds(a, a, f) and not alg.leq(a, f)]
+        second = [(a, f) for a, f in pairs if alg.leq(a, f) and not rel.holds(a, a, f)]
+        result = _law(_chi_table(rel), alg.top, "EC3-iff")
+        assert result.witness == min(first + second, default=None), rel.bits
+        if first and second:
+            orders.add(first[0] < second[0])
+    # the least witness comes from the first row on some relations, the second on others
+    assert orders == {False, True}
 
 
 def test_characteristic_lemma(alg2, topo_rel):

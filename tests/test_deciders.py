@@ -52,14 +52,14 @@ from psiforge.contact_relation import (
     _cut_witness,
     _SYSTEMS,
     _failure,
-    _law_sweeps,
+    _LAWS,
     pool_verdicts,
 )
 from psiforge.enumeration import enumerate_psi_operators, permute_operator_table, sample_3bamos
-from psiforge.filter_congruence import filter_is_closed
+from psiforge.filter_congruence import _FILTER_LAWS, filter_is_closed
 from psiforge.planes import LAWS, distributes
-from psiforge.terms import compile_sweep, parse
-from psiforge.ternary_operator import DEFAULT_SEED, TernaryOperator, _sweep
+from psiforge.terms import compile_sweep, law_sweeps, parse
+from psiforge.ternary_operator import DEFAULT_SEED, LAW_ROWS, TernaryOperator, _sweep
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
@@ -153,7 +153,7 @@ def test_mask_verdicts_decide_the_law_sentences(cases):
     for rel in _mask_law_cases()[cases]:
         chi, con = _chi_table(rel), _conclusion_masks(rel)
         for law in _MASK_LAWS:
-            (sweep,) = _law_sweeps(law)
+            (sweep,) = law_sweeps(_LAWS[law])
             verdict = sweep(chi, rel.alg.top) is None
             assert (_failure(rel, law, con) is None) is verdict, (law, rel.bits)
             verdicts.add((law, verdict))
@@ -527,7 +527,7 @@ def test_relation_witnesses_equal_the_full_sweeps(k, count):
                 if law == "cut" and k == 5:
                     witness = _reference_cut(_conclusion_masks(rel), top)
                 else:
-                    (sweep,) = _law_sweeps(law)
+                    (sweep,) = law_sweeps(_LAWS[law])
                     witness = sweep(chi, top)
                 assert (result.axiom, result.witness) == (name, witness), rel.bits
                 if witness is not None:
@@ -601,11 +601,31 @@ def test_closed_on_meets_decides_closed_filters():
 
 # a prefix of zeros, as long as each law's prefix, and the check reporting it
 _ZERO_PREFIXES = {
-    "MO1": (0, "3bamo"), "MO2": (1, "3bamo"), "MO3": (1, "3bamo"), "MO4": (2, "3bamo"),
+    "MO1": (0, "3bamo"), "MO2": (2, "3bamo"), "MO3": (1, "3bamo"), "MO4": (2, "3bamo"),
     "PI1": (2, "psi"), "PI2": (2, "psi"), "PI3": (2, "psi"), "PI4": (3, "psi"),
     "R1": (2, "strict"), "R2": (1, "strict"), "S": (3, "strict"),
 }
 _RELATION_PREFIXES = {"EC0": 3, "cut": 5, "EC2": 2, "EC3": 1, "EC4": 2, "ExtCA2": 2, "ExtCA3": 2}
+
+
+def test_every_law_row_compiles_at_each_bound():
+    """Every row of the three law tables compiles unbound and with each
+    prefix length its decider can return bound: the operator laws at their
+    planes.LAWS prefixes, the relation laws at their _failure prefixes and
+    the filter laws at the generator g.  The PI2 equivalents and the
+    derived relation laws are swept unbound only.  A row whose order
+    misses or repeats a variable, or binds a constant, fails to compile."""
+    assert set(_ZERO_PREFIXES) == set(LAWS)
+    assert set(_RELATION_PREFIXES) == {law for system in _SYSTEMS.values() for _, law in system}
+    tables = (
+        (LAW_ROWS, {law: length for law, (length, _) in _ZERO_PREFIXES.items()}),
+        (_LAWS, _RELATION_PREFIXES),
+        (_FILTER_LAWS, dict.fromkeys(_FILTER_LAWS, 1)),
+    )
+    for laws, prefixes in tables:
+        for law, rows in laws.items():
+            for bound in {0, prefixes.get(law, 0)}:
+                assert len(law_sweeps(rows, bound)) == len(rows), (law, bound)
 
 
 def test_a_failed_verdict_without_a_witness_is_an_error(monkeypatch):

@@ -39,6 +39,7 @@ from psiforge.enumeration import (
     sample_3bamos,
     sample_psi_operators,
 )
+from psiforge.ternary_operator import AXIOM_SETS, LAW_ROWS
 from psiforge.topo_models import eca_from_topology, three_point_space
 
 
@@ -48,6 +49,18 @@ def test_named_axiom_sizes():
     assert len(named_axioms("strict")) == 13
     with pytest.raises(ValueError):
         named_axioms("nonsense")
+
+
+def test_named_axioms_are_the_rows_of_their_laws():
+    # each set is the rows of the laws the operator checkers decide, in order
+    assert AXIOM_SETS == {
+        "3bamo": ("MO1", "MO2", "MO3", "MO4"),
+        "pi": ("PI1", "PI2", "PI3", "PI4"),
+        "strictness": ("R1", "R2", "S"),
+    }
+    for name, parts in (("3bamo", ("3bamo",)), ("psi", ("3bamo", "pi")), ("strict", ("3bamo", "pi", "strictness"))):
+        rows = [row for part in parts for law in AXIOM_SETS[part] for row in LAW_ROWS[law]]
+        assert named_axioms(name) == [parse(text) for text, _, _ in rows]
 
 
 def test_named_axioms_returns_a_fresh_list():

@@ -22,6 +22,7 @@ from psiforge import (
 )
 from psiforge.enumeration import sample_3bamos
 from psiforge.planes import distributes
+from psiforge.terms import law_sweeps
 from psiforge.ternary_operator import (
     constant_operator,
     discriminator_d,
@@ -29,7 +30,7 @@ from psiforge.ternary_operator import (
     example_3bamo_nonzero_entries,
     operator_from_function,
     operator_from_json,
-    _row_sweeps,
+    LAW_ROWS,
 )
 
 # the four-element counterexample, straight from its defining listing:
@@ -127,7 +128,7 @@ def test_pi1_exact_above_four_atoms():
     # no earlier pair in top-down order fails; PI1 at (a, b) reads only the
     # row dia(a, b, .) and the table, so one pair per distinct row is swept,
     # with (a, b) bound (the full top-down sweep takes seconds here)
-    (pi1,) = _row_sweeps("PI1", 2)
+    (pi1,) = law_sweeps(LAW_ROWS["PI1"], 2)
     rows = {}
     for a, b in takewhile(lambda p: p != (2, 8), product(range(31, -1, -1), repeat=2)):
         rows.setdefault(mo.table[(a * 32 + b) * 32:(a * 32 + b + 1) * 32], (a, b))
