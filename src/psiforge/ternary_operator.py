@@ -25,6 +25,7 @@ four-element counterexample exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
@@ -43,8 +44,13 @@ class TernaryOperator:
         size = self.alg.size
         if len(self.table) != size ** 3:
             raise ValueError(f"table must have {size ** 3} entries, got {len(self.table)}")
-        # one min/max pass; the scan names the first bad entry only on failure
-        if min(self.table) < 0 or max(self.table) >= size:
+        # one bytes pass deletes every in-carrier entry; where bytes() refuses
+        # an entry or one is left over, the scan names the first bad entry
+        try:
+            bad = bytes(self.table).translate(None, bytes(range(size)))
+        except (TypeError, ValueError):
+            bad = True
+        if bad and (min(self.table) < 0 or max(self.table) >= size):
             for v in self.table:
                 if not self.alg.contains(v):
                     raise ValueError(f"table value {v} outside carrier")
@@ -302,11 +308,15 @@ def check_strict(op: TernaryOperator) -> CheckReport:
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff every table entry is 0 or top; else the first offending triple."""
-    top = op.alg.top
     # one pass over the table's bytes: 1 marks an entry other than 0 and top
-    marks = bytes(v not in (0, top) for v in range(256))
+    marks = _non_relational_marks(op.alg.top)
     first = _first_entry(int.from_bytes(bytes(op.table).translate(marks), "little"), op.alg.size)
     return first is None, first
+
+
+@lru_cache(maxsize=None)
+def _non_relational_marks(top: int) -> bytes:
+    return bytes(v not in (0, top) for v in range(256))
 
 
 def discriminator_check(op: TernaryOperator) -> CheckReport:

@@ -229,6 +229,16 @@ def test_is_relational(alg1, alg2):
         assert is_relational(constant_operator(alg1, table_val))[0]
 
 
+def test_operator_refuses_a_value_outside_the_carrier(alg2):
+    """Each refusal names the first entry outside 0..size-1, alone or with
+    later bad entries: -1 and 256 do not fit in a byte, size does."""
+    for bad in (-1, alg2.size, 256):
+        for rest in (0, alg2.size + 1):
+            table = [0] * 5 + [bad] + [rest] * (alg2.size ** 3 - 6)
+            with pytest.raises(ValueError, match=rf"^table value {bad} outside carrier$"):
+                TernaryOperator(alg2, tuple(table))
+
+
 def test_mu_basics(alg2):
     small = smallest_diamond(alg2)
     for z in alg2.elements():

@@ -1,3 +1,7 @@
+from functools import cache
+
+import pytest
+
 from psiforge import TernaryRelation, check_eca, check_extca
 from psiforge.verify import (
     SuiteItem,
@@ -7,9 +11,59 @@ from psiforge.verify import (
     scoreboard,
 )
 
+# every lemma, verdict and detail in order; k=1 and k=2 run the same pools
+SCOREBOARD = """\
+[pass] eca-extca-agree-k1-exhaustive  (256 relations)
+[pass] eca-extca-agree-k2-random  (10000 seeded relations, 128 one-bit flips of the 2 ECAs)
+[pass] translation-round-trip-and-image  (1+2 relations)
+[pass] translation-order-reversal  (all enumerated pairs)
+[pass] largest-relation-smallest-operator
+[pass] relational-implies-strict-simple-discriminator  (k<=2)
+[pass] k1-relational-iff-simple-strict  (1 ops)
+[pass] k2-relational-iff-simple-strict  (10 ops)
+[pass] mu-properties  ({ops} operators)
+[pass] mu-complement-fixed-under-s
+[pass] monotone-in-each-coordinate
+[pass] closed-implies-modal  ({ops} operators)
+[pass] su-mid-iff-closed  ({ops} operators)
+[pass] modal-implies-closed-under-r1r2  ({ops} operators)
+[pass] modal-generator-shortcut-agrees  ({ops} operators)
+[pass] filter-congruence-round-trip
+[pass] si-implies-simple-on-strict
+[pass] cep-permutability-distributivity  (4 strict ops)
+[pass] dual-frame-descriptive  ({frames} frames)
+[pass] stone-commutation  (dia, box, and complement laws)
+[pass] pi-pif-componentwise
+[pass] double-dual-identity
+[pass] totality-iff-relational
+[pass] pif2-strong-form-search  (no separation: with closure the identity, \
+the strong form is an instance of the basic condition on every finite discrete frame)
+[pass] example-3bamo-regression  (15 entries, PI1 witness (3,1,3,2,1))
+[pass] three-point-space-witness  (lattice meet 0 yet in contact)
+[pass] random-topologies-give-ecas  (100 seeded spaces)
+[pass] morphism-duality-biconditionals  (23 combinations)
+[pass] eca-morphism-equivalences
+[pass] morphism-composition-contravariance
+[pass] bijective-full-inverts
+[pass] enumeration-oracle-k1  (1 relations brute forced)
+[pass] relational-psi-iff-eca-k2  (2 of 10 tables relational)
+[pass] enumeration-sound
+34/34 lemmas verified"""
 
-def test_suite_all_pass_at_default_scale():
-    items = run_suite(k=2)
+
+@pytest.fixture(scope="module")
+def suite():
+    """run_suite(k) for k = 1..3, run once per k for the whole module."""
+    return cache(lambda k: run_suite(k=k))
+
+
+@pytest.mark.parametrize("k, ops, frames", [(1, 11, 12), (2, 11, 12), (3, 27, 20)])
+def test_scoreboard_pinned(suite, k, ops, frames):
+    assert scoreboard(suite(k)) == SCOREBOARD.format(ops=ops, frames=frames)
+
+
+def test_suite_all_pass_at_default_scale(suite):
+    items = suite(2)
     assert items
     failures = [i.lemma for i in items if not i.passed]
     assert failures == []
