@@ -5,6 +5,20 @@ its atoms, so the carrier here is the set of bitmasks over k atoms: join,
 meet and complement are single int operations, filters are principal, and
 ultrafilters coincide with atoms.  All values are immutable; every function
 is pure.
+
+It also holds the one plane toolkit that the other modules share.  A
+table over A^3 at k atoms is read as the int of its 8**k entries, entry
+(a, b, c) at offset (a*size + b)*size + c, each entry 2**lane bits wide
+(lane 0: a bitset such as a relation or a frame row; lane 3: a byte table
+such as an operator).  Offset bit j is bit j of c for j < k, of b below
+2k and of a above.  The toolkit:
+
+  _lacking_bits   the mask of the entries whose offset lacks one bit
+  _entries, _bits a bitset as one byte per bit, and back (the codec)
+  _table_of_rows  bitsets, one per bit of a value, as one byte table
+  _up, _down      the subset-OR and superset-AND transforms (Knuth, TAOCP
+                  4A 7.1.3) along chosen offset bits, at any lane width
+  _first_entry    the offset of the lowest nonzero entry, as digits
 """
 from __future__ import annotations
 
@@ -197,6 +211,58 @@ def _lacking_bits(n: int, g: int) -> int:
         pattern |= pattern << width
         width *= 2
     return int.from_bytes(pattern.to_bytes(width // 8, "little") * (n // width), "little")
+
+
+def _up(x: int, k: int, bits, lane: int = 0) -> int:
+    """The subset-OR transform of x, read as a table over A^3 at k atoms of
+    2**lane-bit entries, along the given offset bits: each entry becomes
+    the OR of the entries whose offsets lie below its own in those bits
+    and agree in the rest.  One shift and mask per bit."""
+    n = 8 ** k << lane
+    for j in bits:
+        g = 1 << j + lane
+        x |= (x & _lacking_bits(n, g)) << g
+    return x
+
+
+def _down(x: int, k: int, bits, lane: int = 0) -> int:
+    """The superset-AND transform, the dual of _up: each entry becomes the
+    AND of the entries whose offsets lie above its own in the given bits
+    and agree in the rest."""
+    n = 8 ** k << lane
+    full = (1 << n) - 1  # full ^ lacking, a positive mask, is faster to OR with than ~lacking
+    for j in bits:
+        g = 1 << j + lane
+        x &= x >> g | _lacking_bits(n, g) ^ full
+    return x
+
+
+def _entries(bits: int, n: int, values: bytes) -> bytes:
+    """The bitset's n bits as n bytes, bit i at byte i: values[0] where
+    the bit is clear, values[1] where it is set."""
+    return format(bits, f"0{n}b")[::-1].encode().translate(bytes.maketrans(b"01", values))
+
+
+@lru_cache(maxsize=None)
+def _digits(mask: int, want: int) -> bytes:
+    """Translation of each byte v to the binary digit of v & mask == want."""
+    return bytes(48 + (v & mask == want) for v in range(256))
+
+
+def _bits(raw: bytes, mask: int, want: int) -> int:
+    """The inverse of _entries: the bitset with bit i set iff byte i of
+    raw, ANDed with mask, is want (mask 255 and want 0: the zero bytes)."""
+    return int(raw.translate(_digits(mask, want))[::-1], 2)
+
+
+def _table_of_rows(k: int, rows) -> bytes:
+    """The byte table over A^3 at k atoms whose entry j holds bit x
+    exactly when bit j of rows[x] is set: the inverse of reading each
+    row off the table with _bits(table, 1 << x, 1 << x)."""
+    n, table = 8 ** k, 0
+    for x, r in enumerate(rows):
+        table |= int.from_bytes(_entries(r, n, bytes((0, 1 << x))), "little")
+    return table.to_bytes(n, "little")
 
 
 def _first_entry(fails: int, size: int, places: int = 3, width: int = 8) -> tuple[int, ...] | None:

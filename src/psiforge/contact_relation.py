@@ -10,7 +10,8 @@ They work on whole words: not c flips every atom bit of c, so moving each
 bit (a, b, c) to (a, b, not c) is one shift-and-mask step per atom on the
 bitset (_negate_conclusions), and a bitset becomes a table of 0 and top
 bytes, or a table the bitset of its zero entries, by one binary format
-and one bytes.translate (_entries, _zeros).
+and one bytes.translate (the codec _entries and _bits of module
+boolean_core).
 
 Every law of both systems has one decider on the relation's bitset,
 _failure: EC0, EC2, EC3 and their ExtCA twins by a few and/or/shift
@@ -39,7 +40,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, product
 
-from .boolean_core import FiniteBooleanAlgebra, _first_entry, _lacking_bits, algebra_from_json, json_int
+from .boolean_core import (
+    FiniteBooleanAlgebra,
+    _bits,
+    _entries,
+    _first_entry,
+    _lacking_bits,
+    algebra_from_json,
+    json_int,
+)
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .ternary_operator import TernaryOperator, is_relational
@@ -144,21 +153,6 @@ def _negate_conclusions(bits: int, k: int) -> int:
         low = _lacking_bits(n, 1 << i)
         bits = (bits & low) << (1 << i) | bits >> (1 << i) & low
     return bits
-
-
-def _entries(bits: int, n: int, values: bytes) -> bytes:
-    """The bitset's n bits as n bytes, bit i at byte i: values[0] where
-    the bit is clear, values[1] where it is set."""
-    return format(bits, f"0{n}b")[::-1].encode().translate(bytes.maketrans(b"01", values))
-
-
-# the binary digit of each byte value: 1 for 0, 0 for any other
-_ZERO_DIGITS = b"1" + b"0" * 255
-
-
-def _zeros(raw: bytes) -> int:
-    """The bitset with bit i set iff byte i of raw is 0."""
-    return int(raw.translate(_ZERO_DIGITS)[::-1], 2)
 
 
 def _chi_table(rel: TernaryRelation) -> tuple[int, ...]:
@@ -468,7 +462,7 @@ def op_to_rel(op: TernaryOperator) -> TernaryRelation:
     inverse of rel_to_op only on relational operators (use is_relational to
     flag the breach).
     """
-    return TernaryRelation(op.alg, _negate_conclusions(_zeros(bytes(op.table)), op.alg.atom_count))
+    return TernaryRelation(op.alg, _negate_conclusions(_bits(bytes(op.table), 255, 0), op.alg.atom_count))
 
 
 def contact_from_eca(rel: TernaryRelation) -> frozenset[tuple[int, int]]:
@@ -479,12 +473,8 @@ def contact_from_eca(rel: TernaryRelation) -> frozenset[tuple[int, int]]:
     """
     _require_eca(rel, "contact_from_eca")
     alg = rel.alg
-    pairs = frozenset(
-        (a, b)
-        for a in alg.elements()
-        for b in alg.elements()
-        if not rel.holds(a, b, 0)
-    )
+    # (a, b) entails 0 iff bit 0 of its conclusion mask is set
+    pairs = frozenset(divmod(i, alg.size) for i, m in enumerate(_conclusion_masks(rel)) if not m & 1)
     for a, b in pairs:
         if (b, a) not in pairs:
             raise InternalCheckError(f"contact not symmetric at ({a},{b})")

@@ -15,16 +15,18 @@ U and a family R(x):
   box_R(U)     points x with R(x) contained in L_U
 
 R is stored as one bitset per point over the operator-table index
-(y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows); the (x, Y1, Y2, Y3)
-entries are a view read off it.  Adding a point to one coordinate sets
-one of the 3n index bits, so "every triple above Y" and "some triple
-below U" are superset-AND and subset-OR (zeta) transforms over those
-bits: one shift and mask per index bit acts on every triple at once.
-The dual frame of an operator places (u, Y) in R exactly when the filter
-product generated by Y lies inside the operator preimage of u, the
-superset-AND transform of the entries holding u; the complex algebra's
-dia_R is the subset-OR transform of each R(x); and DF2 and DF3 are shift
-tests on the same bitsets.  The space conditions PIF1-PIF4 and totality
+(y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows): a table over A^3 at
+n atoms, one bit per entry, in the layout of the plane toolkit of module
+boolean_core; the (x, Y1, Y2, Y3) entries are a view read off it.  Adding
+a point to one coordinate sets one of the 3n index bits, so "every triple
+above Y" and "some triple below U" are the toolkit's superset-AND and
+subset-OR transforms, _down and _up, over those bits: one shift and mask
+per index bit acts on every triple at once.  The dual frame of an
+operator places (u, Y) in R exactly when the filter product generated by
+Y lies inside the operator preimage of u, the superset-AND transform of
+the entries holding u; the complex algebra's dia_R is the subset-OR
+transform of each R(x); and DF2 and DF3 compare the same bitsets with
+their subset-OR transforms.  The space conditions PIF1-PIF4 and totality
 read the reach table, whose entry j is the mask of points reaching
 triple j.  Read as an operator table on the point sets, it is upward
 closed and 0 at any empty coordinate on a frame with DF2, and there PIF1
@@ -37,7 +39,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean_core import MAX_ATOMS, FiniteBooleanAlgebra, _first_entry, json_int, make_algebra
+from .boolean_core import (
+    MAX_ATOMS,
+    FiniteBooleanAlgebra,
+    _bits,
+    _down,
+    _first_entry,
+    _table_of_rows,
+    _up,
+    json_int,
+    make_algebra,
+)
 from .errors import PreconditionError, InternalCheckError, SizeCapError
 from .report import CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_3bamo, check_psi
@@ -75,7 +87,7 @@ class PsiFrame:
         rows = tuple(rows)
         if len(rows) != point_count:
             raise ValueError(f"{len(rows)} rows for {point_count} points")
-        nonempty = _index_masks(point_count)[1]
+        nonempty = _index_masks(point_count)[0]
         if any(r & ~nonempty for r in rows):
             raise ValueError("relation components must be nonempty point masks")
         frame = cls.__new__(cls)
@@ -167,76 +179,26 @@ def _set_bits(m: int) -> list[int]:
     return [i << 3 | b for i, byte in enumerate(raw) if byte for b in bits[byte]]
 
 
-def _coordinate_mask(n: int, coord: int, values) -> int:
-    """The triple indices at n points whose coordinate coord (0 for Y1)
-    takes one of the given values."""
-    size = 1 << n
-    width = size ** (2 - coord)  # consecutive indices sharing that coordinate
-    mask = sum(((1 << width) - 1) << v * width for v in values)
-    period = size * width
-    while period < size ** 3:
-        mask |= mask << period
-        period *= 2
-    return mask
-
-
 @lru_cache(maxsize=None)
-def _index_masks(n: int) -> tuple[tuple[int, ...], int, int]:
-    """Masks over the triple index at n points: has[b], the indices with
-    index bit b set (bit b of Y3 for b < n, of Y2 below 2n, of Y1 above);
-    the triples with every coordinate nonempty; and those whose Y1 and Y2
-    are singletons."""
-    size = 1 << n
-    has = tuple(
-        _coordinate_mask(n, 2 - b // n, [y for y in range(size) if y >> b % n & 1]) for b in range(3 * n)
-    )
-    nonempty = ~0
-    for coord in range(3):
-        nonempty &= _coordinate_mask(n, coord, range(1, size))
-    singles = [1 << i for i in range(n)]
-    return has, nonempty, _coordinate_mask(n, 0, singles) & _coordinate_mask(n, 1, singles)
+def _index_masks(n: int) -> tuple[int, int]:
+    """Masks over the triple index at n points: the triples with every
+    coordinate nonempty, and those with Y1 and Y2 singletons and Y3
+    nonempty; the up-closures, over every index bit and over Y3's, of the
+    triples of single points."""
+    atoms = [1 << i for i in range(n)]
+    points = sum(1 << ((y1 << n | y2) << n | y3) for y1 in atoms for y2 in atoms for y3 in atoms)
+    return _up(points, n, range(3 * n)), _up(points, n, range(n))
 
 
 @lru_cache(maxsize=None)
 def _meets_masks(n: int) -> tuple[tuple[int, ...], ...]:
     """meets[coord][y]: the triple indices at n points whose coordinate
-    coord meets the point mask y."""
-    size = 1 << n
+    coord (0 for Y1) meets the point mask y, the up-closure of the
+    triples holding one point of y there and nothing elsewhere."""
     return tuple(
-        tuple(_coordinate_mask(n, coord, [u for u in range(size) if u & y]) for y in range(size))
-        for coord in range(3)
+        tuple(_up(sum(1 << (1 << i << shift) for i in range(n) if y >> i & 1), n, range(3 * n)) for y in range(1 << n))
+        for shift in (2 * n, n, 0)
     )
-
-
-@lru_cache(maxsize=None)
-def _digit_bytes(i: int) -> bytes:
-    """Translation of a table value to the digit 0 or 1 of its bit i."""
-    return bytes(48 + (v >> i & 1) for v in range(256))
-
-
-@lru_cache(maxsize=None)
-def _lane_bytes(x: int) -> bytes:
-    """Translation of the digits 0 and 1 to 0 and point x's bit."""
-    return bytes((1 << x) * (c == 49) for c in range(256))
-
-
-def _table_of_rows(n: int, rows) -> bytes:
-    """The table over the triple index, one byte per entry, whose entry j
-    holds point x exactly when bit j of rows[x] is set."""
-    count = 1 << 3 * n
-    lanes = 0
-    for x, r in enumerate(rows):
-        digits = format(r, f"0{count}b").encode()[::-1]
-        lanes |= int.from_bytes(digits.translate(_lane_bytes(x)), "little")
-    return lanes.to_bytes(count, "little")
-
-
-def _up(m: int, has: tuple[int, ...], index_bits) -> int:
-    """The subset-OR transform of m along the given index bits: every
-    triple above a member of m in those coordinates' points."""
-    for b in index_bits:
-        m |= (m & ~has[b]) << (1 << b)
-    return m
 
 
 def _triple(n: int, j: int) -> tuple[int, int, int]:
@@ -277,8 +239,7 @@ def diamond_table(frame: PsiFrame) -> tuple[int, ...]:
     """diamond_r at every triple U, in operator-table order: each R(x)
     closed under the subset-OR transform holds the U above some member."""
     n = frame.point_count
-    has = _index_masks(n)[0]
-    return tuple(_table_of_rows(n, [_up(r, has, range(3 * n)) for r in frame.rows]))
+    return tuple(_table_of_rows(n, [_up(r, n, range(3 * n)) for r in frame.rows]))
 
 
 def box_table(frame: PsiFrame) -> tuple[int, ...]:
@@ -305,24 +266,23 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
 
     That intersection holds Y exactly when some member of R(x) lies below
     Y componentwise (for the converse take U = the complement of Y), so
-    DF2 says each R(x) is upward closed: every upper cover of a member
-    (one more point in one coordinate) is a member, 3n shift tests on the
-    bitset of R(x).  DF3 says R(x) lies inside the up-closure, over the
+    DF2 says each R(x) is upward closed: its subset-OR transform over all
+    3n index bits adds nothing.  The least triple it adds is also the
+    least upper cover of a member (one more point in one coordinate) that
+    is missing, as a triple lies above the first step out of R(x) on any
+    chain up to it.  DF3 says R(x) lies inside the up-closure, over the
     first two coordinates, of its members with singleton Y1 and Y2.  Each
     witness (x, Y) is the least violation, points ascending, then triples
     ascending: the lowest bit of the first point's violation mask.
     """
     n = frame.point_count
-    has, _, singles = _index_masks(n)
+    singles = _index_masks(n)[1]
     df2 = df3 = None
     for x, r in enumerate(frame.rows):
-        missing = 0
-        for b, h in enumerate(has):
-            missing |= (r & ~h) << (1 << b)
-        missing &= ~r
+        missing = _up(r, n, range(3 * n)) ^ r
         if missing and df2 is None:
             df2 = (x, *_first_entry(missing, 1 << n, 3, 1))
-        lacking = r & ~_up(r & singles, has, range(n, 3 * n))
+        lacking = r & ~_up(r & singles, n, range(n, 3 * n))
         if lacking and df3 is None:
             df3 = (x, *_first_entry(lacking, 1 << n, 3, 1))
     results = (
@@ -404,16 +364,9 @@ def dual_frame(op: TernaryOperator) -> PsiFrame:
     every coordinate nonempty; monotone and other tables take this one
     path.
     """
-    n = op.alg.atom_count
-    has, nonempty, _ = _index_masks(n)
-    digits = bytes(reversed(op.table))  # entries lie below 2**MAX_ATOMS <= 256
-    rows = []
-    for i in range(n):
-        m = int(digits.translate(_digit_bytes(i)), 2)
-        for b, h in enumerate(has):
-            m &= m >> (1 << b) | h
-        rows.append(m & nonempty)
-    return PsiFrame._of_rows(n, rows)
+    n, raw = op.alg.atom_count, bytes(op.table)  # entries lie below 2**MAX_ATOMS <= 256
+    nonempty = _index_masks(n)[0]
+    return PsiFrame._of_rows(n, [_down(_bits(raw, 1 << i, 1 << i), n, range(3 * n)) & nonempty for i in range(n)])
 
 
 def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOperator]:
@@ -427,8 +380,9 @@ def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOpera
     alg = make_algebra(frame.point_count)
     op = TernaryOperator(alg, diamond_table(frame))
     check_3bamo(op).require(InternalCheckError, "the complex algebra fails check_3bamo")
-    if check_psi_space(frame).passed:
-        check_psi(op).require(InternalCheckError, "the complex algebra of a pseudo-inference space fails check_psi")
+    psi = check_psi(op)  # a failure is an error only on a pseudo-inference space, so only it needs the space check
+    if not psi.passed and check_psi_space(frame).passed:
+        psi.require(InternalCheckError, "the complex algebra of a pseudo-inference space fails check_psi")
     return alg, op
 
 

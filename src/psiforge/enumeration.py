@@ -26,7 +26,15 @@ from functools import lru_cache
 from itertools import compress, product
 from math import prod
 
-from .boolean_core import FiniteBooleanAlgebra, _lacking_bits, apply_automorphism, automorphisms, make_algebra
+from .boolean_core import (
+    FiniteBooleanAlgebra,
+    _lacking_bits,
+    _table_of_rows,
+    _up,
+    apply_automorphism,
+    automorphisms,
+    make_algebra,
+)
 from .contact_relation import TernaryRelation, op_to_rel, pool_verdicts, rel_to_op
 from .errors import SizeCapError
 from .terms import Sentence, _sweep_plan, holds, parse
@@ -262,33 +270,27 @@ def enumerate_operators(
 # with C(d, e) the union of U(u', v') over atoms u' <= d, v' <= e (monotone
 # in d and e), it holds iff U(u, v) lies inside C(d0, e0) for the minimal
 # d0, e0 of the up-set {d : not d outside U(u, v)}.
+#
+# So a table is the join of its atom-pair rows: laid out over A^3, 0 off
+# the atom pairs, it is the subset-OR transform of that layout in the a and
+# b coordinates (_join).  It is the construction duality_frames.diamond_table
+# applies to each R(x) of a frame: the slice at atom x, read at atom pairs,
+# is the dual frame's R(x) there.
 
 
-def _assemble_from_atom_maps(alg, m) -> TernaryOperator:
-    """The table whose (a, b, c) entry joins m[(u, v)][c] over atoms u <= a
-    and v <= b.  A pair keyed in one order only serves both orders.  Each
-    (a, b) row is an int with entry c in byte c: the OR of the rows at
-    (a minus its lowest atom u, b) and (u, b), and at an atom a, of
-    (a, b minus its lowest atom v) and (a, v)."""
-    size = alg.size
-    maps = {(v, u): row for (u, v), row in m.items()} | m
-    rows = [0] * (size * size)
-    for a in range(1, size):
-        u = a & -a
-        for b in range(1, size):
-            v = b & -b
-            if a != u:
-                rows[a * size + b] = rows[(a ^ u) * size + b] | rows[u * size + b]
-            elif b != v:
-                rows[a * size + b] = rows[a * size + (b ^ v)] | rows[a * size + v]
-            else:
-                rows[a * size + b] = int.from_bytes(bytes(maps[(u, v)]), "little")
-    return TernaryOperator(alg, tuple(b"".join(r.to_bytes(size, "little") for r in rows)))
+def _join(alg, raw: bytes) -> TernaryOperator:
+    """The table whose (a, b, c) entry joins the entries (u, v, c) of raw
+    over atoms u <= a and v <= b, raw being 0 off the atom pairs: the
+    subset-OR transform of its bytes over the offset bits of a and b."""
+    k = alg.atom_count
+    joined = _up(int.from_bytes(raw, "little"), k, range(k, 3 * k), 3)
+    return TernaryOperator(alg, tuple(joined.to_bytes(len(raw), "little")))
 
 
 def _pairs(alg) -> list[tuple[int, int]]:
     atoms = alg.atoms()
     return [(u, v) for i, u in enumerate(atoms) for v in atoms[i:]]
+
 
 
 def _upsets(alg, u: int, v: int) -> list[int]:
@@ -341,12 +343,12 @@ def _slices(k: int, whole: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def _table(alg, slices) -> TernaryOperator:
-    """The table whose slice at the i-th atom is ``slices[i]``."""
-    atoms = alg.atoms()
-    return _assemble_from_atom_maps(alg, {
-        pair: [sum(x for x, f in zip(atoms, slices) if f[p] >> c & 1) for c in alg.elements()]
-        for p, pair in enumerate(_pairs(alg))
-    })
+    """The table whose slice at the i-th atom is ``slices[i]``: each slice
+    a bitset over A^3 holding its up-sets at the atom pairs, in both
+    orders, laid out as bit i of one byte table, then joined."""
+    size = alg.size
+    spots = [(p, (a * size + b) * size) for p, (u, v) in enumerate(_pairs(alg)) for a, b in {(u, v), (v, u)}]
+    return _join(alg, _table_of_rows(alg.atom_count, [sum(f[p] << o for p, o in spots) for f in slices]))
 
 
 def enumerate_psi_operators(alg: FiniteBooleanAlgebra) -> list[TernaryOperator]:
@@ -383,26 +385,26 @@ def sample_3bamos(
     alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED, attempts: int = 400
 ) -> list[TernaryOperator]:
     """Seeded monotone-operator samples: independent random monotone maps
-    per ordered atom pair, assembled by joins, so MO1-MO4 hold by
-    construction.  At most ``count`` distinct tables from ``attempts`` draws."""
+    per ordered atom pair, written at the atom pairs of a byte table and
+    joined (_join), so MO1-MO4 hold by construction.  At most ``count``
+    distinct tables from ``attempts`` draws."""
     rng = random.Random(seed)
-    atoms = alg.atoms()
+    atoms, size = alg.atoms(), alg.size
     by_popcount = sorted(alg.elements(), key=lambda c: (bin(c).count("1"), c))
     found: dict[tuple[int, ...], TernaryOperator] = {}
     for _ in range(attempts):
         if len(found) >= count:
             break
-        m = {}
+        raw = bytearray(size ** 3)
         for u in atoms:
             for v in atoms:
-                vals = [0] * alg.size
+                row = (u * size + v) * size  # the offset of (u, v, 0)
                 for c in by_popcount[1:]:
                     for y in atoms:
                         if c & y:
-                            vals[c] |= vals[c ^ y]
-                    vals[c] |= rng.randrange(alg.size)
-                m[(u, v)] = vals
-        op = _assemble_from_atom_maps(alg, m)
+                            raw[row + c] |= raw[row + (c ^ y)]
+                    raw[row + c] |= rng.randrange(size)
+        op = _join(alg, raw)
         found.setdefault(op.table, op)
     return list(found.values())
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .boolean_core import FiniteBooleanAlgebra, Filter, _lacking_bits
+from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
@@ -70,18 +70,13 @@ def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
     each coordinate by copying the entries that lack such an atom over
     those that hold it, and the law is one test on the whole table.
     """
-    raw, g, size = bytes(op.table), flt.generator, op.alg.size
+    raw, g, k = bytes(op.table), flt.generator, op.alg.atom_count
     n, dia = len(raw), int.from_bytes(raw, "little")
-    # an entry holding atom u in a coordinate of stride w lies w*u bytes
-    # above the entry lacking it
-    covers = [(u, stride * u) for stride in (size * size, size, 1) for u in op.alg.atoms()]
-    meets = dia
-    for _, block in covers:
-        meets &= meets >> 8 * block | ~_lacking_bits(8 * n, 8 * block)
-    for u, block in covers:
-        if not g & u:
-            low = meets & _lacking_bits(8 * n, 8 * block)
-            meets = low | low << 8 * block
+    meets = _down(dia, k, range(3 * k), 3)
+    for j in range(3 * k):  # offset bit j is atom j % k of a coordinate
+        if not g >> j % k & 1:
+            low = meets & _lacking_bits(8 * n, 8 << j)
+            meets = low | low << (8 << j)
     return not dia & int.from_bytes(bytes((g,)) * n, "little") & ~meets
 
 

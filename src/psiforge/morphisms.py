@@ -23,9 +23,9 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int
+from .boolean_core import FiniteBooleanAlgebra, _first_entry, _up, algebra_from_json, json_int
 from .contact_relation import TernaryRelation, _chi_table, check_eca, is_eca, rel_to_op
-from .duality_frames import PsiFrame, _index_masks, _set_bits, _triple, _up, dual_frame
+from .duality_frames import PsiFrame, _set_bits, _triple, dual_frame
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_psi
@@ -200,12 +200,11 @@ def classify_frame_map(
     def sp3():
         # the Z reached from f(x) with no image of R1(x) below them: R2(f(x))
         # outside the up-closure of those images over all 3n2 index bits
-        has = _index_masks(n2)[0]
         for x, r in enumerate(frame1.rows):
             below = 0
             for j in _set_bits(r):
                 below |= 1 << image(j)
-            lacking = frame2.rows[f[x]] & ~_up(below, has, range(3 * n2))
+            lacking = frame2.rows[f[x]] & ~_up(below, n2, range(3 * n2))
             if lacking:
                 yield (x, *_first_entry(lacking, 1 << n2, 3, 1))
 

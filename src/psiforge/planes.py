@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .boolean_core import _first_entry, _lacking_bits
+from .boolean_core import _first_entry, _lacking_bits, _up
 
 
 def _atom_bits(s: int) -> range:
@@ -98,12 +98,10 @@ def _mo2(raw: bytes, s: int) -> tuple[int, int] | None:
 
 
 def _mo4(raw: bytes, s: int) -> tuple[int, int] | None:
-    """The first (a, b) row failing dia(a, b, c) <= dia(a, b, c or u) for an atom u."""
-    n, x = len(raw), int.from_bytes(raw, "little")
-    fails = 0
-    for i in _atom_bits(s):
-        fails |= (x & _lacking_bits(8 * n, 8 << i)) << (8 << i) & ~x
-    return _first_entry(fails, s, 2, 8 * s)
+    """The first (a, b) row failing dia(a, b, c) <= dia(a, b, c or u) for
+    an atom u: the first row that its subset-OR transform in c changes."""
+    x = int.from_bytes(raw, "little")
+    return _first_entry(_up(x, s.bit_length() - 1, _atom_bits(s), 3) ^ x, s, 2, 8 * s)
 
 
 def _pairs(raw: bytes, s: int):

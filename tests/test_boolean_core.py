@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,15 @@ from psiforge import (
     filter_to_closedset,
     make_algebra,
 )
-from psiforge.boolean_core import algebra_from_json, apply_automorphism
+from psiforge.boolean_core import (
+    _bits,
+    _down,
+    _entries,
+    _table_of_rows,
+    _up,
+    algebra_from_json,
+    apply_automorphism,
+)
 
 
 def brute_ultrafilters(alg):
@@ -196,3 +205,67 @@ def test_size_and_top_are_kept_outside_the_fields():
         assert (alg.size, alg.top) == (2 ** k, 2 ** k - 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         read.top = 3
+
+
+def _closure_at(entries, e, chosen, join):
+    """Entry e of the subset-OR (join=True) or superset-AND transform of
+    the table of the given entries, from the definition: the OR of the
+    entries whose offsets lie below e in the chosen offset bits and agree
+    elsewhere, or the AND of those lying above."""
+    fixed, inside = e & ~chosen, e & chosen
+    free = inside if join else chosen & ~inside
+    out = 0 if join else ~0
+    s = free
+    while True:  # every submask s of free
+        value = entries[fixed | (s if join else inside | s)]
+        out = out | value if join else out & value
+        if not s:
+            return out
+        s = s - 1 & free
+
+
+def _entry_list(x, n, lane):
+    if lane == 3:
+        return list(x.to_bytes(n, "little"))
+    return [int(d) for d in format(x, f"0{n}b")[::-1]]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("lane", [0, 3])
+def test_closure_transforms_match_per_entry_definitions(k, lane):
+    """_up and _down on seeded ints, at bit and byte lanes, along every
+    offset bit, the a and b bits, and a random set of bits, checked at
+    every entry through three atoms and at 64 seeded entries above."""
+    rng = random.Random(k << 2 | lane)
+    width, n = 1 << lane, 8 ** k
+    offsets = range(n) if k <= 3 else [rng.randrange(n) for _ in range(64)]
+    for bits in (range(3 * k), range(k, 3 * k), sorted(rng.sample(range(3 * k), k))):
+        chosen = sum(1 << j for j in bits)
+        sparse = rng.getrandbits(n * width) & rng.getrandbits(n * width)
+        dense = rng.getrandbits(n * width) | rng.getrandbits(n * width)
+        up = _entry_list(_up(sparse, k, bits, lane), n, lane)
+        down = _entry_list(_down(dense, k, bits, lane), n, lane)
+        sparse, dense = _entry_list(sparse, n, lane), _entry_list(dense, n, lane)
+        for e in offsets:
+            assert up[e] == _closure_at(sparse, e, chosen, True), (bits, e)
+            assert down[e] == _closure_at(dense, e, chosen, False), (bits, e)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_codec_round_trip(k):
+    """_entries writes a bitset as one byte per bit, _bits reads it back,
+    and _table_of_rows lays bitsets out as the bits of one byte table."""
+    rng = random.Random(k)
+    n = 8 ** k
+    bits = rng.getrandbits(n)
+    set_bits = [byte >> j & 1 for byte in bits.to_bytes(n // 8, "little") for j in range(8)]
+    for values in ((0, 1), (0, 255), (7, 0), (3, 12)):
+        raw = _entries(bits, n, bytes(values))
+        assert raw == bytes(values[b] for b in set_bits)
+        mask = values[0] ^ values[1]
+        assert _bits(raw, mask, values[1] & mask) == bits
+    rows = [rng.getrandbits(n) for _ in range(k)]
+    table = _table_of_rows(k, rows)
+    row_bits = [[byte >> j & 1 for byte in r.to_bytes(n // 8, "little") for j in range(8)] for r in rows]
+    assert table == bytes(sum(bits[i] << x for x, bits in enumerate(row_bits)) for i in range(n))
+    assert [_bits(table, 1 << x, 1 << x) for x in range(k)] == rows

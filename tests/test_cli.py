@@ -394,6 +394,12 @@ def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tm
     topology = tmp_path / "three_point_topology.json"
     topology.write_text(json.dumps({"points": [1, 2, 3], "basis": [[1], [3]]}))
     assert _loaded_modules("topo", str(topology)) == relation_checker | {"topo_models"}
+    # enumeration and search build their tables without the frame module
+    searcher = relation_checker | {"enumeration", "terms"}
+    assert _loaded_modules("enumerate", "--what", "ecas", "--k", "2") == searcher
+    for mode in ("auto", "relational", "sampled"):
+        assert _loaded_modules("enumerate", "--what", "operators", "--k", "2", "--mode", mode) == searcher
+    assert _loaded_modules("find", "--sentence", "dia(a, b, c) <= a", "--k", "2") == searcher
     # PIF1 is decided by the PI1 row test; the other frame checks load no plane test
     frame = tmp_path / "smallest_diamond_k2_frame.json"
     frame.write_text(json.dumps(dual_frame(smallest_diamond(make_algebra(2))).to_json()))

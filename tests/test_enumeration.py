@@ -24,8 +24,8 @@ from psiforge import (
 )
 from psiforge.boolean_core import apply_automorphism, automorphisms
 from psiforge.enumeration import (
-    _assemble_from_atom_maps,
     _candidate_slices,
+    _join,
     _pairs,
     _slices,
     _table,
@@ -409,9 +409,11 @@ def _joined_rows(alg, m):
     return tuple(table)
 
 
-def test_assemble_from_atom_maps_matches_a_per_entry_join():
-    """Rows ORed from smaller rows equal the per-entry join over atoms,
-    on random maps keyed by every ordered pair or by unordered ones."""
+def test_atom_pair_join_matches_a_per_entry_join():
+    """The subset-OR transform of a byte table holding the maps at the atom
+    pairs equals the per-entry join over atoms, on random maps keyed by
+    every ordered pair or by unordered ones, an unordered key written in
+    both orders."""
     rng = random.Random(7)
     for k in (1, 2, 3, 4, 5):
         alg = make_algebra(k)
@@ -423,7 +425,10 @@ def test_assemble_from_atom_maps_matches_a_per_entry_join():
                     for i, u in enumerate(atoms)
                     for v in (atoms if ordered else atoms[i:])
                 }
-                assert _assemble_from_atom_maps(alg, m).table == _joined_rows(alg, m), (k, ordered)
+                raw = bytearray(alg.size ** 3)
+                for (u, v), row in ({(v, u): row for (u, v), row in m.items()} | m).items():
+                    raw[(u * alg.size + v) * alg.size:(u * alg.size + v + 1) * alg.size] = bytes(row)
+                assert _join(alg, raw).table == _joined_rows(alg, m), (k, ordered)
 
 
 def test_permutations_commute_with_rel_to_op():

@@ -110,8 +110,9 @@ def test_psi_pool_contents():
         assert check_psi(op).passed
 
 
-def test_filter_items_timed_apart():
-    seconds = {i.lemma: i.seconds for i in run_suite(k=1)}
+def test_filter_items_timed_apart(suite):
+    # the fixture runs each scoreboard once, fresh, for the whole module
+    seconds = {i.lemma: i.seconds for i in suite(1)}
     filter_items = [
         "closed-implies-modal",
         "su-mid-iff-closed",
