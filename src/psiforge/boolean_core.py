@@ -19,12 +19,24 @@ such as an operator).  Offset bit j is bit j of c for j < k, of b below
   _up, _down      the subset-OR and superset-AND transforms (Knuth, TAOCP
                   4A 7.1.3) along chosen offset bits, at any lane width
   _first_entry    the offset of the lowest nonzero entry, as digits
+
+and the one lane codec, for many bitsets of ``width`` bits in one int,
+row i at bit i*width (the conclusion masks of a relation, the rows of a
+frame, a pool of relations, and the k-bit digits of an offset):
+
+  _pack, _unpack  rows side by side in one int, and the chosen rows back
+  _repeat         one row repeated, by bytes repetition (also _lacking_bits)
+  _zero_rows      which rows are zero, one flag byte per row
+  _set_bits       the positions of the set bits, ascending; _set_offsets,
+                  their offsets as digits, for a bitset over A^3
+  _to_base64      the compact JSON form of a bitset, its little-endian
+  _from_base64    bytes in base64, and back; base64 loads at first use
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import compress, permutations, product
 
 from .errors import SizeCapError
 
@@ -202,15 +214,11 @@ def filter_closedset_maps(alg: FiniteBooleanAlgebra, value):
 
 @lru_cache(maxsize=None)
 def _lacking_bits(n: int, g: int) -> int:
-    """The n-bit mask of the bits i with i // g even, g a power of two,
-    built by bytes repetition.  On a table over A^3 of n / 2**lane entries
-    of 2**lane bits each, with g = 2**(j + lane), it holds the entries
-    whose offset (a*size + b)*size + c lacks bit j."""
-    pattern, width = (1 << g) - 1, 2 * g
-    while width < 8:
-        pattern |= pattern << width
-        width *= 2
-    return int.from_bytes(pattern.to_bytes(width // 8, "little") * (n // width), "little")
+    """The n-bit mask of the bits i with i // g even, g a power of two
+    dividing n / 2.  On a table over A^3 of n / 2**lane entries of
+    2**lane bits each, with g = 2**(j + lane), it holds the entries whose
+    offset (a*size + b)*size + c lacks bit j."""
+    return _repeat((1 << g) - 1, 2 * g, n // (2 * g))
 
 
 def _up(x: int, k: int, bits, lane: int = 0) -> int:
@@ -267,12 +275,88 @@ def _table_of_rows(k: int, rows) -> bytes:
 
 def _first_entry(fails: int, size: int, places: int = 3, width: int = 8) -> tuple[int, ...] | None:
     """The lowest nonzero entry of ``fails``, read as entries of ``width``
-    bits: its index as ``places`` digits base size, most significant first
-    (the (a, b, c) of a byte table over A^3 by default); None if fails is 0."""
+    bits: its index as ``places`` digits base size, a power of two, most
+    significant first (the (a, b, c) of a byte table over A^3 by default);
+    None if fails is 0.  The digits are the index's lanes of log2(size)
+    bits, as _unpack reads them."""
     if not fails:
         return None
     i = ((fails & -fails).bit_length() - 1) // width
-    return tuple(i // size ** p % size for p in range(places - 1, -1, -1))
+    return tuple(_unpack(i, size.bit_length() - 1, range(places - 1, -1, -1)))
+
+
+def _pack(rows, width: int) -> int:
+    """The int with rows[i], each below 2**width, at bit i*width: the
+    rows side by side, the first lowest."""
+    if width % 8:
+        return sum(r << i * width for i, r in enumerate(rows))
+    step = width >> 3
+    return int.from_bytes(b"".join(r.to_bytes(step, "little") for r in rows), "little")
+
+
+def _unpack(x: int, width: int, rows) -> list[int]:
+    """Row i of x, the width bits from bit i*width, for each index i in
+    ``rows``, in that order: the inverse of _pack.  Only the chosen rows
+    are read, and a row above the highest set bit of x reads 0."""
+    if width % 8:
+        mask = (1 << width) - 1
+        return [x >> i * width & mask for i in rows]
+    step = width >> 3
+    raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+    return [int.from_bytes(raw[i * step:i * step + step], "little") for i in rows]
+
+
+def _repeat(row: int, width: int, count: int) -> int:
+    """_pack([row] * count, width), by bytes repetition: the row doubled
+    up to whole bytes, then its bytes repeated."""
+    if width % 8:
+        if count % 2:
+            return _repeat(row, width, count - 1) | row << (count - 1) * width
+        return _repeat(row | row << width, 2 * width, count >> 1)
+    return int.from_bytes(row.to_bytes(width >> 3, "little") * count, "little")
+
+
+_ZERO_FLAGS = b"\x01" + bytes(255)  # bytes.translate: 1 for a zero byte, else 0
+
+
+def _zero_rows(x: int, width: int, count: int) -> bytes:
+    """Byte i is 1 iff row i of x is zero, for count rows of width bits,
+    a power of two of at least 8: each row's lowest byte becomes the OR
+    of its bytes, one shift per halving, and those bytes are read."""
+    shift = width
+    while shift > 8:
+        shift >>= 1
+        x |= x >> shift
+    return x.to_bytes(count * width >> 3, "little")[::width >> 3].translate(_ZERO_FLAGS)
+
+
+def _set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending: the positions of
+    the 1 bytes of _entries(x)."""
+    return list(compress(range(x.bit_length()), _entries(x, x.bit_length(), b"\x00\x01")))
+
+
+def _set_offsets(x: int, size: int):
+    """The offsets of the set bits of x, a bitset over A^3 at size, as
+    digits (a, b, c), ascending: every offset's digits in order, selected
+    at C speed by _entries(x)."""
+    return compress(product(range(size), repeat=3), _entries(x, size ** 3, b"\x00\x01"))
+
+
+def _to_base64(x: int, n: int) -> str:
+    """The compact form of an n-bit bitset: its (n + 7) // 8 bytes,
+    little-endian, in base64."""
+    import base64
+
+    return base64.b64encode(x.to_bytes((n + 7) >> 3, "little")).decode("ascii")
+
+
+def _from_base64(text) -> int:
+    """The bitset of a compact form.  A character outside the base64
+    alphabet, or bad padding, raises binascii.Error, a ValueError."""
+    import base64
+
+    return int.from_bytes(base64.b64decode(text, validate=True), "little")
 
 
 def automorphisms(alg: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:
@@ -282,8 +366,4 @@ def automorphisms(alg: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:
 
 def apply_automorphism(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], a: int) -> int:
     """Extend an atom permutation to an element by permuting mask bits."""
-    out = 0
-    for i in range(alg.atom_count):
-        if a >> i & 1:
-            out |= 1 << perm[i]
-    return out
+    return sum(1 << perm[i] for i in _set_bits(a))

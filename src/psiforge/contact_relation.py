@@ -30,22 +30,36 @@ passing check compiles no sentence.
 Verdicts without witnesses come from one decider, pool_verdicts, which
 takes many relations packed side by side in one int, relation i in bits
 i*size^3 and up: the mask laws are tested on every lane at once, and
-only the relations passing them have EC4 and the cut decided one by
-one.  is_eca and is_extca are its pool of one.
+only the relations passing them are unpacked and have EC4 and the cut
+decided one by one.  is_eca and is_extca are its pool of one.
+
+Every fixed-width layout here is read and written by the lane codec of
+module boolean_core: a relation's conclusion masks are its size-bit
+rows and its cut slabs its size^2-bit rows (_unpack); a relation from
+triples and the law masks are packed from conclusion masks (_pack), and
+largest_eca is the complement of the ExtCA3 mask; a pool's passing
+lanes are found by _zero_rows and unpacked; and the compact JSON form is
+_to_base64 / _from_base64.
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import chain, compress
 
 from .boolean_core import (
     FiniteBooleanAlgebra,
     _bits,
     _entries,
     _first_entry,
+    _from_base64,
     _lacking_bits,
+    _pack,
+    _repeat,
+    _set_offsets,
+    _to_base64,
+    _unpack,
+    _zero_rows,
     algebra_from_json,
     json_int,
 )
@@ -75,36 +89,31 @@ class TernaryRelation:
         return 1 if self.holds(a, b, c) else 0
 
     def triples(self) -> list[tuple[int, int, int]]:
-        size = self.alg.size
-        return list(compress(product(range(size), repeat=3), _chi_table(self)))
+        return list(_set_offsets(self.bits, self.alg.size))
 
     def is_subset_of(self, other: "TernaryRelation") -> bool:
         return self.bits & other.bits == self.bits
 
     def to_json(self, compact: bool = False) -> dict:
         if compact:
-            n_bytes = (self.alg.size ** 3 + 7) // 8
-            raw = self.bits.to_bytes(n_bytes, "little")
-            return {"alg": self.alg.to_json(), "bits": base64.b64encode(raw).decode("ascii")}
+            return {"alg": self.alg.to_json(), "bits": _to_base64(self.bits, self.alg.size ** 3)}
         return {"alg": self.alg.to_json(), "triples": [list(t) for t in self.triples()]}
 
 
 def relation_from_triples(alg: FiniteBooleanAlgebra, triples) -> TernaryRelation:
     size = alg.size
-    raw = bytearray(size ** 3 // 8)  # the bitset, little-endian
+    con = [0] * (size * size)  # the conclusion masks
     for a, b, c in triples:
         if not (0 <= a < size and 0 <= b < size and 0 <= c < size):  # alg.contains
             raise ValueError(f"triple ({a},{b},{c}) outside carrier")
-        i = (a * size + b) * size + c
-        raw[i >> 3] |= 1 << (i & 7)
-    return TernaryRelation(alg, int.from_bytes(raw, "little"))
+        con[a * size + b] |= 1 << c
+    return TernaryRelation(alg, _pack(con, size))
 
 
 def relation_from_json(data: dict) -> TernaryRelation:
     alg = algebra_from_json(data["alg"])
     if "bits" in data:
-        raw = base64.b64decode(data["bits"])
-        return TernaryRelation(alg, int.from_bytes(raw, "little"))
+        return TernaryRelation(alg, _from_base64(data["bits"]))
     triples = [tuple(json_int(v, "triple entry") for v in t) for t in data["triples"]]
     return relation_from_triples(alg, triples)
 
@@ -118,31 +127,15 @@ def full_relation(alg: FiniteBooleanAlgebra) -> TernaryRelation:
 
 
 def largest_eca(alg: FiniteBooleanAlgebra) -> TernaryRelation:
-    """The largest extended contact relation: (a,b) |- c iff a & b & not c = 0."""
-    size = alg.size
-    # the conclusions of (a, b) are the up-set of a & b
-    up = [sum(1 << c for c in range(size) if c & m == m) for m in range(size)]
-    return TernaryRelation(alg, _bits_of_rows([up[a & b] for a in range(size) for b in range(size)], size))
+    """The largest extended contact relation: (a,b) |- c iff a & b & not c = 0,
+    every triple outside the ExtCA3 mask."""
+    return TernaryRelation(alg, (1 << alg.size ** 3) - 1 ^ _law_masks(alg.atom_count)["ExtCA3"][0])
 
 
 def _conclusion_masks(rel: TernaryRelation) -> list[int]:
     """con[a*size + b] = bitmask over c of the triples (a, b, c) present:
     the bitset's size-bit rows, in order."""
-    size = rel.alg.size
-    if size < 8:  # rows share bytes; the bitset has at most 64 bits
-        row = (1 << size) - 1
-        return [rel.bits >> (i * size) & row for i in range(size * size)]
-    raw, step = rel.bits.to_bytes(size ** 3 // 8, "little"), size // 8
-    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
-
-
-def _bits_of_rows(rows: list[int], size: int) -> int:
-    """The bitset whose size-bit rows are the given masks: the inverse of
-    _conclusion_masks."""
-    if size < 8:
-        return sum(r << (i * size) for i, r in enumerate(rows))
-    step = size // 8
-    return int.from_bytes(b"".join(r.to_bytes(step, "little") for r in rows), "little")
+    return _unpack(rel.bits, rel.alg.size, range(rel.alg.size ** 2))
 
 
 def _negate_conclusions(bits: int, k: int) -> int:
@@ -232,7 +225,7 @@ def _law_masks(k: int) -> dict:
     full = up[0]
 
     def bits(row) -> int:
-        return _bits_of_rows([row(a, b) for a in range(size) for b in range(size)], size)
+        return _pack([row(a, b) for a in range(size) for b in range(size)], size)
 
     below = bits(lambda a, b: up[a])  # a <= f: all present
     return {
@@ -244,14 +237,9 @@ def _law_masks(k: int) -> dict:
     }
 
 
-def _lanes(width: int, n: int) -> int:
-    """The lowest bit of each of n lanes of width bits (a multiple of 8)."""
-    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * n, "little")
-
-
 def _mask_failures(bits: int, k: int, law: str, lanes: int = 1) -> int:
     """The bits at which a mask law fails, on relations packed side by side
-    in lanes of size^3 bits (``lanes`` from _lanes; 1 for one relation):
+    in lanes of size^3 bits (``lanes`` the lowest bit of each; 1 for one relation):
     nonzero in a relation's lane iff the law fails on it.  Each mask is
     repeated in every lane.  EC0 fails at each (a, b, f) present with (a or
     d, b, f or d) absent for some d: outside the meet over d of bit (a or d,
@@ -306,26 +294,21 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
     "extca"): byte i is 1 iff the relation in bits i*size^3 and up of
     ``packed`` passes check_eca (check_extca), else 0.
 
-    The mask laws are tested on all n relations at once: their failure
-    bits are ORed and each lane is folded onto its lowest bit.  Only the
-    relations that pass every mask law have EC4 and then the cut decided
-    one by one, on their conclusion masks.
+    The mask laws are tested on all n relations at once, and their
+    failure bits ORed.  Only the relations whose lane of failures is zero
+    are unpacked and have EC4 and then the cut decided one by one, on
+    their conclusion masks.
     """
     k, width = alg.atom_count, alg.size ** 3
-    lanes = _lanes(width, n)
+    lanes = _repeat(1, width, n)
     fails = 0
     for _, law in _SYSTEMS[system]:
         if law in _law_masks(k):  # decided by mask tests alone, on every lane at once
             fails |= _mask_failures(packed, k, law, lanes)
-    shift = width >> 1
-    while shift:  # each lane's lowest bit becomes the OR of the lane
-        fails |= fails >> shift
-        shift >>= 1
-    step = width // 8
-    verdicts = bytearray((lanes & ~fails).to_bytes(n * step, "little")[::step])
-    raw = packed.to_bytes(n * step, "little")
-    for i in compress(range(n), verdicts):
-        rel = TernaryRelation(alg, int.from_bytes(raw[i * step:(i + 1) * step], "little"))
+    verdicts = bytearray(_zero_rows(fails, width, n))
+    passing = list(compress(range(n), verdicts))
+    for i, bits in zip(passing, _unpack(packed, width, passing)):
+        rel = TernaryRelation(alg, bits)
         con = _conclusion_masks(rel)
         verdicts[i] = _failure(rel, "EC4", con) is None and _failure(rel, "cut", con) is None
     return bytes(verdicts)
@@ -386,15 +369,15 @@ def _cut_witness(rel: TernaryRelation, con: list[int]) -> tuple[int, ...] | None
     once, the (a, b) top-down, and only the first failing one is swept
     over (d, e, f) to name the witness.
     """
-    size, bits = rel.alg.size, rel.bits
+    size = rel.alg.size
     square, full = size * size, (1 << size) - 1
-    slabs = [bits >> d * square & (1 << square) - 1 for d in range(size)]
+    slabs = _unpack(rel.bits, square, range(size))
     holds = set()
     for i in range(square - 1, -1, -1):
         cab = con[i]
         if cab in holds:
             continue
-        outside = _bits_of_rows([full ^ cab if cab >> e & 1 else 0 for e in range(size)], size)
+        outside = _pack([full ^ cab if cab >> e & 1 else 0 for e in range(size)], size)
         if not any(slabs[d] & outside for d in range(size) if cab >> d & 1):
             holds.add(cab)
             continue
@@ -407,7 +390,7 @@ def _cut_witness(rel: TernaryRelation, con: list[int]) -> tuple[int, ...] | None
                     if missing:
                         # first f top-down = highest missing conclusion
                         return (*divmod(i, size), d, e, missing.bit_length() - 1)
-        raise InternalCheckError(f"the cut fails its AND test at {divmod(i, size)} but no (d, e, f) violates it")
+        raise InternalCheckError.no_witness("the cut", divmod(i, size))
     return None
 
 

@@ -17,22 +17,24 @@ U and a family R(x):
 R is stored as one bitset per point over the operator-table index
 (y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows): a table over A^3 at
 n atoms, one bit per entry, in the layout of the plane toolkit of module
-boolean_core; the (x, Y1, Y2, Y3) entries are a view read off it.  Adding
-a point to one coordinate sets one of the 3n index bits, so "every triple
-above Y" and "some triple below U" are the toolkit's superset-AND and
-subset-OR transforms, _down and _up, over those bits: one shift and mask
-per index bit acts on every triple at once.  The dual frame of an
-operator places (u, Y) in R exactly when the filter product generated by
-Y lies inside the operator preimage of u, the superset-AND transform of
-the entries holding u; the complex algebra's dia_R is the subset-OR
-transform of each R(x); and DF2 and DF3 compare the same bitsets with
-their subset-OR transforms.  The space conditions PIF1-PIF4 and totality
-read the reach table, whose entry j is the mask of points reaching
-triple j.  Read as an operator table on the point sets, it is upward
-closed and 0 at any empty coordinate on a frame with DF2, and there PIF1
-holds exactly when PI1 holds of it (see check_psi_space), so the PI1 row
-test of module planes decides PIF1 at every size.  diamond_r and box_r
-keep the per-triple definitions.
+boolean_core; the (x, Y1, Y2, Y3) entries are a view read off it, a
+row's triples listed by the lane codec's _set_offsets and one index j,
+three n-bit lanes with Y3 lowest, read as _unpack(j, n, (2, 1, 0)).
+Adding a point to one coordinate sets one of the 3n index bits, so
+"every triple above Y" and "some triple below U" are the toolkit's
+superset-AND and subset-OR transforms, _down and _up, over those bits:
+one shift and mask per index bit acts on every triple at once.  The dual
+frame of an operator places (u, Y) in R exactly when the filter product
+generated by Y lies inside the operator preimage of u, the superset-AND
+transform of the entries holding u; the complex algebra's dia_R is the
+subset-OR transform of each R(x); and DF2 and DF3 compare the same
+bitsets with their subset-OR transforms.  The space conditions PIF1-PIF4
+and totality read the reach table, whose entry j is the mask of points
+reaching triple j.  Read as an operator table on the point sets, it is
+upward closed and 0 at any empty coordinate on a frame with DF2, and
+there PIF1 holds exactly when PI1 holds of it (see check_psi_space), so
+the PI1 row test of module planes decides PIF1 at every size.  diamond_r
+and box_r keep the per-triple definitions.
 """
 from __future__ import annotations
 
@@ -45,7 +47,13 @@ from .boolean_core import (
     _bits,
     _down,
     _first_entry,
+    _from_base64,
+    _pack,
+    _set_bits,
+    _set_offsets,
     _table_of_rows,
+    _to_base64,
+    _unpack,
     _up,
     json_int,
     make_algebra,
@@ -69,16 +77,15 @@ class PsiFrame:
 
     def __init__(self, point_count: int, entries):
         n, full = point_count, (1 << point_count) - 1
-        raw = [bytearray(((1 << 3 * n) + 7) >> 3) for _ in range(n)]
+        cells = [[0] * (1 << 2 * n) for _ in range(n)]  # per point, the Y3 mask at each (Y1, Y2)
         for x, y1, y2, y3 in entries:
             if not 0 <= x < n:
                 raise ValueError(f"point {x} out of range")
             if not (0 < y1 <= full and 0 < y2 <= full and 0 < y3 <= full):
                 raise ValueError("relation components must be nonempty point masks")
-            idx = (y1 << n | y2) << n | y3
-            raw[x][idx >> 3] |= 1 << (idx & 7)
+            cells[x][y1 << n | y2] |= 1 << y3
         object.__setattr__(self, "point_count", n)
-        object.__setattr__(self, "rows", tuple(int.from_bytes(r, "little") for r in raw))
+        object.__setattr__(self, "rows", tuple(_pack(c, 1 << n) for c in cells))
 
     @classmethod
     def _of_rows(cls, point_count: int, rows) -> "PsiFrame":
@@ -98,8 +105,7 @@ class PsiFrame:
     @cached_property
     def entries(self) -> frozenset[tuple[int, int, int, int]]:
         """R as a set of (x, Y1, Y2, Y3) entries."""
-        n = self.point_count
-        return frozenset((x, *_triple(n, j)) for x, r in enumerate(self.rows) for j in _set_bits(r))
+        return frozenset((x, *y) for x, r in enumerate(self.rows) for y in _set_offsets(r, 1 << self.point_count))
 
     @property
     def full(self) -> int:
@@ -114,21 +120,18 @@ class PsiFrame:
 
     def to_json(self, compact: bool = False) -> dict:
         if compact:
-            import base64
-
-            # x major: each row fills whole bytes (8**points bits)
-            nbytes = 1 << 3 * self.point_count >> 3
-            raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-            return {"points": self.point_count, "bits": base64.b64encode(raw).decode("ascii")}
-        n, full = self.point_count, self.full
-        pts = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+            # x major, 8**points bits per point
+            width = 1 << 3 * self.point_count
+            return {"points": self.point_count, "bits": _to_base64(_pack(self.rows, width), len(self.rows) * width)}
+        n = self.point_count
+        pts = [_set_bits(mask) for mask in range(1 << n)]
         # points ascending, then triple indices ascending: sorted entry order
         return {
             "points": n,
             "R": [
-                [x, pts[j >> 2 * n], pts[j >> n & full], pts[j & full]]
+                [x, pts[y1], pts[y2], pts[y3]]
                 for x, r in enumerate(self.rows)
-                for j in _set_bits(r)
+                for y1, y2, y3 in _set_offsets(r, 1 << n)
             ],
         }
 
@@ -140,16 +143,13 @@ def frame_from_json(data: dict) -> PsiFrame:
     if n > MAX_ATOMS:
         raise SizeCapError(f"frame has {n} points, above the cap of {MAX_ATOMS}")
     if "bits" in data:
-        import base64
-
         # one bit per (x, Y1, Y2, Y3), x major, 8**n bits per point; a bit
         # past the last row belongs to a point x >= n
-        bits = int.from_bytes(base64.b64decode(data["bits"]), "little")
+        bits = _from_base64(data["bits"])
         width = 1 << 3 * n
-        extra = bits >> n * width
-        if extra:
+        if extra := bits >> n * width:
             raise ValueError(f"point {n + ((extra & -extra).bit_length() - 1 >> 3 * n)} out of range")
-        return PsiFrame._of_rows(n, [bits >> x * width & (1 << width) - 1 for x in range(n)])
+        return PsiFrame._of_rows(n, _unpack(bits, width, range(n)))
 
     def point(p) -> int:
         if not 0 <= json_int(p, "point") < n:
@@ -164,19 +164,6 @@ def frame_from_json(data: dict) -> PsiFrame:
         return m
 
     return PsiFrame(n, [(point(x), mask(y1), mask(y2), mask(y3)) for x, y1, y2, y3 in data["R"]])
-
-
-@lru_cache(maxsize=None)
-def _byte_bits() -> tuple[tuple[int, ...], ...]:
-    """For each byte, the positions of its set bits, ascending."""
-    return tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
-
-
-def _set_bits(m: int) -> list[int]:
-    """Positions of the set bits of m, ascending."""
-    bits = _byte_bits()
-    raw = m.to_bytes((m.bit_length() + 7) // 8, "little")
-    return [i << 3 | b for i, byte in enumerate(raw) if byte for b in bits[byte]]
 
 
 @lru_cache(maxsize=None)
@@ -199,12 +186,6 @@ def _meets_masks(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(_up(sum(1 << (1 << i << shift) for i in range(n) if y >> i & 1), n, range(3 * n)) for y in range(1 << n))
         for shift in (2 * n, n, 0)
     )
-
-
-def _triple(n: int, j: int) -> tuple[int, int, int]:
-    """The triple (Y1, Y2, Y3) at index j."""
-    full = (1 << n) - 1
-    return (j >> 2 * n, j >> n & full, j & full)
 
 
 def in_l_set(u: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
@@ -250,8 +231,7 @@ def box_table(frame: PsiFrame) -> tuple[int, ...]:
     m1, m2, m3 = _meets_masks(n)
     rows = [(1 << (1 << 3 * n)) - 1] * n
     for x, r in enumerate(frame.rows):
-        for j in _set_bits(r):
-            y1, y2, y3 = _triple(n, j)
+        for y1, y2, y3 in _set_offsets(r, 1 << n):
             rows[x] &= m1[y1] | m2[y2] | m3[y3]
     return tuple(_table_of_rows(n, rows))
 
@@ -334,13 +314,13 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
                 for w in ne:
                     if ry & ~(t1 | reach[base | w] | reach[((full ^ z) << n | full ^ w) << n | y3]):
                         return (y1, y2, y3, z, w)
-        raise InternalCheckError(f"PIF1 fails its row test at {(y1, y2)} but its sweep finds no witness")
+        raise InternalCheckError.no_witness("PIF1", (y1, y2))
 
-    pif2 = (_triple(n, j) for j in reachable if j >> 2 * n & j == 0)  # Y1 and Y3 disjoint
+    pif2 = (_unpack(j, n, (2, 1, 0)) for j in reachable if j >> 2 * n & j == 0)  # Y1 and Y3 disjoint
     pif3 = ((y1, y2) for y1 in ne for y2 in ne if y1 & y2 & ~reach[(y1 << n | y1) << n | y2])
     # the points reaching (Y1, Y2, Y3) against those reaching (Y2, Y1, Y3)
     pif4 = (
-        _triple(n, j) for j in reachable if reach[j] & ~reach[((j >> n & full) << n | j >> 2 * n) << n | j & full]
+        _unpack(j, n, (2, 1, 0)) for j in reachable if reach[j] & ~reach[((j >> n & full) << n | j >> 2 * n) << n | j & full]
     )
 
     pair = pi1_failure(reach, full + 1, _pairs(reach, full + 1))
@@ -391,7 +371,7 @@ def is_total(frame: PsiFrame) -> tuple[bool, tuple[int, int, int] | None]:
     full = frame.full
     for j, m in enumerate(_table_of_rows(frame.point_count, frame.rows)):
         if m and m != full:
-            return False, _triple(frame.point_count, j)
+            return False, tuple(_unpack(j, frame.point_count, (2, 1, 0)))
     return True, None
 
 

@@ -29,6 +29,7 @@ from math import prod
 from .boolean_core import (
     FiniteBooleanAlgebra,
     _lacking_bits,
+    _pack,
     _table_of_rows,
     _up,
     apply_automorphism,
@@ -168,7 +169,7 @@ def brute_force_relations(alg: FiniteBooleanAlgebra) -> list[TernaryRelation]:
     if alg.atom_count != 1:
         raise SizeCapError("brute force over all relation bitsets needs a single atom")
     n = 1 << alg.size ** 3
-    verdicts = pool_verdicts(alg, int.from_bytes(bytes(range(n)), "little"), n, "eca")  # bitset i in byte i
+    verdicts = pool_verdicts(alg, _pack(range(n), alg.size ** 3), n, "eca")  # relation i is the bitset i
     return [TernaryRelation(alg, bits) for bits in compress(range(n), verdicts)]
 
 

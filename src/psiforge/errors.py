@@ -16,6 +16,13 @@ class PreconditionError(PsiforgeError):
 class InternalCheckError(PsiforgeError):
     """A property that must hold by construction failed; indicates a bug."""
 
+    @classmethod
+    def no_witness(cls, law: str, at: tuple) -> "InternalCheckError":
+        """The error for an exact test that found ``law`` failing at
+        ``at`` while the sweep that names its witness finds none: the
+        test and the sweep disagree."""
+        return cls(f"{law} fails its exact test at {at} but its sweep names no witness")
+
 
 class ParseError(PsiforgeError):
     """Syntax error in the term language, with a character offset."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits
+from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits, _repeat, _set_bits
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation, passed
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
@@ -77,7 +77,7 @@ def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
         if not g >> j % k & 1:
             low = meets & _lacking_bits(8 * n, 8 << j)
             meets = low | low << (8 << j)
-    return not dia & int.from_bytes(bytes((g,)) * n, "little") & ~meets
+    return not dia & _repeat(g, 8, n) & ~meets
 
 
 def filter_is_closed_su_mid(op: TernaryOperator, flt: Filter) -> bool:
@@ -329,7 +329,7 @@ def enumerate_subalgebras(op: TernaryOperator) -> list[tuple[int, ...]]:
     out = []
     size = alg.size
     for mask in range(1 << size):
-        subset = [a for a in range(size) if mask >> a & 1]
+        subset = _set_bits(mask)
         if 0 not in subset or alg.top not in subset:
             continue
         sset = set(subset)

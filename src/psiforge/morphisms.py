@@ -23,9 +23,11 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .boolean_core import FiniteBooleanAlgebra, _first_entry, _up, algebra_from_json, json_int
-from .contact_relation import TernaryRelation, _chi_table, check_eca, is_eca, rel_to_op
-from .duality_frames import PsiFrame, _set_bits, _triple, dual_frame
+from .boolean_core import (
+    FiniteBooleanAlgebra, _bits, _entries, _first_entry, _set_offsets, _up, algebra_from_json, json_int
+)
+from .contact_relation import TernaryRelation, check_eca, is_eca, rel_to_op
+from .duality_frames import PsiFrame, dual_frame
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
 from .ternary_operator import TernaryOperator, check_psi
@@ -185,25 +187,22 @@ def classify_frame_map(
     for p in f:
         img += [m | 1 << p for m in img]
 
-    def image(j: int) -> int:
-        """The index in frame2 of the componentwise image of triple j."""
-        y1, y2, y3 = _triple(n1, j)
+    def image(y1: int, y2: int, y3: int) -> int:
+        """The index in frame2 of the componentwise image of a triple."""
         return (img[y1] << n2 | img[y2]) << n2 | img[y3]
 
     def sp2():
         for x, r in enumerate(frame1.rows):
             r2 = frame2.rows[f[x]]
-            for j in _set_bits(r):
-                if not r2 >> image(j) & 1:
-                    yield (x, *_triple(n1, j))
+            for y in _set_offsets(r, 1 << n1):
+                if not r2 >> image(*y) & 1:
+                    yield (x, *y)
 
     def sp3():
         # the Z reached from f(x) with no image of R1(x) below them: R2(f(x))
         # outside the up-closure of those images over all 3n2 index bits
         for x, r in enumerate(frame1.rows):
-            below = 0
-            for j in _set_bits(r):
-                below |= 1 << image(j)
+            below = sum({1 << image(*y) for y in _set_offsets(r, 1 << n1)})  # the OR of their bits
             lacking = frame2.rows[f[x]] & ~_up(below, n2, range(3 * n2))
             if lacking:
                 yield (x, *_first_entry(lacking, 1 << n2, 3, 1))
@@ -293,13 +292,13 @@ def classify_eca_morphism(
     if rel_source.alg != h.source or rel_target.alg != h.target:
         raise ValueError("relations do not live on the homomorphism's algebras")
 
-    # chi as one byte per triple, 1 where the triple holds; the target's
-    # at (h a, h b, h c)
+    # the source's bitset against the target's read at (h a, h b, h c),
+    # gathered from its chi as one byte per triple, 1 where the triple holds
     _, gather = _plan(h.atom_map, h.source.atom_count, h.target.atom_count)
-    src, tgt = (bytes(map(bool, _chi_table(rel))) for rel in (rel_source, rel_target))
-    src, tgt = int.from_bytes(src, "little"), int.from_bytes(bytes(gather(tgt)), "little")
-    refl_w = _first_entry(tgt & ~src, h.source.size)
-    pres_w = _first_entry(src & ~tgt, h.source.size)
+    chi = _entries(rel_target.bits, h.target.size ** 3, b"\x00\x01")
+    src, tgt = rel_source.bits, _bits(bytes(gather(chi)), 1, 1)
+    refl_w = _first_entry(tgt & ~src, h.source.size, 3, 1)
+    pres_w = _first_entry(src & ~tgt, h.source.size, 3, 1)
     cls = EcaMorphismClassification(refl_w is None, pres_w is None, refl_w, pres_w)
 
     mc = classify_psi_morphism(h, rel_to_op(rel_source), rel_to_op(rel_target))

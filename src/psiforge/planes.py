@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .boolean_core import _first_entry, _lacking_bits, _up
+from .boolean_core import _first_entry, _lacking_bits, _repeat, _unpack, _up
 
 
 def _atom_bits(s: int) -> range:
@@ -49,7 +49,7 @@ def _differences(s: int) -> bytes:
 @lru_cache(maxsize=None)
 def _constant_planes(s: int) -> tuple[int, ...]:
     """Int v has the byte v at each of the s*s places (d, e)."""
-    return tuple(int.from_bytes(bytes((v,)) * (s * s), "little") for v in range(s))
+    return tuple(_repeat(v, 8, s * s) for v in range(s))
 
 
 def _row(raw: bytes, s: int, a: int, b: int) -> bytes:
@@ -93,7 +93,7 @@ def _mo2(raw: bytes, s: int) -> tuple[int, int] | None:
     s2 = s * s
     if not _nonadditive(raw, s, s2):
         return None
-    slabs = [int.from_bytes(raw[i:i + s2], "little") for i in range(0, len(raw), s2)]
+    slabs = _unpack(int.from_bytes(raw, "little"), 8 * s2, range(s))
     return next(((a, x) for a in range(s) for x in range(s) if slabs[a | x] != slabs[a] | slabs[x]), None)
 
 

@@ -595,5 +595,5 @@ def witness_at(law: str, rows: tuple, table, top: int, prefix: tuple) -> tuple:
     law and the prefix."""
     witness = first_witness(rows, table, top, prefix)
     if witness is None:
-        raise InternalCheckError(f"{law} fails its exact test at {prefix} but its sweep names no witness")
+        raise InternalCheckError.no_witness(law, prefix)
     return witness

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .boolean_core import FiniteBooleanAlgebra, json_int, make_algebra
-from .contact_relation import TernaryRelation, _bits_of_rows, check_eca, is_eca
+from .boolean_core import FiniteBooleanAlgebra, _pack, _set_bits, json_int, make_algebra
+from .contact_relation import TernaryRelation, check_eca, is_eca
 from .errors import InternalCheckError, SizeCapError
 from .ternary_operator import DEFAULT_SEED
 
@@ -54,7 +54,7 @@ class FiniteTopology:
         return m
 
     def set_of(self, mask: int) -> frozenset:
-        return frozenset(p for i, p in enumerate(self.points) if mask >> i & 1)
+        return frozenset(self.points[i] for i in _set_bits(mask))
 
     def interior(self, mask: int) -> int:
         out = 0
@@ -204,7 +204,7 @@ def eca_from_topology(top: FiniteTopology) -> tuple[RegularClosedAlgebra, Ternar
     # found once per distinct intersection
     meets = [x & y for x in masks for y in masks]
     above = {m: sum(1 << c for c, mc in enumerate(masks) if m & mc == m) for m in set(meets)}
-    rel = TernaryRelation(rca.alg, _bits_of_rows([above[m] for m in meets], len(masks)))
+    rel = TernaryRelation(rca.alg, _pack([above[m] for m in meets], len(masks)))
     if not is_eca(rel):
         bad = check_eca(rel).failures()[0]
         raise InternalCheckError(

@@ -22,9 +22,8 @@ from functools import cached_property
 from itertools import chain
 
 from . import topo_models
-from .boolean_core import make_algebra
+from .boolean_core import _pack, make_algebra
 from .contact_relation import (
-    _bits_of_rows,
     characteristic_lemma_check,
     check_derived_eca_props,
     is_eca,
@@ -191,18 +190,17 @@ class _Suite:
 
     def axiom_equivalence(self):
         # each pool is one int, relation i in bits i*size^3 and up
-        every = int.from_bytes(bytes(range(256)), "little")  # relation i is the bitset i
+        every = _pack(range(256), 8)  # relation i is the bitset i
         yield "eca-extca-agree-k1-exhaustive", _systems_agree(self.algs[1], every, 256), "256 relations"
 
         rng = random.Random(self.seed)
         n = 10_000
         # one draw of 64n bits is the n draws of 64 bits, the first lowest;
         # random relations all fail at EC0 = ExtCA0, the flips reach the other laws
-        flips = b"".join((r.bits ^ 1 << i).to_bytes(8, "little") for r in self.ecas[2] for i in range(64))
-        m = len(flips) // 8
-        pool = rng.getrandbits(64 * n) | int.from_bytes(flips, "little") << 64 * n
-        detail = f"{n} seeded relations, {m} one-bit flips of the {len(self.ecas[2])} ECAs"
-        yield "eca-extca-agree-k2-random", _systems_agree(self.algs[2], pool, n + m), detail
+        flips = [r.bits ^ 1 << i for r in self.ecas[2] for i in range(64)]
+        pool = rng.getrandbits(64 * n) | _pack(flips, 64) << 64 * n
+        detail = f"{n} seeded relations, {len(flips)} one-bit flips of the {len(self.ecas[2])} ECAs"
+        yield "eca-extca-agree-k2-random", _systems_agree(self.algs[2], pool, n + len(flips)), detail
 
     def translations(self):
         ok = all(
@@ -363,7 +361,7 @@ class _Suite:
             distinct.setdefault(rel.alg, set()).add(rel.bits)
         ok = True
         for alg, bits in distinct.items():  # one packed pool per algebra
-            pool, n = _bits_of_rows(sorted(bits), alg.size ** 3), len(bits)
+            pool, n = _pack(sorted(bits), alg.size ** 3), len(bits)
             ok = ok and all(pool_verdicts(alg, pool, n, system) == b"\x01" * n for system in ("eca", "extca"))
         yield "random-topologies-give-ecas", ok, f"{len(spaces)} seeded spaces"
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import random
@@ -19,8 +20,16 @@ from psiforge.boolean_core import (
     _bits,
     _down,
     _entries,
+    _from_base64,
+    _pack,
+    _repeat,
+    _set_bits,
+    _set_offsets,
     _table_of_rows,
+    _to_base64,
+    _unpack,
     _up,
+    _zero_rows,
     algebra_from_json,
     apply_automorphism,
 )
@@ -254,7 +263,13 @@ def test_closure_transforms_match_per_entry_definitions(k, lane):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_codec_round_trip(k):
     """_entries writes a bitset as one byte per bit, _bits reads it back,
-    and _table_of_rows lays bitsets out as the bits of one byte table."""
+    and _table_of_rows lays bitsets out as the bits of one byte table.
+    The lane codec, against per-row shifts and a per-bit loop: _pack and
+    _unpack at widths below 8, of 8 and multiples of 8 (size, size^2 and
+    size^3 through three atoms, 8**n at n = 0-2, and 64), at 0, 1 and
+    more rows, some of them zero; _repeat, _zero_rows, _set_bits and
+    _set_offsets, and the base64 form, which refuses a character outside
+    its alphabet."""
     rng = random.Random(k)
     n = 8 ** k
     bits = rng.getrandbits(n)
@@ -269,3 +284,28 @@ def test_codec_round_trip(k):
     row_bits = [[byte >> j & 1 for byte in r.to_bytes(n // 8, "little") for j in range(8)] for r in rows]
     assert table == bytes(sum(bits[i] << x for x, bits in enumerate(row_bits)) for i in range(n))
     assert [_bits(table, 1 << x, 1 << x) for x in range(k)] == rows
+
+    widths = {1, 8, 64} | ({1 << k, 4 ** k, 8 ** k} if k <= 3 else set())
+    for width in sorted(widths):
+        for count in (0, 1, 2, 7):
+            # every third row zero, and the last of two or more
+            rows = [0 if i % 3 == 2 or i == count - 1 > 0 else rng.getrandbits(width) for i in range(count)]
+            x = _pack(rows, width)
+            assert x == sum(r << i * width for i, r in enumerate(rows)), (width, count)
+            assert _unpack(x, width, range(count)) == rows
+            assert _unpack(x, width, range(count - 1, -1, -2)) == rows[::-2]
+            assert _unpack(x, width, [count, count + 3]) == [0, 0]  # above the last row
+            row = rng.getrandbits(width)
+            assert _repeat(row, width, count) == _pack([row] * count, width)
+            if width >= 8:
+                assert _zero_rows(x, width, count) == bytes(r == 0 for r in rows)
+    for x in (0, 1, 1 << n // 2, bits, bits & rng.getrandbits(n) & rng.getrandbits(n), 1 << n - 1 | 1):
+        positions = [i for i, digit in enumerate(reversed(format(x, "b"))) if digit == "1"]  # per bit
+        assert _set_bits(x) == positions
+        s = 1 << k
+        assert list(_set_offsets(x, s)) == [(i // s // s, i // s % s, i % s) for i in positions]
+        assert _from_base64(_to_base64(x, n)) == x
+    assert _to_base64(bits, n) == base64.b64encode(bits.to_bytes(n // 8, "little")).decode()
+    for bad in ("!!", "AA!=", "AAE"):
+        with pytest.raises(ValueError):
+            _from_base64(bad)

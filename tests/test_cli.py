@@ -329,6 +329,15 @@ def test_compact_frame_trailing_bit_exits_2():
     assert "out of range" in r.stderr
 
 
+def test_compact_bits_outside_base64_exit_2():
+    # "!!" holds no base64 character; a decoder that skipped them would read
+    # an empty bitset, a frame that passes and a relation that fails
+    for kind, payload in (("frame", {"points": 1, "bits": "!!"}), ("eca", {"alg": {"atoms": 1}, "bits": "!!"})):
+        r = run_cli("check", "--kind", kind, "-", stdin=json.dumps(payload))
+        assert_usage_error(r)
+        assert r.stderr.startswith("psiforge: bad input: ")
+
+
 def test_compact_frame_empty_coordinate_exits_2():
     # a one-point frame's bit 3 is the triple ({}, {0}, {0}) of point 0
     empty_y1 = json.dumps({"points": 1, "bits": base64.b64encode(bytes([1 << 3])).decode("ascii")})

@@ -44,9 +44,8 @@ from psiforge import (
     make_algebra,
     smallest_diamond,
 )
-from psiforge import contact_relation, duality_frames, planes
+from psiforge import boolean_core, contact_relation, duality_frames, planes
 from psiforge.contact_relation import (
-    _bits_of_rows,
     _chi_table,
     _conclusion_masks,
     _cut_witness,
@@ -183,7 +182,7 @@ def _antitone_relation(alg, rng):
         for d in range(size)
         for e in range(size)
     ]
-    return TernaryRelation(alg, _bits_of_rows(rows, size))
+    return TernaryRelation(alg, boolean_core._pack(rows, size))
 
 
 def _cut_cases():
@@ -259,7 +258,7 @@ def test_cut_at_five_atoms():
     largest relation it fails at the reference sweep's first witness."""
     alg = make_algebra(5)
     size, full = alg.size, (1 << alg.size) - 1
-    rel = TernaryRelation(alg, _bits_of_rows([0] + [full] * (size * size - 1), size))
+    rel = TernaryRelation(alg, boolean_core._pack([0] + [full] * (size * size - 1), size))
     report = check_eca(rel)
     assert [(r.axiom, r.passed) for r in report.results] == [
         ("EC0", True), ("EC1", True), ("EC2", False), ("EC3", False), ("EC4", True)
@@ -660,7 +659,7 @@ def test_a_failed_verdict_without_a_witness_is_an_error(monkeypatch):
     # masks, built from the same rows, are built first, unpatched)
     assert check_eca(rel).passed
     with monkeypatch.context() as m:
-        m.setattr(contact_relation, "_bits_of_rows", lambda rows, size: -1)
+        m.setattr(contact_relation, "_pack", lambda rows, width: -1)
         with pytest.raises(InternalCheckError, match="cut"):
             check_eca(rel)
     monkeypatch.setattr(contact_relation, "_mask_failures", lambda *args: 1)

@@ -204,6 +204,6 @@ def test_a_failing_relation_names_its_axiom(monkeypatch):
     witness from check_eca."""
     import psiforge.topo_models as T
 
-    monkeypatch.setattr(T, "_bits_of_rows", lambda rows, size: 0)
+    monkeypatch.setattr(T, "_pack", lambda rows, width: 0)
     with pytest.raises(InternalCheckError, match=r"topological relation fails EC2 at \(0, 0, 0\)"):
         eca_from_topology(three_point_space())
