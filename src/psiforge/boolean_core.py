@@ -19,6 +19,13 @@ such as an operator).  Offset bit j is bit j of c for j < k, of b below
   _up, _down      the subset-OR and superset-AND transforms (Knuth, TAOCP
                   4A 7.1.3) along chosen offset bits, at any lane width
   _first_entry    the offset of the lowest nonzero entry, as digits
+  _permute_offsets, _transpose
+                  the offset permutation: every entry moved by one
+                  permutation of the 3k offset bits, by delta swaps
+                  (Knuth, TAOCP 4A 7.1.3), at any lane width.  An atom
+                  automorphism moves bit i of each field to bit perm[i];
+                  _transpose exchanges the a and b fields, (a, b, c) to
+                  (b, a, c)
 
 and the one lane codec, for many bitsets of ``width`` bits in one int,
 row i at bit i*width (the conclusion masks of a relation, the rows of a
@@ -29,8 +36,9 @@ frame, a pool of relations, and the k-bit digits of an offset):
   _zero_rows      which rows are zero, one flag byte per row
   _set_bits       the positions of the set bits, ascending; _set_offsets,
                   their offsets as digits, for a bitset over A^3
-  _to_base64      the compact JSON form of a bitset, its little-endian
-  _from_base64    bytes in base64, and back; base64 loads at first use
+  _to_base64      the compact JSON form of a bitset of n bits, its
+  _from_base64    (n + 7) // 8 little-endian bytes in base64, and back,
+                  refusing any other byte count; base64 loads at first use
 """
 from __future__ import annotations
 
@@ -285,6 +293,41 @@ def _first_entry(fails: int, size: int, places: int = 3, width: int = 8) -> tupl
     return tuple(_unpack(i, size.bit_length() - 1, range(places - 1, -1, -1)))
 
 
+@lru_cache(maxsize=None)
+def _swaps(k: int, moves: tuple[int, ...], lane: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps (shift, mask) of _permute_offsets: the permutation
+    as at most 3k - 1 transpositions of offset bits p < q, each mask the
+    entries whose offset holds bit p and lacks bit q, the lower entry of
+    each pair that the transposition exchanges."""
+    n = 8 ** k << lane
+    at = list(range(3 * k))  # at[p]: the offset bit whose entries offset bit p holds now
+    swaps = []
+    for p in range(3 * k):
+        q = at.index(moves.index(p))  # offset bit j belongs at bit moves[j]
+        if q != p:
+            at[p], at[q] = at[q], at[p]
+            low, high = 1 << p + lane, 1 << q + lane
+            swaps.append((high - low, _lacking_bits(n, high) & ~_lacking_bits(n, low)))
+    return tuple(swaps)
+
+
+def _permute_offsets(x: int, k: int, moves: tuple[int, ...], lane: int = 0) -> int:
+    """x read as a table over A^3 at k atoms of 2**lane-bit entries, with
+    every entry moved to the offset that has bit j of its own offset at
+    bit moves[j], for each of the 3k offset bits j: one delta swap per
+    transposition of offset bits."""
+    for shift, mask in _swaps(k, moves, lane):
+        t = (x >> shift ^ x) & mask
+        x ^= t | t << shift
+    return x
+
+
+def _transpose(x: int, k: int, lane: int = 0) -> int:
+    """The table with entry (a, b, c) moved to (b, a, c): the offset bits
+    of a and b exchanged."""
+    return _permute_offsets(x, k, (*range(k), *range(2 * k, 3 * k), *range(k, 2 * k)), lane)
+
+
 def _pack(rows, width: int) -> int:
     """The int with rows[i], each below 2**width, at bit i*width: the
     rows side by side, the first lowest."""
@@ -351,12 +394,16 @@ def _to_base64(x: int, n: int) -> str:
     return base64.b64encode(x.to_bytes((n + 7) >> 3, "little")).decode("ascii")
 
 
-def _from_base64(text) -> int:
-    """The bitset of a compact form.  A character outside the base64
-    alphabet, or bad padding, raises binascii.Error, a ValueError."""
+def _from_base64(text, n: int) -> int:
+    """The n-bit bitset of a compact form.  A character outside the base64
+    alphabet, or bad padding, raises binascii.Error, a ValueError; so does
+    a byte count other than (n + 7) // 8."""
     import base64
 
-    return int.from_bytes(base64.b64decode(text, validate=True), "little")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != (n + 7) >> 3:
+        raise ValueError(f"compact bits: byte count {len(raw)} is out of range for {n} bits, which need {(n + 7) >> 3}")
+    return int.from_bytes(raw, "little")
 
 
 def automorphisms(alg: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:

@@ -15,9 +15,10 @@ boolean_core).
 
 Every law of both systems has one decider on the relation's bitset,
 _failure: EC0, EC2, EC3 and their ExtCA twins by a few and/or/shift
-tests against masks built once per atom count (_law_masks), EC4 on the
-bitset's conclusion masks, and the five-variable cut (EC1 and its ExtCA
-twin) by one AND per premise of each distinct conclusion mask
+tests against masks built once per atom count (_law_masks), EC4 as
+bits & ~T(bits) == 0, T the (a, b) transpose of module boolean_core's
+offset permutation (_transpose), and the five-variable cut (EC1 and its
+ExtCA twin) by one AND per premise of each distinct conclusion mask
 (_cut_witness).  It gives None when the law holds, else the prefix of its
 first witness in the documented order.  Each law, and each derived law
 of check_derived_eca_props and characteristic_lemma_check, is also
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 
 from .boolean_core import (
     FiniteBooleanAlgebra,
@@ -58,6 +59,7 @@ from .boolean_core import (
     _repeat,
     _set_offsets,
     _to_base64,
+    _transpose,
     _unpack,
     _zero_rows,
     algebra_from_json,
@@ -113,7 +115,7 @@ def relation_from_triples(alg: FiniteBooleanAlgebra, triples) -> TernaryRelation
 def relation_from_json(data: dict) -> TernaryRelation:
     alg = algebra_from_json(data["alg"])
     if "bits" in data:
-        return TernaryRelation(alg, _from_base64(data["bits"]))
+        return TernaryRelation(alg, _from_base64(data["bits"], alg.size ** 3))
     triples = [tuple(json_int(v, "triple entry") for v in t) for t in data["triples"]]
     return relation_from_triples(alg, triples)
 
@@ -256,29 +258,27 @@ def _mask_failures(bits: int, k: int, law: str, lanes: int = 1) -> int:
     return (bits & mask * lanes) ^ want * lanes
 
 
-def _failure(rel: TernaryRelation, law: str, con: list[int]) -> tuple[int, ...] | None:
+def _failure(rel: TernaryRelation, law: str) -> tuple[int, ...] | None:
     """None if a system law holds; else the prefix of its first witness: for
     a mask law that of its lowest failing bit, (a, b, f) for EC0, (a,) for
-    EC3, (a, b) for the others; for EC4 the first (a, b) with C(a, b) not
-    below C(b, a); the cut's whole witness.  con: the conclusion masks."""
-    size = rel.alg.size
+    EC3, (a, b) for the others; for EC4 the first (a, b) with a triple
+    (a, b, f) whose transpose (b, a, f) is absent; the cut's whole witness."""
+    size, k = rel.alg.size, rel.alg.atom_count
     if law == "cut":
-        return _cut_witness(rel, con)
-    if law == "EC4":
-        swapped = chain.from_iterable(con[a::size] for a in range(size))  # con[b*size + a] in (a, b) order
-        return next((divmod(i, size) for i, (x, y) in enumerate(zip(con, swapped)) if x & ~y), None)
+        return _cut_witness(rel)
+    fails = rel.bits & ~_transpose(rel.bits, k) if law == "EC4" else _mask_failures(rel.bits, k, law)
     places = {"EC0": 3, "EC3": 1}.get(law, 2)
-    return _first_entry(_mask_failures(rel.bits, rel.alg.atom_count, law), size, places, size ** (3 - places))
+    return _first_entry(fails, size, places, size ** (3 - places))
 
 
 def _check(rel: TernaryRelation, system: str) -> CheckReport:
     """Every law's verdict and, for each failing law, its first witness in
     its documented order: the prefix _failure gives, and the rest from the
     law's sentence over chi."""
-    con, chi, top = _conclusion_masks(rel), (), rel.alg.top
+    chi, top = (), rel.alg.top
     results = []
     for name, law in _SYSTEMS[system]:
-        prefix = _failure(rel, law, con)
+        prefix = _failure(rel, law)
         if prefix is None:
             results.append(passed(name))
             continue
@@ -296,8 +296,7 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
 
     The mask laws are tested on all n relations at once, and their
     failure bits ORed.  Only the relations whose lane of failures is zero
-    are unpacked and have EC4 and then the cut decided one by one, on
-    their conclusion masks.
+    are unpacked and have EC4 and then the cut decided one by one.
     """
     k, width = alg.atom_count, alg.size ** 3
     lanes = _repeat(1, width, n)
@@ -309,8 +308,7 @@ def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -
     passing = list(compress(range(n), verdicts))
     for i, bits in zip(passing, _unpack(packed, width, passing)):
         rel = TernaryRelation(alg, bits)
-        con = _conclusion_masks(rel)
-        verdicts[i] = _failure(rel, "EC4", con) is None and _failure(rel, "cut", con) is None
+        verdicts[i] = _failure(rel, "EC4") is None and _failure(rel, "cut") is None
     return bytes(verdicts)
 
 
@@ -323,12 +321,13 @@ def check_eca(rel: TernaryRelation) -> CheckReport:
     EC3: (a,a) |- f  implies  a <= f                      (witness a,f)
     EC4: (a,b) |- f  implies  (b,a) |- f                  (witness a,b,f)
 
-    Every verdict comes from mask tests on the bitset and, for EC1 and
-    EC4, its conclusion masks (EC1 by one AND per premise of each
-    distinct conclusion mask, see _cut_witness).  A failing test also
-    gives the prefix of the law's first witness, and its sentence is
-    swept past that prefix only: over d for EC0, over f for EC2-EC4, and
-    not at all for EC1, whose witness is only re-evaluated.
+    Every verdict comes from mask tests on the bitset: EC4 against its
+    (a, b) transpose, and EC1 on its conclusion masks, by one AND per
+    premise of each distinct conclusion mask (see _cut_witness).  A
+    failing test also gives the prefix of the law's first witness, and
+    its sentence is swept past that prefix only: over d for EC0, over f
+    for EC2-EC4, and not at all for EC1, whose witness is only
+    re-evaluated.
     """
     return _check(rel, "eca")
 
@@ -356,9 +355,9 @@ def is_extca(rel: TernaryRelation) -> bool:
     return pool_verdicts(rel.alg, rel.bits, 1, "extca") == b"\x01"
 
 
-def _cut_witness(rel: TernaryRelation, con: list[int]) -> tuple[int, ...] | None:
+def _cut_witness(rel: TernaryRelation) -> tuple[int, ...] | None:
     """The cut's first violation (a, b, d, e, f), every variable top-down;
-    None if the cut holds.  con is the relation's conclusion masks.
+    None if the cut holds.
 
     Write C(d, e) for the conclusion mask of (d, e).  The cut says
     C(d, e) <= M whenever d and e lie in M = C(a, b), so it depends on M
@@ -369,7 +368,7 @@ def _cut_witness(rel: TernaryRelation, con: list[int]) -> tuple[int, ...] | None
     once, the (a, b) top-down, and only the first failing one is swept
     over (d, e, f) to name the witness.
     """
-    size = rel.alg.size
+    size, con = rel.alg.size, _conclusion_masks(rel)
     square, full = size * size, (1 << size) - 1
     slabs = _unpack(rel.bits, square, range(size))
     holds = set()

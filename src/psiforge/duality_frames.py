@@ -18,8 +18,7 @@ R is stored as one bitset per point over the operator-table index
 (y1*s + y2)*s + y3, s = 2**points (PsiFrame.rows): a table over A^3 at
 n atoms, one bit per entry, in the layout of the plane toolkit of module
 boolean_core; the (x, Y1, Y2, Y3) entries are a view read off it, a
-row's triples listed by the lane codec's _set_offsets and one index j,
-three n-bit lanes with Y3 lowest, read as _unpack(j, n, (2, 1, 0)).
+row's triples listed by the lane codec's _set_offsets.
 Adding a point to one coordinate sets one of the 3n index bits, so
 "every triple above Y" and "some triple below U" are the toolkit's
 superset-AND and subset-OR transforms, _down and _up, over those bits:
@@ -32,9 +31,11 @@ bitsets with their subset-OR transforms.  The space conditions PIF1-PIF4
 and totality read the reach table, whose entry j is the mask of points
 reaching triple j.  Read as an operator table on the point sets, it is
 upward closed and 0 at any empty coordinate on a frame with DF2, and
-there PIF1 holds exactly when PI1 holds of it (see check_psi_space), so
-the PI1 row test of module planes decides PIF1 at every size.  diamond_r
-and box_r keep the per-triple definitions.
+there PIF1-PIF4 hold exactly when PI1-PI4 hold of it (see
+check_psi_space), so the deciders of module planes decide them at every
+size; and the frame is total exactly when the table is relational, each
+entry 0 or every point, which is_relational's mark test decides.
+diamond_r and box_r keep the per-triple definitions.
 """
 from __future__ import annotations
 
@@ -59,8 +60,8 @@ from .boolean_core import (
     make_algebra,
 )
 from .errors import PreconditionError, InternalCheckError, SizeCapError
-from .report import CheckReport, failed, first_violation as _first, passed
-from .ternary_operator import TernaryOperator, check_3bamo, check_psi
+from .report import AxiomResult, CheckReport, failed, passed
+from .ternary_operator import TernaryOperator, _non_relational, check_3bamo, check_psi
 
 
 @dataclass(frozen=True, init=False)
@@ -143,13 +144,9 @@ def frame_from_json(data: dict) -> PsiFrame:
     if n > MAX_ATOMS:
         raise SizeCapError(f"frame has {n} points, above the cap of {MAX_ATOMS}")
     if "bits" in data:
-        # one bit per (x, Y1, Y2, Y3), x major, 8**n bits per point; a bit
-        # past the last row belongs to a point x >= n
-        bits = _from_base64(data["bits"])
+        # one bit per (x, Y1, Y2, Y3), x major, 8**n bits per point
         width = 1 << 3 * n
-        if extra := bits >> n * width:
-            raise ValueError(f"point {n + ((extra & -extra).bit_length() - 1 >> 3 * n)} out of range")
-        return PsiFrame._of_rows(n, _unpack(bits, width, range(n)))
+        return PsiFrame._of_rows(n, _unpack(_from_base64(data["bits"], n * width), width, range(n)))
 
     def point(p) -> int:
         if not 0 <= json_int(p, "point") < n:
@@ -290,16 +287,20 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     its first two coordinates, so the test reads the atom pairs only, and a
     failing pair lies above a failing atom pair): its first failing pair,
     ascending, is PIF1's first failing (Y1, Y2), swept over (Y3, Z, W),
-    ascending, to name the witness.  PIF2-PIF4 are swept by their
-    definitions over the reached triples (the pairs for PIF3), ascending.
+    ascending, to name the witness.  PIF2-PIF4 are decided by the PI2-PI4
+    deciders of planes.LAWS on the same table.  PIF3 and PIF4 are PI3 and
+    PI4 read on it, witness for witness.  PIF2 says no reached triple has
+    Y3 disjoint from Y1; with DF2 such a triple lies below the reached
+    (Y1, Y2, not Y1), where PI2 fails, so PIF2's first witness lies in
+    PI2's first failing (Y1, Y2) row, at the least reached Y3 disjoint
+    from Y1.
     """
     check_psi_frame(frame).require(PreconditionError, "check_psi_space requires a descriptive frame")
     # imported at first use: the other frame verbs check no operator law
-    from .planes import _pairs, pi1_failure
+    from .planes import LAWS, _pairs, _row, pi1_failure
 
-    n, full = frame.point_count, frame.full
+    n, full, s = frame.point_count, frame.full, 1 << frame.point_count
     reach = _table_of_rows(n, frame.rows)  # a triple with an empty coordinate reads 0
-    reachable = [j for j, m in enumerate(reach) if m]
     ne = frame.nonempty_masks()
     cl_note = "closure taken as identity (finite discrete space)"
 
@@ -316,19 +317,14 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
                         return (y1, y2, y3, z, w)
         raise InternalCheckError.no_witness("PIF1", (y1, y2))
 
-    pif2 = (_unpack(j, n, (2, 1, 0)) for j in reachable if j >> 2 * n & j == 0)  # Y1 and Y3 disjoint
-    pif3 = ((y1, y2) for y1 in ne for y2 in ne if y1 & y2 & ~reach[(y1 << n | y1) << n | y2])
-    # the points reaching (Y1, Y2, Y3) against those reaching (Y2, Y1, Y3)
-    pif4 = (
-        _unpack(j, n, (2, 1, 0)) for j in reachable if reach[j] & ~reach[((j >> n & full) << n | j >> 2 * n) << n | j & full]
-    )
-
-    pair = pi1_failure(reach, full + 1, _pairs(reach, full + 1))
+    pair = pi1_failure(reach, s, _pairs(reach, s))
+    pif = [LAWS[f"PI{i}"](reach, s) for i in (2, 3, 4)]
+    if pif[0] is not None:
+        y1, y2 = pif[0]
+        pif[0] += (next(y3 for y3, m in enumerate(_row(reach, s, y1, y2)) if m and not y3 & y1),)
     results = (
         passed("PIF1", cl_note) if pair is None else failed("PIF1", pif1_witness(*pair), cl_note),
-        _first("PIF2", pif2),
-        _first("PIF3", pif3),
-        _first("PIF4", pif4),
+        *(AxiomResult(f"PIF{i}", w is None, w) for i, w in zip((2, 3, 4), pif)),
     )
     return CheckReport("psi-space", results)
 
@@ -367,12 +363,11 @@ def complex_algebra(frame: PsiFrame) -> tuple[FiniteBooleanAlgebra, TernaryOpera
 
 
 def is_total(frame: PsiFrame) -> tuple[bool, tuple[int, int, int] | None]:
-    """Total iff every triple is reachable from all points or from none."""
-    full = frame.full
-    for j, m in enumerate(_table_of_rows(frame.point_count, frame.rows)):
-        if m and m != full:
-            return False, tuple(_unpack(j, frame.point_count, (2, 1, 0)))
-    return True, None
+    """Total iff every triple is reachable from all points or from none:
+    the reach table, read as an operator table, is relational (the first
+    triple reached by some points but not all is is_relational's witness)."""
+    first = _non_relational(_table_of_rows(frame.point_count, frame.rows), frame.full)
+    return first is None, first
 
 
 def pif2_strong_form_separation(frames: list[PsiFrame]) -> tuple[PsiFrame | None, str]:

@@ -9,11 +9,12 @@ No checker filters generated candidates; the checkers are the oracle.
 
 Canonical form: the least bitset (or lexicographically least operator
 table) in the automorphism orbit; outputs are deduplicated and sorted by
-it.  Each image is built on the whole word by permute_offsets: the atom
-permutation moves the offset (a, b, c) of every bit, or of every byte of
-a table whose values it has first mapped by one bytes.translate, by at
-most 3(k-1) delta swaps of offset bits.  Every value is below 256, so
-the least bytes image is the least table.
+it.  Each image is built on the whole word by the offset permutation of
+module boolean_core (_permute_offsets): the atom permutation moves bit i
+of each field of the offset (a, b, c) to bit perm[i], for every bit, or
+every byte of a table whose values it has first mapped by one
+bytes.translate, by at most 3(k-1) delta swaps.  Every value is below
+256, so the least bytes image is the least table.
 
 The built-in axiom sets of named_axioms are the rows of the laws that
 ternary_operator.AXIOM_SETS lists, the rows the operator checkers sweep.
@@ -28,8 +29,8 @@ from math import prod
 
 from .boolean_core import (
     FiniteBooleanAlgebra,
-    _lacking_bits,
     _pack,
+    _permute_offsets,
     _table_of_rows,
     _up,
     apply_automorphism,
@@ -80,41 +81,11 @@ def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> li
 
 
 @lru_cache(maxsize=None)
-def _swap_mask(n: int, low: int, high: int) -> int:
-    """The n-bit mask of the bits i with i // low odd and i // high even
-    (low < high, powers of two): the lower entry of each pair that a
-    swap of two offset bits exchanges."""
-    return _lacking_bits(n, high) & ~_lacking_bits(n, low)
-
-
-@lru_cache(maxsize=None)
-def _swaps(k: int, perm: tuple[int, ...], lane: int) -> tuple[tuple[int, int], ...]:
-    """The delta swaps (shift, mask) of permute_offsets: the atom
-    permutation as at most k - 1 transpositions of offset bits, each
-    applied to the a, b and c fields of the 3k-bit offset."""
-    n = 8 ** k << lane
-    at = list(range(k))  # at[p]: the atom bit whose entries offset bit p holds now
-    swaps = []
-    for p in range(k):
-        q = at.index(perm.index(p))  # atom bit i belongs at offset bit perm[i]
-        if q == p:
-            continue
-        at[p], at[q] = at[q], at[p]
-        for field in (0, k, 2 * k):
-            low, high = 1 << field + p + lane, 1 << field + q + lane
-            swaps.append((high - low, _swap_mask(n, low, high)))
-    return tuple(swaps)
-
-
-def permute_offsets(k: int, perm: tuple[int, ...], x: int, lane: int) -> int:
-    """x read as the 8**k entries of 2**lane bits each over A^3, entry
-    (a, b, c) at offset (a*size + b)*size + c, with every entry moved to
-    (img a, img b, img c), img the atom permutation perm: one delta swap
-    (Knuth, TAOCP 4A 7.1.3) per transposition and field."""
-    for shift, mask in _swaps(k, perm, lane):
-        t = (x >> shift ^ x) & mask
-        x ^= t | t << shift
-    return x
+def _moves(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The atom permutation as a move of offset bits: bit i of each of the
+    c, b and a fields to bit perm[i] of that field."""
+    k = len(perm)
+    return tuple(field + perm[i] for field in (0, k, 2 * k) for i in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -126,18 +97,17 @@ def _value_images(alg: FiniteBooleanAlgebra, perm: tuple[int, ...]) -> bytes:
 def _moved_table(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], raw: bytes) -> bytes:
     """The table's bytes with values and offsets moved by the automorphism."""
     values = int.from_bytes(raw.translate(_value_images(alg, perm)), "little")
-    return permute_offsets(alg.atom_count, perm, values, 3).to_bytes(len(raw), "little")
+    return _permute_offsets(values, alg.atom_count, _moves(perm), 3).to_bytes(len(raw), "little")
 
 
 def permute_relation_bits(alg: FiniteBooleanAlgebra, perm: tuple[int, ...], bits: int) -> int:
     """The relation moved by the automorphism, (a, b, c) to (img[a],
     img[b], img[c])."""
-    return permute_offsets(alg.atom_count, perm, bits, 0)
+    return _permute_offsets(bits, alg.atom_count, _moves(perm))
 
 
 def canonical_relation_bits(alg: FiniteBooleanAlgebra, bits: int) -> int:
-    k = alg.atom_count
-    return min(permute_offsets(k, p, bits, 0) for p in automorphisms(alg))
+    return min(_permute_offsets(bits, alg.atom_count, _moves(p)) for p in automorphisms(alg))
 
 
 def permute_operator_table(
@@ -385,12 +355,13 @@ def sample_psi_operators(
 def sample_3bamos(
     alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED, attempts: int = 400
 ) -> list[TernaryOperator]:
-    """Seeded monotone-operator samples: independent random monotone maps
-    per ordered atom pair, written at the atom pairs of a byte table and
-    joined (_join), so MO1-MO4 hold by construction.  At most ``count``
-    distinct tables from ``attempts`` draws."""
+    """Seeded monotone-operator samples: a random value at each (u, v, c)
+    with u, v atoms and c nonzero, drawn per ordered atom pair with c by
+    popcount, then one subset-OR transform over every offset bit, so that
+    MO1-MO4 hold by construction.  At most ``count`` distinct tables from
+    ``attempts`` draws."""
     rng = random.Random(seed)
-    atoms, size = alg.atoms(), alg.size
+    k, atoms, size = alg.atom_count, alg.atoms(), alg.size
     by_popcount = sorted(alg.elements(), key=lambda c: (bin(c).count("1"), c))
     found: dict[tuple[int, ...], TernaryOperator] = {}
     for _ in range(attempts):
@@ -401,11 +372,9 @@ def sample_3bamos(
             for v in atoms:
                 row = (u * size + v) * size  # the offset of (u, v, 0)
                 for c in by_popcount[1:]:
-                    for y in atoms:
-                        if c & y:
-                            raw[row + c] |= raw[row + (c ^ y)]
-                    raw[row + c] |= rng.randrange(size)
-        op = _join(alg, raw)
+                    raw[row + c] = rng.randrange(size)
+        joined = _up(int.from_bytes(raw, "little"), k, range(3 * k), 3)
+        op = TernaryOperator(alg, tuple(joined.to_bytes(len(raw), "little")))
         found.setdefault(op.table, op)
     return list(found.values())
 

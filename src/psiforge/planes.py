@@ -8,7 +8,9 @@ u to a coordinate that lacks it moves an entry u*w bytes up, where w is
 the coordinate's stride (s*s for a, s for b, 1 for c), so one shift of X,
 masked to the entries whose coordinate lacks u, lines each entry up with
 its cover.  Rows are copied across by bytes repetition, and P <= Q, entry
-by entry, is tested as P & Q == P.  Each test decides its law over the
+by entry, is tested as P & Q == P.  PI4, dia(a, b, f) <= dia(b, a, f),
+is X & ~T(X) == 0, with T the (a, b) transpose of module boolean_core's
+offset permutation (_transpose).  Each test decides its law over the
 whole table at once, with no loop over tuples, except PI1, R1 and R2,
 tested one (a, b) row or column at a time: on the atom pairs alone and,
 for R2, as one bound, where MO1-MO3 hold, and on every row or column
@@ -20,13 +22,16 @@ the prefix of its first witness in the witness order of its rows
 R2, (a, x) for MO2, (a, b) for MO4 and PI1, (x, y) for R1, and the whole
 witness for PI2-PI4 and S.  Where a test and the search for the prefix
 differ, the search, itself exact, runs only after the test has failed.
+
+PI1-PI4 also decide a frame's space conditions PIF1-PIF4, on its reach
+table read as an operator table (duality_frames.check_psi_space).
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
 
-from .boolean_core import _first_entry, _lacking_bits, _repeat, _unpack, _up
+from .boolean_core import _first_entry, _lacking_bits, _repeat, _transpose, _unpack, _up
 
 
 def _atom_bits(s: int) -> range:
@@ -195,8 +200,8 @@ def _pi3(raw: bytes, s: int) -> tuple[int, int] | None:
 
 def _pi4(raw: bytes, s: int) -> tuple[int, int, int] | None:
     # dia(a, b, f) <= dia(b, a, f) for all a, b is symmetry in (a, b)
-    swapped = b"".join(raw[(b * s + a) * s:(b * s + a + 1) * s] for a in range(s) for b in range(s))
-    return _first_entry(int.from_bytes(raw, "little") & ~int.from_bytes(swapped, "little"), s)
+    x = int.from_bytes(raw, "little")
+    return _first_entry(x & ~_transpose(x, s.bit_length() - 1, 3), s)
 
 
 # Each law's decider, called as LAWS[law](raw, s): None if the law holds,

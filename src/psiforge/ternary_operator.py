@@ -308,10 +308,15 @@ def check_strict(op: TernaryOperator) -> CheckReport:
 
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff every table entry is 0 or top; else the first offending triple."""
-    # one pass over the table's bytes: 1 marks an entry other than 0 and top
-    marks = _non_relational_marks(op.alg.top)
-    first = _first_entry(int.from_bytes(bytes(op.table).translate(marks), "little"), op.alg.size)
+    first = _non_relational(bytes(op.table), op.alg.top)
     return first is None, first
+
+
+def _non_relational(raw: bytes, top: int) -> tuple[int, int, int] | None:
+    """The first (a, b, c) of a byte table whose entry is neither 0 nor
+    top; None if there is none.  One pass over the bytes: 1 marks such an
+    entry."""
+    return _first_entry(int.from_bytes(raw.translate(_non_relational_marks(top)), "little"), top + 1)
 
 
 @lru_cache(maxsize=None)

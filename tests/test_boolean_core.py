@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import itertools
 import json
 import random
 
@@ -22,11 +23,13 @@ from psiforge.boolean_core import (
     _entries,
     _from_base64,
     _pack,
+    _permute_offsets,
     _repeat,
     _set_bits,
     _set_offsets,
     _table_of_rows,
     _to_base64,
+    _transpose,
     _unpack,
     _up,
     _zero_rows,
@@ -260,6 +263,27 @@ def test_closure_transforms_match_per_entry_definitions(k, lane):
             assert down[e] == _closure_at(dense, e, chosen, False), (bits, e)
 
 
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("lane", [0, 3])
+def test_offset_permutation_matches_per_entry_moves(k, lane):
+    """_permute_offsets on a seeded int, at bit and byte lanes, for every
+    atom permutation (bit i of each field to bit perm[i]) and the (a, b)
+    transpose, against moving each entry to its image offset one by one."""
+    rng = random.Random(k << 2 | lane)
+    width, n, size = 1 << lane, 8 ** k, 1 << k
+    x = rng.getrandbits(n * width)
+    entries = _entry_list(x, n, lane)
+    for perm in itertools.permutations(range(k)):
+        img = [sum(1 << perm[i] for i in range(k) if v >> i & 1) for v in range(size)]
+        moves = tuple(field + perm[i] for field in (0, k, 2 * k) for i in range(k))
+        want = [0] * n
+        for a, b, c in itertools.product(range(size), repeat=3):
+            want[(img[a] * size + img[b]) * size + img[c]] = entries[(a * size + b) * size + c]
+        assert _entry_list(_permute_offsets(x, k, moves, lane), n, lane) == want, perm
+    swapped = [entries[(b * size + a) * size + c] for a, b, c in itertools.product(range(size), repeat=3)]
+    assert _entry_list(_transpose(x, k, lane), n, lane) == swapped
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_codec_round_trip(k):
     """_entries writes a bitset as one byte per bit, _bits reads it back,
@@ -269,7 +293,7 @@ def test_codec_round_trip(k):
     size^3 through three atoms, 8**n at n = 0-2, and 64), at 0, 1 and
     more rows, some of them zero; _repeat, _zero_rows, _set_bits and
     _set_offsets, and the base64 form, which refuses a character outside
-    its alphabet."""
+    its alphabet and a byte count other than (n + 7) // 8 for n bits."""
     rng = random.Random(k)
     n = 8 ** k
     bits = rng.getrandbits(n)
@@ -304,8 +328,10 @@ def test_codec_round_trip(k):
         assert _set_bits(x) == positions
         s = 1 << k
         assert list(_set_offsets(x, s)) == [(i // s // s, i // s % s, i % s) for i in positions]
-        assert _from_base64(_to_base64(x, n)) == x
+        assert _from_base64(_to_base64(x, n), n) == x
     assert _to_base64(bits, n) == base64.b64encode(bits.to_bytes(n // 8, "little")).decode()
-    for bad in ("!!", "AA!=", "AAE"):
+    assert _from_base64("", 0) == 0 and _from_base64("AQ==", 3) == 1
+    # outside the alphabet, bad padding, and byte counts other than (n + 7) // 8
+    for bad, width in (("!!", 8), ("AA!=", 8), ("AAE", 8), ("AAA=", 8), ("", 8), ("AA==", 64), ("AA==", 0)):
         with pytest.raises(ValueError):
-            _from_base64(bad)
+            _from_base64(bad, width)

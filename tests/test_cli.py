@@ -331,11 +331,23 @@ def test_compact_frame_trailing_bit_exits_2():
 
 def test_compact_bits_outside_base64_exit_2():
     # "!!" holds no base64 character; a decoder that skipped them would read
-    # an empty bitset, a frame that passes and a relation that fails
-    for kind, payload in (("frame", {"points": 1, "bits": "!!"}), ("eca", {"alg": {"atoms": 1}, "bits": "!!"})):
+    # an empty bitset, a frame that passes and a relation that fails.  The
+    # other payloads hold a byte count other than (bits + 7) // 8: a two-atom
+    # relation has 64 bits, a one-atom one 8, a two-point frame 2 x 64 and
+    # a one-point frame 8; read as they stand they would check as valid
+    for kind, payload in (
+        ("frame", {"points": 1, "bits": "!!"}),
+        ("eca", {"alg": {"atoms": 1}, "bits": "!!"}),
+        ("eca", {"alg": {"atoms": 2}, "bits": "AA=="}),
+        ("eca", {"alg": {"atoms": 1}, "bits": "AAAA"}),
+        ("frame", {"points": 2, "bits": ""}),
+        ("frame", {"points": 1, "bits": "AAA="}),
+    ):
         r = run_cli("check", "--kind", kind, "-", stdin=json.dumps(payload))
         assert_usage_error(r)
         assert r.stderr.startswith("psiforge: bad input: ")
+    # a frame without points has no bits, and no bytes
+    assert run_cli("check", "--kind", "frame", "-", stdin=json.dumps({"points": 0, "bits": ""})).returncode == 0
 
 
 def test_compact_frame_empty_coordinate_exits_2():

@@ -8,7 +8,7 @@ MO1-MO3 and on every pair otherwise.  Closed filters are decided by one
 whole-table test against the meets of dia above each triple, compared
 here with the definition.  The relation laws are decided on bitmasks
 (contact_relation._failure): EC0, EC2, EC3, ExtCA2 and ExtCA3 by mask
-tests on the bitset, EC4 on its conclusion masks, and the cut EC1 by one
+tests on the bitset, EC4 by its (a, b) transpose, and the cut EC1 by one
 AND per premise of each distinct conclusion mask, compared here with a
 plain top-down sweep.  A failing decider also gives the prefix of the
 law's first witness, and the check sweeps only the remaining variables,
@@ -150,11 +150,11 @@ def _mask_law_cases():
 def test_mask_verdicts_decide_the_law_sentences(cases):
     verdicts = set()
     for rel in _mask_law_cases()[cases]:
-        chi, con = _chi_table(rel), _conclusion_masks(rel)
+        chi = _chi_table(rel)
         for law in _MASK_LAWS:
             (sweep,) = law_sweeps(_LAWS[law])
             verdict = sweep(chi, rel.alg.top) is None
-            assert (_failure(rel, law, con) is None) is verdict, (law, rel.bits)
+            assert (_failure(rel, law) is None) is verdict, (law, rel.bits)
             verdicts.add((law, verdict))
     # every law passes and fails on every input set
     assert verdicts == set(product(_MASK_LAWS, (False, True)))
@@ -237,8 +237,8 @@ def test_cut_witness_matches_the_reference_sweep():
     for rel in chain(_cut_cases(), _mask_law_cases()["k4-largest-flips"]):
         con, top = _conclusion_masks(rel), rel.alg.top
         witness = _reference_cut(con, top)
-        assert _cut_witness(rel, con) == witness, rel.bits
-        assert _failure(rel, "cut", con) == witness, rel.bits
+        assert _cut_witness(rel) == witness, rel.bits
+        assert _failure(rel, "cut") == witness, rel.bits
         report = check_eca(rel)
         ec1 = report.results[1]
         assert (ec1.axiom, ec1.passed, ec1.witness) == ("EC1", witness is None, witness), rel.bits
@@ -291,6 +291,26 @@ def _pair_removals():
                     yield TernaryRelation(alg, bits ^ pair)
 
 
+def _conclusion_changes():
+    """The ECAs on two and three atoms, and each of them with one
+    conclusion (a, b, f) added together with its supersets in f, or taken
+    out together with its subsets in f.  Many pass EC0, EC2 and EC3 and
+    fail EC4; some of those taken out pass the cut as well, so EC4 alone
+    decides their lane."""
+    for alg in (make_algebra(2), make_algebra(3)):
+        size = alg.size
+        for bits in (r.bits for r in enumerate_ecas(alg)):
+            yield TernaryRelation(alg, bits)
+            for a, b, f in product(range(size), repeat=3):
+                row = (a * size + b) * size
+                ups = sum(1 << row + g for g in range(size) if g & f == f)
+                downs = sum(1 << row + g for g in range(size) if g & f == g)
+                if bits & ups != ups:
+                    yield TernaryRelation(alg, bits | ups)
+                if bits & downs:
+                    yield TernaryRelation(alg, bits & ~downs)
+
+
 _POOLS = {
     "relations-k1": lambda: _relations(1, random.Random(31), 200),
     "relations-k2": lambda: _relations(2, random.Random(32), 200),
@@ -298,6 +318,7 @@ _POOLS = {
     **{name: lambda name=name: _mask_law_cases()[name] for name in ("k1-all", "k2-seeded", "k3-eca-flips", "k4-largest-flips")},
     "cut-cases": lambda: list(_cut_cases()),
     "pair-removals": lambda: list(_pair_removals()),
+    "conclusion-changes": lambda: list(_conclusion_changes()),
 }
 
 
@@ -333,6 +354,8 @@ def test_pool_verdicts_equal_the_reports(name):
         assert {(system, None, False), (system, True, True)} <= paths, name
         if "k1" not in name:
             assert (system, False, False) in paths, name
+        if name == "conclusion-changes":  # lanes passing the mask laws and the cut that EC4 fails
+            assert (system, True, False) in paths
 
 
 def test_one_wide_draw_is_the_per_call_draws():
@@ -645,7 +668,7 @@ def test_a_failed_verdict_without_a_witness_is_an_error(monkeypatch):
     for law, length in _RELATION_PREFIXES.items():
         with monkeypatch.context() as m:
             zeros = {law: (0,) * length}
-            m.setattr(contact_relation, "_failure", lambda rel, x, con, zeros=zeros: zeros.get(x))
+            m.setattr(contact_relation, "_failure", lambda rel, x, zeros=zeros: zeros.get(x))
             for system, check in (("eca", check_eca), ("extca", check_extca)):
                 name = next((name for name, x in _SYSTEMS[system] if x == law), None)
                 if name is not None:

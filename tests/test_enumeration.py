@@ -243,6 +243,40 @@ def test_3bamo_samples_pass_the_checker(k):
             assert check_3bamo(op).passed
 
 
+def _closure_loop_samples(alg, count, seed, attempts=400):
+    """sample_3bamos by its earlier construction: per ordered atom pair,
+    each value by popcount is its draw ORed with the values one atom
+    below it, then the maps are joined over the atoms below a and b."""
+    rng = random.Random(seed)
+    atoms, size = alg.atoms(), alg.size
+    by_popcount = sorted(alg.elements(), key=lambda c: (bin(c).count("1"), c))
+    found = {}
+    for _ in range(attempts):
+        if len(found) >= count:
+            break
+        raw = bytearray(size ** 3)
+        for u in atoms:
+            for v in atoms:
+                row = (u * size + v) * size
+                for c in by_popcount[1:]:
+                    for y in atoms:
+                        if c & y:
+                            raw[row + c] |= raw[row + (c ^ y)]
+                    raw[row + c] |= rng.randrange(size)
+        table = _join(alg, raw).table
+        found.setdefault(table, table)
+    return list(found)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_3bamo_samples_match_the_closure_loop(k):
+    """One subset-OR transform over every offset bit of the drawn values
+    gives the tables of the per-pair closure loop, draw for draw."""
+    alg = make_algebra(k)
+    for seed in (0xEC0, 1, 2, 5):
+        assert [op.table for op in sample_3bamos(alg, count=6, seed=seed)] == _closure_loop_samples(alg, 6, seed)
+
+
 def test_enumerate_operators_k1_exhaustive(alg1):
     enum = enumerate_operators(alg1, named_axioms("psi"))
     assert enum.label == "exhaustive"
