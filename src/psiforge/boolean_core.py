@@ -117,7 +117,9 @@ def make_algebra(k: int, names: list[str] | None = None) -> FiniteBooleanAlgebra
         raise SizeCapError(f"atom count {k} exceeds hard cap {MAX_ATOMS}")
     if names is None:
         names = [f"a{i}" for i in range(k)]
-    if len(names) != k or len(set(names)) != k:
+    # a string is refused whole, not read as the list of its characters
+    strings = not isinstance(names, str) and all(isinstance(n, str) for n in names)
+    if not strings or len(names) != k or len(set(names)) != k:
         raise ValueError("atom_names must be k distinct identifiers")
     return FiniteBooleanAlgebra(k, tuple(names))
 

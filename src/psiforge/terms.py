@@ -2,7 +2,9 @@
 recursive-descent parser, an evaluator, a sweep compiler and the law
 rows every checker sweeps.
 
-Grammar (concrete syntax):
+Grammar (concrete syntax).  Its binding strengths are stated once, in
+_PREC, which the parser climbs and pretty() parenthesizes by; the
+argument count of each function word once, in _ARITY.
 
     identifiers   [a-z][a-z0-9_]*           (variables)
     constants     0, 1
@@ -115,9 +117,15 @@ class QuasiIdentity:
 
 Sentence = Union[Identity, Inequality, QuasiIdentity]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[a-z][a-z0-9_]*)|(?P<const>[01])|(?P<sym><=|=>|->|&|=|\(|\)|,))"
-)
+# The grammar's two tables: the binding strength of each binary connective
+# (all left associative; "not" binds tighter than any), and the number of
+# arguments of each function word.
+_PREC = {"->": 1, "xor": 2, "or": 3, "and": 4}
+_TIGHTEST = max(_PREC.values())
+_ARITY = {"mu": 1, "d": 1, "dia": 3, "disc": 3}
+
+_NAME = r"[a-z][a-z0-9_]*"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<name>{_NAME})|(?P<const>[01])|(?P<sym><=|=>|->|&|=|\(|\)|,))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -130,12 +138,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos + 1)
-        if m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        elif m.lastgroup == "const":
-            tokens.append(("const", m.group("const"), m.start("const") + 1))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym") + 1))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup) + 1))
         pos = m.end()
     tokens.append(("eof", "", len(text) + 1))
     return tokens
@@ -160,33 +163,17 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
 
-    # expression := xor_term ('->' xor_term)*
-    def expression(self) -> Term:
-        t = self.xor_term()
-        while self.peek()[1] == "->":
-            self.next()
-            t = Binary("->", t, self.xor_term())
-        return t
-
-    def xor_term(self) -> Term:
-        t = self.or_term()
-        while self.peek()[1] == "xor":
-            self.next()
-            t = Binary("xor", t, self.or_term())
-        return t
-
-    def or_term(self) -> Term:
-        t = self.and_term()
-        while self.peek()[1] == "or":
-            self.next()
-            t = Binary("or", t, self.and_term())
-        return t
-
-    def and_term(self) -> Term:
-        t = self.factor()
-        while self.peek()[1] == "and":
-            self.next()
-            t = Binary("and", t, self.factor())
+    def expression(self, prec: int = 1) -> Term:
+        """The connectives of binding strength prec and above, by climbing
+        _PREC: the operands are factors at the tightest level and the next
+        level's expressions below it.  The operand call is written inline,
+        not in a helper: a parenthesis level costs five frames (four
+        levels and a factor), which sets the nesting depth refused as too
+        deep."""
+        t = self.factor() if prec == _TIGHTEST else self.expression(prec + 1)
+        while _PREC.get(self.peek()[1]) == prec:
+            op = self.next()[1]
+            t = Binary(op, t, self.factor() if prec == _TIGHTEST else self.expression(prec + 1))
         return t
 
     def factor(self) -> Term:
@@ -203,31 +190,21 @@ class _Parser:
             # function words act as applications only when a parenthesis
             # follows; bare dia/mu/d/disc are ordinary variables (the cut
             # axiom needs d and e as variable names)
-            applied = self.peek()[1] == "("
-            if val in ("mu", "d") and applied:
-                self.expect("(")
-                arg = self.expression()
-                self.expect(")")
-                return Unary(val, arg)
-            if val in ("dia", "disc") and applied:
-                self.expect("(")
-                a = self.expression()
-                self.expect(",")
-                b = self.expression()
-                self.expect(",")
-                c = self.expression()
-                self.expect(")")
-                return Ternary(val, (a, b, c))
-            if val in ("not", "and", "or", "xor"):
+            if val in _ARITY and self.peek()[1] == "(":
+                self.next()
+                args = []
+                for sep in [","] * (_ARITY[val] - 1) + [")"]:
+                    args.append(self.expression())
+                    self.expect(sep)
+                return Unary(val, args[0]) if len(args) == 1 else Ternary(val, tuple(args))
+            if val in _PREC:  # the connective words; "not" was taken above
                 raise ParseError(f"reserved word {val!r} cannot stand alone", pos)
             return Var(val)
         raise ParseError(f"expected a term, found {val or 'end of input'!r}", pos)
 
     def identity(self) -> Identity:
         lhs = self.expression()
-        kind, val, pos = self.next()
-        if val != "=":
-            raise ParseError(f"expected '=', found {val or 'end of input'!r}", pos)
+        self.expect("=")
         return Identity(lhs, self.expression())
 
     def sentence(self) -> Sentence:
@@ -283,7 +260,23 @@ def parse_axiom_file(text: str) -> list[Sentence]:
     return out
 
 
-_PREC = {"->": 1, "xor": 2, "or": 3, "and": 4}
+def _args(t: Term) -> tuple:
+    """The children of a term, in order; a constant or a variable has none."""
+    if isinstance(t, Unary):
+        return (t.arg,)
+    if isinstance(t, Binary):
+        return (t.left, t.right)
+    if isinstance(t, Ternary):
+        return t.args
+    return ()
+
+
+def _sides(s: Sentence) -> tuple:
+    """The terms of a sentence in order: each premise's two sides, then the
+    conclusion's."""
+    if isinstance(s, QuasiIdentity):
+        return tuple(x for c in (*s.premises, s.conclusion) for x in (c.lhs, c.rhs))
+    return (s.lhs, s.rhs)
 
 
 def pretty(obj) -> str:
@@ -303,50 +296,29 @@ def _pp(t: Term, parent_prec: int) -> str:
         return "1" if t.top else "0"
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Unary):
-        if t.op == "not":
-            return f"not {_pp(t.arg, 5)}"
-        return f"{t.op}({_pp(t.arg, 0)})"
-    if isinstance(t, Ternary):
-        args = ", ".join(_pp(a, 0) for a in t.args)
-        return f"{t.op}({args})"
-    prec = _PREC[t.op]
-    # left associative: right child needs parens at equal precedence
-    left = _pp(t.left, prec)
-    right = _pp(t.right, prec + 1)
-    s = f"{left} {t.op} {right}"
-    return f"({s})" if prec < parent_prec else s
+    if t.op == "not":
+        return f"not {_pp(t.arg, _TIGHTEST + 1)}"
+    if isinstance(t, Binary):
+        prec = _PREC[t.op]
+        # left associative: right child needs parens at equal precedence
+        s = f"{_pp(t.left, prec)} {t.op} {_pp(t.right, prec + 1)}"
+        return f"({s})" if prec < parent_prec else s
+    return f"{t.op}({', '.join(_pp(a, 0) for a in _args(t))})"
 
 
 def variables(obj) -> list[str]:
     """Variables in order of first appearance."""
-    seen: list[str] = []
+    seen: dict[str, None] = {}
 
     def walk(t):
         if isinstance(t, Var):
-            if t.name not in seen:
-                seen.append(t.name)
-        elif isinstance(t, Unary):
-            walk(t.arg)
-        elif isinstance(t, Binary):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Ternary):
-            for a in t.args:
-                walk(a)
+            seen.setdefault(t.name)
+        for a in _args(t):
+            walk(a)
 
-    if isinstance(obj, (Identity, Inequality)):
-        walk(obj.lhs)
-        walk(obj.rhs)
-    elif isinstance(obj, QuasiIdentity):
-        for p in obj.premises:
-            walk(p.lhs)
-            walk(p.rhs)
-        walk(obj.conclusion.lhs)
-        walk(obj.conclusion.rhs)
-    else:
-        walk(obj)
-    return seen
+    for t in _sides(obj) if isinstance(obj, (Identity, Inequality, QuasiIdentity)) else (obj,):
+        walk(t)
+    return list(seen)
 
 
 def eval_term(term: Term, op: TernaryOperator, assignment: dict[str, int]) -> int:
@@ -396,7 +368,7 @@ def eval_term(term: Term, op: TernaryOperator, assignment: dict[str, int]) -> in
 # the interpreter refuses more than 20 statically nested loops
 SWEEP_MAX_VARIABLES = 20
 
-_VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
+_VAR_RE = re.compile(_NAME)
 _CONSTANTS = {"0": "0", "1": "top"}  # witness-order constant -> its value in the source
 _BINARY_OPS = {"and": "&", "or": "|", "xor": "^"}
 _ONE = Const(True)

@@ -74,33 +74,26 @@ class FiniteTopology:
 
 
 def make_topology(points, basis) -> FiniteTopology:
-    """Close the basis together with the empty set and the whole space
-    under binary union and intersection."""
+    """The opens generated by the basis: every join of meets of basis sets,
+    the empty join and meet giving the empty set and the whole space.  By
+    distributivity this family is closed under union and intersection."""
     pts = tuple(sorted(set(points)))
     if not pts:
         raise ValueError("a topology needs at least one point")
     _check_point_count(len(pts))
-    full = (1 << len(pts)) - 1
     idx = {p: i for i, p in enumerate(pts)}
-    masks = {0, full}
+    meets = {(1 << len(pts)) - 1}
     for subset in basis:
         m = 0
         for p in subset:
             if p not in idx:
                 raise ValueError(f"basis member contains {p!r}, not a point")
             m |= 1 << idx[p]
-        masks.add(m)
-    changed = True
-    while changed:
-        changed = False
-        current = list(masks)
-        for i, x in enumerate(current):
-            for y in current[i + 1:]:
-                for z in (x | y, x & y):
-                    if z not in masks:
-                        masks.add(z)
-                        changed = True
-    return FiniteTopology(pts, frozenset(masks))
+        meets |= {x & m for x in meets}
+    opens = {0}
+    for m in meets:
+        opens |= {x | m for x in opens}
+    return FiniteTopology(pts, frozenset(opens))
 
 
 def topology_from_json(data: dict) -> FiniteTopology:
@@ -108,7 +101,14 @@ def topology_from_json(data: dict) -> FiniteTopology:
     if isinstance(points, int):
         _check_point_count(json_int(points, "points"))
         points = range(points)
-    return make_topology(points, data.get("basis", data.get("opens", [])))
+    basis = data.get("basis", data.get("opens", []))
+    # a string is refused whole, not read as the list of its characters,
+    # and repeated labels (1 and true among them) are refused, not merged
+    if any(isinstance(x, str) for x in (points, basis, *basis)):
+        raise ValueError("points, the basis and each basis set must be lists, not strings")
+    if len(set(points)) != len(points):
+        raise ValueError("point labels must be distinct")
+    return make_topology(points, basis)
 
 
 def interior_closure(top: FiniteTopology, subset) -> tuple[frozenset, frozenset]:

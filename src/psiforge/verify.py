@@ -99,17 +99,6 @@ class SuiteItem:
         return f"[{mark}] {self.lemma}{detail}"
 
 
-def _dedup(pool: list[TernaryOperator]) -> list[TernaryOperator]:
-    seen = set()
-    out = []
-    for op in pool:
-        key = (op.alg.atom_count, op.table)
-        if key not in seen:
-            seen.add(key)
-            out.append(op)
-    return out
-
-
 def psi_operator_pool(k: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator]:
     """Pseudo-inference operators on up to k atoms: every table on one and
     two atoms, plus seeded three-atom samples (structured, topological,
@@ -126,7 +115,7 @@ def psi_operator_pool(k: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator]
                 pool.append(rel_to_op(rel))
             if len(pool) >= 32:
                 break
-    return _dedup(pool)
+    return list(dict.fromkeys(pool))
 
 
 def bamo_operator_pool(k: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator]:
@@ -143,7 +132,7 @@ def bamo_operator_pool(k: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator
     pool.extend(brute_force_operators(alg1, named_axioms("3bamo")))
     pool.extend(rel_to_op(r) for r in enumerate_ecas(alg2))
     pool.extend(sample_3bamos(alg2, count=6, seed=seed))
-    return _dedup(pool)
+    return list(dict.fromkeys(pool))
 
 
 class _Suite:

@@ -378,6 +378,31 @@ def test_json_integers_not_coerced(payload):
     assert "must be an integer" in r.stderr
 
 
+_SMALLEST_K2 = [a & b & c for a in range(4) for b in range(4) for c in range(4)]
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        # a string is not read as the list of its characters
+        (("convert", "--to", "rel"), {"alg": {"atoms": 2, "names": "ab"}, "table": _SMALLEST_K2}),
+        (("convert", "--to", "rel"), {"alg": {"atoms": 1, "names": [None]}, "table": [0] * 7 + [1]}),
+        (("topo",), {"points": "ab"}),
+        (("topo",), {"points": ["a", "b"], "opens": ["ab"]}),
+        # repeated labels are not merged into one point
+        (("topo",), {"points": [True, 1]}),
+        (("topo",), {"points": [1, 1]}),
+        # the atom count is read first, so a missing algebra stays a bad input
+        (("check", "--kind", "psi"), {"alg": None, "table": [0]}),
+    ],
+    ids=["names-string", "names-null", "points-string", "open-string", "points-true-1", "points-1-1", "alg-null"],
+)
+def test_json_lists_not_coerced(verb, payload):
+    r = run_cli(*verb, "-", stdin=json.dumps(payload))
+    assert_usage_error(r)
+    assert r.stderr.startswith("psiforge: bad input: ")
+
+
 # Runs cli.main in a fresh interpreter and prints the psiforge modules it
 # loaded, one per line.
 _FOOTPRINT = """\

@@ -48,18 +48,47 @@ def test_parse_mu_definition():
     assert isinstance(s.rhs.left, Unary) and s.rhs.left.op == "not"
 
 
+# malformed sentences, the exact ParseError message and its 1-based offset
+_MALFORMED = [
+    ("dia(a,b", "expected ',', found 'end of input'", 8),
+    ("dia(a,b,c) <= ?", "unexpected character '?'", 14),
+    ("mu(a,b) = 0", "expected ')', found ','", 5),  # arity
+    ("d(a,b) = c", "expected ')', found ','", 4),
+    ("dia(a) = b", "expected ',', found ')'", 6),
+    ("disc(a,b) = c", "expected ',', found ')'", 9),
+    ("mu() = 0", "expected a term, found ')'", 4),
+    ("dia(,a,b) = 0", "expected a term, found ','", 5),
+    ("not = 1", "expected a term, found '='", 5),  # reserved connective
+    ("and = 1", "reserved word 'and' cannot stand alone", 1),
+    ("a or xor = b", "reserved word 'xor' cannot stand alone", 6),
+    ("a and = b", "expected a term, found '='", 7),
+    ("a -> = b", "expected a term, found '='", 6),
+    ("a = b trailing", "trailing input 'trailing'", 7),
+    ("x = y )", "trailing input ')'", 7),
+    ("a <= b <= c", "trailing input '<='", 8),
+    ("a = b => c = d & e = f", "trailing input '&'", 16),
+    ("", "expected a term, found 'end of input'", 1),
+    ("a", "expected '=' or '<=', found 'end of input'", 2),
+    ("a, b = c", "expected '=' or '<=', found ','", 2),
+    ("a = ", "expected a term, found 'end of input'", 5),
+    ("(a = b", "expected ')', found '='", 4),
+    (" a = ( b", "expected ')', found 'end of input'", 9),
+    ("A = b", "unexpected character 'A'", 1),
+    ("a = 2", "unexpected character '2'", 4),
+    ("a <= b => a = b", "quasi-identity premises must be identities", 8),
+    ("a = b & c <= d => e = f", "expected '=', found '<='", 11),
+    ("a = b & c => d = e", "expected '=', found '=>'", 11),
+    ("a = b & c = d => e <= f", "expected '=', found '<='", 20),
+    ("a = b => c", "expected '=', found 'end of input'", 11),
+    ("a = b & c = d", "expected '=>', found 'end of input'", 14),
+]
+
+
 def test_parse_error_position():
-    with pytest.raises(ParseError) as exc:
-        parse("dia(a,b")
-    assert exc.value.position == 8
-    with pytest.raises(ParseError):
-        parse("dia(a,b,c) <= ?")
-    with pytest.raises(ParseError):
-        parse("mu(a,b) = 0")  # arity
-    with pytest.raises(ParseError):
-        parse("not = 1")  # reserved connective
-    with pytest.raises(ParseError):
-        parse("a = b trailing")
+    for text, message, position in _MALFORMED:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.position) == (f"{message} (at offset {position})", position), text
 
 
 def test_precedence():
@@ -177,28 +206,56 @@ def test_axiom_file_parsing():
 # compiled sweeps against a brute-force sweep through eval_term
 
 _VARS = ["x", "y", "d", "e"]  # d and e double as function words
-_terms = st.recursive(
-    st.sampled_from([Const(False), Const(True)] + [Var(v) for v in _VARS]),
-    lambda sub: st.one_of(
-        st.builds(Unary, st.sampled_from(["not", "mu", "d"]), sub),
-        st.builds(Binary, st.sampled_from(["and", "or", "xor", "->"]), sub, sub),
-        st.builds(
-            lambda op, a, b, c: Ternary(op, (a, b, c)), st.sampled_from(["dia", "disc"]), sub, sub, sub
+
+
+def _terms_over(names, max_leaves):
+    return st.recursive(
+        st.sampled_from([Const(False), Const(True)] + [Var(v) for v in names]),
+        lambda sub: st.one_of(
+            st.builds(Unary, st.sampled_from(["not", "mu", "d"]), sub),
+            st.builds(Binary, st.sampled_from(["and", "or", "xor", "->"]), sub, sub),
+            st.builds(
+                lambda op, a, b, c: Ternary(op, (a, b, c)), st.sampled_from(["dia", "disc"]), sub, sub, sub
+            ),
         ),
-    ),
-    max_leaves=8,
-)
-_identities = st.builds(Identity, _terms, _terms)
-_sentences = st.one_of(
-    _identities,
-    st.builds(Inequality, _terms, _terms),
-    st.builds(QuasiIdentity, st.lists(_identities, min_size=1, max_size=2).map(tuple), _identities),
-)
+        max_leaves=max_leaves,
+    )
+
+
+_terms = _terms_over(_VARS, 8)
+
+
+def _sentences_over(terms):
+    identities = st.builds(Identity, terms, terms)
+    return st.one_of(
+        identities,
+        st.builds(Inequality, terms, terms),
+        st.builds(QuasiIdentity, st.lists(identities, min_size=1, max_size=2).map(tuple), identities),
+    )
+
+
+_sentences = _sentences_over(_terms)
 _operators = st.sampled_from([1, 2]).flatmap(
     lambda k: st.lists(st.integers(0, 2**k - 1), min_size=8**k, max_size=8**k).map(
         lambda table: TernaryOperator(make_algebra(k), tuple(table))
     )
 )
+
+
+# names the tokenizer reads as variables, function words among them: a
+# function word applies only before a parenthesis, and none follows a name
+_NAMES = ["x", "y2", "a_b", "d", "e", "mu", "dia", "disc"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(t=_terms_over(_NAMES, 12), s=_sentences_over(_terms_over(_NAMES, 6)))
+def test_pretty_round_trips_random_asts(t, s):
+    text = pretty(t)
+    assert parse_term(text) == t
+    assert pretty(parse_term(text)) == text
+    text = pretty(s)
+    assert parse(text) == s
+    assert pretty(parse(text)) == text
 
 
 def _true_at(s, op, env) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from psiforge import (
@@ -55,6 +57,26 @@ def test_make_topology_indiscrete_and_errors():
         make_topology([1, 2], [[5]])
     with pytest.raises(ValueError):
         make_topology([], [])
+
+
+def _fixpoint_opens(n, basis_masks):
+    """Oracle: the basis with the empty set and the whole space, closed
+    under pairwise union and intersection until nothing new appears."""
+    opens = {0, (1 << n) - 1, *basis_masks}
+    while True:
+        more = {op(x, y) for x in opens for y in opens for op in (int.__or__, int.__and__)}
+        if more <= opens:
+            return opens
+        opens |= more
+
+
+def test_make_topology_matches_fixpoint_closure():
+    rng = random.Random(0x70B0)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        basis = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 6))]
+        masks = [sum(1 << p for p in subset) for subset in basis]
+        assert make_topology(range(n), basis).opens == _fixpoint_opens(n, masks)
 
 
 def test_interior_closure_examples():
