@@ -148,15 +148,7 @@ def bool_eval(alg: FiniteBooleanAlgebra, op: str, args: tuple[int, ...]):
     for a in args:
         if not alg.contains(a):
             raise ValueError(f"element {a} outside carrier of size {alg.size}")
-    if op == "join":
-        return alg.join(*args)
-    if op == "meet":
-        return alg.meet(*args)
-    if op == "neg":
-        return alg.neg(args[0])
-    if op == "leq":
-        return alg.leq(*args)
-    return alg.implies(*args)
+    return getattr(alg, op)(*args)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
+from importlib import import_module
 
 from .errors import InternalCheckError, PsiforgeError
 
@@ -91,43 +92,33 @@ def _load_axioms(name_or_file: str):
     return named_axioms(name_or_file)
 
 
+# check --kind: the module holding the kind's reader and checker, and their names
+_CHECKS = {
+    "3bamo": ("ternary_operator", "operator_from_json", "check_3bamo"),
+    "psi": ("ternary_operator", "operator_from_json", "check_psi"),
+    "strict": ("ternary_operator", "operator_from_json", "check_strict"),
+    "eca": ("contact_relation", "relation_from_json", "check_eca"),
+    "extca": ("contact_relation", "relation_from_json", "check_extca"),
+    "frame": ("duality_frames", "frame_from_json", "check_psi_frame"),
+    "space": ("duality_frames", "frame_from_json", "check_psi_space"),
+    "total": ("duality_frames", "frame_from_json", "is_total"),
+}
+
+
 def _cmd_check(args, out) -> int:
-    kind = args.kind
     data = _read_json(args.input)
-    if kind in ("3bamo", "psi", "strict"):
-        from .ternary_operator import check_3bamo, check_psi, check_strict, operator_from_json
-
-        op = operator_from_json(data)
-        if kind == "3bamo":
-            report = check_3bamo(op)
-        elif kind == "psi":
-            report = check_psi(op)
-        else:
-            report = check_strict(op)
-    elif kind in ("eca", "extca"):
-        from .contact_relation import check_eca, check_extca, relation_from_json
-
-        rel = relation_from_json(data)
-        report = check_eca(rel) if kind == "eca" else check_extca(rel)
-    elif kind in ("frame", "space"):
-        from .duality_frames import check_psi_frame, check_psi_space, frame_from_json
-
-        frame = frame_from_json(data)
-        report = check_psi_frame(frame) if kind == "frame" else check_psi_space(frame)
-    elif kind == "total":
-        from .duality_frames import frame_from_json, is_total
-
-        frame = frame_from_json(data)
-        ok, witness = is_total(frame)
+    module, reader, checker = _CHECKS[args.kind]
+    checks = import_module(f".{module}", __package__)
+    result = getattr(checks, checker)(getattr(checks, reader)(data))
+    if args.kind == "total":
+        ok, witness = result
         payload = {"kind": "total", "passed": ok}
         if witness is not None:
             payload["witness"] = list(witness)
         _emit(payload, out)
         return 0 if ok else 1
-    else:
-        raise PsiforgeError(f"unknown check kind {kind!r}")
-    _emit(report.to_json(), out)
-    return 0 if report.passed else 1
+    _emit(result.to_json(), out)
+    return 0 if result.passed else 1
 
 
 def _cmd_convert(args, out) -> int:
@@ -260,11 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--compact", action="store_true", help="emit bitset JSON forms")
 
     p = sub.add_parser("check", help="run an axiom checker")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["3bamo", "psi", "strict", "eca", "extca", "frame", "space", "total"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_CHECKS))
     add_common(p)
 
     p = sub.add_parser("convert", help="translate relation <-> operator")

@@ -467,21 +467,16 @@ def contact_from_eca(rel: TernaryRelation) -> frozenset[tuple[int, int]]:
     return pairs
 
 
-def posets_dual_iso_check(
-    alg: FiniteBooleanAlgebra, relations: list[TernaryRelation] | None = None
-) -> CheckReport:
+def posets_dual_iso_check(alg: FiniteBooleanAlgebra, relations: list[TernaryRelation]) -> CheckReport:
     """Check the order-reversing bijection between EC relations and
-    relational operators over a full enumeration.
+    relational operators over the given relations, every EC relation of
+    the algebra up to automorphism (as enumerate_ecas lists them).
 
     Inclusion of relations must reverse the pointwise order of the
     translated operators, rel_to_op must be injective with relational
     images, and on the single-atom algebra the image set must equal the
     independently brute-forced relational operators satisfying PI1-PI4.
     """
-    if relations is None:
-        from .enumeration import enumerate_ecas
-
-        relations = enumerate_ecas(alg)
     ops = [rel_to_op(r) for r in relations]
     results = [first_violation(
         "order-reversal",

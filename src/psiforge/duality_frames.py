@@ -29,12 +29,13 @@ transform of the entries holding u; the complex algebra's dia_R is the
 subset-OR transform of each R(x); and DF2 and DF3 compare the same
 bitsets with their subset-OR transforms.  The space conditions PIF1-PIF4
 and totality read the reach table, whose entry j is the mask of points
-reaching triple j.  Read as an operator table on the point sets, it is
-upward closed and 0 at any empty coordinate on a frame with DF2, and
-there PIF1-PIF4 hold exactly when PI1-PI4 hold of it (see
-check_psi_space), so the deciders of module planes decide them at every
-size; and the frame is total exactly when the table is relational, each
-entry 0 or every point, which is_relational's mark test decides.
+reaching triple j (PsiFrame.reach, built once per frame).  Read as an
+operator table on the point sets, it is upward closed and 0 at any
+empty coordinate on a frame with DF2, and there PIF1-PIF4 hold exactly
+when PI1-PI4 hold of it (see check_psi_space), so the deciders of module
+planes decide them at every size; and the frame is total exactly when
+the table is relational, each entry 0 or every point, which
+is_relational's mark test decides.
 diamond_r and box_r keep the per-triple definitions.
 """
 from __future__ import annotations
@@ -90,11 +91,9 @@ class PsiFrame:
 
     @classmethod
     def _of_rows(cls, point_count: int, rows) -> "PsiFrame":
-        """The frame with the given per-point bitsets; a bit at a triple
-        with an empty coordinate is refused."""
+        """The frame with the given bitsets, one per point; a bit at a
+        triple with an empty coordinate is refused."""
         rows = tuple(rows)
-        if len(rows) != point_count:
-            raise ValueError(f"{len(rows)} rows for {point_count} points")
         nonempty = _index_masks(point_count)[0]
         if any(r & ~nonempty for r in rows):
             raise ValueError("relation components must be nonempty point masks")
@@ -102,6 +101,14 @@ class PsiFrame:
         object.__setattr__(frame, "point_count", point_count)
         object.__setattr__(frame, "rows", rows)
         return frame
+
+    @cached_property
+    def reach(self) -> bytes:
+        """The reach table: the byte table over A^3 at point_count atoms
+        whose entry j is the mask of the points reaching triple j, 0 at a
+        triple with an empty coordinate.  Built on first read and kept on
+        the frame, so the space checks and totality share one table."""
+        return _table_of_rows(self.point_count, self.rows)
 
     @cached_property
     def entries(self) -> frozenset[tuple[int, int, int, int]]:
@@ -276,7 +283,7 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
 
     Closure is the identity here, so PIF1 says: the points reaching a
     triple Y reach (Y1, Y2, Z), (Y1, Y2, W) or (not Z, not W, Y3), for all
-    nonempty Z and W.  On the reach table read as an operator table, that
+    nonempty Z and W.  On frame.reach read as an operator table, that
     is PI1 at (a, b, f) = Y, d = not Z, e = not W, less the instances with
     d or e the top.  With DF2 the table is upward closed and 0 at any
     empty coordinate, so at each (Y1, Y2) those instances add nothing: a
@@ -299,8 +306,7 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     # imported at first use: the other frame verbs check no operator law
     from .planes import LAWS, _pairs, _row, pi1_failure
 
-    n, full, s = frame.point_count, frame.full, 1 << frame.point_count
-    reach = _table_of_rows(n, frame.rows)  # a triple with an empty coordinate reads 0
+    n, full, s, reach = frame.point_count, frame.full, 1 << frame.point_count, frame.reach
     ne = frame.nonempty_masks()
     cl_note = "closure taken as identity (finite discrete space)"
 
@@ -366,7 +372,7 @@ def is_total(frame: PsiFrame) -> tuple[bool, tuple[int, int, int] | None]:
     """Total iff every triple is reachable from all points or from none:
     the reach table, read as an operator table, is relational (the first
     triple reached by some points but not all is is_relational's witness)."""
-    first = _non_relational(_table_of_rows(frame.point_count, frame.rows), frame.full)
+    first = _non_relational(frame.reach, frame.full)
     return first is None, first
 
 
@@ -383,8 +389,7 @@ def pif2_strong_form_separation(frames: list[PsiFrame]) -> tuple[PsiFrame | None
         space = check_psi_space(frame)
         if not space.result("PIF2").passed:
             continue
-        n, full = frame.point_count, frame.full
-        reach = _table_of_rows(n, frame.rows)
+        n, full, reach = frame.point_count, frame.full, frame.reach
         for y1 in frame.nonempty_masks():
             comp = full ^ y1
             if comp == 0:

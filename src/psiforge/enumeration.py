@@ -60,20 +60,10 @@ def named_axioms(name: str) -> list[Sentence]:
 
 def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> list[tuple[int, ...]]:
     """The tables on which every sentence of ``axioms`` holds, as holds()
-    decides it, with each sentence's sweep plan looked up once per call.
-    A sentence is compiled when a table first reaches it."""
-    top, sweeps, pending = alg.top, [], iter(axioms)
-
-    def passes(table) -> bool:
-        if any(sweep(table, top) is not None for sweep in sweeps):
-            return False
-        for s in pending:
-            sweeps.append(_sweep_plan(s)[1])
-            if sweeps[-1](table, top) is not None:
-                return False
-        return True
-
-    return [t for t in tables if passes(t)]
+    decides it.  Every sentence is compiled before the first table is
+    swept, so one over the sweep cap is refused before any work."""
+    top, sweeps = alg.top, [_sweep_plan(s)[1] for s in axioms]
+    return [t for t in tables if all(sweep(t, top) is None for sweep in sweeps)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +342,20 @@ def sample_psi_operators(
     return out
 
 
-def sample_3bamos(
-    alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED, attempts: int = 400
-) -> list[TernaryOperator]:
+_3BAMO_DRAWS = 400
+
+
+def sample_3bamos(alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator]:
     """Seeded monotone-operator samples: a random value at each (u, v, c)
     with u, v atoms and c nonzero, drawn per ordered atom pair with c by
     popcount, then one subset-OR transform over every offset bit, so that
     MO1-MO4 hold by construction.  At most ``count`` distinct tables from
-    ``attempts`` draws."""
+    _3BAMO_DRAWS draws."""
     rng = random.Random(seed)
     k, atoms, size = alg.atom_count, alg.atoms(), alg.size
     by_popcount = sorted(alg.elements(), key=lambda c: (bin(c).count("1"), c))
     found: dict[tuple[int, ...], TernaryOperator] = {}
-    for _ in range(attempts):
+    for _ in range(_3BAMO_DRAWS):
         if len(found) >= count:
             break
         raw = bytearray(size ** 3)
@@ -405,7 +396,10 @@ def find_counterexample(
     mode: str = "auto",
 ) -> CounterexampleResult:
     """First structure (in canonical enumeration order) falsifying the
-    sentence, or a certificate that the swept space contains none."""
+    sentence, or a certificate that the swept space contains none.  The
+    sentence is compiled first, so one over the sweep cap is refused
+    before any structure is built."""
+    _sweep_plan(sentence)
     enum = enumerate_operators(alg, axioms, mode=mode)
     for op in enum.operators:
         ok, assignment = holds(sentence, op)

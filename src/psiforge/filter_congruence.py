@@ -280,15 +280,7 @@ def relational_iff_simple_strict_check(op: TernaryOperator) -> CheckReport:
 
 
 def _congruence_meet(x: Congruence, y: Congruence) -> Congruence:
-    alg = x.alg
-    key = {}
-    reps = []
-    for a in alg.elements():
-        k = (x.reps[a], y.reps[a])
-        if k not in key:
-            key[k] = a
-        reps.append(key[k])
-    return Congruence(alg, tuple(reps))
+    return Congruence(x.alg, tuple(_leads(zip(x.reps, y.reps))))
 
 
 def _congruence_join(x: Congruence, y: Congruence) -> Congruence:

@@ -231,13 +231,7 @@ def morphism_duality_check(
     clopen preimages is h again.
     """
     for op, name in ((op_source, "source"), (op_target, "target")):
-        rep = check_psi(op)
-        if not rep.passed:
-            bad = rep.failures()[0]
-            raise PreconditionError(
-                f"morphism_duality_check requires pseudo-inference operators; "
-                f"{name} fails {bad.axiom} at {bad.witness}"
-            )
+        _require(check_psi(op), f"morphism_duality_check requires pseudo-inference operators; {name}")
     mc = classify_psi_morphism(h, op_source, op_target)
     frame_target = dual_frame(op_target)
     frame_source = dual_frame(op_source)
@@ -256,6 +250,14 @@ def morphism_duality_check(
     pre = [sum(1 << t for t, i in enumerate(f) if a >> i & 1) for a in h.source.elements()]
     results.append(_first("hom-roundtrip", ((a,) for a, m in enumerate(pre) if m != h(a))))
     return CheckReport("morphism-duality", tuple(results))
+
+
+def _require(report: CheckReport, context: str) -> None:
+    """Raise PreconditionError("<context> fails <axiom> at <witness>") at
+    the report's first failed axiom, if any."""
+    if not report.passed:
+        bad = report.failures()[0]
+        raise PreconditionError(f"{context} fails {bad.axiom} at {bad.witness}")
 
 
 def _bicond(name: str, lhs: bool, rhs: bool) -> AxiomResult:
@@ -284,11 +286,7 @@ def classify_eca_morphism(
     """
     for rel, name in ((rel_source, "source"), (rel_target, "target")):
         if not is_eca(rel):
-            bad = check_eca(rel).failures()[0]
-            raise PreconditionError(
-                f"classify_eca_morphism requires EC relations; "
-                f"{name} fails {bad.axiom} at {bad.witness}"
-            )
+            _require(check_eca(rel), f"classify_eca_morphism requires EC relations; {name}")
     if rel_source.alg != h.source or rel_target.alg != h.target:
         raise ValueError("relations do not live on the homomorphism's algebras")
 

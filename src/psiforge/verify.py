@@ -218,7 +218,7 @@ class _Suite:
         )
         yield "relational-implies-strict-simple-discriminator", ok, "k<=2"
 
-        ok = all(is_relational(op)[0] == (is_simple(op) and check_strict(op).passed) for op in self.psi[1])
+        ok = all(relational_iff_simple_strict_check(op).passed for op in self.psi[1])
         yield "k1-relational-iff-simple-strict", ok, f"{len(self.psi[1])} ops"
 
         ok = all(relational_iff_simple_strict_check(op).passed for op in self.psi[2])

@@ -321,6 +321,30 @@ def test_oversized_frames_refused_at_parse():
     assert "cap" in r.stderr
 
 
+_OVER_CAP = " or ".join(f"v{i}" for i in range(21)) + " = v0"  # one variable over the sweep cap
+
+
+@pytest.mark.parametrize(
+    "argv, axioms",
+    [
+        (["find", "--sentence", _OVER_CAP, "--k", "1"], "psi"),
+        (["find", "--sentence", _OVER_CAP, "--k", "1"], ["0 = 1"]),
+        (["enumerate", "--what", "operators", "--k", "1"], ["0 = 1", _OVER_CAP]),
+    ],
+    ids=["find-psi", "find-empty-space", "enumerate-empty-space"],
+)
+def test_over_cap_sentences_refused_before_any_sweep(argv, axioms, tmp_path):
+    """A sentence over the 20-variable cap is refused whether or not any
+    table passes the axioms: no table passes 0 = 1, so a sentence compiled
+    only when a table reaches it would never be refused."""
+    if isinstance(axioms, list):
+        path = tmp_path / "axioms.txt"
+        path.write_text("\n".join(axioms) + "\n")
+        axioms = f"@{path}"
+    r = run_cli(*argv, "--axioms", axioms)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "psiforge: sweeps are capped at 20 variables\n")
+
+
 def test_compact_frame_trailing_bit_exits_2():
     # a one-point frame has 1 x 8 bits; "AAE=" sets bit 8, one past the end
     trailing = json.dumps({"points": 1, "bits": "AAE="})

@@ -23,6 +23,8 @@ from psiforge import (
     rel_to_op,
     smallest_diamond,
 )
+from psiforge import duality_frames
+from psiforge.boolean_core import _table_of_rows
 from psiforge.duality_frames import box_table, diamond_table, frame_from_json, pif2_strong_form_separation
 from psiforge.enumeration import sample_3bamos
 from psiforge.ternary_operator import TernaryOperator, check_3bamo, operator_from_function
@@ -501,6 +503,23 @@ def test_space_checks_match_literal_references():
     assert failing == {"PIF1", "PIF2", "PIF3", "PIF4"}
     assert totals == {True, False}
     assert pif1_at_four == {True, False}
+
+
+def test_reach_is_built_once_per_frame(monkeypatch):
+    """PsiFrame.reach is the table of the frame's rows, kept on the frame:
+    a second read returns the same object, and the space checks, totality
+    and the strong-form scan on one frame build it once between them."""
+    for fr in list(_random_frames(random.Random(12), 20)) + _four_point_frames():
+        reach = fr.reach
+        assert reach == _table_of_rows(fr.point_count, fr.rows)
+        assert fr.reach is reach
+    built = []
+    monkeypatch.setattr(duality_frames, "_table_of_rows", lambda k, rows: built.append(k) or _table_of_rows(k, rows))
+    frame = dual_frame(smallest_diamond(make_algebra(3)))
+    check_psi_space(frame)
+    is_total(frame)
+    pif2_strong_form_separation([frame])
+    assert built == [3]
 
 
 def _violates_pif1(frame, witness):
