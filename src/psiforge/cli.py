@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run the full lemma scoreboard")
     p.add_argument(
-        "--k", type=int, default=2,
+        "--k", type=int, default=2, choices=(1, 2, 3),
         help="1 and 2 run the same items; 3 adds the three-atom pools",
     )
     p.add_argument("--timings", action="store_true", help="print each item's seconds to stderr")

@@ -66,7 +66,7 @@ from .boolean_core import (
     json_int,
 )
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, first_violation, passed
+from .report import AxiomResult, CheckReport, failed, first_violation, passed, run_memo
 from .ternary_operator import TernaryOperator, is_relational
 
 
@@ -343,6 +343,7 @@ def check_extca(rel: TernaryRelation) -> CheckReport:
     return _check(rel, "extca")
 
 
+@run_memo
 def is_eca(rel: TernaryRelation) -> bool:
     """check_eca(rel).passed: pool_verdicts on a pool of one; no witness
     sweep runs."""
@@ -430,6 +431,7 @@ def characteristic_lemma_check(rel: TernaryRelation) -> CheckReport:
     return CheckReport("characteristic-lemma", tuple(_law(chi, top, law) for law in laws))
 
 
+@run_memo
 def rel_to_op(rel: TernaryRelation) -> TernaryOperator:
     """dia(a,b,c) = 0 if (a,b) |- not c, else top.  Image lies in {0, top}."""
     alg = rel.alg

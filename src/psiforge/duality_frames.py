@@ -61,7 +61,7 @@ from .boolean_core import (
     make_algebra,
 )
 from .errors import PreconditionError, InternalCheckError, SizeCapError
-from .report import AxiomResult, CheckReport, failed, passed
+from .report import AxiomResult, CheckReport, failed, passed, run_memo
 from .ternary_operator import TernaryOperator, _non_relational, check_3bamo, check_psi
 
 
@@ -240,6 +240,7 @@ def box_table(frame: PsiFrame) -> tuple[int, ...]:
     return tuple(_table_of_rows(n, rows))
 
 
+@run_memo
 def check_psi_frame(frame: PsiFrame) -> CheckReport:
     """Check the descriptive-frame conditions.
 
@@ -335,6 +336,7 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
     return CheckReport("psi-space", results)
 
 
+@run_memo
 def dual_frame(op: TernaryOperator) -> PsiFrame:
     """The frame on the atom set of the operator's algebra: (u, Y) is
     related exactly when atom u lies below the operator at every triple

@@ -58,12 +58,13 @@ def named_axioms(name: str) -> list[Sentence]:
     return [parse(text) for law in laws for text, _, _ in LAW_ROWS[law]]
 
 
-def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence], tables) -> list[tuple[int, ...]]:
-    """The tables on which every sentence of ``axioms`` holds, as holds()
-    decides it.  Every sentence is compiled before the first table is
-    swept, so one over the sweep cap is refused before any work."""
+def _satisfying(alg: FiniteBooleanAlgebra, axioms: list[Sentence]):
+    """The test whether every sentence of ``axioms`` holds on a table, as
+    holds() decides it.  Every sentence is compiled here, so a caller that
+    builds the test before it builds or draws any table refuses a
+    sentence over the sweep cap before any work."""
     top, sweeps = alg.top, [_sweep_plan(s)[1] for s in axioms]
-    return [t for t in tables if all(sweep(t, top) is None for sweep in sweeps)]
+    return lambda t: all(sweep(t, top) is None for sweep in sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +179,9 @@ def brute_force_operators(
     """Naive oracle over every table; single-atom algebras only."""
     if alg.atom_count != 1:
         raise SizeCapError("brute force over all operator tables needs a single atom")
+    keep = _satisfying(alg, axioms)
     tables = (digits[::-1] for digits in product(range(alg.size), repeat=alg.size ** 3))  # entry 0 varies fastest
-    return [TernaryOperator(alg, t) for t in _satisfying(alg, axioms, tables)]
+    return [TernaryOperator(alg, t) for t in filter(keep, tables)]
 
 
 def enumerate_operators(
@@ -208,11 +210,12 @@ def enumerate_operators(
             )
         tables = (op.table for op in brute_force_operators(alg, axioms))
         return OperatorEnumeration(_representatives(alg, tables), "exhaustive")
+    keep = _satisfying(alg, axioms)  # compiled before any table is built or drawn
     if mode == "relational":
-        tables = _satisfying(alg, axioms, (rel_to_op(rel).table for rel in enumerate_ecas(alg)))
+        tables = filter(keep, (rel_to_op(rel).table for rel in enumerate_ecas(alg)))
         return OperatorEnumeration(_representatives(alg, tables), "relational-exhaustive")
     if mode == "sampled":
-        tables = _satisfying(alg, axioms, (op.table for op in sample_psi_operators(alg, 200, seed)))
+        tables = filter(keep, (op.table for op in sample_psi_operators(alg, 200, seed)))
         return OperatorEnumeration(_representatives(alg, tables), f"sampled(seed={seed})")
     raise ValueError(f"unknown mode {mode!r}")
 

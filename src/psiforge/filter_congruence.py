@@ -22,7 +22,7 @@ from functools import cache, lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits, _repeat, _set_bits
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, first_violation, passed
+from .report import AxiomResult, CheckReport, failed, first_violation, passed, run_memo
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
@@ -247,6 +247,7 @@ def _require_psi(op: TernaryOperator, caller: str) -> None:
     check_psi(op).require(PreconditionError, f"{caller} requires a pseudo-inference operator")
 
 
+@run_memo
 def is_simple(op: TernaryOperator) -> bool:
     """Simple iff the only closed filters are the trivial one and the whole carrier."""
     _require_psi(op, "is_simple")

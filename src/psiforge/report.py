@@ -8,6 +8,34 @@ not errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
+
+# The memo of the scoreboard run in progress, None outside one:
+# verify.run_suite sets it to a fresh dict and restores it when the run ends.
+_run_memo: dict | None = None
+
+
+def run_memo(fn):
+    """Decide each distinct argument tuple once per scoreboard run.
+
+    While a run is open the result is stored under (fn, args), which the
+    frozen arguments hash by value, and returned for equal arguments; a
+    call that raises stores nothing.  Outside a run every call computes.
+    """
+
+    @wraps(fn)
+    def memoised(*args):
+        memo = _run_memo
+        if memo is None:
+            return fn(*args)
+        key = (fn, args)
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = fn(*args)
+            return out
+
+    return memoised
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
-from .report import AxiomResult, CheckReport, failed, first_violation, passed
+from .report import AxiomResult, CheckReport, failed, first_violation, passed, run_memo
 
 DEFAULT_SEED = 0xEC0
 
@@ -245,6 +245,7 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
     return _check(op, "3bamo", "3bamo")
 
 
+@run_memo
 def check_psi(op: TernaryOperator) -> CheckReport:
     """Check PI1-PI4, exactly at every size.
 
@@ -280,6 +281,7 @@ def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
     return CheckReport("pi2-equivalents", tuple(results))
 
 
+@run_memo
 def check_strict(op: TernaryOperator) -> CheckReport:
     """Check the strictness equations R1, R2 and S.
 
@@ -306,6 +308,7 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     return _check(op, "strict", "strictness")
 
 
+@run_memo
 def is_relational(op: TernaryOperator) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff every table entry is 0 or top; else the first offending triple."""
     first = _non_relational(bytes(op.table), op.alg.top)

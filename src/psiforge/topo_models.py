@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .boolean_core import FiniteBooleanAlgebra, _pack, _set_bits, json_int, make_algebra
 from .contact_relation import TernaryRelation, check_eca, is_eca
 from .errors import InternalCheckError, SizeCapError
+from .report import run_memo
 from .ternary_operator import DEFAULT_SEED
 
 # The regular-closed sets are found by a sweep over all 2^n point sets,
@@ -195,6 +196,7 @@ def _verify_boolean(rca: RegularClosedAlgebra, rc_meet, rc_neg) -> None:
             raise InternalCheckError("complement mismatch under the atom iso")
 
 
+@run_memo
 def eca_from_topology(top: FiniteTopology) -> tuple[RegularClosedAlgebra, TernaryRelation]:
     """Transport (A,B) |- C iff A intersect B is a subset of C onto the
     powerset carrier; the result always passes check_eca."""

@@ -9,9 +9,15 @@ The items come in groups, one generator method of ``_Suite`` per group,
 which yields ``(lemma, passed, detail)`` once per item in scoreboard
 order.  ``_Suite.run`` is the only code that reads the clock: it stamps
 each yield and builds the ``SuiteItem``, so an item's seconds run from the
-previous item's yield (or the start of the run) to its own.  Work that
-several items read, such as the operator pool, its strict reports and a
-group's local tables, is charged to the first item that reads it.
+previous item's yield (or the start of the run) to its own.
+
+A run decides each structure once: while ``run_suite`` runs, the checks
+and constructions marked ``report.run_memo`` (``check_psi``,
+``check_strict``, ``is_eca``, ``rel_to_op``, ``dual_frame`` and the
+like) keep their result for each distinct argument, and the memo is
+dropped when the run ends.  Work that several items read, such as the
+operator pool, a group's local tables and every memoised result, is
+charged to the first item that reads it.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from . import topo_models
+from . import report, topo_models
 from .boolean_core import _pack, make_algebra
 from .contact_relation import (
     characteristic_lemma_check,
@@ -150,10 +156,6 @@ class _Suite:
     def pool(self) -> list[TernaryOperator]:
         return psi_operator_pool(self.k, self.seed)
 
-    @cached_property
-    def strict(self) -> dict:
-        return {op: check_strict(op) for op in self.pool}
-
     def run(self) -> list[SuiteItem]:
         groups = (
             self.axiom_equivalence(),
@@ -234,7 +236,7 @@ class _Suite:
         yield "mu-properties", _all_hold(laws, self.pool), f"{len(self.pool)} operators"
 
         laws = [f"{_mu_power(n, 'not mu(a)')} = not mu(a)" for n in range(1, 5)]
-        ok = _all_hold(laws, [op for op in self.pool if self.strict[op].result("S").passed])
+        ok = _all_hold(laws, [op for op in self.pool if check_strict(op).result("S").passed])
         yield "mu-complement-fixed-under-s", ok, ""
 
         laws = [
@@ -253,8 +255,10 @@ class _Suite:
         ok = all(cf.closed_via_su_mid == cf.is_closed for _, cf in rows)
         yield "su-mid-iff-closed", ok, detail
 
-        r1r2 = {op: all(rep.result(law).passed for law in ("R1", "R2")) for op, rep in self.strict.items()}
-        ok = not any(r1r2[op] and cf.is_modal and not cf.is_closed for op, cf in rows)
+        ok = not any(
+            cf.is_modal and not cf.is_closed and all(check_strict(op).result(law).passed for law in ("R1", "R2"))
+            for op, cf in rows
+        )
         yield "modal-implies-closed-under-r1r2", ok, detail
 
         ok = all(cf.modal_via_generator == cf.is_modal for _, cf in rows)
@@ -269,12 +273,12 @@ class _Suite:
             ok = ok and congruence_respects_op(op, theta) == cf.is_closed
         yield "filter-congruence-round-trip", ok, ""
 
-        strict_si = [op for op in self.pool if is_subdirectly_irreducible(op) and self.strict[op].passed]
+        strict_si = [op for op in self.pool if is_subdirectly_irreducible(op) and check_strict(op).passed]
         yield "si-implies-simple-on-strict", all(is_simple(op) for op in strict_si), ""
 
     def variety(self):
         # the pool holds every one- and two-atom operator
-        strict_ops = [op for op in self.psi[1] + self.psi[2] if self.strict[op].passed]
+        strict_ops = [op for op in self.psi[1] + self.psi[2] if check_strict(op).passed]
         ok = variety_spot_checks(strict_ops).passed
         yield "cep-permutability-distributivity", ok, f"{len(strict_ops)} strict ops"
 
@@ -443,8 +447,15 @@ def _all_hold(laws: list[str], pool: list[TernaryOperator]) -> bool:
 def run_suite(k: int = 2, seed: int = DEFAULT_SEED) -> list[SuiteItem]:
     """Run every scoreboard item.  k=1 and k=2 run the same items on the
     same one- and two-atom pools; k=3 adds the three-atom pools (k is
-    clamped to 1..3)."""
-    return _Suite(k, seed).run()
+    clamped to 1..3).  While it runs, each checker or construction marked
+    report.run_memo decides each distinct argument once; the memo is
+    dropped when the run ends, also when an item raises."""
+    outer = report._run_memo
+    report._run_memo = {}
+    try:
+        return _Suite(k, seed).run()
+    finally:
+        report._run_memo = outer
 
 
 def scoreboard(items: list[SuiteItem]) -> str:

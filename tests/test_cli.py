@@ -345,6 +345,31 @@ def test_over_cap_sentences_refused_before_any_sweep(argv, axioms, tmp_path):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", "psiforge: sweeps are capped at 20 variables\n")
 
 
+@pytest.mark.parametrize("mode", ["relational", "sampled"])
+def test_over_cap_axioms_refused_before_any_table(mode, tmp_path, monkeypatch, capsys):
+    """enumerate compiles every axiom before it builds or draws a table."""
+    from psiforge import enumeration
+
+    def unreachable(*args):
+        raise AssertionError("a table was built before the axioms compiled")
+
+    monkeypatch.setattr(enumeration, "enumerate_ecas", unreachable)
+    monkeypatch.setattr(enumeration, "sample_psi_operators", unreachable)
+    path = tmp_path / "axioms.txt"
+    path.write_text(_OVER_CAP + "\n")
+    code = cli.main(["enumerate", "--what", "operators", "--k", "3", "--mode", mode, "--axioms", f"@{path}"])
+    assert (code, *capsys.readouterr()) == (2, "", "psiforge: sweeps are capped at 20 variables\n")
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_verify_suite_k_outside_1_to_3_exits_2(k, capsys):
+    with mock.patch("psiforge.verify.run_suite", side_effect=AssertionError("run_suite ran")):
+        code = cli.main(["verify-suite", "--k", k])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"argument --k: invalid choice: {k}" in err
+
+
 def test_compact_frame_trailing_bit_exits_2():
     # a one-point frame has 1 x 8 bits; "AAE=" sets bit 8, one past the end
     trailing = json.dumps({"points": 1, "bits": "AAE="})

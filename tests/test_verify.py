@@ -1,8 +1,10 @@
+from collections import Counter
 from functools import cache
 
 import pytest
 
-from psiforge import TernaryRelation, check_eca, check_extca
+from psiforge import TernaryRelation, check_eca, check_extca, check_psi, example_3bamo
+from psiforge import contact_relation, report, ternary_operator, topo_models, verify
 from psiforge.verify import (
     SuiteItem,
     bamo_operator_pool,
@@ -104,8 +106,6 @@ def test_pools_are_deterministic():
 def test_psi_pool_contents():
     pool = psi_operator_pool(3)
     assert len(pool) >= 20
-    from psiforge import check_psi
-
     for op in pool:
         assert check_psi(op).passed
 
@@ -123,3 +123,60 @@ def test_filter_items_timed_apart(suite):
     # timed from one shared start, each would report about the total
     assert len(set(times)) > 1
     assert sum(times) < 3 * max(times)
+
+
+def _count_bodies(monkeypatch, module, name, key) -> Counter:
+    """Replace module.name, a callee of memoised checkers, by a wrapper
+    counting its calls by key(*args); calls keyed None are not counted."""
+    fn, runs = getattr(module, name), Counter()
+
+    def counted(*args):
+        if (k := key(*args)) is not None:
+            runs[k] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return runs
+
+
+def test_memo_is_dropped_when_the_run_ends(monkeypatch):
+    assert report._run_memo is None
+    run_suite(k=1)
+    assert report._run_memo is None
+
+    seen = []
+
+    def failing_item(self):
+        seen.append(len(report._run_memo))  # the pools' rel_to_op calls are stored
+        raise RuntimeError("planted failure")
+        yield
+
+    monkeypatch.setattr(verify._Suite, "translations", failing_item)
+    with pytest.raises(RuntimeError, match="planted failure"):
+        run_suite(k=1)
+    assert seen and seen[0] > 0
+    assert report._run_memo is None
+
+
+def test_outside_a_run_every_call_computes(monkeypatch):
+    runs = _count_bodies(monkeypatch, ternary_operator, "_check", lambda op, kind, axioms: kind)
+    op = example_3bamo()
+    assert check_psi(op) == check_psi(op)
+    assert runs == {"psi": 2}
+
+
+def test_run_decides_each_structure_once(monkeypatch):
+    """Inside one run, the bodies of check_psi, check_strict, is_eca and
+    eca_from_topology run once per distinct argument, although the items
+    ask for each many times."""
+    checks = _count_bodies(
+        monkeypatch, ternary_operator, "_check", lambda op, kind, axioms: (kind, op) if kind != "3bamo" else None
+    )
+    ecas = _count_bodies(
+        monkeypatch, contact_relation, "pool_verdicts", lambda alg, pool, n, system: (alg, pool) if system == "eca" else None
+    )
+    spaces = _count_bodies(monkeypatch, topo_models, "regular_closed_algebra", lambda top: top)
+    assert all(item.passed for item in run_suite(k=2))
+    for runs in (checks, ecas, spaces):
+        assert runs and set(runs.values()) == {1}
+    assert {kind for kind, _ in checks} == {"psi", "strict"}
