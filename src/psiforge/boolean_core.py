@@ -170,14 +170,6 @@ class Filter:
         g = self.generator
         return [a for a in self.alg.elements() if g & a == g]
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.generator == self.alg.top
-
-    @property
-    def is_improper(self) -> bool:
-        return self.generator == 0
-
 
 def beta(alg: FiniteBooleanAlgebra, a: int) -> frozenset[int]:
     """Stone map: the set of ultrafilters containing a.

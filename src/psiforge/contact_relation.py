@@ -23,10 +23,12 @@ ExtCA twin) by one AND per premise of each distinct conclusion mask
 first witness in the documented order.  Each law, and each derived law
 of check_derived_eca_props and characteristic_lemma_check, is also
 stated as sentences about the relation's characteristic table, in the
-row format of module terms (_LAWS; the cut's row is swept top-down).  A
-failing law's rows are swept by terms.witness_at with the prefix bound,
-to name the rest of the witness; terms is imported only then, so a
-passing check compiles no sentence.
+row format of module terms (_LAWS; the cut's row is swept top-down).
+report.decided turns _failure's answer into the law's result, sweeping a
+failing law's rows with the prefix bound to name the rest of the
+witness, and report.swept sweeps the derived laws in full; chi's table
+is built only when some law fails, so a passing check compiles no
+sentence.
 
 Verdicts without witnesses come from one decider, pool_verdicts, which
 takes many relations packed side by side in one int, relation i in bits
@@ -66,7 +68,7 @@ from .boolean_core import (
     json_int,
 )
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, first_violation, passed, run_memo
+from .report import AxiomResult, CheckReport, cached_hash, decided, first_violation, result, run_memo, swept
 from .ternary_operator import TernaryOperator, is_relational
 
 
@@ -76,6 +78,7 @@ class TernaryRelation:
 
     alg: FiniteBooleanAlgebra
     bits: int
+    __hash__ = cached_hash
 
     def __post_init__(self):
         n = self.alg.size ** 3
@@ -192,13 +195,11 @@ _LAWS = {
 
 def _law(chi: tuple[int, ...], top: int, law: str, note: str = "") -> AxiomResult:
     """Sweep a law of _LAWS over chi's table."""
-    # imported at first use: a passing check sweeps no sentence
-    from .terms import first_witness
-
-    witnesses = [w for row in _LAWS[law] if (w := first_witness((row,), chi, top)) is not None]
-    if not witnesses:
-        return passed(law, note)
-    return failed(law, min(witnesses) if law == "EC3-iff" else witnesses[0], note)
+    if law != "EC3-iff":
+        return swept(law, _LAWS[law], chi, top, note=note)
+    # its two rows sweep the same (a, f): the least witness of either wins
+    rows = (swept(law, (row,), chi, top, note=note) for row in _LAWS[law])
+    return min(rows, key=lambda r: (r.passed, r.witness))
 
 
 # Each axiom system's laws in report order, as (reported name, law of
@@ -275,18 +276,11 @@ def _check(rel: TernaryRelation, system: str) -> CheckReport:
     """Every law's verdict and, for each failing law, its first witness in
     its documented order: the prefix _failure gives, and the rest from the
     law's sentence over chi."""
-    chi, top = (), rel.alg.top
-    results = []
-    for name, law in _SYSTEMS[system]:
-        prefix = _failure(rel, law)
-        if prefix is None:
-            results.append(passed(name))
-            continue
-        from .terms import witness_at
-
-        chi = chi or _chi_table(rel)
-        results.append(failed(name, witness_at(name, _LAWS[law], chi, top, prefix)))
-    return CheckReport(system, tuple(results))
+    prefixes = [(name, law, _failure(rel, law)) for name, law in _SYSTEMS[system]]
+    chi = _chi_table(rel) if any(p is not None for _, _, p in prefixes) else ()
+    return CheckReport(system, tuple(
+        decided(name, prefix, _LAWS[law], chi, rel.alg.top) for name, law, prefix in prefixes
+    ))
 
 
 def pool_verdicts(alg: FiniteBooleanAlgebra, packed: int, n: int, system: str) -> bytes:
@@ -491,11 +485,7 @@ def posets_dual_iso_check(alg: FiniteBooleanAlgebra, relations: list[TernaryRela
     )]
 
     tables = {op.table for op in ops}
-    results.append(
-        passed("bijection-injective")
-        if len(tables) == len(relations)
-        else failed("bijection-injective", ())
-    )
+    results.append(result("bijection-injective", None if len(tables) == len(relations) else ()))
 
     results.append(first_violation(
         "image-relational", ((i,) for i, op in enumerate(ops) if not is_relational(op)[0])
@@ -510,10 +500,6 @@ def posets_dual_iso_check(alg: FiniteBooleanAlgebra, relations: list[TernaryRela
             for op in brute_force_operators(alg, axioms)
             if is_relational(op)[0]
         }
-        results.append(
-            passed("bijection-onto-k1")
-            if tables == expected
-            else failed("bijection-onto-k1", ())
-        )
+        results.append(result("bijection-onto-k1", None if tables == expected else ()))
 
     return CheckReport("posets-dual-iso", tuple(results))

@@ -61,7 +61,7 @@ from .boolean_core import (
     make_algebra,
 )
 from .errors import PreconditionError, InternalCheckError, SizeCapError
-from .report import AxiomResult, CheckReport, failed, passed, run_memo
+from .report import CheckReport, cached_hash, passed, result, run_memo
 from .ternary_operator import TernaryOperator, _non_relational, check_3bamo, check_psi
 
 
@@ -76,6 +76,7 @@ class PsiFrame:
 
     point_count: int
     rows: tuple[int, ...]
+    __hash__ = cached_hash
 
     def __init__(self, point_count: int, entries):
         n, full = point_count, (1 << point_count) - 1
@@ -146,8 +147,9 @@ class PsiFrame:
 
 def frame_from_json(data: dict) -> PsiFrame:
     n = json_int(data["points"], "points")
-    if n < 0:
-        raise ValueError(f"frame has {n} points")
+    if n < 1:
+        # its complex algebra, the powerset of no points, would have 0 = 1
+        raise ValueError(f"frame has {n} points: degenerate algebra, need at least 1 point")
     if n > MAX_ATOMS:
         raise SizeCapError(f"frame has {n} points, above the cap of {MAX_ATOMS}")
     if "bits" in data:
@@ -272,8 +274,8 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
             df3 = (x, *_first_entry(lacking, 1 << n, 3, 1))
     results = (
         passed("DF1", "trivially satisfied (finite discrete space)"),
-        passed("DF2") if df2 is None else failed("DF2", df2),
-        passed("DF3") if df3 is None else failed("DF3", df3),
+        result("DF2", df2),
+        result("DF3", df3),
     )
     return CheckReport("psi-frame", results)
 
@@ -330,8 +332,8 @@ def check_psi_space(frame: PsiFrame) -> CheckReport:
         y1, y2 = pif[0]
         pif[0] += (next(y3 for y3, m in enumerate(_row(reach, s, y1, y2)) if m and not y3 & y1),)
     results = (
-        passed("PIF1", cl_note) if pair is None else failed("PIF1", pif1_witness(*pair), cl_note),
-        *(AxiomResult(f"PIF{i}", w is None, w) for i, w in zip((2, 3, 4), pif)),
+        result("PIF1", None if pair is None else pif1_witness(*pair), cl_note),
+        *(result(f"PIF{i}", w) for i, w in zip((2, 3, 4), pif)),
     )
     return CheckReport("psi-space", results)
 

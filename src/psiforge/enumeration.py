@@ -168,10 +168,6 @@ class OperatorEnumeration:
     operators: tuple[TernaryOperator, ...]
     label: str
 
-    @property
-    def exhaustive(self) -> bool:
-        return not self.label.startswith("sampled")
-
 
 def brute_force_operators(
     alg: FiniteBooleanAlgebra, axioms: list[Sentence]

@@ -8,8 +8,8 @@ under mu.  Closedness is decided on every operator by one whole-table
 test against the meets of dia above each triple (filter_is_closed).
 Modality, the (Su)/(Mid) reduction and the generator-only modality
 shortcut are stated as sentences in _FILTER_LAWS, in the row format of
-module terms, and swept by terms.first_witness with the generator bound
-as a one-letter prefix; the last two are computed alongside so their
+module terms, and swept by report.swept with the generator bound as a
+one-letter prefix; the last two are computed alongside so their
 equivalence (valid for pseudo-inference operators) can be asserted, not
 assumed.  A partition is tested as a congruence by its definition,
 comparing each element with its block's least member on tables
@@ -22,7 +22,7 @@ from functools import cache, lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits, _repeat, _set_bits
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, first_violation, passed, run_memo
+from .report import AxiomResult, CheckReport, first_violation, result, run_memo, swept
 from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
 
 
@@ -51,10 +51,7 @@ _FILTER_LAWS = {
 
 
 def _filter_law(op: TernaryOperator, flt: Filter, law: str) -> bool:
-    # imported at first use: filter_is_closed sweeps no sentence
-    from .terms import first_witness
-
-    return first_witness(_FILTER_LAWS[law], op.table, op.alg.top, (flt.generator,)) is None
+    return swept(law, _FILTER_LAWS[law], op.table, op.alg.top, (flt.generator,)).passed
 
 
 def filter_is_closed(op: TernaryOperator, flt: Filter) -> bool:
@@ -272,12 +269,8 @@ def relational_iff_simple_strict_check(op: TernaryOperator) -> CheckReport:
     lhs = is_relational(op)[0]
     rhs = is_simple(op) and check_strict(op).passed
     note = f"relational={lhs} simple-and-strict={rhs}"
-    result = (
-        passed("relational-iff-simple-strict", note)
-        if lhs == rhs
-        else failed("relational-iff-simple-strict", (), note)
-    )
-    return CheckReport("relational-iff-simple-strict", (result,))
+    verdict = result("relational-iff-simple-strict", None if lhs == rhs else (), note)
+    return CheckReport("relational-iff-simple-strict", (verdict,))
 
 
 def _congruence_meet(x: Congruence, y: Congruence) -> Congruence:

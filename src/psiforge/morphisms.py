@@ -26,10 +26,10 @@ from operator import itemgetter
 from .boolean_core import (
     FiniteBooleanAlgebra, _bits, _entries, _first_entry, _set_offsets, _up, algebra_from_json, json_int
 )
-from .contact_relation import TernaryRelation, check_eca, is_eca, rel_to_op
+from .contact_relation import TernaryRelation, _require_eca, is_eca, rel_to_op
 from .duality_frames import PsiFrame, dual_frame
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, failed, first_violation as _first, passed
+from .report import AxiomResult, CheckReport, first_violation as _first, passed, result
 from .ternary_operator import TernaryOperator, check_psi
 
 
@@ -231,7 +231,8 @@ def morphism_duality_check(
     clopen preimages is h again.
     """
     for op, name in ((op_source, "source"), (op_target, "target")):
-        _require(check_psi(op), f"morphism_duality_check requires pseudo-inference operators; {name}")
+        needs = f"morphism_duality_check ({name}) requires a pseudo-inference operator"
+        check_psi(op).require(PreconditionError, needs)
     mc = classify_psi_morphism(h, op_source, op_target)
     frame_target = dual_frame(op_target)
     frame_source = dual_frame(op_source)
@@ -252,17 +253,9 @@ def morphism_duality_check(
     return CheckReport("morphism-duality", tuple(results))
 
 
-def _require(report: CheckReport, context: str) -> None:
-    """Raise PreconditionError("<context> fails <axiom> at <witness>") at
-    the report's first failed axiom, if any."""
-    if not report.passed:
-        bad = report.failures()[0]
-        raise PreconditionError(f"{context} fails {bad.axiom} at {bad.witness}")
-
-
 def _bicond(name: str, lhs: bool, rhs: bool) -> AxiomResult:
     note = f"algebra-side={lhs} frame-side={rhs}"
-    return passed(name, note) if lhs == rhs else failed(name, (), note)
+    return result(name, None if lhs == rhs else (), note)
 
 
 @dataclass(frozen=True)
@@ -286,7 +279,7 @@ def classify_eca_morphism(
     """
     for rel, name in ((rel_source, "source"), (rel_target, "target")):
         if not is_eca(rel):
-            _require(check_eca(rel), f"classify_eca_morphism requires EC relations; {name}")
+            _require_eca(rel, f"classify_eca_morphism ({name})")
     if rel_source.alg != h.source or rel_target.alg != h.target:
         raise ValueError("relations do not live on the homomorphism's algebras")
 

@@ -38,7 +38,9 @@ and the filter laws (filter_congruence._FILTER_LAWS).  law_sweeps
 compiles a law's rows with the first letters of each order bound by the
 caller, first_witness sweeps them in turn past a bound prefix, and
 witness_at names the witness of a law an exact test found failing,
-raising InternalCheckError if the sweep finds none.
+raising InternalCheckError if the sweep finds none.  The checkers reach
+the two only through report.swept and report.decided, the one path from
+a verdict to a report.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import EvalError, InternalCheckError, ParseError, SizeCapError
+from .report import cached_hash
 from .ternary_operator import (
     TernaryOperator,
     discriminator_t,
@@ -55,14 +58,6 @@ from .ternary_operator import (
 )
 
 Term = Union["Const", "Var", "Unary", "Binary", "Ternary"]
-
-
-def _node_hash(node) -> int:
-    # expanded terms share subterms: hash each node once, not once per path
-    cache = node.__dict__
-    if "_hash" not in cache:
-        cache["_hash"] = hash(tuple(cache[f] for f in node.__dataclass_fields__))
-    return cache["_hash"]
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ class Var:
 class Unary:
     op: str  # "not" | "mu" | "d"
     arg: Term
-    __hash__ = _node_hash
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True)
@@ -87,14 +82,14 @@ class Binary:
     op: str  # "and" | "or" | "xor" | "->"
     left: Term
     right: Term
-    __hash__ = _node_hash
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True)
 class Ternary:
     op: str  # "dia" | "disc"
     args: tuple[Term, Term, Term]
-    __hash__ = _node_hash
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ enumeration.named_axioms parses the same rows.  Each law has one
 decider, planes.LAWS[law], exact on every table by whole-table tests on
 the table's bytes (masks, shifts and byte-wise lookups; PI1, R1 and R2
 one (a, b) row or column at a time).  It gives None when the law holds,
-else the prefix of the law's first witness, and terms.witness_at sweeps
-the law's rows (MO1 its three in turn) with that prefix bound, over the
-remaining variables only.
+else the prefix of the law's first witness, and report.decided turns
+that answer into the law's result, sweeping the law's rows (MO1 its
+three in turn) with the prefix bound, over the remaining variables only.
+report.swept sweeps the rows in full, as the reference (_sweep) and for
+the PI2 forms of check_pi2_equivalents.
 
 Witness order.  Sweeps run in ascending mask order and report the first
 violating tuple.  The five-variable cut axiom PI1 reports the first
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
-from .report import AxiomResult, CheckReport, failed, first_violation, passed, run_memo
+from .report import AxiomResult, CheckReport, cached_hash, decided, failed, first_violation, result, run_memo, swept
 
 DEFAULT_SEED = 0xEC0
 
@@ -39,6 +41,7 @@ class TernaryOperator:
 
     alg: FiniteBooleanAlgebra
     table: tuple[int, ...]
+    __hash__ = cached_hash
 
     def __post_init__(self):
         size = self.alg.size
@@ -195,30 +198,20 @@ AXIOM_SETS = {
 
 def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
     """The law's rows swept in full, as the reference for its decider."""
-    # imported at first use: terms imports this module
-    from .terms import first_witness
-
-    witness = first_witness(LAW_ROWS[axiom], op.table, op.alg.top)
-    return passed(axiom) if witness is None else failed(axiom, witness)
+    return swept(axiom, LAW_ROWS[axiom], op.table, op.alg.top)
 
 
 def _check(op: TernaryOperator, kind: str, axioms: str) -> CheckReport:
     """Each law of AXIOM_SETS[axioms] decided by planes.LAWS; a failing
     law's rows are swept past the prefix it gives, to name the rest of
     the witness."""
-    # imported at first use, like terms: most verbs check no operator law
+    # imported at first use: most verbs check no operator law
     from .planes import LAWS
 
-    raw, results = bytes(op.table), []
-    for axiom in AXIOM_SETS[axioms]:
-        prefix = LAWS[axiom](raw, op.alg.size)
-        if prefix is None:
-            results.append(passed(axiom))
-            continue
-        from .terms import witness_at
-
-        results.append(failed(axiom, witness_at(axiom, LAW_ROWS[axiom], op.table, op.alg.top, prefix)))
-    return CheckReport(kind, tuple(results))
+    raw, size, top = bytes(op.table), op.alg.size, op.alg.top
+    return CheckReport(kind, tuple(
+        decided(axiom, LAWS[axiom](raw, size), LAW_ROWS[axiom], op.table, top) for axiom in AXIOM_SETS[axioms]
+    ))
 
 
 def check_3bamo(op: TernaryOperator) -> CheckReport:
@@ -277,7 +270,7 @@ def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
         results[2] = failed("PI2-quasi", (a, b, f))
     verdicts = tuple(r.passed for r in results)
     agree = all(verdicts) or not any(verdicts)
-    results.append(AxiomResult("PI2-agreement", agree, None if agree else (), f"verdicts {verdicts}"))
+    results.append(result("PI2-agreement", None if agree else (), f"verdicts {verdicts}"))
     return CheckReport("pi2-equivalents", tuple(results))
 
 

@@ -208,10 +208,7 @@ def eca_from_topology(top: FiniteTopology) -> tuple[RegularClosedAlgebra, Ternar
     above = {m: sum(1 << c for c, mc in enumerate(masks) if m & mc == m) for m in set(meets)}
     rel = TernaryRelation(rca.alg, _pack([above[m] for m in meets], len(masks)))
     if not is_eca(rel):
-        bad = check_eca(rel).failures()[0]
-        raise InternalCheckError(
-            f"topological relation fails {bad.axiom} at {bad.witness}"
-        )
+        check_eca(rel).require(InternalCheckError, "the topological relation is not EC")
     return rca, rel
 
 

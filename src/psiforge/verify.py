@@ -107,20 +107,14 @@ class SuiteItem:
 
 def psi_operator_pool(k: int, seed: int = DEFAULT_SEED) -> list[TernaryOperator]:
     """Pseudo-inference operators on up to k atoms: every table on one and
-    two atoms, plus seeded three-atom samples (structured, topological,
-    and the least and largest-relation-induced tables)."""
+    two atoms, plus the least three-atom table, the operator of each
+    three-atom EC relation up to automorphism, and seeded samples."""
     pool = enumerate_psi_operators(make_algebra(1)) + enumerate_psi_operators(make_algebra(2))
     if k >= 3:
         alg3 = make_algebra(3)
         pool.append(smallest_diamond(alg3))
         pool.extend(rel_to_op(r) for r in enumerate_ecas(alg3))
         pool.extend(sample_psi_operators(alg3, count=8, seed=seed))
-        for top in topo_models.random_topologies(30, seed=seed, max_points=4):
-            rca, rel = topo_models.eca_from_topology(top)
-            if rca.alg.atom_count == 3:
-                pool.append(rel_to_op(rel))
-            if len(pool) >= 32:
-                break
     return list(dict.fromkeys(pool))
 
 

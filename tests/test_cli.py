@@ -391,12 +391,16 @@ def test_compact_bits_outside_base64_exit_2():
         ("eca", {"alg": {"atoms": 1}, "bits": "AAAA"}),
         ("frame", {"points": 2, "bits": ""}),
         ("frame", {"points": 1, "bits": "AAA="}),
+        # a frame without points, in either form, is refused: its complex
+        # algebra would be degenerate
+        ("frame", {"points": 0, "bits": ""}),
+        ("frame", {"points": 0, "R": []}),
+        ("space", {"points": 0, "R": []}),
+        ("total", {"points": 0, "R": []}),
     ):
         r = run_cli("check", "--kind", kind, "-", stdin=json.dumps(payload))
         assert_usage_error(r)
         assert r.stderr.startswith("psiforge: bad input: ")
-    # a frame without points has no bits, and no bytes
-    assert run_cli("check", "--kind", "frame", "-", stdin=json.dumps({"points": 0, "bits": ""})).returncode == 0
 
 
 def test_compact_frame_empty_coordinate_exits_2():

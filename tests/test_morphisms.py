@@ -234,7 +234,7 @@ def test_eca_morphism_refuses_non_eca(alg2, ecas_k2):
     full = full_relation(alg2)
     bad = check_eca(full).failures()[0]
     for source, target, name in ((full, ecas_k2[0], "source"), (ecas_k2[0], full, "target")):
-        message = f"classify_eca_morphism requires EC relations; {name} fails {bad.axiom} at {bad.witness}"
+        message = f"classify_eca_morphism ({name}) requires an EC relation; {bad.axiom} fails at {bad.witness}"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             classify_eca_morphism(ident, source, target)
 

@@ -227,5 +227,5 @@ def test_a_failing_relation_names_its_axiom(monkeypatch):
     import psiforge.topo_models as T
 
     monkeypatch.setattr(T, "_pack", lambda rows, width: 0)
-    with pytest.raises(InternalCheckError, match=r"topological relation fails EC2 at \(0, 0, 0\)"):
+    with pytest.raises(InternalCheckError, match=r"the topological relation is not EC; EC2 fails at \(0, 0, 0\)"):
         eca_from_topology(three_point_space())
