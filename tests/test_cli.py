@@ -401,6 +401,10 @@ def test_compact_bits_outside_base64_exit_2():
         r = run_cli("check", "--kind", kind, "-", stdin=json.dumps(payload))
         assert_usage_error(r)
         assert r.stderr.startswith("psiforge: bad input: ")
+    # complex reads frames through the same reader and refuses the same way
+    r = run_cli("complex", "-", stdin=json.dumps({"points": 0, "R": []}))
+    assert_usage_error(r)
+    assert r.stderr.startswith("psiforge: bad input: frame has 0 points")
 
 
 def test_compact_frame_empty_coordinate_exits_2():

@@ -7,7 +7,7 @@ found by ast; its lines do not count.  Blank lines, comment-only lines and
 docstring lines therefore never count, and a statement spread over several
 lines counts each line that holds one of its tokens.
 
-Usage:  python tools/code_lines.py [package directory]
+Usage:  python tools/code_lines.py
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "psiforge"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "psiforge"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path.read_text())
@@ -54,4 +54,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
