@@ -17,7 +17,6 @@ _EXPORTS = {
         "beta",
         "bool_eval",
         "closedset_to_filter",
-        "filter_closedset_maps",
         "filter_to_closedset",
         "make_algebra",
     ),
@@ -70,7 +69,6 @@ _EXPORTS = {
         "Congruence",
         "all_filters_classified",
         "classify_filter",
-        "congruence_filter_maps",
         "congruence_from_filter",
         "congruence_to_filter",
         "is_simple",

@@ -47,6 +47,7 @@ from functools import cached_property, lru_cache
 from itertools import compress, permutations, product
 
 from .errors import SizeCapError
+from .report import cached_hash
 
 # Hard cap on atom count: exhaustive sweeps over |A|^5 tuples and dense
 # |A|^3 operator tables explode beyond this.
@@ -60,11 +61,13 @@ class FiniteBooleanAlgebra:
     Elements are the ints 0 .. 2**atom_count - 1 read as atom-subset
     bitmasks; 0 is bottom and the full mask is top.  ``size`` and ``top``
     are computed on first read and kept on the instance, outside the
-    fields, so repr, equality, hashing and to_json see the fields alone.
+    fields, so repr, equality, hashing and to_json see the fields alone;
+    the hash is kept there too, by cached_hash.
     """
 
     atom_count: int
     atom_names: tuple[str, ...]
+    __hash__ = cached_hash
 
     @cached_property
     def size(self) -> int:
@@ -97,9 +100,6 @@ class FiniteBooleanAlgebra:
 
     def implies(self, a: int, b: int) -> int:
         return self.neg(a) | b
-
-    def xor(self, a: int, b: int) -> int:
-        return a ^ b
 
     def to_json(self) -> dict:
         return {"atoms": self.atom_count, "names": list(self.atom_names)}
@@ -197,13 +197,6 @@ def closedset_to_filter(alg: FiniteBooleanAlgebra, ultrafilters: frozenset[int] 
     for at in ultrafilters:
         g |= at
     return Filter(alg, g)
-
-
-def filter_closedset_maps(alg: FiniteBooleanAlgebra, value):
-    """Dispatch between the two mutually inverse antitone maps."""
-    if isinstance(value, Filter):
-        return filter_to_closedset(value)
-    return closedset_to_filter(alg, value)
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,9 @@ enumerate); '-' means stdin/stdout.  Exit status: 0 all checked properties
 hold, 1 a checked property failed (the witness is in the printed report),
 2 usage or input error.  `enumerate --mode sampled` keeps the tables,
 among 200 seeded pseudo-inference samples, that satisfy the axioms; it
-stops at 3 atoms like the sampler.  The environment variable PSIFORGE_SEED
-overrides the seed of `enumerate --mode sampled` and `verify-suite`
+stops at 3 atoms like the sampler, and `find --mode sampled` searches the
+same tables.  The environment variable PSIFORGE_SEED overrides the seed of
+`enumerate --mode sampled`, `find --mode sampled` and `verify-suite`
 (default 0xEC0).
 
 Each verb's handler imports the modules it runs, so a call loads only those.
@@ -189,7 +190,7 @@ def _cmd_find(args, out) -> int:
         sentence = parse(args.sentence)
         alg = make_algebra(args.k)
         axioms = _load_axioms(args.axioms)
-        result = find_counterexample(sentence, alg, axioms, mode=args.mode)
+        result = find_counterexample(sentence, alg, axioms, mode=args.mode, seed=args.seed)
     if result.found:
         payload = {
             "found": True,

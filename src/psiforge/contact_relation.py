@@ -117,6 +117,8 @@ def relation_from_triples(alg: FiniteBooleanAlgebra, triples) -> TernaryRelation
 
 def relation_from_json(data: dict) -> TernaryRelation:
     alg = algebra_from_json(data["alg"])
+    if "bits" in data and "triples" in data:
+        raise ValueError("relation gives both bits and triples; give one form")
     if "bits" in data:
         return TernaryRelation(alg, _from_base64(data["bits"], alg.size ** 3))
     triples = [tuple(json_int(v, "triple entry") for v in t) for t in data["triples"]]
@@ -389,7 +391,9 @@ def _cut_witness(rel: TernaryRelation) -> tuple[int, ...] | None:
 
 
 def _require_eca(rel: TernaryRelation, caller: str) -> None:
-    check_eca(rel).require(PreconditionError, f"{caller} requires an EC relation")
+    # the memoised verdict first: the witness sweep runs only on a failure
+    if not is_eca(rel):
+        check_eca(rel).require(PreconditionError, f"{caller} requires an EC relation")
 
 
 def check_derived_eca_props(rel: TernaryRelation) -> CheckReport:

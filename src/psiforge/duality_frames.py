@@ -61,7 +61,7 @@ from .boolean_core import (
     make_algebra,
 )
 from .errors import PreconditionError, InternalCheckError, SizeCapError
-from .report import CheckReport, cached_hash, passed, result, run_memo
+from .report import CheckReport, cached_hash, result, run_memo
 from .ternary_operator import TernaryOperator, _non_relational, check_3bamo, check_psi
 
 
@@ -152,6 +152,8 @@ def frame_from_json(data: dict) -> PsiFrame:
         raise ValueError(f"frame has {n} points: degenerate algebra, need at least 1 point")
     if n > MAX_ATOMS:
         raise SizeCapError(f"frame has {n} points, above the cap of {MAX_ATOMS}")
+    if "bits" in data and "R" in data:
+        raise ValueError("frame gives both bits and R; give one form")
     if "bits" in data:
         # one bit per (x, Y1, Y2, Y3), x major, 8**n bits per point
         width = 1 << 3 * n
@@ -273,7 +275,7 @@ def check_psi_frame(frame: PsiFrame) -> CheckReport:
         if lacking and df3 is None:
             df3 = (x, *_first_entry(lacking, 1 << n, 3, 1))
     results = (
-        passed("DF1", "trivially satisfied (finite discrete space)"),
+        result("DF1", None, "trivially satisfied (finite discrete space)"),
         result("DF2", df2),
         result("DF3", df3),
     )

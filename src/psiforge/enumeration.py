@@ -16,8 +16,9 @@ every byte of a table whose values it has first mapped by one
 bytes.translate, by at most 3(k-1) delta swaps.  Every value is below
 256, so the least bytes image is the least table.
 
-The built-in axiom sets of named_axioms are the rows of the laws that
-ternary_operator.AXIOM_SETS lists, the rows the operator checkers sweep.
+The built-in axiom sets of named_axioms are the prefixes of
+ternary_operator.AXIOM_SETS, keyed by report kind: "psi" is the laws of
+"3bamo" and "psi", in order, read as the rows the operator checkers sweep.
 """
 from __future__ import annotations
 
@@ -45,16 +46,16 @@ from .ternary_operator import AXIOM_SETS, DEFAULT_SEED, LAW_ROWS, TernaryOperato
 ENUM_MAX_ATOMS_EXACT = 2
 ENUM_MAX_ATOMS_ECAS = 3
 
-_NAMED_SETS = {"3bamo": ("3bamo",), "psi": ("3bamo", "pi"), "strict": ("3bamo", "pi", "strictness")}
-
 
 def named_axioms(name: str) -> list[Sentence]:
-    """Built-in axiom sets: 3bamo, psi (= 3bamo + pi), strict (= psi +
-    strictness), each law's rows in order.  Every call returns a fresh
-    list."""
-    if name not in _NAMED_SETS:
+    """Built-in axiom sets: 3bamo (MO1-MO4), psi (3bamo + PI1-PI4) and
+    strict (psi + R1, R2, S), the laws of every AXIOM_SETS entry up to
+    and including ``name``, each law's rows in order.  Every call returns
+    a fresh list."""
+    if name not in AXIOM_SETS:
         raise ValueError(f"unknown axiom set {name!r}")
-    laws = (law for part in _NAMED_SETS[name] for law in AXIOM_SETS[part])
+    names = list(AXIOM_SETS)
+    laws = (law for part in names[:names.index(name) + 1] for law in AXIOM_SETS[part])
     return [parse(text) for law in laws for text, _, _ in LAW_ROWS[law]]
 
 
@@ -393,13 +394,14 @@ def find_counterexample(
     alg: FiniteBooleanAlgebra,
     axioms: list[Sentence],
     mode: str = "auto",
+    seed: int = DEFAULT_SEED,
 ) -> CounterexampleResult:
     """First structure (in canonical enumeration order) falsifying the
     sentence, or a certificate that the swept space contains none.  The
-    sentence is compiled first, so one over the sweep cap is refused
-    before any structure is built."""
+    seed is that of the sampled mode.  The sentence is compiled first, so
+    one over the sweep cap is refused before any structure is built."""
     _sweep_plan(sentence)
-    enum = enumerate_operators(alg, axioms, mode=mode)
+    enum = enumerate_operators(alg, axioms, mode=mode, seed=seed)
     for op in enum.operators:
         ok, assignment = holds(sentence, op)
         if not ok:

@@ -23,7 +23,7 @@ from functools import cache, lru_cache
 from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits, _repeat, _set_bits
 from .errors import InternalCheckError, PreconditionError
 from .report import AxiomResult, CheckReport, first_violation, result, run_memo, swept
-from .ternary_operator import TernaryOperator, check_psi, check_strict, is_relational
+from .ternary_operator import TernaryOperator, _require_psi, check_strict, is_relational
 
 
 @dataclass(frozen=True)
@@ -229,19 +229,8 @@ def congruence_to_filter(cong: Congruence) -> Filter:
     return Filter(alg, g)
 
 
-def congruence_filter_maps(alg: FiniteBooleanAlgebra, value):
-    """Dispatch between the two mutually inverse correspondence maps."""
-    if isinstance(value, Filter):
-        return congruence_from_filter(alg, value)
-    return congruence_to_filter(value)
-
-
 def closed_filter_generators(op: TernaryOperator) -> list[int]:
     return [g for g in op.alg.elements() if filter_is_closed(op, Filter(op.alg, g))]
-
-
-def _require_psi(op: TernaryOperator, caller: str) -> None:
-    check_psi(op).require(PreconditionError, f"{caller} requires a pseudo-inference operator")
 
 
 @run_memo

@@ -14,7 +14,8 @@ TARGET algebra to the dual frame of the SOURCE, the semi inequality
 f, and the hemi inequality to the forward preservation condition Sp2.
 The two named map classes (semi-PSI = Sp1+Sp2, hemi-PSI = Sp1+Sp3) thus
 pair up crosswise with the algebra classes; morphism_duality_check asserts
-exactly this proved pairing.
+exactly this proved pairing.  Under the identification of atoms with the
+points of the dual frame, the dual point map f is h.atom_map itself.
 """
 from __future__ import annotations
 
@@ -23,14 +24,12 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .boolean_core import (
-    FiniteBooleanAlgebra, _bits, _entries, _first_entry, _set_offsets, _up, algebra_from_json, json_int
-)
-from .contact_relation import TernaryRelation, _require_eca, is_eca, rel_to_op
+from .boolean_core import FiniteBooleanAlgebra, _bits, _entries, _first_entry, _set_offsets, _up
+from .contact_relation import TernaryRelation, _require_eca, rel_to_op
 from .duality_frames import PsiFrame, dual_frame
-from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, first_violation as _first, passed, result
-from .ternary_operator import TernaryOperator, check_psi
+from .errors import InternalCheckError
+from .report import AxiomResult, CheckReport, first_violation as _first, result
+from .ternary_operator import TernaryOperator, _require_psi
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,6 @@ class BooleanHom:
             tuple(inner.atom_map[i] for i in self.atom_map),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "atom_map": list(self.atom_map),
-        }
-
 
 def make_hom(
     source: FiniteBooleanAlgebra, target: FiniteBooleanAlgebra, atom_map
@@ -106,14 +98,6 @@ def make_hom(
     if h(0) != 0 or h(source.top) != target.top:
         raise InternalCheckError("induced map fails 0/1 preservation")
     return h
-
-
-def hom_from_json(data: dict) -> BooleanHom:
-    return make_hom(
-        algebra_from_json(data["source"]),
-        algebra_from_json(data["target"]),
-        tuple(json_int(i, "atom_map entry") for i in data["atom_map"]),
-    )
 
 
 def enumerate_homs(
@@ -181,7 +165,7 @@ def classify_frame_map(
         if not 0 <= p < frame2.point_count:
             raise ValueError(f"image point {p} outside the second frame")
 
-    results = [passed("Sp1", "trivially satisfied (finite discrete space)")]
+    results = [result("Sp1", None, "trivially satisfied (finite discrete space)")]
     n1, n2 = frame1.point_count, frame2.point_count
     img = [0]  # point set y of frame1 -> its image, one point at a time
     for p in f:
@@ -212,12 +196,6 @@ def classify_frame_map(
     return CheckReport("frame-map", tuple(results))
 
 
-def dual_map(h: BooleanHom) -> tuple[int, ...]:
-    """The dual point map runs from the target's dual frame to the
-    source's and is the atom map itself under the atom identification."""
-    return h.atom_map
-
-
 def morphism_duality_check(
     h: BooleanHom, op_source: TernaryOperator, op_target: TernaryOperator
 ) -> CheckReport:
@@ -231,12 +209,12 @@ def morphism_duality_check(
     clopen preimages is h again.
     """
     for op, name in ((op_source, "source"), (op_target, "target")):
-        needs = f"morphism_duality_check ({name}) requires a pseudo-inference operator"
-        check_psi(op).require(PreconditionError, needs)
+        _require_psi(op, f"morphism_duality_check ({name})")
     mc = classify_psi_morphism(h, op_source, op_target)
     frame_target = dual_frame(op_target)
     frame_source = dual_frame(op_source)
-    f = dual_map(h)
+    # the dual point map, target's frame to source's, is the atom map itself
+    f = h.atom_map
     fm = classify_frame_map(f, frame_target, frame_source)
     sp2 = fm.result("Sp2").passed
     sp3 = fm.result("Sp3").passed
@@ -278,8 +256,7 @@ def classify_eca_morphism(
     operators: reflecting = semi, preserving = hemi, similarity = full.
     """
     for rel, name in ((rel_source, "source"), (rel_target, "target")):
-        if not is_eca(rel):
-            _require_eca(rel, f"classify_eca_morphism ({name})")
+        _require_eca(rel, f"classify_eca_morphism ({name})")
     if rel_source.alg != h.source or rel_target.alg != h.target:
         raise ValueError("relations do not live on the homomorphism's algebras")
 

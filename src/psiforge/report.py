@@ -6,12 +6,13 @@ axiom means the law's exact test, or its documented sweep, found none.
 Failures are data, not errors.
 
 This module is the one path from a verdict to a report.  result() turns a
-witness or None into an AxiomResult.  decided() takes the answer of a law's
-exact whole-table decider, None or the prefix of its first witness, and
-names the rest of the witness by terms.witness_at; swept() sweeps a law's
-rows in full by terms.first_witness.  Module terms is imported only by
-those two, at first use, and decided() needs it only for a failing law,
-so a check whose exact deciders all pass compiles no sentence.
+witness or None into an AxiomResult and is the only place one is built.
+decided() takes the answer of a law's exact whole-table decider, None or
+the prefix of its first witness, and names the rest of the witness by
+terms.witness_at; swept() sweeps a law's rows in full by
+terms.first_witness.  Module terms is imported only by those two, at
+first use, and decided() needs it only for a failing law, so a check
+whose exact deciders all pass compiles no sentence.
 CheckReport.require raises at a report's first failed axiom.
 """
 from __future__ import annotations
@@ -110,14 +111,6 @@ class CheckReport:
         }
 
 
-def passed(axiom: str, note: str = "") -> AxiomResult:
-    return AxiomResult(axiom, True, None, note)
-
-
-def failed(axiom: str, witness: tuple[int, ...], note: str = "") -> AxiomResult:
-    return AxiomResult(axiom, False, witness, note)
-
-
 def result(axiom: str, witness: tuple[int, ...] | None, note: str = "") -> AxiomResult:
     """Passed when the witness is None, else failed at it."""
     return AxiomResult(axiom, witness is None, witness, note)
@@ -134,12 +127,12 @@ def decided(axiom: str, prefix: tuple | None, rows: tuple, table, top: int) -> A
     prefix is None, else failed at the witness that terms.witness_at names
     by sweeping the law's rows past the prefix."""
     if prefix is None:
-        return passed(axiom)
+        return result(axiom, None)
     # imported at first use: terms imports the checkers, and a law that
     # holds compiles no sentence
     from .terms import witness_at
 
-    return failed(axiom, witness_at(axiom, rows, table, top, prefix))
+    return result(axiom, witness_at(axiom, rows, table, top, prefix))
 
 
 def swept(axiom: str, rows: tuple, table, top: int, prefix: tuple = (), note: str = "") -> AxiomResult:

@@ -7,7 +7,8 @@ relational property, and the unary/ternary discriminator contract, each
 reporting a concrete witness on failure.
 
 Each law is stated once, as rows of sentences in LAW_ROWS (terms' one
-row format), and AXIOM_SETS lists the laws of each built-in axiom set;
+row format), and AXIOM_SETS lists the laws of each built-in axiom set,
+keyed by the report kind of its checker ("3bamo", "psi", "strict");
 enumeration.named_axioms parses the same rows.  Each law has one
 decider, planes.LAWS[law], exact on every table by whole-table tests on
 the table's bytes (masks, shifts and byte-wise lookups; PI1, R1 and R2
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
-from .report import AxiomResult, CheckReport, cached_hash, decided, failed, first_violation, result, run_memo, swept
+from .errors import PreconditionError
+from .report import AxiomResult, CheckReport, cached_hash, decided, first_violation, result, run_memo, swept
 
 DEFAULT_SEED = 0xEC0
 
@@ -186,13 +188,13 @@ LAW_ROWS = {
     "PI2-quasi-top": (("a and f = 0 => dia(a, 1, f) = 0", "af", False),),
 }
 
-# The built-in axiom sets, as laws of LAW_ROWS in order: checked by
-# check_3bamo, check_psi and check_strict, and parsed row by row by
-# enumeration.named_axioms.
+# The built-in axiom sets, as laws of LAW_ROWS in order, keyed by the
+# report kind of their checker (check_3bamo, check_psi, check_strict).
+# enumeration.named_axioms parses a prefix of this dict row by row.
 AXIOM_SETS = {
     "3bamo": ("MO1", "MO2", "MO3", "MO4"),
-    "pi": ("PI1", "PI2", "PI3", "PI4"),
-    "strictness": ("R1", "R2", "S"),
+    "psi": ("PI1", "PI2", "PI3", "PI4"),
+    "strict": ("R1", "R2", "S"),
 }
 
 
@@ -201,8 +203,8 @@ def _sweep(op: TernaryOperator, axiom: str) -> AxiomResult:
     return swept(axiom, LAW_ROWS[axiom], op.table, op.alg.top)
 
 
-def _check(op: TernaryOperator, kind: str, axioms: str) -> CheckReport:
-    """Each law of AXIOM_SETS[axioms] decided by planes.LAWS; a failing
+def _check(op: TernaryOperator, kind: str) -> CheckReport:
+    """Each law of AXIOM_SETS[kind] decided by planes.LAWS; a failing
     law's rows are swept past the prefix it gives, to name the rest of
     the witness."""
     # imported at first use: most verbs check no operator law
@@ -210,7 +212,7 @@ def _check(op: TernaryOperator, kind: str, axioms: str) -> CheckReport:
 
     raw, size, top = bytes(op.table), op.alg.size, op.alg.top
     return CheckReport(kind, tuple(
-        decided(axiom, LAWS[axiom](raw, size), LAW_ROWS[axiom], op.table, top) for axiom in AXIOM_SETS[axioms]
+        decided(axiom, LAWS[axiom](raw, size), LAW_ROWS[axiom], op.table, top) for axiom in AXIOM_SETS[kind]
     ))
 
 
@@ -235,7 +237,7 @@ def check_3bamo(op: TernaryOperator) -> CheckReport:
     gives the first failing (a, x) (MO2), a (MO3) or (a, b) (MO4), and
     only the remaining variables are swept to name the witness.
     """
-    return _check(op, "3bamo", "3bamo")
+    return _check(op, "3bamo")
 
 
 @run_memo
@@ -254,7 +256,11 @@ def check_psi(op: TernaryOperator) -> CheckReport:
     transpose) whose lowest failing entry is the witness, (a, b), (a, f)
     or (a, b, f).
     """
-    return _check(op, "psi", "pi")
+    return _check(op, "psi")
+
+
+def _require_psi(op: TernaryOperator, caller: str) -> None:
+    check_psi(op).require(PreconditionError, f"{caller} requires a pseudo-inference operator")
 
 
 def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
@@ -267,7 +273,7 @@ def check_pi2_equivalents(op: TernaryOperator) -> CheckReport:
     results = [_sweep(op, law) for law in ("PI2", "PI2-top-form", "PI2-quasi", "PI2-quasi-top")]
     if not results[2].passed:  # swept in the order (a, f, b), reported as (a, b, f)
         a, f, b = results[2].witness
-        results[2] = failed("PI2-quasi", (a, b, f))
+        results[2] = result("PI2-quasi", (a, b, f))
     verdicts = tuple(r.passed for r in results)
     agree = all(verdicts) or not any(verdicts)
     results.append(result("PI2-agreement", None if agree else (), f"verdicts {verdicts}"))
@@ -298,7 +304,7 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     and R2's first failing x (R2 fails at (x, a, b, y) iff the bound
     does at (x, a and not b, y)).
     """
-    return _check(op, "strict", "strictness")
+    return _check(op, "strict")
 
 
 @run_memo

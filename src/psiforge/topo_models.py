@@ -102,6 +102,8 @@ def topology_from_json(data: dict) -> FiniteTopology:
     if isinstance(points, int):
         _check_point_count(json_int(points, "points"))
         points = range(points)
+    if "basis" in data and "opens" in data:
+        raise ValueError("topology gives both basis and opens; give one form")
     basis = data.get("basis", data.get("opens", []))
     # a string is refused whole, not read as the list of its characters,
     # and repeated labels (1 and true among them) are refused, not merged
@@ -219,16 +221,21 @@ def three_point_space() -> FiniteTopology:
     return make_topology([1, 2, 3], [[1], [3]])
 
 
-def random_topology(rng: random.Random, max_points: int = 4, max_basis: int = 6) -> FiniteTopology:
-    """Seeded random space: up to max_points points, up to max_basis basis sets."""
-    n = rng.randint(1, max_points)
+RANDOM_POINTS = 4
+RANDOM_BASIS = 6
+
+
+def random_topology(rng: random.Random) -> FiniteTopology:
+    """Seeded random space: up to RANDOM_POINTS points, up to RANDOM_BASIS
+    basis sets."""
+    n = rng.randint(1, RANDOM_POINTS)
     points = list(range(n))
     basis = []
-    for _ in range(rng.randint(0, max_basis)):
+    for _ in range(rng.randint(0, RANDOM_BASIS)):
         basis.append([p for p in points if rng.random() < 0.5])
     return make_topology(points, basis)
 
 
-def random_topologies(count: int, seed: int = DEFAULT_SEED, max_points: int = 4) -> list[FiniteTopology]:
+def random_topologies(count: int, seed: int = DEFAULT_SEED) -> list[FiniteTopology]:
     rng = random.Random(seed)
-    return [random_topology(rng, max_points=max_points) for _ in range(count)]
+    return [random_topology(rng) for _ in range(count)]

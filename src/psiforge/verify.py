@@ -341,7 +341,7 @@ class _Suite:
         )
         yield "three-point-space-witness", ok, "lattice meet 0 yet in contact"
 
-        spaces = topo_models.random_topologies(100, seed=self.seed, max_points=4)
+        spaces = topo_models.random_topologies(100, seed=self.seed)
         distinct = {}  # algebra -> its distinct relation bitsets
         for top in spaces:
             _, rel = topo_models.eca_from_topology(top)

@@ -264,7 +264,7 @@ def test_criterion_08_topological_suite():
         i23 = rca.element_for(rca.topology.mask_of([2, 3]))
         assert i12 & i23 == 0
         assert not rel.holds(i12, i23, 0)  # in contact
-        for top in random_topologies(100, seed=SEED, max_points=4):
+        for top in random_topologies(100, seed=SEED):
             _, r = eca_from_topology(top)
             assert check_eca(r).passed
 
@@ -291,13 +291,12 @@ def test_criterion_09_morphism_duality(algs, enumerations):
         assert combos <= 1000
         # composition closure and contravariance
         from psiforge import classify_psi_morphism
-        from psiforge.morphisms import dual_map
 
         homs = enumerate_homs(alg2, alg2)
         for g in homs:
             for h in homs:
                 comp = h.compose(g)
-                assert dual_map(comp) == tuple(dual_map(g)[i] for i in dual_map(h))
+                assert comp.atom_map == tuple(g.atom_map[i] for i in h.atom_map)
                 for o1 in rel_ops[2]:
                     for o2 in rel_ops[2]:
                         for o3 in rel_ops[2]:

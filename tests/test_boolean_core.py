@@ -13,7 +13,6 @@ from psiforge import (
     beta,
     bool_eval,
     closedset_to_filter,
-    filter_closedset_maps,
     filter_to_closedset,
     make_algebra,
 )
@@ -175,9 +174,9 @@ def test_filter_closedset_maps_inverse_and_antitone(k):
 
 def test_filter_closedset_dispatch(alg2):
     f = Filter(alg2, 1)
-    y = filter_closedset_maps(alg2, f)
+    y = filter_to_closedset(f)
     assert y == frozenset({1})
-    assert filter_closedset_maps(alg2, y).generator == 1
+    assert closedset_to_filter(alg2, y).generator == 1
 
 
 @pytest.mark.parametrize("k,count", [(1, 1), (2, 2), (3, 6)])

@@ -233,16 +233,14 @@ def test_bad_inputs_exit_2(example_op_file):
 
 
 def test_seed_env_respected():
-    a = run_cli(
-        "enumerate", "--what", "operators", "--k", "2", "--mode", "sampled",
-        env={"PSIFORGE_SEED": "7"},
-    )
-    b = run_cli(
-        "enumerate", "--what", "operators", "--k", "2", "--mode", "sampled",
-        env={"PSIFORGE_SEED": "7"},
-    )
-    assert a.stdout == b.stdout
-    assert "sampled(seed=7)" in a.stdout
+    for argv in (
+        ("enumerate", "--what", "operators", "--k", "2", "--mode", "sampled"),
+        ("find", "--sentence", "dia(a,b,c) <= mu(dia(a,b,c))", "--k", "2", "--mode", "sampled"),
+    ):
+        a = run_cli(*argv, env={"PSIFORGE_SEED": "7"})
+        b = run_cli(*argv, env={"PSIFORGE_SEED": "7"})
+        assert a.stdout == b.stdout
+        assert "sampled(seed=7)" in a.stdout, argv
 
 
 def test_output_file(tmp_path, largest_rel_file):
@@ -397,6 +395,9 @@ def test_compact_bits_outside_base64_exit_2():
         ("frame", {"points": 0, "R": []}),
         ("space", {"points": 0, "R": []}),
         ("total", {"points": 0, "R": []}),
+        # a payload giving both forms is refused, not read by one of them
+        ("eca", {"alg": {"atoms": 1}, "bits": "AA==", "triples": [[1, 1, 1]]}),
+        ("frame", {"points": 1, "bits": "AA==", "R": [[0, [0], [0], [0]]]}),
     ):
         r = run_cli("check", "--kind", kind, "-", stdin=json.dumps(payload))
         assert_usage_error(r)
@@ -405,6 +406,9 @@ def test_compact_bits_outside_base64_exit_2():
     r = run_cli("complex", "-", stdin=json.dumps({"points": 0, "R": []}))
     assert_usage_error(r)
     assert r.stderr.startswith("psiforge: bad input: frame has 0 points")
+    r = run_cli("topo", "-", stdin=json.dumps({"points": 1, "basis": [[0]], "opens": []}))
+    assert_usage_error(r)
+    assert r.stderr.startswith("psiforge: bad input: ")
 
 
 def test_compact_frame_empty_coordinate_exits_2():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,12 @@ from psiforge import (
 )
 from psiforge.contact_relation import _chi_table, _law, relation_from_json
 from psiforge.topo_models import eca_from_topology, three_point_space
+
+
+def _refusal(caller: str, rel) -> str:
+    """The precondition message of a caller refusing a relation that is not EC."""
+    bad = check_eca(rel).failures()[0]
+    return re.escape(f"{caller} requires an EC relation; {bad.axiom} fails at {bad.witness}")
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +82,9 @@ def test_derived_props_hold(alg2, topo_rel):
 
 
 def test_derived_props_refuses_non_eca(alg2):
-    with pytest.raises(PreconditionError):
-        check_derived_eca_props(empty_relation(alg2))
+    rel = empty_relation(alg2)
+    with pytest.raises(PreconditionError, match=_refusal("check_derived_eca_props", rel)):
+        check_derived_eca_props(rel)
 
 
 def test_ec3_iff_on_topological(topo_rel):
@@ -112,8 +120,9 @@ def test_ec3_iff_reports_its_least_witness():
 def test_characteristic_lemma(alg2, topo_rel):
     assert characteristic_lemma_check(largest_eca(alg2)).passed
     assert characteristic_lemma_check(topo_rel).passed
-    with pytest.raises(PreconditionError):
-        characteristic_lemma_check(full_relation(alg2))
+    rel = full_relation(alg2)
+    with pytest.raises(PreconditionError, match=_refusal("characteristic_lemma_check", rel)):
+        characteristic_lemma_check(rel)
 
 
 def test_characteristic_spot_instance(alg2):
@@ -214,8 +223,9 @@ def test_contact_from_topological(topo_rel):
 
 
 def test_contact_refuses_non_eca(alg2):
-    with pytest.raises(PreconditionError):
-        contact_from_eca(full_relation(alg2))
+    rel = full_relation(alg2)
+    with pytest.raises(PreconditionError, match=_refusal("contact_from_eca", rel)):
+        contact_from_eca(rel)
 
 
 def test_every_eca_below_largest(ecas_k2, alg2):

@@ -55,10 +55,10 @@ def test_named_axioms_are_the_rows_of_their_laws():
     # each set is the rows of the laws the operator checkers decide, in order
     assert AXIOM_SETS == {
         "3bamo": ("MO1", "MO2", "MO3", "MO4"),
-        "pi": ("PI1", "PI2", "PI3", "PI4"),
-        "strictness": ("R1", "R2", "S"),
+        "psi": ("PI1", "PI2", "PI3", "PI4"),
+        "strict": ("R1", "R2", "S"),
     }
-    for name, parts in (("3bamo", ("3bamo",)), ("psi", ("3bamo", "pi")), ("strict", ("3bamo", "pi", "strictness"))):
+    for name, parts in (("3bamo", ("3bamo",)), ("psi", ("3bamo", "psi")), ("strict", ("3bamo", "psi", "strict"))):
         rows = [row for part in parts for law in AXIOM_SETS[part] for row in LAW_ROWS[law]]
         assert named_axioms(name) == [parse(text) for text, _, _ in rows]
 
@@ -135,7 +135,7 @@ def test_enumerate_ecas_k3_exact():
     from psiforge.topo_models import random_topologies
 
     seen = 0
-    for top in random_topologies(60, seed=0xEC0, max_points=4):
+    for top in random_topologies(60, seed=0xEC0):
         rca, rel = eca_from_topology(top)
         if rca.alg.atom_count == 3:
             seen += 1

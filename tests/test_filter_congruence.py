@@ -10,7 +10,6 @@ from psiforge import (
     all_filters_classified,
     check_strict,
     classify_filter,
-    congruence_filter_maps,
     congruence_from_filter,
     congruence_to_filter,
     example_3bamo,
@@ -178,9 +177,9 @@ def test_congruence_round_trips(alg2):
 
 
 def test_congruence_dispatch(alg2):
-    theta = congruence_filter_maps(alg2, Filter(alg2, 2))
+    theta = congruence_from_filter(alg2, Filter(alg2, 2))
     assert isinstance(theta, Congruence)
-    assert congruence_filter_maps(alg2, theta).generator == 2
+    assert congruence_to_filter(theta).generator == 2
 
 
 def test_incompatible_partition_rejected(alg2):

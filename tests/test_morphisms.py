@@ -22,7 +22,6 @@ from psiforge import (
     smallest_diamond,
 )
 from psiforge.duality_frames import PsiFrame
-from psiforge.morphisms import dual_map
 from psiforge.verify import bamo_operator_pool, psi_operator_pool
 
 
@@ -167,7 +166,7 @@ def test_semi_corresponds_to_sp3_not_sp2(alg2, psi_ops_k2):
         mc = classify_psi_morphism(ident, o1, o2)
         assert mc.semi and not mc.hemi
         fm = classify_frame_map(
-            dual_map(ident), dual_frame(o2), dual_frame(o1)
+            ident.atom_map, dual_frame(o2), dual_frame(o1)
         )
         assert fm.result("Sp3").passed
         assert not fm.result("Sp2").passed
@@ -192,9 +191,15 @@ def test_morphism_duality_cross_size(alg1, alg2, rel_ops_k2):
 
 
 def test_morphism_duality_refuses_non_psi(alg2):
+    from psiforge import check_psi
+
     h = make_hom(alg2, alg2, (0, 1))
-    with pytest.raises(PreconditionError):
-        morphism_duality_check(h, example_3bamo(), smallest_diamond(alg2))
+    bad_op, good = example_3bamo(), smallest_diamond(alg2)
+    bad = check_psi(bad_op).failures()[0]
+    for source, target, name in ((bad_op, good, "source"), (good, bad_op, "target")):
+        message = f"morphism_duality_check ({name}) requires a pseudo-inference operator; {bad.axiom} fails at {bad.witness}"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            morphism_duality_check(h, source, target)
 
 
 def test_eca_morphism_identity_similarity(alg2, ecas_k2):
@@ -296,8 +301,8 @@ def test_contravariance(alg1, alg2):
     for g in enumerate_homs(alg1, alg2):
         for h in enumerate_homs(alg2, alg2):
             comp = h.compose(g)
-            assert dual_map(comp) == tuple(
-                dual_map(g)[i] for i in dual_map(h)
+            assert comp.atom_map == tuple(
+                g.atom_map[i] for i in h.atom_map
             )
 
 
@@ -311,11 +316,3 @@ def test_bijective_full_inverts(alg2, psi_ops_k2):
     assert not non_bij.is_bijective
     with pytest.raises(ValueError):
         non_bij.inverse()
-
-
-def test_hom_json_round_trip(alg1, alg2):
-    from psiforge.morphisms import hom_from_json
-
-    h = make_hom(alg1, alg2, (0, 0))
-    back = hom_from_json(h.to_json())
-    assert back.atom_map == h.atom_map

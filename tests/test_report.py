@@ -1,10 +1,10 @@
 import pytest
 
-from psiforge.report import AxiomResult, CheckReport, failed, first_violation, passed
+from psiforge.report import AxiomResult, CheckReport, first_violation, result
 
 
 def test_report_accessors():
-    rep = CheckReport("demo", (passed("A"), failed("B", (1, 2), "note")))
+    rep = CheckReport("demo", (result("A", None), result("B", (1, 2), "note")))
     assert not rep.passed
     assert rep.result("A").passed
     assert rep.failures() == [rep.result("B")]
@@ -13,7 +13,7 @@ def test_report_accessors():
 
 
 def test_report_json_shape():
-    rep = CheckReport("demo", (passed("A", "fine"), failed("B", (0,))))
+    rep = CheckReport("demo", (result("A", None, "fine"), result("B", (0,))))
     data = rep.to_json()
     assert data["kind"] == "demo"
     assert data["passed"] is False
@@ -44,5 +44,10 @@ def test_run_memo_hits_an_equal_but_distinct_structure(monkeypatch):
     first = check_psi(op)
     assert check_psi(twin) is first
     rel, frame = largest_eca(op.alg), dual_frame(op)
-    for obj, fields in ((op, (op.alg, op.table)), (rel, (rel.alg, rel.bits)), (frame, (frame.point_count, frame.rows))):
+    for obj, fields in (
+        (op, (op.alg, op.table)),
+        (rel, (rel.alg, rel.bits)),
+        (frame, (frame.point_count, frame.rows)),
+        (op.alg, (op.alg.atom_count, op.alg.atom_names)),
+    ):
         assert hash(obj) == hash(fields) == hash(obj)

@@ -149,7 +149,7 @@ def test_three_point_entailment_witness():
 
 
 def test_random_topologies_all_give_ecas():
-    for top in random_topologies(100, seed=0xEC0, max_points=4):
+    for top in random_topologies(100, seed=0xEC0):
         _, rel = eca_from_topology(top)
         assert check_eca(rel).passed
         assert check_extca(rel).passed
@@ -209,7 +209,7 @@ def _by_definition(top):
 
 
 def test_tables_equal_the_definition():
-    spaces = random_topologies(200, seed=0x70B0, max_points=4)
+    spaces = random_topologies(200, seed=0x70B0)
     spaces += [make_topology(range(n), [[p] for p in range(n)]) for n in range(1, 5)]
     sizes = set()
     for top in spaces:

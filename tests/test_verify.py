@@ -159,7 +159,7 @@ def test_memo_is_dropped_when_the_run_ends(monkeypatch):
 
 
 def test_outside_a_run_every_call_computes(monkeypatch):
-    runs = _count_bodies(monkeypatch, ternary_operator, "_check", lambda op, kind, axioms: kind)
+    runs = _count_bodies(monkeypatch, ternary_operator, "_check", lambda op, kind: kind)
     op = example_3bamo()
     assert check_psi(op) == check_psi(op)
     assert runs == {"psi": 2}
@@ -170,7 +170,7 @@ def test_run_decides_each_structure_once(monkeypatch):
     eca_from_topology run once per distinct argument, although the items
     ask for each many times."""
     checks = _count_bodies(
-        monkeypatch, ternary_operator, "_check", lambda op, kind, axioms: (kind, op) if kind != "3bamo" else None
+        monkeypatch, ternary_operator, "_check", lambda op, kind: (kind, op) if kind != "3bamo" else None
     )
     ecas = _count_bodies(
         monkeypatch, contact_relation, "pool_verdicts", lambda alg, pool, n, system: (alg, pool) if system == "eca" else None
