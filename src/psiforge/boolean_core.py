@@ -42,20 +42,18 @@ frame, a pool of relations, and the k-bit digits of an offset):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, permutations, product
 
 from .errors import SizeCapError
-from .report import cached_hash
+from .report import Record, cached_hash
 
 # Hard cap on atom count: exhaustive sweeps over |A|^5 tuples and dense
 # |A|^3 operator tables explode beyond this.
 MAX_ATOMS = 6
 
 
-@dataclass(frozen=True)
-class FiniteBooleanAlgebra:
+class FiniteBooleanAlgebra(Record):
     """Powerset algebra on ``atom_count`` atoms.
 
     Elements are the ints 0 .. 2**atom_count - 1 read as atom-subset
@@ -151,8 +149,7 @@ def bool_eval(alg: FiniteBooleanAlgebra, op: str, args: tuple[int, ...]):
     return getattr(alg, op)(*args)
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     """Principal filter [generator) = {a : generator <= a}.
 
     In a finite Boolean algebra every filter is principal, so one element

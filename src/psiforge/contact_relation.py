@@ -46,7 +46,6 @@ _to_base64 / _from_base64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
@@ -68,22 +67,22 @@ from .boolean_core import (
     json_int,
 )
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, cached_hash, decided, first_violation, result, run_memo, swept
+from .report import AxiomResult, CheckReport, Record, cached_hash, decided, first_violation, result, run_memo, swept
 from .ternary_operator import TernaryOperator, is_relational
 
 
-@dataclass(frozen=True)
-class TernaryRelation:
+class TernaryRelation(Record):
     """Membership bitset over A^3; bit for (a, b, c) is (a*size + b)*size + c."""
 
     alg: FiniteBooleanAlgebra
     bits: int
     __hash__ = cached_hash
 
-    def __post_init__(self):
-        n = self.alg.size ** 3
-        if self.bits < 0 or self.bits >> n:
+    def __init__(self, alg: FiniteBooleanAlgebra, bits: int):
+        if bits < 0 or bits >> alg.size ** 3:
             raise ValueError("relation bitset out of range for this algebra")
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "bits", bits)
 
     def holds(self, a: int, b: int, c: int) -> bool:
         size = self.alg.size

@@ -40,7 +40,6 @@ diamond_r and box_r keep the per-triple definitions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .boolean_core import (
@@ -61,12 +60,11 @@ from .boolean_core import (
     make_algebra,
 )
 from .errors import PreconditionError, InternalCheckError, SizeCapError
-from .report import CheckReport, cached_hash, result, run_memo
+from .report import CheckReport, Record, cached_hash, result, run_memo
 from .ternary_operator import TernaryOperator, _non_relational, check_3bamo, check_psi
 
 
-@dataclass(frozen=True, init=False)
-class PsiFrame:
+class PsiFrame(Record):
     """Point set {0..point_count-1} plus R, stored as one bitset per point:
     bit (y1*s + y2)*s + y3 of rows[x], s = 2**point_count, is set exactly
     when x reaches the triple (Y1, Y2, Y3) of nonempty point masks.

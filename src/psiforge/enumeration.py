@@ -23,7 +23,6 @@ ternary_operator.AXIOM_SETS, keyed by report kind: "psi" is the laws of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from math import prod
@@ -40,6 +39,7 @@ from .boolean_core import (
 )
 from .contact_relation import TernaryRelation, op_to_rel, pool_verdicts, rel_to_op
 from .errors import SizeCapError
+from .report import Record
 from .terms import Sentence, _sweep_plan, holds, parse
 from .ternary_operator import AXIOM_SETS, DEFAULT_SEED, LAW_ROWS, TernaryOperator
 
@@ -164,8 +164,7 @@ def enumerate_ecas(alg: FiniteBooleanAlgebra, workers: int = 1) -> list[TernaryR
 # operator enumeration
 
 
-@dataclass(frozen=True)
-class OperatorEnumeration:
+class OperatorEnumeration(Record):
     operators: tuple[TernaryOperator, ...]
     label: str
 
@@ -374,8 +373,7 @@ def sample_3bamos(alg: FiniteBooleanAlgebra, count: int, seed: int = DEFAULT_SEE
 # counterexample search
 
 
-@dataclass(frozen=True)
-class CounterexampleResult:
+class CounterexampleResult(Record):
     found: bool
     searched: int
     space_label: str

@@ -17,17 +17,15 @@ translated to those members (congruence_respects_op).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, Filter, _down, _lacking_bits, _repeat, _set_bits
 from .errors import InternalCheckError, PreconditionError
-from .report import AxiomResult, CheckReport, first_violation, result, run_memo, swept
+from .report import AxiomResult, CheckReport, Record, first_violation, result, run_memo, swept
 from .ternary_operator import TernaryOperator, _require_psi, check_strict, is_relational
 
 
-@dataclass(frozen=True)
-class ClassifiedFilter:
+class ClassifiedFilter(Record):
     filter: Filter
     is_closed: bool
     is_modal: bool
@@ -108,8 +106,7 @@ def all_filters_classified(op: TernaryOperator) -> list[ClassifiedFilter]:
     return [classify_filter(op, Filter(op.alg, g)) for g in op.alg.elements()]
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """Partition of the carrier, stored as reps[a] = least member of a's block."""
 
     alg: FiniteBooleanAlgebra

@@ -19,7 +19,6 @@ points of the dual frame, the dual point map f is h.atom_map itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -28,12 +27,11 @@ from .boolean_core import FiniteBooleanAlgebra, _bits, _entries, _first_entry, _
 from .contact_relation import TernaryRelation, _require_eca, rel_to_op
 from .duality_frames import PsiFrame, dual_frame
 from .errors import InternalCheckError
-from .report import AxiomResult, CheckReport, first_violation as _first, result
+from .report import AxiomResult, CheckReport, Record, first_violation as _first, result
 from .ternary_operator import TernaryOperator, _require_psi
 
 
-@dataclass(frozen=True)
-class BooleanHom:
+class BooleanHom(Record):
     """Homomorphism source -> target via its dual atom map.
 
     atom_map[t] is the source-atom index assigned to target atom t.
@@ -43,12 +41,15 @@ class BooleanHom:
     target: FiniteBooleanAlgebra
     atom_map: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.atom_map) != self.target.atom_count:
+    def __init__(self, source: FiniteBooleanAlgebra, target: FiniteBooleanAlgebra, atom_map: tuple[int, ...]):
+        if len(atom_map) != target.atom_count:
             raise ValueError("atom_map must cover every target atom")
-        for i in self.atom_map:
-            if not 0 <= i < self.source.atom_count:
+        for i in atom_map:
+            if not 0 <= i < source.atom_count:
                 raise ValueError(f"atom index {i} outside source atoms")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "atom_map", atom_map)
 
     def __call__(self, a: int) -> int:
         out = 0
@@ -110,8 +111,7 @@ def enumerate_homs(
     ]
 
 
-@dataclass(frozen=True)
-class MorphismClassification:
+class MorphismClassification(Record):
     semi: bool
     hemi: bool
     semi_witness: tuple[int, int, int] | None = None
@@ -236,8 +236,7 @@ def _bicond(name: str, lhs: bool, rhs: bool) -> AxiomResult:
     return result(name, None if lhs == rhs else (), note)
 
 
-@dataclass(frozen=True)
-class EcaMorphismClassification:
+class EcaMorphismClassification(Record):
     reflecting: bool
     preserving: bool
     reflecting_witness: tuple[int, int, int] | None = None

@@ -45,12 +45,11 @@ a verdict to a report.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 from .errors import EvalError, InternalCheckError, ParseError, SizeCapError
-from .report import cached_hash
+from .report import Record, cached_hash
 from .ternary_operator import (
     TernaryOperator,
     discriminator_t,
@@ -60,52 +59,44 @@ from .ternary_operator import (
 Term = Union["Const", "Var", "Unary", "Binary", "Ternary"]
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     top: bool  # False is 0, True is 1
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(Record):
     op: str  # "not" | "mu" | "d"
     arg: Term
     __hash__ = cached_hash
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record):
     op: str  # "and" | "or" | "xor" | "->"
     left: Term
     right: Term
     __hash__ = cached_hash
 
 
-@dataclass(frozen=True)
-class Ternary:
+class Ternary(Record):
     op: str  # "dia" | "disc"
     args: tuple[Term, Term, Term]
     __hash__ = cached_hash
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(Record):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class QuasiIdentity:
+class QuasiIdentity(Record):
     premises: tuple[Identity, ...]
     conclusion: Identity
 

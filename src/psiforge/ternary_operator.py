@@ -27,38 +27,38 @@ four-element counterexample exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolean_core import FiniteBooleanAlgebra, _first_entry, algebra_from_json, json_int, make_algebra
 from .errors import PreconditionError
-from .report import AxiomResult, CheckReport, cached_hash, decided, first_violation, result, run_memo, swept
+from .report import AxiomResult, CheckReport, Record, cached_hash, decided, first_violation, result, run_memo, swept
 
 DEFAULT_SEED = 0xEC0
 
 
-@dataclass(frozen=True)
-class TernaryOperator:
+class TernaryOperator(Record):
     """Dense table for a candidate diamond, indexed in row-major (a, b, c) order."""
 
     alg: FiniteBooleanAlgebra
     table: tuple[int, ...]
     __hash__ = cached_hash
 
-    def __post_init__(self):
-        size = self.alg.size
-        if len(self.table) != size ** 3:
-            raise ValueError(f"table must have {size ** 3} entries, got {len(self.table)}")
+    def __init__(self, alg: FiniteBooleanAlgebra, table: tuple[int, ...]):
+        size = alg.size
+        if len(table) != size ** 3:
+            raise ValueError(f"table must have {size ** 3} entries, got {len(table)}")
         # one bytes pass deletes every in-carrier entry; where bytes() refuses
         # an entry or one is left over, the scan names the first bad entry
         try:
-            bad = bytes(self.table).translate(None, bytes(range(size)))
+            bad = bytes(table).translate(None, bytes(range(size)))
         except (TypeError, ValueError):
             bad = True
-        if bad and (min(self.table) < 0 or max(self.table) >= size):
-            for v in self.table:
-                if not self.alg.contains(v):
+        if bad and (min(table) < 0 or max(table) >= size):
+            for v in table:
+                if not alg.contains(v):
                     raise ValueError(f"table value {v} outside carrier")
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, a: int, b: int, c: int) -> int:
         size = self.alg.size

@@ -11,12 +11,11 @@ unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .boolean_core import FiniteBooleanAlgebra, _pack, _set_bits, json_int, make_algebra
 from .contact_relation import TernaryRelation, check_eca, is_eca
 from .errors import InternalCheckError, SizeCapError
-from .report import run_memo
+from .report import Record, run_memo
 from .ternary_operator import DEFAULT_SEED
 
 # The regular-closed sets are found by a sweep over all 2^n point sets,
@@ -30,8 +29,7 @@ def _check_point_count(n: int) -> None:
         raise SizeCapError(f"topology has {n} points, above the cap of {TOPO_MAX_POINTS}")
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Record):
     """A finite space: point labels plus the open-set family as bitmasks."""
 
     points: tuple
@@ -120,8 +118,7 @@ def interior_closure(top: FiniteTopology, subset) -> tuple[frozenset, frozenset]
     return top.set_of(top.interior(m)), top.set_of(top.closure(m))
 
 
-@dataclass(frozen=True)
-class RegularClosedAlgebra:
+class RegularClosedAlgebra(Record):
     """The Boolean algebra of regular closed sets, with its powerset carrier.
 
     element_masks[i] is the point mask of the regular closed set encoded by

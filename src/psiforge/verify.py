@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -76,6 +75,7 @@ from .morphisms import (
     enumerate_homs,
     morphism_duality_check,
 )
+from .report import Record
 from .terms import holds, parse
 from .ternary_operator import (
     DEFAULT_SEED,
@@ -92,8 +92,7 @@ from .ternary_operator import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteItem:
+class SuiteItem(Record):
     lemma: str
     passed: bool
     detail: str = ""

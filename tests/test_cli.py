@@ -18,7 +18,6 @@ from psiforge import (
     example_3bamo,
     largest_eca,
     make_algebra,
-    rel_to_op,
     smallest_diamond,
 )
 from psiforge import cli
@@ -514,6 +513,26 @@ def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tm
     assert "planes" not in _loaded_modules("check", "--kind", "frame", str(frame))
     assert "planes" not in _loaded_modules("check", "--kind", "total", str(frame))
     assert _loaded_modules("--help") == {"cli", "errors"}
+
+
+_DATACLASSES = """\
+import sys
+from psiforge import cli
+cli.main(sys.argv[1:])
+for name, module in sorted(sys.modules.items()):
+    for cls in vars(module).values() if name.startswith("psiforge.") else ():
+        if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls):
+            print(f"{name}.{cls.__qualname__}", file=sys.stderr)
+"""
+
+
+def test_axiom_result_is_the_only_dataclass_a_verb_loads(example_op_file):
+    """psiforge's value classes are records (report.Record), which a fresh
+    interpreter defines without generating code; a new @dataclass among
+    them fails here.  AxiomResult stays one, for dataclasses.replace."""
+    for argv in (("check", "--kind", "psi", example_op_file), ("verify-suite", "--k", "1")):
+        r = subprocess.run([sys.executable, "-c", _DATACLASSES, *argv], capture_output=True, text=True)
+        assert r.stderr.splitlines() == ["psiforge.report.AxiomResult"], argv
 
 
 def test_package_names_are_the_submodule_objects(monkeypatch):

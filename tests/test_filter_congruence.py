@@ -15,7 +15,6 @@ from psiforge import (
     example_3bamo,
     is_simple,
     is_subdirectly_irreducible,
-    largest_eca,
     make_algebra,
     rel_to_op,
     relational_iff_simple_strict_check,

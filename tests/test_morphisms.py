@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from psiforge import (
-    InternalCheckError,
     PreconditionError,
     classify_eca_morphism,
     classify_frame_map,
@@ -15,10 +14,8 @@ from psiforge import (
     enumerate_homs,
     example_3bamo,
     largest_eca,
-    make_algebra,
     make_hom,
     morphism_duality_check,
-    rel_to_op,
     smallest_diamond,
 )
 from psiforge.duality_frames import PsiFrame
