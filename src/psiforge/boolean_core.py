@@ -42,7 +42,7 @@ frame, a pool of relations, and the k-bit digits of an offset):
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, permutations, product
 
 from .errors import SizeCapError
@@ -58,22 +58,23 @@ class FiniteBooleanAlgebra(Record):
 
     Elements are the ints 0 .. 2**atom_count - 1 read as atom-subset
     bitmasks; 0 is bottom and the full mask is top.  ``size`` and ``top``
-    are computed on first read and kept on the instance, outside the
-    fields, so repr, equality, hashing and to_json see the fields alone;
-    the hash is kept there too, by cached_hash.
+    are set at construction and kept on the instance, outside the fields,
+    so repr, equality, hashing and to_json see the fields alone; the hash
+    is kept there too, by cached_hash.
     """
 
     atom_count: int
     atom_names: tuple[str, ...]
     __hash__ = cached_hash
 
-    @cached_property
-    def size(self) -> int:
-        return 1 << self.atom_count
-
-    @cached_property
-    def top(self) -> int:
-        return self.size - 1
+    def __init__(self, atom_count: int, atom_names: tuple[str, ...]):
+        # set, not cached_property: that stores through the instance
+        # __dict__, which slows every later field load on the algebra
+        size = 1 << atom_count
+        object.__setattr__(self, "atom_count", atom_count)
+        object.__setattr__(self, "atom_names", atom_names)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "top", size - 1)
 
     def elements(self) -> range:
         return range(self.size)

@@ -15,12 +15,14 @@ first use, and decided() needs it only for a failing law, so a check
 whose exact deciders all pass compiles no sentence.
 CheckReport.require raises at a report's first failed axiom.
 
-Record is the frozen value base of psiforge's structures, reports and term
-nodes; cached_hash is the hash the large ones keep.
+Record is the frozen value base of psiforge's structures, reports, result
+rows and term nodes; cached_hash is the hash the large ones keep.  A
+record class supplies its dataclass fields on first read, so
+dataclasses.replace, fields and asdict take records; dataclasses loads
+only then, or when a frozen field is assigned, and no verb loads it.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import wraps
 from operator import attrgetter
 
@@ -53,19 +55,37 @@ def run_memo(fn):
     return memoised
 
 
+class _DataclassFields:
+    """The __dataclass_fields__ of a record class: made on first read from
+    the class's fields, with dataclasses' public API, and then kept on the
+    class in this descriptor's place.  Every record class holds its own,
+    so a read on one never answers for another."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        made = dataclasses.make_dataclass(cls.__name__, cls._fields)
+        fields = cls.__dataclass_fields__ = {f.name: f for f in dataclasses.fields(made)}
+        return fields
+
+
 class Record:
     """A frozen record of named fields, made without generating code.
 
     A subclass names its fields by annotations, in order, each trailing
     one optionally with a class-level default; they are read once, when
     the class is made.  A record is built by position or keyword; a class
-    that checks its fields defines its own __init__, which sets them with
-    object.__setattr__.  It equals a record of the same class with
-    equal fields, hashes as the tuple of its fields and reprs as
-    Class(field=value, ...), all as a frozen dataclass would.  Assigning
-    or deleting an attribute raises FrozenInstanceError.  Computed values
-    are kept on the instance outside the fields: a cached_property, and
-    the hash cached_hash keeps.
+    that checks its fields, sets values beside them or is built in bulk
+    defines its own __init__, which sets them with object.__setattr__.
+    It equals a record of the same class with equal fields, hashes as the
+    tuple of its fields and reprs as Class(field=value, ...), all as a
+    frozen dataclass would.  Assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError.  dataclasses.fields and asdict take a
+    record as a dataclass, through the __dataclass_fields__ made on first
+    read, and so does dataclasses.replace where __init__ takes the fields
+    by name (PsiFrame's takes entries).  Computed values are kept on the
+    instance outside the fields: a value set at construction, a
+    cached_property, and the hash cached_hash keeps.
     """
 
     _fields: tuple[str, ...] = ()
@@ -77,6 +97,7 @@ class Record:
         cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         get = attrgetter(*names)
         cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        cls.__dataclass_fields__ = _DataclassFields()
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -117,9 +138,13 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> dict:
@@ -147,14 +172,17 @@ def cached_hash(obj: Record) -> int:
     return h
 
 
-# a dataclass, not a Record: bench/check_gates.py builds altered results
-# with dataclasses.replace
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(Record):
     axiom: str
     passed: bool
-    witness: tuple[int, ...] | None = None
-    note: str = ""
+    witness: tuple[int, ...] | None
+    note: str
+
+    def __init__(self, axiom: str, passed: bool, witness: tuple[int, ...] | None = None, note: str = ""):
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         out: dict = {"axiom": self.axiom, "passed": self.passed}

@@ -201,9 +201,9 @@ def test_algebra_json_round_trip(alg2):
 
 
 def test_size_and_top_are_kept_outside_the_fields():
-    """size and top are computed once per algebra and kept on the
-    instance, where repr, equality, hashing, to_json and the record's
-    fields do not see them."""
+    """size and top are set at construction and kept on the instance,
+    where repr, equality, hashing, to_json and the record's fields do not
+    see them."""
     read, fresh = make_algebra(3), make_algebra(3)
     assert (read.size, read.top) == (8, 7)
     assert repr(read) == repr(fresh) == "FiniteBooleanAlgebra(atom_count=3, atom_names=('a0', 'a1', 'a2'))"

@@ -515,24 +515,38 @@ def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tm
     assert _loaded_modules("--help") == {"cli", "errors"}
 
 
-_DATACLASSES = """\
+_IMPORTS = """\
 import sys
 from psiforge import cli
 cli.main(sys.argv[1:])
-for name, module in sorted(sys.modules.items()):
-    for cls in vars(module).values() if name.startswith("psiforge.") else ():
-        if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls):
-            print(f"{name}.{cls.__qualname__}", file=sys.stderr)
+print("loaded:", *sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
 """
 
 
-def test_axiom_result_is_the_only_dataclass_a_verb_loads(example_op_file):
-    """psiforge's value classes are records (report.Record), which a fresh
-    interpreter defines without generating code; a new @dataclass among
-    them fails here.  AxiomResult stays one, for dataclasses.replace."""
-    for argv in (("check", "--kind", "psi", example_op_file), ("verify-suite", "--k", "1")):
-        r = subprocess.run([sys.executable, "-c", _DATACLASSES, *argv], capture_output=True, text=True)
-        assert r.stderr.splitlines() == ["psiforge.report.AxiomResult"], argv
+def test_no_verb_imports_dataclasses(example_op_file, largest_rel_file, tmp_path):
+    """psiforge's value classes and result rows are records (report.Record),
+    which make their dataclass fields only when something asks for them, so
+    no verb imports dataclasses, nor inspect, which dataclasses imports; a
+    new @dataclass, or an import of either, fails here."""
+    frame = tmp_path / "smallest_diamond_k2_frame.json"
+    frame.write_text(json.dumps(dual_frame(smallest_diamond(make_algebra(2))).to_json()))
+    topology = tmp_path / "three_point_topology.json"
+    topology.write_text(json.dumps({"points": [1, 2, 3], "basis": [[1], [3]]}))
+    for argv in (
+        ("check", "--kind", "psi", example_op_file),
+        ("check", "--kind", "eca", largest_rel_file),
+        ("check", "--kind", "space", str(frame)),
+        ("convert", "--to", "op", largest_rel_file),
+        ("dualize", example_op_file),
+        ("complex", str(frame)),
+        ("enumerate", "--what", "ecas", "--k", "2"),
+        ("enumerate", "--what", "operators", "--k", "2", "--mode", "auto"),
+        ("find", "--sentence", "dia(a, b, c) <= a", "--k", "2"),
+        ("verify-suite", "--k", "1"),
+        ("topo", str(topology)),
+    ):
+        r = subprocess.run([sys.executable, "-c", _IMPORTS, *argv], capture_output=True, text=True)
+        assert r.stderr.splitlines()[-1:] == ["loaded:"], (argv, r.stderr)
 
 
 def test_package_names_are_the_submodule_objects(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -102,6 +103,7 @@ def _records():
         topology,
         regular_closed_algebra(topology),
         SuiteItem("lemma", True),
+        result("MO2", (0, 0, 0, 0), "note"),
     ]
 
 
@@ -122,6 +124,23 @@ def test_every_record_class_is_frozen_and_equal_by_its_fields():
                 setattr(r, name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(r, name)
+
+
+def test_dataclasses_take_records_by_their_fields():
+    """A record makes its dataclass fields on first read: dataclasses.fields
+    lists its fields in order, asdict reads them, and reading them leaves
+    repr, equality and hash as they were.  dataclasses.replace alters a
+    report row as bench/check_gates.py does."""
+    for r, twin in zip(_records(), _records()):
+        before = repr(r), hash(r)
+        assert [f.name for f in dataclasses.fields(r)] == list(r._fields), type(r)
+        assert dataclasses.asdict(r).keys() == set(r._fields)
+        assert (repr(r), hash(r)) == before and r == twin and hash(r) == hash(twin)
+    row = result("MO2", (0, 1, 2, 3), "note")
+    assert dataclasses.replace(row, passed=True, witness=None) == result("MO2", None, "note")
+    assert dataclasses.replace(row, witness=(3, 2, 1, 0)) == result("MO2", (3, 2, 1, 0), "note")
+    assert dataclasses.asdict(row) == {"axiom": "MO2", "passed": False, "witness": (0, 1, 2, 3), "note": "note"}
+    assert dataclasses.replace(CheckReport("k", (row,)), structure_kind="j") == CheckReport("j", (row,))
 
 
 def test_records_compare_by_class_and_repr_as_dataclasses():
