@@ -1,3 +1,4 @@
+import ast
 import base64
 import contextlib
 import inspect
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -452,10 +454,27 @@ _SMALLEST_K2 = [a & b & c for a in range(4) for b in range(4) for c in range(4)]
         # repeated labels are not merged into one point
         (("topo",), {"points": [True, 1]}),
         (("topo",), {"points": [1, 1]}),
+        # a basis member names a point only as a label of its own JSON type
+        (("topo",), {"points": 2, "basis": [[True]]}),
+        (("topo",), {"points": 2, "basis": [[1.0]]}),
+        (("topo",), {"points": [1, 2], "basis": [[True]]}),
+        (("topo",), {"points": [True, 2], "basis": [[1]]}),
         # the atom count is read first, so a missing algebra stays a bad input
         (("check", "--kind", "psi"), {"alg": None, "table": [0]}),
     ],
-    ids=["names-string", "names-null", "points-string", "open-string", "points-true-1", "points-1-1", "alg-null"],
+    ids=[
+        "names-string",
+        "names-null",
+        "points-string",
+        "open-string",
+        "points-true-1",
+        "points-1-1",
+        "basis-true-counted",
+        "basis-float-counted",
+        "basis-true-1",
+        "basis-1-true",
+        "alg-null",
+    ],
 )
 def test_json_lists_not_coerced(verb, payload):
     r = run_cli(*verb, "-", stdin=json.dumps(payload))
@@ -513,6 +532,23 @@ def test_each_verb_loads_only_what_it_runs(example_op_file, largest_rel_file, tm
     assert "planes" not in _loaded_modules("check", "--kind", "frame", str(frame))
     assert "planes" not in _loaded_modules("check", "--kind", "total", str(frame))
     assert _loaded_modules("--help") == {"cli", "errors"}
+
+
+def test_only_the_samplers_import_random():
+    """random is imported by enumeration (its two samplers) and verify (the
+    seeded scoreboard draws) only, so the seed reaches no other layer."""
+
+    def imports_random(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "random" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "random"
+
+    importers = {
+        path.stem
+        for path in Path(cli.__file__).parent.glob("*.py")
+        if any(imports_random(node) for node in ast.walk(ast.parse(path.read_text())))
+    }
+    assert importers == {"enumeration", "verify"}
 
 
 _IMPORTS = """\

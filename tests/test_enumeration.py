@@ -40,7 +40,7 @@ from psiforge.enumeration import (
     sample_psi_operators,
 )
 from psiforge.ternary_operator import AXIOM_SETS, LAW_ROWS
-from psiforge.topo_models import eca_from_topology, three_point_space
+from psiforge.topo_models import eca_from_topology, finite_spaces, three_point_space
 
 
 def test_named_axiom_sizes():
@@ -132,15 +132,12 @@ def test_enumerate_ecas_k3_exact():
     for rel in out:
         assert check_eca(rel).passed
     assert canonical_relation_bits(alg3, largest_eca(alg3).bits) in bits
-    from psiforge.topo_models import random_topologies
-
-    seen = 0
-    for top in random_topologies(60, seed=0xEC0):
+    realised = set()
+    for top in finite_spaces():
         rca, rel = eca_from_topology(top)
         if rca.alg.atom_count == 3:
-            seen += 1
-            assert canonical_relation_bits(alg3, rel.bits) in bits
-    assert seen > 0
+            realised.add(canonical_relation_bits(alg3, rel.bits))
+    assert len(realised) == 3 and realised <= set(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,11 @@ from psiforge import (
     make_topology,
     regular_closed_algebra,
 )
+from psiforge.enumeration import canonical_relation_bits
 from psiforge.topo_models import (
-    random_topologies,
+    FINITE_SPACE_POINTS,
+    FiniteTopology,
+    finite_spaces,
     three_point_space,
     topology_from_json,
 )
@@ -148,17 +152,54 @@ def test_three_point_entailment_witness():
     assert rel.bits != largest_eca(rca.alg).bits
 
 
-def test_random_topologies_all_give_ecas():
-    for top in random_topologies(100, seed=0xEC0):
+def test_finite_spaces_all_give_ecas():
+    for top in finite_spaces():
         _, rel = eca_from_topology(top)
         assert check_eca(rel).passed
         assert check_extca(rel).passed
 
 
-def test_random_topologies_deterministic():
-    a = [t.to_json() for t in random_topologies(10, seed=42)]
-    b = [t.to_json() for t in random_topologies(10, seed=42)]
-    assert a == b
+def _every_topology(n):
+    """Oracle: every family of point sets on n points that holds the empty
+    set and the whole space and is closed under union and intersection."""
+    full = (1 << n) - 1
+    middle = range(1, full)
+    for pick in range(1 << len(middle)):
+        opens = {0, full, *(m for i, m in enumerate(middle) if pick >> i & 1)}
+        if all(x | y in opens and x & y in opens for x in opens for y in opens):
+            yield FiniteTopology(tuple(range(n)), frozenset(opens))
+
+
+def _orbits(spaces):
+    """The canonical (atom count, relation) of each space's ECA."""
+    orbits = set()
+    for top in spaces:
+        rca, rel = eca_from_topology(top)
+        orbits.add((rca.alg.atom_count, canonical_relation_bits(rca.alg, rel.bits)))
+    return orbits
+
+
+def test_finite_spaces_realise_every_topological_orbit():
+    """Every topology on at most four points (1 + 4 + 29 + 355, listed
+    by brute force) realises exactly the ECA orbits of finite_spaces(): 1,
+    2, 3 and 1 at 1-4 atoms, 7 in all.  Each of the 50 spaces is T0, its
+    specialisation order extends the label order, and its opens are the
+    up-sets of that order."""
+    every = [top for n in range(1, FINITE_SPACE_POINTS + 1) for top in _every_topology(n)]
+    assert Counter(top.n for top in every) == {1: 1, 2: 4, 3: 29, 4: 355}
+    spaces = finite_spaces()
+    assert Counter(top.n for top in spaces) == {1: 1, 2: 2, 3: 7, 4: 40}
+    assert len({(top.n, top.opens) for top in spaces}) == len(spaces)
+    orbits = _orbits(spaces)
+    assert orbits == _orbits(every)
+    assert Counter(k for k, _ in orbits) == {1: 1, 2: 2, 3: 3, 4: 1}
+    for top in spaces:
+        # up[p]: the least open holding p, the points above p
+        up = [min((o for o in top.opens if o >> p & 1), key=int.bit_count) for p in range(top.n)]
+        assert len(set(up)) == top.n  # T0: distinct points have distinct neighbourhoods
+        assert all(q >= p for p in range(top.n) for q in range(top.n) if up[p] >> q & 1)
+        up_sets = {m for m in range(top.full + 1) if all(up[p] | m == m for p in range(top.n) if m >> p & 1)}
+        assert top.opens == up_sets
 
 
 def test_topology_json():
@@ -209,8 +250,12 @@ def _by_definition(top):
 
 
 def test_tables_equal_the_definition():
-    spaces = random_topologies(200, seed=0x70B0)
-    spaces += [make_topology(range(n), [[p] for p in range(n)]) for n in range(1, 5)]
+    rng = random.Random(0x70B0)
+    spaces = list(finite_spaces())  # the discrete spaces on 1-4 points among them
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        basis = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 6))]
+        spaces.append(make_topology(range(n), basis))
     sizes = set()
     for top in spaces:
         masks, bits = _by_definition(top)

@@ -42,7 +42,7 @@ SCOREBOARD = """\
 the strong form is an instance of the basic condition on every finite discrete frame)
 [pass] example-3bamo-regression  (15 entries, PI1 witness (3,1,3,2,1))
 [pass] three-point-space-witness  (lattice meet 0 yet in contact)
-[pass] random-topologies-give-ecas  (100 seeded spaces)
+[pass] finite-spaces-give-ecas  (50 finite spaces of at most 4 points)
 [pass] morphism-duality-biconditionals  (23 combinations)
 [pass] eca-morphism-equivalences
 [pass] morphism-composition-contravariance
@@ -71,7 +71,7 @@ def test_suite_all_pass_at_default_scale(suite):
     assert failures == []
     details = {i.lemma: i.detail for i in items}
     assert details["eca-extca-agree-k2-random"] == "10000 seeded relations, 128 one-bit flips of the 2 ECAs"
-    assert details["random-topologies-give-ecas"] == "100 seeded spaces"
+    assert details["finite-spaces-give-ecas"] == "50 finite spaces of at most 4 points"
 
 
 def test_eca_agreement_flips_reach_laws_past_ec0(ecas_k2):
