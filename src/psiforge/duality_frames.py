@@ -380,28 +380,20 @@ def is_total(frame: PsiFrame) -> tuple[bool, tuple[int, int, int] | None]:
     return first is None, first
 
 
-def pif2_strong_form_separation(frames: list[PsiFrame]) -> tuple[PsiFrame | None, str]:
-    """Search the given frames for one where PIF2 holds but the stronger
-    single-equation form (empty preimage of (Y1, Y2, complement of Y1))
-    fails.  On finite discrete spaces the complement is closed, which
-    makes the strong form an instance of PIF2, so no finite separation can
-    exist; the scan verifies this rather than assuming it.
+def pif2_strong_form_separates(frame: PsiFrame) -> bool:
+    """Whether the frame separates PIF2 from its stronger single-equation
+    form: the frame is a PSI frame where PIF2 holds, yet some (Y1, Y2,
+    complement of Y1) has a nonempty preimage.  No finite frame can: with
+    closure the identity on a finite discrete space, the complement of Y1
+    is closed, so the strong form is an instance of PIF2.  The scan
+    verifies this rather than assuming it.
     """
-    for frame in frames:
-        if not check_psi_frame(frame).passed:
-            continue
-        space = check_psi_space(frame)
-        if not space.result("PIF2").passed:
-            continue
-        n, full, reach = frame.point_count, frame.full, frame.reach
-        for y1 in frame.nonempty_masks():
-            comp = full ^ y1
-            if comp == 0:
-                continue
-            for y2 in frame.nonempty_masks():
-                if reach[(y1 << n | y2) << n | comp]:
-                    return frame, "separating frame found"
-    return None, (
-        "no separation: with closure the identity, the strong form is an "
-        "instance of the basic condition on every finite discrete frame"
+    if not check_psi_frame(frame).passed or not check_psi_space(frame).result("PIF2").passed:
+        return False
+    n, full, reach = frame.point_count, frame.full, frame.reach
+    return any(
+        reach[(y1 << n | y2) << n | full ^ y1]
+        for y1 in frame.nonempty_masks()
+        if y1 != full
+        for y2 in frame.nonempty_masks()
     )

@@ -303,6 +303,16 @@ def check_strict(op: TernaryOperator) -> CheckReport:
     run past R1's first failing row (x, y), an atom pair under MO1-MO3,
     and R2's first failing x (R2 fails at (x, a, b, y) iff the bound
     does at (x, a and not b, y)).
+
+    R2 follows from MO2-MO4, so every 3BAMO table satisfies it:
+      1. By MO3, dia(x, a, y) is the join of dia(x, a and b, y), which
+         lies below dia(x, b, y), and dia(x, a and not b, y).
+      2. Monotonicity in the first and third places (MO2 and MO4) bounds
+         the second by dia(1, a and not b, 1).
+      3. So dia(x, a, y) and not dia(x, b, y) <= dia(1, a and not b, 1),
+         which is R2.
+    Keeping R2 in AXIOM_SETS["strict"] is a documented choice: the strict
+    set lists the paper's laws, at the cost of one decider.
     """
     return _check(op, "strict")
 

@@ -43,13 +43,7 @@ class FiniteTopology(Record):
         return (1 << self.n) - 1
 
     def mask_of(self, subset) -> int:
-        idx = {p: i for i, p in enumerate(self.points)}
-        m = 0
-        for p in subset:
-            if p not in idx:
-                raise ValueError(f"point {p!r} not in space")
-            m |= 1 << idx[p]
-        return m
+        return _mask_of(self.points, subset, "point set")
 
     def set_of(self, mask: int) -> frozenset:
         return frozenset(self.points[i] for i in _set_bits(mask))
@@ -71,29 +65,38 @@ class FiniteTopology(Record):
         }
 
 
+def _mask_of(points: tuple, subset, what: str) -> int:
+    """The bitmask of subset over points.  Each member names the point
+    label of its own type: true and 1.0 are not the point 1."""
+    idx = {(type(p), p): i for i, p in enumerate(points)}
+    m = 0
+    for p in subset:
+        if (type(p), p) not in idx:
+            raise ValueError(f"{what} {subset!r} holds {p!r}, not a point label of its type")
+        m |= 1 << idx[type(p), p]
+    return m
+
+
 def make_topology(points, basis) -> FiniteTopology:
     """The opens generated by the basis: every join of meets of basis sets,
     the empty join and meet giving the empty set and the whole space.  By
     distributivity this family is closed under union and intersection.
-    A basis member names the point label of its own type: true and 1.0
-    are not the point 1."""
+    A basis member names the point label of its own type (see _mask_of)."""
     pts = tuple(sorted(set(points)))
     if not pts:
         raise ValueError("a topology needs at least one point")
     _check_point_count(len(pts))
-    idx = {(type(p), p): i for i, p in enumerate(pts)}
     meets = {(1 << len(pts)) - 1}
     for subset in basis:
-        m = 0
-        for p in subset:
-            if (type(p), p) not in idx:
-                raise ValueError(f"basis member contains {p!r}, not a point label of its type")
-            m |= 1 << idx[type(p), p]
+        m = _mask_of(pts, subset, "basis set")
         meets |= {x & m for x in meets}
     opens = {0}
     for m in meets:
         opens |= {x | m for x in opens}
     return FiniteTopology(pts, frozenset(opens))
+
+
+_LISTS = (list, tuple, range)
 
 
 def topology_from_json(data: dict) -> FiniteTopology:
@@ -103,11 +106,22 @@ def topology_from_json(data: dict) -> FiniteTopology:
         points = range(points)
     if "basis" in data and "opens" in data:
         raise ValueError("topology gives both basis and opens; give one form")
-    basis = data.get("basis", data.get("opens", []))
+    field = "opens" if "opens" in data else "basis"
+    basis = data.get(field, [])
     # a string is refused whole, not read as the list of its characters,
     # and repeated labels (1 and true among them) are refused, not merged
-    if any(isinstance(x, str) for x in (points, basis, *basis)):
-        raise ValueError("points, the basis and each basis set must be lists, not strings")
+    if not isinstance(points, _LISTS):
+        raise ValueError(f"points must be a list of labels or a count, got {points!r}")
+    if not isinstance(basis, _LISTS):
+        raise ValueError(f"{field} must be a list of point sets, got {basis!r}")
+    if bad := [s for s in basis if not isinstance(s, _LISTS)]:
+        raise ValueError(f"{field} holds {bad[0]!r}, not a list of point labels")
+    # a label is a JSON scalar: a list or object would reach the label
+    # lookups as an unhashable key
+    for where, labels in (("points", points), *((f"{field} set", s) for s in basis)):
+        for p in labels:
+            if isinstance(p, (list, dict)):
+                raise ValueError(f"{where} {labels!r} holds {p!r}, not a point label")
     if len(set(points)) != len(points):
         raise ValueError("point labels must be distinct")
     return make_topology(points, basis)

@@ -459,6 +459,12 @@ _SMALLEST_K2 = [a & b & c for a in range(4) for b in range(4) for c in range(4)]
         (("topo",), {"points": 2, "basis": [[1.0]]}),
         (("topo",), {"points": [1, 2], "basis": [[True]]}),
         (("topo",), {"points": [True, 2], "basis": [[1]]}),
+        # a label is a JSON scalar and a basis a list of lists
+        (("topo",), {"points": [1, 2], "basis": [[[1]]]}),
+        (("topo",), {"points": [[1], 2], "basis": [[2]]}),
+        (("topo",), {"points": [1, 2], "basis": [[{"a": 1}]]}),
+        (("topo",), {"points": [1, 2], "basis": [1]}),
+        (("topo",), {"points": [1, 2], "basis": 5}),
         # the atom count is read first, so a missing algebra stays a bad input
         (("check", "--kind", "psi"), {"alg": None, "table": [0]}),
     ],
@@ -473,6 +479,11 @@ _SMALLEST_K2 = [a & b & c for a in range(4) for b in range(4) for c in range(4)]
         "basis-float-counted",
         "basis-true-1",
         "basis-1-true",
+        "basis-label-list",
+        "points-label-list",
+        "basis-label-object",
+        "basis-set-int",
+        "basis-int",
         "alg-null",
     ],
 )
@@ -480,6 +491,7 @@ def test_json_lists_not_coerced(verb, payload):
     r = run_cli(*verb, "-", stdin=json.dumps(payload))
     assert_usage_error(r)
     assert r.stderr.startswith("psiforge: bad input: ")
+    assert len(r.stderr.splitlines()) == 1
 
 
 # Runs cli.main in a fresh interpreter and prints the psiforge modules it

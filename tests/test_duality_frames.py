@@ -25,7 +25,7 @@ from psiforge import (
 )
 from psiforge import duality_frames
 from psiforge.boolean_core import _table_of_rows
-from psiforge.duality_frames import box_table, diamond_table, frame_from_json, pif2_strong_form_separation
+from psiforge.duality_frames import box_table, diamond_table, frame_from_json, pif2_strong_form_separates
 from psiforge.enumeration import sample_3bamos
 from psiforge.ternary_operator import TernaryOperator, check_3bamo, operator_from_function
 from psiforge.verify import bamo_operator_pool
@@ -389,9 +389,7 @@ def test_totality_iff_relational(alg2, rel_ops_k2):
 
 def test_pif2_strong_form_search(alg2, rel_ops_k2):
     frames = [dual_frame(op) for op in [smallest_diamond(alg2)] + list(rel_ops_k2)]
-    found, note = pif2_strong_form_separation(frames)
-    assert found is None
-    assert "no separation" in note
+    assert not any(pif2_strong_form_separates(fr) for fr in frames)
 
 
 def _literal_rinv(frame):
@@ -498,8 +496,7 @@ def test_space_checks_match_literal_references():
         failing |= {axiom for axiom, w in want if w is not None}
         if fr.point_count == 4:
             pif1_at_four.add(want[0][1] is None)
-        found, _ = pif2_strong_form_separation([fr])
-        assert (found is not None) == (want[1][1] is None and _literal_strong_form_triple(fr))
+        assert pif2_strong_form_separates(fr) == (want[1][1] is None and _literal_strong_form_triple(fr))
     assert failing == {"PIF1", "PIF2", "PIF3", "PIF4"}
     assert totals == {True, False}
     assert pif1_at_four == {True, False}
@@ -518,7 +515,7 @@ def test_reach_is_built_once_per_frame(monkeypatch):
     frame = dual_frame(smallest_diamond(make_algebra(3)))
     check_psi_space(frame)
     is_total(frame)
-    pif2_strong_form_separation([frame])
+    pif2_strong_form_separates(frame)
     assert built == [3]
 
 

@@ -63,7 +63,7 @@ def test_run_memo_hits_an_equal_but_distinct_structure(monkeypatch):
 def _records():
     """One record of each record class, built anew on each call."""
     from psiforge.boolean_core import Filter, make_algebra
-    from psiforge.contact_relation import largest_eca
+    from psiforge.contact_relation import is_eca, largest_eca
     from psiforge.duality_frames import dual_frame
     from psiforge.enumeration import enumerate_operators, find_counterexample, named_axioms
     from psiforge.filter_congruence import all_filters_classified, congruence_from_filter
@@ -71,7 +71,7 @@ def _records():
     from psiforge.terms import Binary, Const, Identity, Inequality, QuasiIdentity, Ternary, Unary, Var, parse
     from psiforge.ternary_operator import check_psi, smallest_diamond
     from psiforge.topo_models import make_topology, regular_closed_algebra
-    from psiforge.verify import SuiteItem
+    from psiforge.verify import Claim, Space, SuiteItem
 
     alg1, alg2 = make_algebra(1), make_algebra(2)
     op, rel = smallest_diamond(alg1), largest_eca(alg1)
@@ -103,6 +103,8 @@ def _records():
         topology,
         regular_closed_algebra(topology),
         SuiteItem("lemma", True),
+        Space((rel,), 1, "relation", True),
+        Claim("lemma", "space", is_eca),
         result("MO2", (0, 0, 0, 0), "note"),
     ]
 

@@ -200,6 +200,21 @@ def test_relational_operator_passes_strict(alg2):
     assert check_strict(op).passed
 
 
+def test_r2_follows_from_mo2_to_mo4():
+    """R2 holds on every 3BAMO table (see check_strict): every one-atom
+    table, every table of the k=3 bamo pool that is a 3BAMO, and 200
+    seeded two-atom ones."""
+    from psiforge.enumeration import brute_force_operators, named_axioms
+    from psiforge.verify import bamo_operator_pool
+
+    one_atom = brute_force_operators(make_algebra(1), named_axioms("3bamo"))
+    pool = [op for op in bamo_operator_pool(3) if check_3bamo(op).passed]
+    seeded = sample_3bamos(make_algebra(2), count=200, seed=0xB2)
+    assert len(one_atom) > 1 and len(pool) > 10 and len(seeded) == 200
+    for op in one_atom + pool + seeded:
+        assert check_strict(op).result("R2").passed
+
+
 def test_smallest_diamond_strict_verdict_computed(alg2):
     # mu is the identity here, so S reduces to x <= x and the two
     # residuation laws reduce to lattice arithmetic: the sweep decides

@@ -92,6 +92,16 @@ def test_interior_closure_examples():
     assert interior_closure(t3, set()) == (frozenset(), frozenset())
 
 
+def test_point_sets_match_labels_by_type():
+    # make_topology and mask_of share one lookup: true and 1.0 are not the point 1
+    top = sierpinski()
+    with pytest.raises(ValueError):
+        interior_closure(top, {True})
+    with pytest.raises(ValueError):
+        top.mask_of([1.0])
+    assert top.mask_of([2, 1]) == 3
+
+
 def test_interior_matches_oracle():
     top = three_point_space()
     opens_sets = [top.set_of(o) for o in top.opens]

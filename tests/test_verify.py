@@ -3,8 +3,10 @@ from functools import cache
 
 import pytest
 
-from psiforge import TernaryRelation, check_eca, check_extca, check_psi, example_3bamo
-from psiforge import contact_relation, report, ternary_operator, topo_models, verify
+from psiforge import TernaryRelation, check_eca, check_extca, check_psi, example_3bamo, make_algebra
+from psiforge import cli, contact_relation, report, ternary_operator, topo_models, verify
+from psiforge.enumeration import enumerate_psi_operators
+from psiforge.ternary_operator import DEFAULT_SEED
 from psiforge.verify import (
     SuiteItem,
     bamo_operator_pool,
@@ -15,43 +17,44 @@ from psiforge.verify import (
 
 # every lemma, verdict and detail in order; k=1 and k=2 run the same pools
 SCOREBOARD = """\
-[pass] eca-extca-agree-k1-exhaustive  (256 relations)
-[pass] eca-extca-agree-k2-random  (10000 seeded relations, 128 one-bit flips of the 2 ECAs)
-[pass] translation-round-trip-and-image  (1+2 relations)
-[pass] translation-order-reversal  (all enumerated pairs)
-[pass] largest-relation-smallest-operator
-[pass] relational-implies-strict-simple-discriminator  (k<=2)
-[pass] k1-relational-iff-simple-strict  (1 ops)
-[pass] k2-relational-iff-simple-strict  (10 ops)
-[pass] mu-properties  ({ops} operators)
-[pass] mu-complement-fixed-under-s
-[pass] monotone-in-each-coordinate
-[pass] closed-implies-modal  ({ops} operators)
-[pass] su-mid-iff-closed  ({ops} operators)
-[pass] modal-implies-closed-under-r1r2  ({ops} operators)
-[pass] modal-generator-shortcut-agrees  ({ops} operators)
-[pass] filter-congruence-round-trip
-[pass] si-implies-simple-on-strict
-[pass] cep-permutability-distributivity  (4 strict ops)
-[pass] dual-frame-descriptive  ({frames} frames)
-[pass] stone-commutation  (dia, box, and complement laws)
-[pass] pi-pif-componentwise
-[pass] double-dual-identity
-[pass] totality-iff-relational
-[pass] pif2-strong-form-search  (no separation: with closure the identity, \
-the strong form is an instance of the basic condition on every finite discrete frame)
-[pass] example-3bamo-regression  (15 entries, PI1 witness (3,1,3,2,1))
-[pass] three-point-space-witness  (lattice meet 0 yet in contact)
-[pass] finite-spaces-give-ecas  (50 finite spaces of at most 4 points)
-[pass] morphism-duality-biconditionals  (23 combinations)
-[pass] eca-morphism-equivalences
-[pass] morphism-composition-contravariance
-[pass] bijective-full-inverts
-[pass] enumeration-oracle-k1  (1 relations brute forced)
-[pass] relational-psi-iff-eca-k2  (2 of 10 tables relational)
-[pass] enumeration-sound
+[pass] eca-extca-agree-k1-exhaustive  (all 256 one-atom relations)
+[pass] eca-extca-agree-k2-random  (10128 two-atom relations: 10000 seeded and the 128 one-bit flips of the 2 ECAs)
+[pass] translation-round-trip-and-image  (all 3 ECAs of at most two atoms up to isomorphism)
+[pass] translation-order-reversal  (all 2 posets of the ECAs of one and two atoms up to isomorphism)
+[pass] largest-relation-smallest-operator  (all 3 ECAs of at most two atoms up to isomorphism)
+[pass] relational-implies-strict-simple-discriminator  (all 3 ECAs of at most two atoms up to isomorphism)
+[pass] k1-relational-iff-simple-strict  (all 1 one-atom PSI operators up to isomorphism)
+[pass] k2-relational-iff-simple-strict  (all 10 two-atom PSI operators up to isomorphism)
+[pass] mu-properties  ({pool})
+[pass] mu-complement-fixed-under-s  ({pool})
+[pass] monotone-in-each-coordinate  ({pool})
+[pass] closed-implies-modal  ({filters})
+[pass] su-mid-iff-closed  ({filters})
+[pass] modal-implies-closed-under-r1r2  ({filters})
+[pass] modal-generator-shortcut-agrees  ({filters})
+[pass] filter-congruence-round-trip  ({filters})
+[pass] si-implies-simple-on-strict  ({pool})
+[pass] cep-permutability-distributivity  (all 4 strict PSI operators of at most two atoms up to isomorphism)
+[pass] dual-frame-descriptive  ({frames})
+[pass] stone-commutation  ({frames})
+[pass] pi-pif-componentwise  ({frames})
+[pass] double-dual-identity  ({frames})
+[pass] totality-iff-relational  ({frames})
+[pass] pif2-strong-form-search  ({frames})
+[pass] example-3bamo-regression  (1 operator: the two-atom 3BAMO example)
+[pass] three-point-space-witness  (1 space: the points 1, 2, 3 with basis {{1}}, {{3}})
+[pass] finite-spaces-give-ecas  (all 50 finite spaces of at most 4 points up to homeomorphism and T0 quotient)
+[pass] morphism-duality-biconditionals  \
+(all 23 Boolean homomorphisms between ECAs of at most two atoms up to isomorphism)
+[pass] eca-morphism-equivalences  (all 23 Boolean homomorphisms between ECAs of at most two atoms up to isomorphism)
+[pass] morphism-composition-contravariance  \
+(16 pairs of two-atom Boolean endomorphisms, over the first 4 two-atom PSI operators)
+[pass] bijective-full-inverts  \
+(8 pairs of a two-atom Boolean automorphism and one of the first 4 two-atom PSI operators)
+[pass] enumeration-oracle-k1  (all 256 one-atom relations, each with the table of the same 8 bits)
+[pass] relational-psi-iff-eca-k2  (all 10 two-atom PSI operators up to isomorphism)
+[pass] enumeration-sound  (all 3 ECAs of at most two atoms up to isomorphism)
 34/34 lemmas verified"""
-
 
 @pytest.fixture(scope="module")
 def suite():
@@ -61,7 +64,15 @@ def suite():
 
 @pytest.mark.parametrize("k, ops, frames", [(1, 11, 12), (2, 11, 12), (3, 27, 20)])
 def test_scoreboard_pinned(suite, k, ops, frames):
-    assert scoreboard(suite(k)) == SCOREBOARD.format(ops=ops, frames=frames)
+    # the pool is every PSI operator of at most two atoms below k=3
+    atoms, filters, whole = ("two", 42, "all ") if k < 3 else ("three", 170, "")
+    pool = f"{ops} PSI operators of at most {atoms} atoms" + (" up to isomorphism" if whole else ", 8 of them seeded")
+    details = {
+        "pool": whole + pool,
+        "filters": f"{whole}{filters} filters of the {pool}",
+        "frames": f"{frames} dual frames of monotone operators of at most {atoms} atoms, 6 of them seeded",
+    }
+    assert scoreboard(suite(k)) == SCOREBOARD.format(**details)
 
 
 def test_suite_all_pass_at_default_scale(suite):
@@ -69,9 +80,74 @@ def test_suite_all_pass_at_default_scale(suite):
     assert items
     failures = [i.lemma for i in items if not i.passed]
     assert failures == []
+    assert all(i.counterexample is None for i in items)
     details = {i.lemma: i.detail for i in items}
-    assert details["eca-extca-agree-k2-random"] == "10000 seeded relations, 128 one-bit flips of the 2 ECAs"
-    assert details["finite-spaces-give-ecas"] == "50 finite spaces of at most 4 points"
+    assert details["eca-extca-agree-k2-random"] == (
+        "10128 two-atom relations: 10000 seeded and the 128 one-bit flips of the 2 ECAs"
+    )
+    assert details["finite-spaces-give-ecas"] == (
+        "all 50 finite spaces of at most 4 points up to homeomorphism and T0 quotient"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_detail_names_its_space_and_size(suite, k):
+    """An item's detail is its space's: the size first, after "all" only
+    where the space is the whole family it names."""
+    spaces = verify._Suite(k, DEFAULT_SEED)
+    for claim, item in zip(verify._Suite.claims, suite(k)):
+        space = getattr(spaces, claim.space)
+        assert item.detail == space.detail, claim.lemma
+        words = item.detail.split()
+        assert words[:2] == ["all", str(space.size)] if space.whole else words[0] == str(space.size), claim.lemma
+        assert ("all" in words) == space.whole, claim.lemma
+        if claim.space in ("relations_k1", "relations_k2"):  # a packed pool of relations
+            alg, pool = space.members
+            assert (space.size - 1) * alg.size ** 3 < pool.bit_length() <= space.size * alg.size ** 3
+        else:
+            assert len(space.members) == space.size, claim.lemma
+
+
+def _failing(monkeypatch, lemma, test) -> int:
+    """Give the claim named lemma the test, and return its position."""
+    claims = list(verify._Suite.claims)
+    i = next(i for i, claim in enumerate(claims) if claim.lemma == lemma)
+    claims[i] = verify.Claim(lemma, claims[i].space, test)
+    monkeypatch.setattr(verify._Suite, "claims", claims)
+    return i
+
+
+def test_a_failing_claim_names_its_first_counterexample(monkeypatch, capsys):
+    chosen = enumerate_psi_operators(make_algebra(2))[3]
+    i = _failing(monkeypatch, "k2-relational-iff-simple-strict", lambda op: op != chosen)
+    items = run_suite(k=1)
+    assert [item.passed for item in items] == [n != i for n in range(34)]
+    assert items[i].counterexample == chosen
+    line = "[FAIL] k2-relational-iff-simple-strict  (all 10 two-atom PSI operators up to isomorphism; first counterexample #3)"
+    assert items[i].line() == line
+    assert cli.main(["verify-suite", "--k", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[i] == line and out[-1] == "33/34 lemmas verified"
+
+    # a member that is a number is printed with its position
+    i = _failing(monkeypatch, "enumeration-oracle-k1", lambda bits: bits < 37)
+    item = run_suite(k=1)[i]
+    assert (item.passed, item.counterexample) == (False, 37)
+    assert item.detail.endswith("; first counterexample #37: 37")
+
+    # a whole-space test names the member itself: one ExtCA verdict flipped
+    # in the one-atom pool, where relation i is the bitset i
+    monkeypatch.undo()
+    verdicts = verify.pool_verdicts
+
+    def flipped(alg, pool, n, system):
+        out = verdicts(alg, pool, n, system)
+        return out[:200] + bytes([1 - out[200]]) + out[201:] if n == 256 and system == "extca" else out
+
+    monkeypatch.setattr(verify, "pool_verdicts", flipped)
+    items = run_suite(k=1)
+    assert [item.lemma for item in items if not item.passed] == ["eca-extca-agree-k1-exhaustive"]
+    assert (items[0].counterexample, items[0].detail) == (200, "all 256 one-atom relations; first counterexample #200: 200")
 
 
 def test_eca_agreement_flips_reach_laws_past_ec0(ecas_k2):
@@ -146,12 +222,11 @@ def test_memo_is_dropped_when_the_run_ends(monkeypatch):
 
     seen = []
 
-    def failing_item(self):
-        seen.append(len(report._run_memo))  # the pools' rel_to_op calls are stored
+    def failing_test(rel):
+        seen.append(len(report._run_memo))  # the spaces' enumerations are stored
         raise RuntimeError("planted failure")
-        yield
 
-    monkeypatch.setattr(verify._Suite, "translations", failing_item)
+    _failing(monkeypatch, "translation-round-trip-and-image", failing_test)
     with pytest.raises(RuntimeError, match="planted failure"):
         run_suite(k=1)
     assert seen and seen[0] > 0
